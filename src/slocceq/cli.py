@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .catalog import random_invertible_ops
+from .catalog import DEFAULT_CONDITION_CAP, random_invertible_ops
 from .decomposition import triple_state_set
 from .equivalence import (
     DEFAULT_VERIFY_TOL,
@@ -31,7 +31,7 @@ from .equivalence import (
 from .invariants import classify_tripartite_qubit
 from .solver import SolverConfig
 from .states import (
-    Bipartition,
+    STANDARD_CUTS,
     apply_local_ops,
     read_state_file,
     write_state_file,
@@ -45,16 +45,9 @@ EXIT_BAD_CUT = 3
 EXIT_UNDECIDED = 4
 EXIT_DIMS = 5
 
-DEFAULT_RESTARTS = 64
-DEFAULT_CONDITION_CAP = 20.0
-
 CERTIFICATE_VERSION = "slocceq.certificate/1"
 
-_CUTS = {
-    "12-34": Bipartition((1, 2), (3, 4)),
-    "13-24": Bipartition((1, 3), (2, 4)),
-    "14-23": Bipartition((1, 4), (2, 3)),
-}
+_CUTS = {cut.label: cut for cut in STANDARD_CUTS}
 
 _STATUS_EXIT = {
     "EQUIVALENT": EXIT_OK,
@@ -462,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="certificate verification tolerance",
     )
     p.add_argument(
-        "--restarts", type=int, default=DEFAULT_RESTARTS, help="solver restart budget"
+        "--restarts",
+        type=int,
+        default=SolverConfig.restarts,
+        help="solver restart budget",
     )
     p.add_argument("--seed", type=int, default=None, help="solver seed (default 0)")
     p.add_argument(

@@ -49,6 +49,7 @@ from .tensorops import (
     numerical_rank,
     rank1_kron_factor,
     realign,
+    sigma_ratio,
     vectorize,
 )
 
@@ -143,14 +144,6 @@ class EquivalenceVerdict:
                 raise ValueError("UNDECIDED verdict carries no evidence")
 
 
-def _second_singular_ratio(matrix: np.ndarray) -> float:
-    """Ratio sigma_2 / sigma_1 of a matrix, 0.0 for (near-)rank-1 input."""
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size < 2 or s[0] == 0.0:
-        return 0.0
-    return float(s[1] / s[0])
-
-
 def _factor_pair(
     matrix: np.ndarray,
     dl: int,
@@ -159,7 +152,9 @@ def _factor_pair(
     side: str,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Factor ``matrix`` as a Kronecker pair, probing the swapped layout on failure."""
-    gap = _second_singular_ratio(realign(matrix, dl, dr))
+    # Diagnostic gap sigma2/sigma1: 0.0 for a zero matrix or a single row or column.
+    s = np.linalg.svd(realign(matrix, dl, dr), compute_uv=False)
+    gap = sigma_ratio(s, 1, if_short=0.0)
     try:
         b, c = rank1_kron_factor(matrix, dl, dr, rtol)
         return b, c, gap

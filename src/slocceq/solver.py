@@ -28,7 +28,15 @@ dimensions): the rank-one condition is bilinear, linear in the unknown
 blocks once the target rank-one factors are fixed, and vice versa, so
 the engine alternates between projecting the realigned matrices onto the
 nearest rank-one matrices and re-fitting the blocks by least squares,
-restarting from fresh random blocks when progress stalls.
+from the identity blocks and then from seeded random blocks. Restarts run
+in lockstep waves of ``WAVE_LANES``: each restart is one lane of stacked
+arrays, so every numpy or LAPACK call of an iteration serves the whole
+wave. The least-squares refit followed by the forward map is linear, so
+it is precomputed once per search as one projector matrix. Invertibility
+of the blocks is checked lazily, on the best points a restart keeps,
+rather than at every improvement. Lanes are gated in restart order and a
+wave stops at the first one that passes the residual gate, so the
+reported restart count and the verdict do not depend on the wave width.
 
 Two structural facts keep each half-step of the second layer closed-form:
 
@@ -52,17 +60,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .decomposition import SingularFrame
-from .tensorops import realign, unrealign
+from .tensorops import realign, sigma_ratio, unrealign
 
 # Smallest acceptable sigma_min/sigma_max for the square blocks of an
 # accepted candidate. Planted orbits at condition cap 20 give margins
 # above 1e-4; degenerate collapse gives machine-zero margins.
 CANDIDATE_MARGIN_RTOL = 1e-8
+
+# Restarts run in lockstep waves of this many lanes; a budget below it,
+# or the tail of a budget that is not a multiple of it, runs as one
+# narrower wave.
+WAVE_LANES = 4
+
+# Edge values of the rank-one search gap sigma2/sigma1: a zero matrix is
+# as far from rank one as the gap can say, and a matrix with a single row
+# or column is rank one.
+_GAP_EDGES = {"if_zero": 1.0, "if_short": 0.0}
+
+# Phases of a lane in a wave.
+_DR, _POLISH, _DONE = range(3)
+
+# Improvements a lane records before it checks them for admissibility and
+# drops the ones no later walk can select; bounds a wave's memory.
+_RECORD_CAP = 64
 
 # Iterations allowed without improving the best residual during the
 # final alternating-projection polish before the restart is abandoned.
@@ -129,11 +154,11 @@ class PTildeCandidate:
 
     @property
     def margin_p(self) -> float:
-        return _margin(self.P)
+        return sigma_ratio(np.linalg.svd(self.P, compute_uv=False))
 
     @property
     def margin_p_bar(self) -> float:
-        return _margin(self.P_bar)
+        return sigma_ratio(np.linalg.svd(self.P_bar, compute_uv=False))
 
     def min_margin(self) -> float:
         return min(self.margin_p, self.margin_p_bar)
@@ -171,37 +196,12 @@ class SolveOutcome:
     restarts_used: int
 
 
-def _margin(x: np.ndarray) -> float:
-    if x.size == 0:
-        return math.inf
-    s = np.linalg.svd(x, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
-
-
-def _rank1_gap(m: np.ndarray):
-    """(sigma2/sigma1, nearest rank-one matrix) of a realigned matrix."""
-    u, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0:
-        return 1.0, np.zeros_like(m)
-    gap = float(s[1] / s[0]) if s.size > 1 else 0.0
-    return gap, s[0] * np.outer(u[:, 0], vh[0, :])
-
-
 def _ginibre_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     top = np.linalg.svd(g, compute_uv=False)[0]
     return g / top
-
-
-def _safe_inv_adjoint(x: np.ndarray) -> np.ndarray:
-    """pinv(x)^H, the ascent direction of log|det x|."""
-    if x.size == 0:
-        return x
-    return np.linalg.pinv(x, rcond=1e-10).conj().T
 
 
 def couple_q(p: np.ndarray, lam: np.ndarray, lam_prime: np.ndarray) -> np.ndarray:
@@ -273,7 +273,7 @@ def _rank1_points_in_family(mats, rng, als_iterations=160):
             w2 = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
             a1 = np.column_stack([m @ w1 for m in mats])
             a2 = np.column_stack([m @ w2 for m in mats])
-            if _margin(a1) < 1e-12:
+            if sigma_ratio(np.linalg.svd(a1, compute_uv=False)) < 1e-12:
                 continue
             return list(np.linalg.eig(np.linalg.solve(a1, a2))[1].T)
     wmat = np.column_stack([m.reshape(-1) for m in mats])
@@ -294,7 +294,9 @@ def _rank1_points_in_family(mats, rng, als_iterations=160):
         stalled = 0
         gap = math.inf
         for _ in range(als_iterations):
-            gap, trunc = _rank1_gap(sum(si * mi for si, mi in zip(s, mats)))
+            w, sv, vh = np.linalg.svd(sum(si * mi for si, mi in zip(s, mats)))
+            gap = sigma_ratio(sv, 1, **_GAP_EDGES)
+            trunc = sv[0] * np.outer(w[:, 0], vh[0])
             if gap <= 1e-12:
                 break
             if gap < 0.9 * best_gap:
@@ -466,14 +468,15 @@ def _degenerate_square_b_candidates(m, mp, t, tq, rng):
             rp = roots_p[1][::-1] if swap_right else roots_p[1]
             kw = np.kron(w_left, w_right)
             kwp = np.kron(np.column_stack(lp), np.column_stack(rp))
-            if _margin(kw) < 1e-10 or _margin(kwp) < 1e-10:
+            margins = sigma_ratio(np.linalg.svd(np.stack([kw, kwp]), compute_uv=False))
+            if margins.min() < 1e-10:
                 continue
             back = np.linalg.solve(kwp, mp)
             gs = [m_inv @ np.outer(kw[:, i], back[i]) for i in range(4)]
             fam = [realign(g, 2, 2) for g in gs]
             for coeff in _rank1_points_in_family(fam, rng):
                 ct = sum(ci * gi for ci, gi in zip(coeff, gs))
-                if _margin(ct) < 1e-10:
+                if sigma_ratio(np.linalg.svd(ct, compute_uv=False)) < 1e-10:
                     continue
                 out.append(mp @ np.linalg.inv(ct) @ m_inv)
     return out
@@ -512,12 +515,14 @@ def _square_qubit_candidates(m, mp, rng):
                 for coeff in _rank1_points_in_family(realigned, rng)
             ]
         for b in bs:
-            if _margin(b) < 1e-10:
+            if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
                 continue
-            if _rank1_gap(realign(b, 2, 2))[0] > _DIRECT_PRESCREEN_GAP:
+            s_b = np.linalg.svd(realign(b, 2, 2), compute_uv=False)
+            if sigma_ratio(s_b, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
                 continue
             ct = np.linalg.solve(m, np.linalg.solve(b, mp))
-            if _rank1_gap(realign(ct, 2, 2))[0] > _DIRECT_PRESCREEN_GAP:
+            s_ct = np.linalg.svd(realign(ct, 2, 2), compute_uv=False)
+            if sigma_ratio(s_ct, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
                 continue
             out.append((b, ct.T))
     return out
@@ -539,7 +544,8 @@ def _right_tuple_solve(rs, ts, rng, attempts=6):
         ]
         mix_r = [sum(c * r for c, r in zip(cv, rs)) for cv in combos]
         mix_t = [sum(c * t for c, t in zip(cv, ts)) for cv in combos]
-        if min(_margin(mix_r[1]), _margin(mix_t[1])) < 1e-10:
+        pivots = np.stack([mix_r[1], mix_t[1]])
+        if sigma_ratio(np.linalg.svd(pivots, compute_uv=False)).min() < 1e-10:
             continue
         quot_r = np.linalg.solve(mix_r[1].T, mix_r[0].T).T
         quot_t = np.linalg.solve(mix_t[1].T, mix_t[0].T).T
@@ -575,7 +581,7 @@ def _right_tuple_solve(rs, ts, rng, attempts=6):
         if not complete or np.min(np.abs(diag)) == 0.0:
             continue
         g = evec_t @ np.diag(diag) @ np.linalg.inv(evec)
-        if _margin(g) < 1e-12:
+        if sigma_ratio(np.linalg.svd(g, compute_uv=False)) < 1e-12:
             continue
         ht = np.linalg.inv(mix_r[1]) @ np.linalg.solve(g, mix_t[1])
         worst = max(
@@ -610,9 +616,10 @@ def _mixed_pair_candidates(m, mp, rng):
         for coeff in _rank1_points_in_family(realigned, rng):
             y = sum(ci * yi for ci, yi in zip(coeff, family))
             b = y.T
-            if _margin(b) < 1e-10:
+            if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
                 continue
-            if _rank1_gap(realign(b, 2, 2))[0] > _DIRECT_PRESCREEN_GAP:
+            s_b = np.linalg.svd(realign(b, 2, 2), compute_uv=False)
+            if sigma_ratio(s_b, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
                 continue
             xi = np.linalg.solve(b, mp)
             ts = [xi[i, :].reshape(3, 3) for i in range(4)]
@@ -759,9 +766,10 @@ def _rank2_square_candidates(m, mp):
         ("c", col), ("r", row), ("cp", col_p), ("rp", row_p)
     ):
         stacks[key] = np.column_stack([np.kron(a, b) for a, b in pairs])
-        if _margin(np.column_stack([pairs[0][0], pairs[1][0]])) < 1e-9:
-            return []
-        if _margin(np.column_stack([pairs[0][1], pairs[1][1]])) < 1e-9:
+        factors = np.stack(
+            [np.column_stack([pairs[0][f], pairs[1][f]]) for f in (0, 1)]
+        )
+        if sigma_ratio(np.linalg.svd(factors, compute_uv=False)).min() < 1e-9:
             return []
     k_mat = np.linalg.pinv(stacks["c"]) @ m @ np.linalg.pinv(stacks["r"]).T
     k_mat_p = (
@@ -822,13 +830,14 @@ def _single_rank2_kron_candidates(u_full, u_prime_full):
         return []
     lefts = np.column_stack([src[0][0], src[1][0]])
     rights = np.column_stack([src[0][1], src[1][1]])
-    if min(_margin(lefts), _margin(rights)) < 1e-9:
+    if sigma_ratio(np.linalg.svd(np.stack([lefts, rights]), compute_uv=False)).min() < 1e-9:
         return []
     out = []
     for pair in ((0, 1), (1, 0)):
         lefts_p = np.column_stack([dst[pair[0]][0], dst[pair[1]][0]])
         rights_p = np.column_stack([dst[pair[0]][1], dst[pair[1]][1]])
-        if min(_margin(lefts_p), _margin(rights_p)) < 1e-9:
+        pair_p = np.stack([lefts_p, rights_p])
+        if sigma_ratio(np.linalg.svd(pair_p, compute_uv=False)).min() < 1e-9:
             continue
         out.append(
             np.kron(
@@ -890,18 +899,100 @@ def _coupling_blocks_from_operators(b, c, frame, frame_prime):
     return cand_u, cand_v
 
 
+class _LaneResult(NamedTuple):
+    """What one restart of a wave keeps: its restart index, the coupling
+    blocks (P, Y, P_bar, Z, S_bar), their internal residual, and whether
+    every square block clears ``CANDIDATE_MARGIN_RTOL``."""
+
+    index: int
+    blocks: tuple
+    residual: float
+    admissible: bool
+
+
+class _Lane:
+    """Mutable state of one restart inside a wave.
+
+    ``vec`` is the Douglas-Rachford iterate in realigned coordinates during
+    the first phase and the packed coupling blocks during the polish.
+    ``record`` lists improvements of the best residual in the current phase
+    as (residual, vector), oldest first, so residuals strictly fall along
+    it; every ``_RECORD_CAP`` improvements it drops the entries that no
+    walk back from the best point can select.
+    ``kept`` is what the first phase settled on, as returned by
+    :meth:`_Engine._settle`.
+    """
+
+    __slots__ = (
+        "index", "x0", "vec", "phase", "it", "best_iter", "best_resid",
+        "record", "kept", "result",
+    )
+
+    def __init__(self, index: int, x0: np.ndarray):
+        self.index = index
+        self.x0 = x0
+        self.vec = x0
+        self.phase = _DR
+        self.it = 0
+        self.best_iter = 0
+        self.best_resid = math.inf
+        self.record = []
+        self.kept = None
+        self.result = None
+
+
+def _flat_concat(mats) -> np.ndarray:
+    """Matrices (or stacks of them) flattened row-major and joined."""
+    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)) for m in mats], axis=-1)
+
+
+def _slices(sizes):
+    ends = np.cumsum([0, *sizes])
+    return [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _gap_sum(svals):
+    """Per-lane sum of the rank-one gaps of stacked side singular values."""
+    return sum(sigma_ratio(s, 1, **_GAP_EDGES).sum(axis=1) for s in svals)
+
+
+def _lanes_apply(vecs: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
+    """Row-wise ``vecs @ mat_t``, one BLAS call per lane.
+
+    Each lane's product is computed alone, so a lane's trajectory does not
+    depend on which other lanes share its wave.
+    """
+    return np.matmul(vecs[:, np.newaxis, :], mat_t)[:, 0, :]
+
+
 class _Engine:
     """Rank-one feasibility search over one or two frame sides.
 
     The candidate lives in the realigned coordinates, where the problem
     is the intersection of two sets: the linear subspace swept by the
-    block-feasible couplings (projection: closed-form entrywise refit,
-    thanks to the orthonormal coefficient family) and the rank-one cone
-    on each side (projection: singular truncation). Each restart runs
-    Douglas-Rachford iterations, which escape the shallow local minima
-    that trap plain alternating projection, then polishes the best point
-    with a short alternating-projection phase carrying an invertibility
-    reward.
+    block-feasible couplings and the rank-one cone on each side
+    (projection: singular truncation). Each restart runs Douglas-Rachford
+    iterations, which escape the shallow local minima that trap plain
+    alternating projection, then polishes the best point with a short
+    alternating-projection phase carrying an invertibility reward.
+
+    Restarts run in lockstep waves (:meth:`run_wave`): every lane of a
+    wave is a row of one stacked array, so each numpy or LAPACK call of an
+    iteration serves all lanes, and both frame sides too when their
+    realignments share a shape. The subspace projection followed by the
+    forward map is linear (realignment permutes entries, the frames are
+    unitary, the lambda coupling is a fixed real weight), so it is built
+    once as the matrix ``projector`` by pushing the identity basis through
+    :meth:`_project_blocks` and :meth:`_forward`; a Douglas-Rachford
+    iteration is then one product with it plus two stacked SVDs.
+    Admissibility is checked lazily: a lane records each improvement and,
+    when a phase ends, walks the record back from its best point to the
+    latest point whose square blocks clear the margin. Improvements arrive
+    with strictly falling residuals, so this is the point an eager check
+    at every improvement would have kept.
+
+    Coupling blocks are packed into one vector ``x`` in the order
+    (P, Y, P_bar, Z, S_bar), each block row-major.
     """
 
     def __init__(self, u, u_prime, u_split, v, v_prime, v_split, weights, r, config):
@@ -914,6 +1005,8 @@ class _Engine:
         self.u_split = u_split
         self.ku = u.shape[0] - r
         self.has_v = v is not None
+        splits = [u_split]
+        den_p = np.ones((r, r))
         if self.has_v:
             self.v = v
             self.v_prime_h = v_prime.conj().T
@@ -922,7 +1015,8 @@ class _Engine:
             self.v_split = v_split
             self.kv = v.shape[0] - r
             self.weights = weights
-            self.abs_w_sq = np.abs(weights) ** 2
+            splits.append(v_split)
+            den_p = den_p + np.abs(weights) ** 2
         else:
             self.kv = 0
         self.conv_tol = max(min(config.residual_tol, 1e-9) * 1e-4, 5e-15)
@@ -930,7 +1024,46 @@ class _Engine:
         self.polish_iterations = polish
         self.dr_iterations = max(0, config.max_iterations - polish)
 
-    def _init_blocks(self, restart_index: int):
+        ku, kv = self.ku, self.kv
+        self._block_shapes = [(r, r), (r, ku), (ku, ku), (kv, r), (kv, kv)]
+        self._block_slices = _slices([a * b for a, b in self._block_shapes])
+        self._side_shapes = [(dl * dl, dr * dr) for dl, dr in splits]
+        self._side_slices = _slices([a * b for a, b in self._side_shapes])
+        self._uniform = len(set(self._side_shapes)) == 1
+        self._den_p = den_p
+        n_x = self._block_slices[-1].stop
+        n_z = self._side_slices[-1].stop
+        # Rows are images of basis vectors, so these are the transposes of
+        # the forward map and of the refit, ready for row-vector products.
+        basis_x = self._blocks(np.eye(n_x, dtype=complex))
+        self._forward_t = _flat_concat(self._forward(*basis_x))
+        basis_z = self._sides(np.eye(n_z, dtype=complex))
+        self._project_t = _flat_concat(self._project_blocks(basis_z))
+        self._projector_t = self._project_t @ self._forward_t
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Refit-then-forward map of one Douglas-Rachford step, as a matrix
+        acting on the realigned sides flattened and joined."""
+        return self._projector_t.T
+
+    def _blocks(self, x):
+        """Coupling blocks of a packed vector, or of each row of a stack."""
+        lead = x.shape[:-1]
+        return tuple(
+            x[..., sl].reshape(lead + shape)
+            for sl, shape in zip(self._block_slices, self._block_shapes)
+        )
+
+    def _sides(self, z):
+        """Realigned side matrices of a vector, or of each row of a stack."""
+        lead = z.shape[:-1]
+        return [
+            z[..., sl].reshape(lead + shape)
+            for sl, shape in zip(self._side_slices, self._side_shapes)
+        ]
+
+    def _init_blocks(self, restart_index: int) -> np.ndarray:
         r, ku, kv = self.r, self.ku, self.kv
         if restart_index == 0:
             p = np.eye(r, dtype=complex)
@@ -943,144 +1076,281 @@ class _Engine:
             sb = _ginibre_unit(rng, kv)
         y = np.zeros((r, ku), dtype=complex)
         z = np.zeros((kv, r), dtype=complex)
-        return self._normalized(p, y, pb, z, sb)
-
-    @staticmethod
-    def _normalized(p, y, pb, z, sb):
-        total = math.sqrt(
-            sum(float(np.sum(np.abs(m) ** 2)) for m in (p, y, pb, z, sb))
-        )
-        return tuple(m / total for m in (p, y, pb, z, sb))
+        x = _flat_concat((p, y, pb, z, sb))
+        return x / np.linalg.norm(x)
 
     def _forward(self, p, y, pb, z, sb):
+        """Realigned conjugated frames of coupling blocks (or stacks of them)."""
         r = self.r
-        theta_u = np.zeros((r + self.ku,) * 2, dtype=complex)
-        theta_u[:r, :r] = p
+        lead = p.shape[:-2]
+        theta_u = np.zeros(lead + (r + self.ku,) * 2, dtype=complex)
+        theta_u[..., :r, :r] = p
         if self.ku:
-            theta_u[:r, r:] = y
-            theta_u[r:, r:] = pb
+            theta_u[..., :r, r:] = y
+            theta_u[..., r:, r:] = pb
         k_u = self.u @ theta_u @ self.u_prime_h
         mats = [realign(k_u, *self.u_split)]
         if self.has_v:
-            theta_v = np.zeros((r + self.kv,) * 2, dtype=complex)
-            theta_v[:r, :r] = self.weights * p
+            theta_v = np.zeros(lead + (r + self.kv,) * 2, dtype=complex)
+            theta_v[..., :r, :r] = self.weights * p
             if self.kv:
-                theta_v[r:, :r] = z
-                theta_v[r:, r:] = sb
+                theta_v[..., r:, :r] = z
+                theta_v[..., r:, r:] = sb
             k_v = self.v @ theta_v @ self.v_prime_h
             mats.append(realign(k_v, *self.v_split))
         return mats
 
-    def _project_blocks(self, targets, p0=None, pb0=None, sb0=None, w_eff=0.0):
-        """Nearest block-feasible coupling to a pair of realigned matrices.
+    def _project_blocks(self, targets):
+        """Nearest block-feasible coupling to realigned side matrices.
 
-        With ``w_eff > 0`` the square blocks additionally take a step up
-        the log-determinant gradient evaluated at the previous blocks,
-        which repels the search from non-invertible couplings without
-        biasing the fixed point (the step is scaled by the residual).
+        The normal equations are diagonal (realignment permutes entries and
+        the frames are unitary), so every block is an entrywise refit. Takes
+        one matrix per side, or one stack per side.
         """
         r = self.r
         m_u = unrealign(targets[0], *self.u_split)
         g_u = self.u_h @ m_u @ self.u_prime
-        num_p = g_u[:r, :r].copy()
-        den_p = np.ones((r, r))
+        num_p = g_u[..., :r, :r].copy()
         if self.has_v:
             m_v = unrealign(targets[1], *self.v_split)
             g_v = self.v_h @ m_v @ self.v_prime
-            num_p += np.conj(self.weights) * g_v[:r, :r]
-            den_p = den_p + self.abs_w_sq
-        if w_eff > 0.0:
-            num_p += (w_eff / 2.0) * _safe_inv_adjoint(p0)
-        p = num_p / den_p
-        if self.ku:
-            y = g_u[:r, r:].copy()
-            pb = g_u[r:, r:].copy()
-            if w_eff > 0.0:
-                pb += (w_eff / 2.0) * _safe_inv_adjoint(pb0)
+            num_p += np.conj(self.weights) * g_v[..., :r, :r]
+        p = num_p / self._den_p
+        y = g_u[..., :r, r:]
+        pb = g_u[..., r:, r:]
+        if self.has_v:
+            z = g_v[..., r:, :r]
+            sb = g_v[..., r:, r:]
         else:
-            y = np.zeros((r, 0), dtype=complex)
-            pb = np.zeros((0, 0), dtype=complex)
-        if self.has_v and self.kv:
-            z = g_v[r:, :r].copy()
-            sb = g_v[r:, r:].copy()
-            if w_eff > 0.0:
-                sb += (w_eff / 2.0) * _safe_inv_adjoint(sb0)
-        else:
-            z = np.zeros((0, r), dtype=complex)
-            sb = np.zeros((0, 0), dtype=complex)
+            z = np.zeros(p.shape[:-2] + (0, r), dtype=complex)
+            sb = np.zeros(p.shape[:-2] + (0, 0), dtype=complex)
         return p, y, pb, z, sb
 
-    @staticmethod
-    def _admissible(blocks) -> bool:
-        p, _, pb, _, sb = blocks
-        return min(_margin(p), _margin(pb), _margin(sb)) >= CANDIDATE_MARGIN_RTOL
+    def _side_stacks(self, z):
+        """Realigned matrices of every lane, grouped by shape: (lanes, sides, a, b)."""
+        lanes = z.shape[0]
+        if self._uniform:
+            return [z.reshape(lanes, len(self._side_shapes), *self._side_shapes[0])]
+        return [
+            z[:, sl].reshape(lanes, 1, *shape)
+            for sl, shape in zip(self._side_slices, self._side_shapes)
+        ]
 
-    def run_restart(self, restart_index: int):
-        """Iterate one restart; returns (best blocks, best internal residual).
+    def _gaps(self, z):
+        """Sum over sides of sigma2/sigma1, per lane."""
+        return _gap_sum(np.linalg.svd(m, compute_uv=False) for m in self._side_stacks(z))
 
-        Prefers the best point whose square blocks clear the invertibility
-        margin; falls back to the best point outright when no iterate was
-        admissible.
+    def _truncation(self, z):
+        """Nearest rank-one matrices of every lane and side, packed, and
+        the singular values of each side stack."""
+        lanes = z.shape[0]
+        parts, svals = [], []
+        for m in self._side_stacks(z):
+            w, s, vh = np.linalg.svd(m, full_matrices=False)
+            top = s[..., :1, np.newaxis] * w[..., :1] * vh[..., :1, :]
+            parts.append(top.reshape(lanes, -1))
+            svals.append(s)
+        return np.concatenate(parts, axis=1), svals
+
+    def _log_det_ascent(self, x):
+        """pinv(B)^H for each square block B of each lane, in packed form.
+
+        This is the ascent direction of log|det B|; the P block shares the
+        least-squares denominator of the refit.
         """
-        blocks = self._init_blocks(restart_index)
-        zmats = self._forward(*blocks)
-        best_resid = math.inf
-        best_blocks = blocks
-        best_adm = None
-        best_adm_resid = math.inf
-        best_iter = 0
+        out = np.zeros_like(x)
+        p, _, pb, _, sb = self._blocks(x)
+        sl = self._block_slices
+        for where, block, den in (
+            (sl[0], p, self._den_p), (sl[2], pb, 1.0), (sl[4], sb, 1.0)
+        ):
+            if block.shape[-1]:
+                inv_adj = np.linalg.pinv(block, rcond=1e-10).conj().swapaxes(-1, -2)
+                out[:, where] = (inv_adj / den).reshape(x.shape[0], -1)
+        return out
 
-        for it in range(self.dr_iterations):
-            blocks_a = self._project_blocks(zmats)
-            proj = self._forward(*blocks_a)
-            gaps = [_rank1_gap(m) for m in proj]
-            resid = sum(g for g, _ in gaps)
-            if resid < best_resid:
-                best_resid = resid
-                best_blocks = blocks_a
-                best_iter = it
-                if resid < best_adm_resid and self._admissible(blocks_a):
-                    best_adm = blocks_a
-                    best_adm_resid = resid
-            if resid <= self.conv_tol:
-                break
-            if it - best_iter >= DR_STALL_WINDOW:
-                break
-            reflected = [2.0 * a - b for a, b in zip(proj, zmats)]
-            truncated = [_rank1_gap(m)[1] for m in reflected]
-            zmats = [b + t - a for b, t, a in zip(zmats, truncated, proj)]
-            scale = math.sqrt(sum(float(np.sum(np.abs(m) ** 2)) for m in zmats))
-            if scale > 0.0:
-                zmats = [m / scale for m in zmats]
+    def _admissible(self, xs) -> np.ndarray:
+        """Whether every square block of each packed row clears the margin."""
+        p, _, pb, _, sb = self._blocks(xs)
+        ok = np.ones(xs.shape[0], dtype=bool)
+        for block in (p, pb, sb):
+            if block.shape[-1]:
+                margin = sigma_ratio(np.linalg.svd(block, compute_uv=False))
+                ok &= margin >= CANDIDATE_MARGIN_RTOL
+        return ok
 
-        blocks = self._normalized(*(best_adm if best_adm is not None else best_blocks))
-        weight = self.config.invertibility_penalty_weight
-        best_iter = 0
-        for it in range(self.polish_iterations):
-            mats = self._forward(*blocks)
-            gaps = [_rank1_gap(m) for m in mats]
-            resid = sum(g for g, _ in gaps)
+    def _packed(self, vecs, in_dr: bool):
+        """Packed blocks of record vectors; first-phase entries are realigned
+        iterates, whose blocks are their projection."""
+        return _lanes_apply(vecs, self._project_t) if in_dr else vecs
+
+    def _latest_admissible(self, record, in_dr: bool):
+        """(position, packed blocks) of the latest admissible entry, or None.
+
+        Walks ``record`` back from its best point in growing chunks, so the
+        usual case, an admissible best point, costs one check.
+        """
+        end, size = len(record), 1
+        while end > 0:
+            start = max(0, end - size)
+            xs = self._packed(np.stack([vec for _, vec in record[start:end]]), in_dr)
+            ok = np.flatnonzero(self._admissible(xs))
+            if ok.size:
+                k = int(ok[-1])
+                return start + k, xs[k]
+            end, size = start, 4 * size
+        return None
+
+    def _settle(self, record, in_dr: bool):
+        """(residual, packed blocks, admissible) a phase keeps, or None.
+
+        The latest admissible entry of ``record`` when there is one, else
+        its best entry outright.
+        """
+        if not record:
+            return None
+        found = self._latest_admissible(record, in_dr)
+        if found is not None:
+            return record[found[0]][0], found[1], True
+        resid, vec = record[-1]
+        return resid, self._packed(vec[np.newaxis], in_dr)[0], False
+
+    def _compact(self, lane: _Lane):
+        """Keep only the record entries a later walk can select: the latest
+        admissible one and the best one."""
+        record = lane.record
+        found = self._latest_admissible(record, lane.phase == _DR)
+        keep = [] if found is None else [record[found[0]]]
+        if found is None or found[0] != len(record) - 1:
+            keep.append(record[-1])
+        lane.record = keep
+
+    def _observe(self, lane: _Lane, resid: float, vec, window: int, limit: int) -> bool:
+        """Record an iteration's residual; True when the lane's phase ends."""
+        if resid < lane.best_resid:
+            lane.best_resid = resid
+            lane.best_iter = lane.it
+            lane.record.append((resid, vec))
+            if len(lane.record) >= _RECORD_CAP:
+                self._compact(lane)
+        ended = (
+            resid <= self.conv_tol
+            or lane.it - lane.best_iter >= window
+            or lane.it + 1 >= limit
+        )
+        lane.it += 1
+        return ended
+
+    def _begin_polish(self, lane: _Lane):
+        lane.kept = self._settle(lane.record, in_dr=True)
+        start = lane.x0 if lane.kept is None else lane.kept[1]
+        lane.vec = start / np.linalg.norm(start)
+        lane.record = []
+        lane.phase, lane.it, lane.best_iter = _POLISH, 0, 0
+
+    def _finish(self, lane: _Lane):
+        polished = self._settle(lane.record, in_dr=False)
+        if polished is not None and polished[2]:
+            choice = polished
+        elif lane.kept is not None and lane.kept[2]:
+            choice = lane.kept
+        else:
+            choice = polished or lane.kept or (lane.best_resid, lane.x0, False)
+        resid, x, admissible = choice
+        lane.result = _LaneResult(lane.index, self._blocks(x), resid, admissible)
+        lane.phase = _DONE
+
+    def _dr_step(self, lanes):
+        if not lanes:
+            return
+        z = np.stack([lane.vec for lane in lanes])
+        proj = _lanes_apply(z, self._projector_t)
+        resid = self._gaps(proj)
+        truncated, _ = self._truncation(2.0 * proj - z)
+        z_next = z + truncated - proj
+        scale = np.linalg.norm(z_next, axis=1)
+        z_next /= np.where(scale > 0.0, scale, 1.0)[:, np.newaxis]
+        for j, lane in enumerate(lanes):
+            resid_j = float(resid[j])
+            if self._observe(lane, resid_j, z[j], DR_STALL_WINDOW, self.dr_iterations):
+                self._begin_polish(lane)
+            else:
+                lane.vec = z_next[j]
+
+    def _polish_step(self, lanes):
+        if not lanes:
+            return
+        x = np.stack([lane.vec for lane in lanes])
+        truncated, svals = self._truncation(_lanes_apply(x, self._forward_t))
+        resid = _gap_sum(svals)
+        w_eff = self.config.invertibility_penalty_weight * resid
+        x_next = _lanes_apply(truncated, self._project_t)
+        x_next += (w_eff / 2.0)[:, np.newaxis] * self._log_det_ascent(x)
+        x_next /= np.linalg.norm(x_next, axis=1)[:, np.newaxis]
+        for j, lane in enumerate(lanes):
+            resid_j = float(resid[j])
+            if self._observe(lane, resid_j, x[j], STALL_WINDOW, self.polish_iterations):
+                self._finish(lane)
+            else:
+                lane.vec = x_next[j]
+
+    def run_wave(self, indices):
+        """Iterate the restarts ``indices`` in lockstep.
+
+        Yields one :class:`_LaneResult` per restart, in the order of
+        ``indices``, as soon as that restart and every earlier one have
+        finished; a caller that stops consuming abandons the rest of the
+        wave. Each result prefers the best point whose square blocks clear
+        the invertibility margin and falls back to the best point outright
+        when no iterate was admissible.
+        """
+        lanes = [_Lane(index, self._init_blocks(index)) for index in indices]
+        for lane in lanes:
+            if self.dr_iterations:
+                lane.vec = _lanes_apply(lane.x0[np.newaxis], self._forward_t)[0]
+            else:
+                self._begin_polish(lane)
+        done = 0
+        while done < len(lanes):
+            self._dr_step([lane for lane in lanes if lane.phase == _DR])
+            self._polish_step([lane for lane in lanes if lane.phase == _POLISH])
+            while done < len(lanes) and lanes[done].phase == _DONE:
+                yield lanes[done].result
+                done += 1
+
+
+def _search_waves(
+    engine: _Engine, config: SolverConfig, gate, best_resid, best
+) -> SolveOutcome:
+    """Run the engine's restarts wave by wave and gate each admissible lane.
+
+    ``gate(blocks)`` returns (residual, candidate tuple). Lanes are gated
+    in restart order, so ``restarts_used`` on FOUND is one plus the lowest
+    restart index that passes the residual gate; the wave holding it stops
+    there. ``best_resid`` and ``best`` carry the best candidate of the
+    spectral prelude.
+    """
+    for start in range(0, config.restarts, WAVE_LANES):
+        wave = range(start, min(start + WAVE_LANES, config.restarts))
+        for lane in engine.run_wave(wave):
+            if not lane.admissible:
+                continue
+            resid, cand = gate(lane.blocks)
             if resid < best_resid:
-                best_resid = resid
-                best_blocks = blocks
-                best_iter = it
-                if resid < best_adm_resid and self._admissible(blocks):
-                    best_adm = blocks
-                    best_adm_resid = resid
-            if resid <= self.conv_tol:
-                break
-            if it - best_iter >= STALL_WINDOW:
-                break
-            w_eff = weight * resid
-            p, y, pb, z, sb = blocks
-            blocks = self._normalized(
-                *self._project_blocks(
-                    [t for _, t in gaps], p0=p, pb0=pb, sb0=sb, w_eff=w_eff
+                best_resid, best = resid, cand
+            if resid <= config.residual_tol:
+                return SolveOutcome(
+                    status=SolveStatus.FOUND,
+                    candidate=cand,
+                    residual=resid,
+                    restarts_used=lane.index + 1,
                 )
-            )
-        if best_adm is not None:
-            return best_adm, best_adm_resid
-        return best_blocks, best_resid
+    return SolveOutcome(
+        status=SolveStatus.EXHAUSTED,
+        candidate=best,
+        residual=best_resid,
+        restarts_used=config.restarts,
+    )
 
 
 def residual(
@@ -1103,7 +1373,15 @@ def residual(
         frame.v_full @ qt.assembled @ frame_prime.v_full.conj().T,
         *frame.right_dims,
     )
-    return _rank1_gap(r_u)[0] + _rank1_gap(r_v)[0]
+    s_u = np.linalg.svd(r_u, compute_uv=False)
+    s_v = np.linalg.svd(r_v, compute_uv=False)
+    return sigma_ratio(s_u, 1, **_GAP_EDGES) + sigma_ratio(s_v, 1, **_GAP_EDGES)
+
+
+def _single_residual(cand: PTildeCandidate, u_full, u_prime_full, split) -> float:
+    """Rank-one gap of the single-sided realignment, as in :func:`residual`."""
+    realigned = realign(u_full @ cand.assembled @ u_prime_full.conj().T, *split)
+    return sigma_ratio(np.linalg.svd(realigned, compute_uv=False), 1, **_GAP_EDGES)
 
 
 def _convert_v_candidate(p, z, sb, lam, lam_prime):
@@ -1180,7 +1458,6 @@ def solve_ptilde(
                 residual=spec_resid,
                 restarts_used=0,
             )
-    weights = lam_prime[np.newaxis, :] / lam[:, np.newaxis]
     engine = _Engine(
         u=frame.u_full,
         u_prime=frame_prime.u_full,
@@ -1188,34 +1465,20 @@ def solve_ptilde(
         v=frame.v_full,
         v_prime=frame_prime.v_full,
         v_split=frame.right_dims,
-        weights=weights,
+        weights=lam_prime[np.newaxis, :] / lam[:, np.newaxis],
         r=r,
         config=config,
     )
-    for restart in range(config.restarts):
-        (p, y, pb, z, sb), _ = engine.run_restart(restart)
-        margins = min(_margin(p), _margin(pb), _margin(sb))
-        if margins < CANDIDATE_MARGIN_RTOL:
-            continue
-        cand_u = PTildeCandidate(P=p, Y=y, P_bar=pb)
-        cand_v = _convert_v_candidate(p, z, sb, lam, lam_prime)
-        spec_resid = residual(cand_u, cand_v, (frame, frame_prime))
-        if spec_resid < best_resid:
-            best_resid = spec_resid
-            best_pair = (cand_u, cand_v)
-        if spec_resid <= config.residual_tol:
-            return SolveOutcome(
-                status=SolveStatus.FOUND,
-                candidate=(cand_u, cand_v),
-                residual=spec_resid,
-                restarts_used=restart + 1,
-            )
-    return SolveOutcome(
-        status=SolveStatus.EXHAUSTED,
-        candidate=best_pair,
-        residual=best_resid,
-        restarts_used=config.restarts,
-    )
+
+    def gate(blocks):
+        p, y, pb, z, sb = blocks
+        pair = (
+            PTildeCandidate(P=p, Y=y, P_bar=pb),
+            _convert_v_candidate(p, z, sb, lam, lam_prime),
+        )
+        return residual(*pair, (frame, frame_prime)), pair
+
+    return _search_waves(engine, config, gate, best_resid, best_pair)
 
 
 def solve_ptilde_single(
@@ -1245,9 +1508,7 @@ def solve_ptilde_single(
             )
             if cand.min_margin() < CANDIDATE_MARGIN_RTOL:
                 continue
-            gap = _rank1_gap(
-                realign(u_full @ cand.assembled @ u_prime_full.conj().T, *split)
-            )[0]
+            gap = _single_residual(cand, u_full, u_prime_full, split)
             if gap < best_resid:
                 best_resid = gap
                 best = (cand,)
@@ -1269,27 +1530,10 @@ def solve_ptilde_single(
         r=r,
         config=config,
     )
-    for restart in range(config.restarts):
-        (p, y, pb, _, _), _ = engine.run_restart(restart)
-        if min(_margin(p), _margin(pb)) < CANDIDATE_MARGIN_RTOL:
-            continue
+
+    def gate(blocks):
+        p, y, pb, _, _ = blocks
         cand = PTildeCandidate(P=p, Y=y, P_bar=pb)
-        gap = _rank1_gap(
-            realign(u_full @ cand.assembled @ u_prime_full.conj().T, *split)
-        )[0]
-        if gap < best_resid:
-            best_resid = gap
-            best = (cand,)
-        if gap <= config.residual_tol:
-            return SolveOutcome(
-                status=SolveStatus.FOUND,
-                candidate=(cand,),
-                residual=gap,
-                restarts_used=restart + 1,
-            )
-    return SolveOutcome(
-        status=SolveStatus.EXHAUSTED,
-        candidate=best,
-        residual=best_resid,
-        restarts_used=config.restarts,
-    )
+        return _single_residual(cand, u_full, u_prime_full, split), (cand,)
+
+    return _search_waves(engine, config, gate, best_resid, best)

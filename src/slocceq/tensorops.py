@@ -14,6 +14,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_RTOL = 1e-9
@@ -70,40 +72,45 @@ def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
     Parameters
     ----------
     matrix : ndarray
-        Square matrix of side ``dim_left * dim_right``.
+        Square matrix of side ``dim_left * dim_right``, or a stack of
+        them on the leading axes.
     dim_left, dim_right : int
         Sides of the two would-be Kronecker factors.
 
     Returns
     -------
-    ndarray of shape ``(dim_left**2, dim_right**2)``.
+    ndarray of shape ``(..., dim_left**2, dim_right**2)``.
     """
     a = np.asarray(matrix, dtype=complex)
     n = dim_left * dim_right
-    if a.shape != (n, n):
+    if a.shape[-2:] != (n, n):
         raise ValueError(
             f"realign expects a {n}x{n} matrix for split ({dim_left}, {dim_right}), "
             f"got shape {a.shape}"
         )
+    lead = a.shape[:-2]
+    k = len(lead)
     return (
-        a.reshape(dim_left, dim_right, dim_left, dim_right)
-        .transpose(2, 0, 3, 1)
-        .reshape(dim_left * dim_left, dim_right * dim_right)
+        a.reshape(lead + (dim_left, dim_right, dim_left, dim_right))
+        .transpose(*range(k), k + 2, k, k + 3, k + 1)
+        .reshape(lead + (dim_left * dim_left, dim_right * dim_right))
     )
 
 
 def unrealign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
-    """Invert :func:`realign`: rebuild the square matrix from its realignment."""
+    """Invert :func:`realign`: rebuild the square matrix (or stack) from its realignment."""
     b = np.asarray(matrix, dtype=complex)
-    if b.shape != (dim_left * dim_left, dim_right * dim_right):
+    if b.shape[-2:] != (dim_left * dim_left, dim_right * dim_right):
         raise ValueError(
             f"unrealign expects shape ({dim_left**2}, {dim_right**2}), got {b.shape}"
         )
     n = dim_left * dim_right
+    lead = b.shape[:-2]
+    k = len(lead)
     return (
-        b.reshape(dim_left, dim_left, dim_right, dim_right)
-        .transpose(1, 3, 0, 2)
-        .reshape(n, n)
+        b.reshape(lead + (dim_left, dim_left, dim_right, dim_right))
+        .transpose(*range(k), k + 1, k + 3, k, k + 2)
+        .reshape(lead + (n, n))
     )
 
 
@@ -128,6 +135,29 @@ def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def sigma_ratio(s, index: int = -1, *, if_zero: float = 0.0, if_short: float = math.inf):
+    """Ratio ``s[..., index] / s[..., 0]`` of descending singular values.
+
+    ``s`` holds the singular values of one matrix on its last axis, or of
+    a stack of matrices on the leading axes; a stack gives an array of
+    ratios, one matrix a float. ``if_zero`` is returned for a zero matrix
+    (leading value 0) and ``if_short`` when the last axis has too few
+    entries to hold ``index``. The defaults give the invertibility margin
+    sigma_min / sigma_max: 0.0 for a zero matrix, infinity for an empty
+    one. Callers pass their own edge values for other ratios.
+    """
+    s = np.asarray(s)
+    if s.shape[-1] < (index + 1 if index >= 0 else -index):
+        return float(if_short) if s.ndim == 1 else np.full(s.shape[:-1], if_short)
+    if s.ndim == 1:
+        return float(s[index] / s[0]) if s[0] != 0.0 else float(if_zero)
+    lead = s[..., 0]
+    live = lead != 0.0
+    if live.all():
+        return s[..., index] / lead
+    return np.where(live, s[..., index] / np.where(live, lead, 1.0), if_zero)
 
 
 def _lead_phase(column: np.ndarray) -> complex:

@@ -12,6 +12,7 @@ from slocceq.tensorops import (
     qr,
     rank1_kron_factor,
     realign,
+    sigma_ratio,
     svd,
     unrealign,
     vectorize,
@@ -126,6 +127,47 @@ class TestRealign:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             realign(np.zeros((3, 3)), 2, 2)
+
+    def test_stack_realigns_matrix_by_matrix(self):
+        rng = np.random.default_rng(11)
+        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
+            stack = random_complex(rng, (2, 3, dl * dr, dl * dr))
+            got = realign(stack, dl, dr)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(got[idx], realign(stack[idx], dl, dr))
+            assert np.array_equal(unrealign(got, dl, dr), stack)
+
+
+class TestSigmaRatio:
+    def test_margin_and_gap(self):
+        s = np.array([4.0, 2.0, 1.0])
+        assert sigma_ratio(s) == 0.25
+        assert sigma_ratio(s, 1) == 0.5
+
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(12)
+        stack = random_complex(rng, (5, 3, 4))
+        stack[2] = 0.0
+        s = np.linalg.svd(stack, compute_uv=False)
+        got = sigma_ratio(s, 1, if_zero=1.0)
+        assert got.shape == (5,)
+        for i in range(5):
+            assert got[i] == sigma_ratio(s[i], 1, if_zero=1.0)
+        assert got[2] == 1.0
+
+    def test_caller_edge_values(self):
+        zero = np.linalg.svd(np.zeros((3, 3)), compute_uv=False)
+        single = np.linalg.svd(np.ones((1, 4)), compute_uv=False)
+        empty = np.linalg.svd(np.zeros((0, 0)), compute_uv=False)
+        # Invertibility margin (the defaults).
+        assert sigma_ratio(zero) == 0.0
+        assert sigma_ratio(empty) == np.inf
+        # Rank-one search gap.
+        assert sigma_ratio(zero, 1, if_zero=1.0, if_short=0.0) == 1.0
+        assert sigma_ratio(single, 1, if_zero=1.0, if_short=0.0) == 0.0
+        # Recovery diagnostic gap.
+        assert sigma_ratio(zero, 1, if_short=0.0) == 0.0
+        assert sigma_ratio(single, 1, if_short=0.0) == 0.0
 
 
 class TestNumericalRank:
