@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, fold, svd
+from .tensorops import DEFAULT_RTOL, fold, numerical_rank, svd
 
 # Singular values in (rtol, 10*rtol) times the largest are counted as
 # nonzero but flagged: the block structure downstream is discontinuous
@@ -139,6 +139,12 @@ def flatten_bipartition(state: PureState, cut: Bipartition) -> np.ndarray:
     return t.reshape(dims[a - 1] * dims[b - 1], dims[c - 1] * dims[d - 1])
 
 
+def flatten_party(state: PureState, party: int) -> np.ndarray:
+    """Matrix of a state with rows indexed by one party (1-based), columns by the rest."""
+    t = np.moveaxis(state.tensor(), party - 1, 0)
+    return t.reshape(t.shape[0], -1)
+
+
 def triple_state_set(
     state: PureState,
     cut: Bipartition,
@@ -195,3 +201,39 @@ def complementary_state(frame: SingularFrame, side: str):
     if k == 0:
         return ()
     return TripartiteState(k, tuple(fold(cols[:, i], d1, d2) for i in range(k)))
+
+
+class StateProfile:
+    """One four-partite state's ranks and decompositions, each computed once.
+
+    Each value is computed on first use, at the profile's ``rtol``, and
+    kept: the rank at a cut (from singular values alone), the marginal
+    rank of a party, and the :func:`triple_state_set` pair at a cut.
+    """
+
+    def __init__(self, state: PureState, rtol: float = DEFAULT_RTOL):
+        self.state = state
+        self.rtol = rtol
+        self._ranks: dict[Bipartition, int] = {}
+        self._marginal_ranks: dict[int, int] = {}
+        self._decompositions: dict[Bipartition, tuple[TripleStateSet, SingularFrame]] = {}
+
+    def rank(self, cut: Bipartition) -> int:
+        """Numerical rank of the state flattened at ``cut``."""
+        if cut not in self._ranks:
+            m = flatten_bipartition(self.state, cut)
+            self._ranks[cut] = numerical_rank(m, self.rtol)
+        return self._ranks[cut]
+
+    def marginal_rank(self, party: int) -> int:
+        """Numerical rank of one party (1-based) flattened against the rest."""
+        if party not in self._marginal_ranks:
+            m = flatten_party(self.state, party)
+            self._marginal_ranks[party] = numerical_rank(m, self.rtol)
+        return self._marginal_ranks[party]
+
+    def decomposition(self, cut: Bipartition) -> tuple[TripleStateSet, SingularFrame]:
+        """``triple_state_set(state, cut, rtol)``, the factors and frame at ``cut``."""
+        if cut not in self._decompositions:
+            self._decompositions[cut] = triple_state_set(self.state, cut, self.rtol)
+        return self._decompositions[cut]

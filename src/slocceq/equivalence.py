@@ -1,9 +1,11 @@
 """Equivalence decisions for four-partite and tripartite pure states.
 
-Pipeline for the four-partite check: invariant screen, simultaneous
-singular-frame decomposition of both states at a common bipartition,
-block-triangular coupling search, Kronecker factorization of the coupling
-into per-party operators, and a final state-level verification. A verdict
+Pipeline for the four-partite check: one :class:`StateProfile` per state,
+the invariant screen on the two profiles, block-triangular coupling
+search on the profiles' singular frames at a common bipartition,
+Kronecker factorization of the coupling into per-party operators, and a
+final state-level verification. Each state is decomposed at most once per
+cut, however many cuts are screened and searched. A verdict
 is three-valued: EQUIVALENT carries an operator certificate that has been
 re-verified on the input states, INEQUIVALENT carries an invariant proof,
 and UNDECIDED carries diagnostics only.
@@ -17,7 +19,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .decomposition import SingularFrame, triple_state_set
+from .decomposition import SingularFrame, StateProfile
+from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
 from .invariants import (
     InequivalenceProof,
     classify_tripartite_qubit,
@@ -175,6 +178,22 @@ def _factor_pair(
         ) from exc
 
 
+def _gauge(mats):
+    """Fix the scale and phase of each operator, keeping their tensor product.
+
+    Every operator but the last gets unit Frobenius norm and a real
+    positive leading entry; the last absorbs the removed scale.
+    """
+    mats = list(mats)
+    carry = 1.0 + 0.0j
+    for k in range(len(mats) - 1):
+        z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1))
+        mats[k] = mats[k] / z
+        carry *= z
+    mats[-1] = mats[-1] * carry
+    return mats
+
+
 def recover_local_operators(
     frames: Tuple[SingularFrame, SingularFrame],
     candidate: Union[SolveOutcome, Sequence[PTildeCandidate]],
@@ -244,17 +263,8 @@ def recover_local_operators(
     }
     mats = [by_party[k] for k in (1, 2, 3, 4)]
 
-    # Gauge: unit Frobenius norm and real positive leading entry for the
-    # first three operators; the residual scalar is absorbed into the last.
-    carry = 1.0 + 0.0j
-    for k in range(3):
-        z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1))
-        mats[k] = mats[k] / z
-        carry *= z
-    mats[3] = mats[3] * carry
-
     try:
-        ops = LocalOperatorTuple(tuple(mats))
+        ops = LocalOperatorTuple(tuple(_gauge(mats)))
     except ValueError as exc:
         raise RecoveryError(f"recovered operator is singular: {exc}") from exc
     diagnostics = {
@@ -308,6 +318,25 @@ def _undecided(diagnostics: Dict[str, object]) -> EquivalenceVerdict:
     )
 
 
+def _profiles(s1: PureState, s2: PureState, rtol: float):
+    if s1.num_parties != 4 or s2.num_parties != 4:
+        raise ValueError("four-partite check requires four-party states")
+    if s1.dims != s2.dims:
+        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
+    return StateProfile(s1, rtol), StateProfile(s2, rtol)
+
+
+def _cut_diagnostics(
+    cut: Bipartition, rtol: float, verify_tol: float, config: SolverConfig
+) -> Dict[str, object]:
+    return {
+        "cut": cut.label,
+        "rtol": rtol,
+        "verify_tol": verify_tol,
+        "residual_tol": config.residual_tol,
+    }
+
+
 def check_fourpartite_equiv(
     s1: PureState,
     s2: PureState,
@@ -324,49 +353,36 @@ def check_fourpartite_equiv(
     verdicts carry operators re-verified on the input amplitudes at
     ``verify_tol``. Search failure yields UNDECIDED, never INEQUIVALENT.
     """
-    if s1.num_parties != 4 or s2.num_parties != 4:
-        raise ValueError("four-partite check requires four-party states")
-    if s1.dims != s2.dims:
-        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-
-    diagnostics: Dict[str, object] = {
-        "cut": cut.label,
-        "rtol": rtol,
-        "verify_tol": verify_tol,
-        "residual_tol": config.residual_tol,
-    }
-
-    proof = invariant_screen(s1, s2, cut, rtol)
+    p1, p2 = _profiles(s1, s2, rtol)
+    proof = invariant_screen(p1, p2, cut)
     if proof is not None:
+        diagnostics = _cut_diagnostics(cut, rtol, verify_tol, config)
         diagnostics["stage"] = "invariant_screen"
         return EquivalenceVerdict(
             status=EquivalenceStatus.INEQUIVALENT,
             proof=proof,
             diagnostics=diagnostics,
         )
+    return _search_cut(p1, p2, cut, config, verify_tol)
 
-    triple1, frame1 = triple_state_set(s1, cut, rtol)
-    triple2, frame2 = triple_state_set(s2, cut, rtol)
+
+def _search_cut(
+    p1: StateProfile,
+    p2: StateProfile,
+    cut: Bipartition,
+    config: SolverConfig,
+    verify_tol: float,
+) -> EquivalenceVerdict:
+    """Search, recover and verify at a cut; EQUIVALENT or UNDECIDED.
+
+    The screen has passed, so both frames have the same rank at ``cut``.
+    """
+    diagnostics = _cut_diagnostics(cut, p1.rtol, verify_tol, config)
+    _, frame1 = p1.decomposition(cut)
+    _, frame2 = p2.decomposition(cut)
     warnings = list(frame1.warnings) + list(frame2.warnings)
     if warnings:
         diagnostics["frame_warnings"] = warnings
-    if frame1.r != frame2.r:
-        diagnostics["stage"] = "rank_comparison"
-        proof = InequivalenceProof(
-            invariant="bipartition-rank",
-            location=cut.label,
-            value_a=frame1.r,
-            value_b=frame2.r,
-            description=(
-                f"states have ranks {frame1.r} and {frame2.r} across "
-                f"the {cut.label} bipartition"
-            ),
-        )
-        return EquivalenceVerdict(
-            status=EquivalenceStatus.INEQUIVALENT,
-            proof=proof,
-            diagnostics=diagnostics,
-        )
 
     # Frames: s2 is the source (operators act on it), s1 is the target.
     outcome = solve_ptilde(frame2, frame1, config)
@@ -377,7 +393,7 @@ def check_fourpartite_equiv(
         diagnostics["stage"] = "coupling_search"
         return _undecided(diagnostics)
 
-    factor_rtol = max(rtol, config.residual_tol)
+    factor_rtol = max(p1.rtol, config.residual_tol)
     try:
         ops, recovery_diag = recover_local_operators(
             (frame2, frame1), outcome, factor_rtol
@@ -389,7 +405,7 @@ def check_fourpartite_equiv(
         return _undecided(diagnostics)
     diagnostics.update(recovery_diag)
 
-    passed, scalar, resid = verify_equivalence(s1, s2, ops, verify_tol)
+    passed, scalar, resid = verify_equivalence(p1.state, p2.state, ops, verify_tol)
     diagnostics["verify_residual"] = resid
     if not passed:
         diagnostics["stage"] = "verification"
@@ -412,18 +428,15 @@ def check_fourpartite_equiv_all_cuts(
 ) -> EquivalenceVerdict:
     """Try all three balanced bipartitions and merge the verdicts.
 
-    An invariant proof at any cut decides INEQUIVALENT before any search
-    runs; afterwards the first cut whose certificate verifies decides
-    EQUIVALENT. Conflicting decisive verdicts would indicate an internal
-    error and raise.
+    The screen runs once per cut, and a proof at any cut decides
+    INEQUIVALENT before any search runs. The cuts are then searched in
+    order on the same profiles; the first cut whose certificate verifies
+    decides EQUIVALENT. Otherwise the UNDECIDED verdict holds each cut's
+    diagnostics under ``per_cut``.
     """
-    if s1.num_parties != 4 or s2.num_parties != 4:
-        raise ValueError("four-partite check requires four-party states")
-    if s1.dims != s2.dims:
-        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-
+    p1, p2 = _profiles(s1, s2, rtol)
     for cut in STANDARD_CUTS:
-        proof = invariant_screen(s1, s2, cut, rtol)
+        proof = invariant_screen(p1, p2, cut)
         if proof is not None:
             return EquivalenceVerdict(
                 status=EquivalenceStatus.INEQUIVALENT,
@@ -432,23 +445,11 @@ def check_fourpartite_equiv_all_cuts(
             )
 
     per_cut: Dict[str, object] = {}
-    decided: Optional[EquivalenceVerdict] = None
     for cut in STANDARD_CUTS:
-        verdict = check_fourpartite_equiv(s1, s2, cut, config, rtol, verify_tol)
-        per_cut[cut.label] = verdict.diagnostics
+        verdict = _search_cut(p1, p2, cut, config, verify_tol)
         if verdict.status is EquivalenceStatus.EQUIVALENT:
-            if decided is not None:
-                raise AssertionError(
-                    "conflicting verdicts: equivalence certificate found after "
-                    "an inequivalence proof"
-                )
             return verdict
-        if verdict.status is EquivalenceStatus.INEQUIVALENT:
-            # All sound screens already passed for every cut, so a proof here
-            # can only come from a rank disagreement the screen also covers.
-            decided = verdict
-    if decided is not None:
-        return decided
+        per_cut[cut.label] = verdict.diagnostics
     return _undecided({"stage": "all_cuts", "per_cut": per_cut})
 
 
@@ -567,16 +568,7 @@ def check_tripartite_equiv(
         diagnostics["recovery_error"] = "slice-mixing operator is singular"
         return _undecided(diagnostics)
 
-    # Gauge: unit Frobenius norm, real positive lead for the first two
-    # operators; scale absorbed into the column-side operator.
-    mats = [a_first, a_row, a_col]
-    carry = 1.0 + 0.0j
-    for k in range(2):
-        z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1))
-        mats[k] = mats[k] / z
-        carry *= z
-    mats[2] = mats[2] * carry
-    a_first, a_row, a_col = mats
+    a_first, a_row, a_col = _gauge([a_first, a_row, a_col])
 
     image = np.tensordot(a_first, a_row @ t2.stacked() @ a_col.T, axes=([1], [0]))
     scalar, resid = _best_scalar(t1.stacked().reshape(-1), image.reshape(-1))

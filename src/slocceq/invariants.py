@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+from .decomposition import StateProfile, flatten_party
 from .states import STANDARD_CUTS, Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, numerical_rank
+from .tensorops import numerical_rank
 
 # Zero threshold for the three-qubit hyperdeterminant, relative to the
 # fourth power of the state norm (the polynomial is degree 4).
@@ -94,11 +95,6 @@ def hyperdeterminant_222(amps: np.ndarray) -> complex:
     )
 
 
-def _marginal_rank(tensor: np.ndarray, party: int, rtol: float) -> int:
-    m = np.moveaxis(tensor, party, 0).reshape(tensor.shape[party], -1)
-    return numerical_rank(m, rtol)
-
-
 def classify_tripartite_qubit(state: PureState, tol: float = HYPERDET_TOL) -> TriClass:
     """SLOCC class of a three-qubit pure state.
 
@@ -110,8 +106,7 @@ def classify_tripartite_qubit(state: PureState, tol: float = HYPERDET_TOL) -> Tr
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three-qubit classification needs dims (2,2,2), got {state.dims}")
-    t = state.tensor()
-    ranks = tuple(_marginal_rank(t, k, tol) for k in range(3))
+    ranks = tuple(numerical_rank(flatten_party(state, k), tol) for k in (1, 2, 3))
     det_mag = abs(hyperdeterminant_222(state.amps))
     if ranks == (1, 1, 1):
         label = TriClassLabel.PRODUCT
@@ -135,30 +130,27 @@ def tripartite_as_pure_state(t: TripartiteState) -> PureState:
 
 
 def invariant_screen(
-    s1: PureState,
-    s2: PureState,
+    p1: StateProfile,
+    p2: StateProfile,
     cut: Bipartition,
-    rtol: float = DEFAULT_RTOL,
 ) -> Optional[InequivalenceProof]:
-    """Look for a cheap invariant separating two four-partite states.
+    """Look for a cheap invariant separating two profiled four-partite states.
 
     Checks, in order: bipartition ranks at all three cuts, single-party
-    marginal ranks, and (for qubit states whose factors at ``cut`` are
-    three-qubit states of slice rank 2) the SLOCC classes of the
-    triple-state factors. Returns the first violation found, or None.
-    None means no obstruction was found, never that the states are
-    equivalent.
+    marginal ranks, and (for qubit states of rank 2 at ``cut``) the SLOCC
+    classes of the triple-state factors at ``cut``. Only the class test
+    decomposes the states, so a rank proof costs no singular vectors.
+    Returns the first violation found, or None. None means no obstruction
+    was found, never that the states are equivalent.
     """
-    if s1.dims != s2.dims:
-        raise ValueError(f"states have different dims: {s1.dims} vs {s2.dims}")
-    if s1.num_parties != 4:
-        raise ValueError("invariant screen applies to four-partite states")
-
-    from .decomposition import flatten_bipartition, triple_state_set
+    dims = p1.state.dims
+    if dims != p2.state.dims:
+        raise ValueError(f"states have different dims: {dims} vs {p2.state.dims}")
+    if p1.rtol != p2.rtol:
+        raise ValueError(f"profiles use different rtol: {p1.rtol} vs {p2.rtol}")
 
     for c in STANDARD_CUTS:
-        ra = numerical_rank(flatten_bipartition(s1, c), rtol)
-        rb = numerical_rank(flatten_bipartition(s2, c), rtol)
+        ra, rb = p1.rank(c), p2.rank(c)
         if ra != rb:
             return InequivalenceProof(
                 invariant="bipartition-rank",
@@ -170,38 +162,35 @@ def invariant_screen(
                 ),
             )
 
-    t1, t2 = s1.tensor(), s2.tensor()
-    for k in range(4):
-        ra = _marginal_rank(t1, k, rtol)
-        rb = _marginal_rank(t2, k, rtol)
+    for party in (1, 2, 3, 4):
+        ra, rb = p1.marginal_rank(party), p2.marginal_rank(party)
         if ra != rb:
             return InequivalenceProof(
                 invariant="marginal-rank",
-                location=f"party {k + 1}",
+                location=f"party {party}",
                 value_a=ra,
                 value_b=rb,
-                description=f"marginal rank of party {k + 1} differs: {ra} vs {rb}",
+                description=f"marginal rank of party {party} differs: {ra} vs {rb}",
             )
 
-    if all(d == 2 for d in s1.dims):
-        triple1, frame1 = triple_state_set(s1, cut, rtol)
-        triple2, frame2 = triple_state_set(s2, cut, rtol)
-        if frame1.r == frame2.r == 2:
-            for side, f1, f2 in (
-                ("u", triple1.psi_u, triple2.psi_u),
-                ("v", triple1.psi_v, triple2.psi_v),
-            ):
-                la = classify_tripartite_qubit(tripartite_as_pure_state(f1))
-                lb = classify_tripartite_qubit(tripartite_as_pure_state(f2))
-                if la.label != lb.label:
-                    return InequivalenceProof(
-                        invariant="tripartite-class",
-                        location=f"factor {side} at cut {cut.label}",
-                        value_a=la.label.value,
-                        value_b=lb.label.value,
-                        description=(
-                            f"triple-state factor {side} at cut {cut.label} "
-                            f"classifies {la.label.value} vs {lb.label.value}"
-                        ),
-                    )
+    if all(d == 2 for d in dims) and p1.rank(cut) == 2:
+        triple1, _ = p1.decomposition(cut)
+        triple2, _ = p2.decomposition(cut)
+        for side, f1, f2 in (
+            ("u", triple1.psi_u, triple2.psi_u),
+            ("v", triple1.psi_v, triple2.psi_v),
+        ):
+            la = classify_tripartite_qubit(tripartite_as_pure_state(f1))
+            lb = classify_tripartite_qubit(tripartite_as_pure_state(f2))
+            if la.label != lb.label:
+                return InequivalenceProof(
+                    invariant="tripartite-class",
+                    location=f"factor {side} at cut {cut.label}",
+                    value_a=la.label.value,
+                    value_b=lb.label.value,
+                    description=(
+                        f"triple-state factor {side} at cut {cut.label} "
+                        f"classifies {la.label.value} vs {lb.label.value}"
+                    ),
+                )
     return None

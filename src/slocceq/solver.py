@@ -388,17 +388,14 @@ def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
     return j4 @ q
 
 
-def _sym_root_dirs(x, rtol=1e-8):
-    """Factor directions of a symmetric 2x2 matrix, or None.
+def _binary_quadratic_roots(a, b, c, rtol):
+    """Projective roots ``(x, y)`` of ``a x^2 + b x y + c y^2``, or None.
 
-    A rank-two symmetric X splits as v w^T + w v^T; the factors are the
-    symplectic rotations of the isotropic directions of the associated
-    binary quadratic. Returns None for a repeated direction or a zero
-    matrix.
+    Returns None for a zero form or a repeated root, which is
+    ``sqrt|b^2 - 4ac| < rtol * max(|a|, |b|, |c|)``. Otherwise each root
+    is scaled by the larger of the leading coefficients ``a`` and ``c``
+    (``y = 1`` or ``x = 1``); when both are zero the roots are the axes.
     """
-    a = x[0, 0]
-    b = 2.0 * x[0, 1]
-    c = x[1, 1]
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0.0:
         return None
@@ -407,11 +404,23 @@ def _sym_root_dirs(x, rtol=1e-8):
         return None
     sq = np.sqrt(complex(disc))
     if a == 0.0 and c == 0.0:
-        zs = [(1.0, 0.0), (0.0, 1.0)]
-    elif abs(a) >= abs(c):
-        zs = [((-b + sq) / (2.0 * a), 1.0), ((-b - sq) / (2.0 * a), 1.0)]
-    else:
-        zs = [(1.0, (-b + sq) / (2.0 * c)), (1.0, (-b - sq) / (2.0 * c))]
+        return [(1.0, 0.0), (0.0, 1.0)]
+    if abs(a) >= abs(c):
+        return [((-b + sq) / (2.0 * a), 1.0), ((-b - sq) / (2.0 * a), 1.0)]
+    return [(1.0, (-b + sq) / (2.0 * c)), (1.0, (-b - sq) / (2.0 * c))]
+
+
+def _sym_root_dirs(x, rtol=1e-8):
+    """Factor directions of a symmetric 2x2 matrix, or None.
+
+    A rank-two symmetric X splits as v w^T + w v^T; the factors are the
+    symplectic rotations of the isotropic directions of the associated
+    binary quadratic. Returns None for a repeated direction or a zero
+    matrix.
+    """
+    zs = _binary_quadratic_roots(x[0, 0], 2.0 * x[0, 1], x[1, 1], rtol)
+    if zs is None:
+        return None
     return [_EPS2 @ np.asarray(z, dtype=complex) for z in zs]
 
 
@@ -644,25 +653,9 @@ def _pencil_rank1_dirs(g0, g1, rtol=1e-6):
     det0 = np.linalg.det(g0)
     det1 = np.linalg.det(g1)
     cross = np.linalg.det(g0 + g1) - det0 - det1
-    scale = max(abs(det0), abs(cross), abs(det1))
-    if scale == 0.0:
+    pairs = _binary_quadratic_roots(det0, cross, det1, rtol)
+    if pairs is None:
         return None
-    disc = cross * cross - 4.0 * det0 * det1
-    if math.sqrt(abs(disc)) < rtol * scale:
-        return None
-    sq = np.sqrt(complex(disc))
-    if det0 == 0.0 and det1 == 0.0:
-        pairs = [(1.0, 0.0), (0.0, 1.0)]
-    elif abs(det0) >= abs(det1):
-        pairs = [
-            ((-cross + sq) / (2.0 * det0), 1.0),
-            ((-cross - sq) / (2.0 * det0), 1.0),
-        ]
-    else:
-        pairs = [
-            (1.0, (-cross + sq) / (2.0 * det1)),
-            (1.0, (-cross - sq) / (2.0 * det1)),
-        ]
     out = []
     for x, y in pairs:
         root = x * g0 + y * g1

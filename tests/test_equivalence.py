@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from slocceq import decomposition, equivalence
 from slocceq.catalog import random_invertible_ops, random_orbit_case
-from slocceq.decomposition import SingularFrame, triple_state_set
+from slocceq.decomposition import SingularFrame, StateProfile, triple_state_set
 from slocceq.equivalence import (
     EquivalenceStatus,
     ProbeStatus,
@@ -16,6 +17,7 @@ from slocceq.equivalence import (
     recover_local_operators,
     verify_equivalence,
 )
+from slocceq.invariants import invariant_screen
 from slocceq.solver import (
     PTildeCandidate,
     SolveOutcome,
@@ -305,6 +307,64 @@ class TestAllCuts:
         assert verdict.diagnostics["stage"] == "invariant_screen"
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call is counted; returns the count box."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneDecompositionPerState:
+    def test_single_cut_orbit_check_decomposes_each_state_once(self, monkeypatch):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 7, 10.0)
+        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert calls[0] == 2
+
+    def test_rank_four_screen_decomposes_nothing(self, monkeypatch):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 8, 10.0)
+        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        p1, p2 = StateProfile(image), StateProfile(state)
+        assert p1.rank(CUT_12_34) == 4
+        assert invariant_screen(p1, p2, CUT_12_34) is None
+        assert calls[0] == 0
+
+    def test_all_cuts_class_proof_decomposes_each_state_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        verdict = check_fourpartite_equiv_all_cuts(
+            make_state("ghz4"), make_state("w4"), CONFIG
+        )
+        assert verdict.proof.invariant == "tripartite-class"
+        assert calls[0] == 2
+
+    def test_all_cuts_undecided_screens_once_per_cut(self, monkeypatch):
+        s1 = random_orbit_case((2, 2, 2, 3), 1)[0]
+        s2 = random_orbit_case((2, 2, 2, 3), 2)[0]
+        screens = count_calls(monkeypatch, equivalence, "invariant_screen")
+        verdict = check_fourpartite_equiv_all_cuts(
+            s1, s2, SolverConfig(rng_seed=0, restarts=1)
+        )
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "all_cuts"
+        per_cut = verdict.diagnostics["per_cut"]
+        assert list(per_cut) == [cut.label for cut in STANDARD_CUTS]
+        for label, diagnostics in per_cut.items():
+            assert diagnostics["cut"] == label
+            assert diagnostics["stage"] in (
+                "coupling_search",
+                "operator_recovery",
+                "verification",
+            )
+        assert screens[0] == 3
+
+
 class TestCheckTripartite:
     def test_ghz_vs_w_inequivalent(self):
         verdict = check_tripartite_equiv(
@@ -348,6 +408,10 @@ class TestCheckTripartite:
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         cert = verdict.certificate
         f, r, c = cert.ops
+        for mat in (f, r):
+            assert abs(np.linalg.norm(mat) - 1.0) < 1e-12
+            lead = mat.reshape(-1)[np.argmax(np.abs(mat.reshape(-1)))]
+            assert abs(lead.imag) < 1e-12 and lead.real > 0
         for i in range(2):
             mapped = sum(
                 f[i, j] * (r @ t2.slices[j] @ c.T) for j in range(2)

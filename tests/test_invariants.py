@@ -11,6 +11,7 @@ from slocceq.invariants import (
     invariant_screen,
 )
 from slocceq.catalog import random_orbit_case
+from slocceq.decomposition import StateProfile
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 
@@ -120,7 +121,11 @@ class TestClassifyTripartite:
 
 class TestInvariantScreen:
     def test_ghz4_vs_w4_tripartite_class_proof(self):
-        proof = invariant_screen(make_state("ghz4"), make_state("w4"), CUT_12_34)
+        proof = invariant_screen(
+            StateProfile(make_state("ghz4")),
+            StateProfile(make_state("w4")),
+            CUT_12_34,
+        )
         assert proof is not None
         assert proof.invariant == "tripartite-class"
         assert "GHZ_CLASS" in str(proof.value_a)
@@ -128,18 +133,30 @@ class TestInvariantScreen:
 
     def test_identical_states_pass(self):
         state = make_state("ghz4")
-        assert invariant_screen(state, state, CUT_12_34) is None
+        assert invariant_screen(
+            StateProfile(state),
+            StateProfile(state),
+            CUT_12_34,
+        ) is None
 
     def test_equivalent_pair_passes(self):
         cluster = make_state("cluster1d")
         psi2 = make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3))
-        assert invariant_screen(cluster, psi2, CUT_12_34) is None
+        assert invariant_screen(
+            StateProfile(cluster),
+            StateProfile(psi2),
+            CUT_12_34,
+        ) is None
 
     def test_rank_proof_against_product_state(self):
         amps = np.zeros(16, dtype=complex)
         amps[0b0000] = 1.0
         product = PureState((2, 2, 2, 2), amps)
-        proof = invariant_screen(make_state("ghz4"), product, CUT_12_34)
+        proof = invariant_screen(
+            StateProfile(make_state("ghz4")),
+            StateProfile(product),
+            CUT_12_34,
+        )
         assert proof is not None
         assert proof.invariant == "bipartition-rank"
         assert proof.value_a == 2
@@ -150,21 +167,46 @@ class TestInvariantScreen:
         amps[0b0000] = np.sqrt(0.5)
         amps[0b0111] = np.sqrt(0.5)
         embedded = PureState((2, 2, 2, 2), amps)
-        proof = invariant_screen(make_state("ghz4"), embedded, CUT_12_34)
+        proof = invariant_screen(
+            StateProfile(make_state("ghz4")),
+            StateProfile(embedded),
+            CUT_12_34,
+        )
         assert proof is not None
         assert proof.invariant in ("bipartition-rank", "marginal-rank")
 
     def test_dims_mismatch_raises(self):
         with pytest.raises(ValueError):
-            invariant_screen(make_state("ghz4"), make_state("ghz3"), CUT_12_34)
+            invariant_screen(
+                StateProfile(make_state("ghz4")),
+                StateProfile(make_state("ghz3")),
+                CUT_12_34,
+            )
+
+    def test_rtol_mismatch_raises(self):
+        state = make_state("ghz4")
+        with pytest.raises(ValueError):
+            invariant_screen(
+                StateProfile(state, 1e-9),
+                StateProfile(state, 1e-6),
+                CUT_12_34,
+            )
 
     def test_soundness_on_orbit_sample(self):
         for seed in range(100):
             state, image, _ = random_orbit_case((2, 2, 2, 2), seed, 20.0)
-            assert invariant_screen(state, image, CUT_12_34) is None
+            assert invariant_screen(
+                StateProfile(state),
+                StateProfile(image),
+                CUT_12_34,
+            ) is None
 
     def test_proof_serializes(self):
-        proof = invariant_screen(make_state("ghz4"), make_state("w4"), CUT_12_34)
+        proof = invariant_screen(
+            StateProfile(make_state("ghz4")),
+            StateProfile(make_state("w4")),
+            CUT_12_34,
+        )
         doc = proof.to_dict()
         assert doc["invariant"] == "tripartite-class"
         assert "location" in doc and "description" in doc

@@ -15,6 +15,7 @@ from slocceq.solver import (
     PTildeCandidate,
     SolveStatus,
     SolverConfig,
+    _binary_quadratic_roots,
     _convert_v_candidate,
     _Engine,
     _single_residual,
@@ -382,6 +383,34 @@ class TestSolvePtildeSingle:
     def test_mismatched_frames_rejected(self):
         with pytest.raises(ValueError):
             solve_ptilde_single(np.eye(4), np.eye(6), 2, (2, 2), CONFIG)
+
+
+class TestBinaryQuadraticRoots:
+    def test_distinct_roots_solve_the_form(self):
+        rng = np.random.default_rng(57)
+        for _ in range(20):
+            a, b, c = random_complex(rng, (3,))
+            for scale_a in (1.0, 1e-3):
+                roots = _binary_quadratic_roots(scale_a * a, b, c, 1e-8)
+                assert roots is not None and len(roots) == 2
+                for x, y in roots:
+                    value = scale_a * a * x * x + b * x * y + c * y * y
+                    assert abs(value) < 1e-10 * max(abs(x), abs(y)) ** 2
+                    assert 1.0 in (x, y)
+                (x0, y0), (x1, y1) = roots
+                assert abs(x0 * y1 - x1 * y0) > 1e-6
+
+    def test_repeated_root_and_zero_form_give_none(self):
+        # (x - 2y)^2 = x^2 - 4xy + 4y^2
+        assert _binary_quadratic_roots(1.0, -4.0, 4.0, 1e-8) is None
+        assert _binary_quadratic_roots(1.0, -4.0, 4.0 + 1e-20, 1e-6) is None
+        assert _binary_quadratic_roots(0.0, 0.0, 0.0, 1e-8) is None
+
+    def test_no_square_terms_gives_the_axes(self):
+        assert _binary_quadratic_roots(0.0, 3.0 - 1.0j, 0.0, 1e-8) == [
+            (1.0, 0.0),
+            (0.0, 1.0),
+        ]
 
 
 def two_sided_engine(frame, frame_prime, config):
