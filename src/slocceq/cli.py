@@ -234,7 +234,7 @@ def cmd_check(args) -> int:
         return _fail(EXIT_PARSE, "check needs four-party states")
 
     seed = 0 if args.seed is None else args.seed
-    config = SolverConfig(rng_seed=seed, restarts=args.restarts)
+    config = SolverConfig(rng_seed=seed)
     if args.all_cuts:
         cut_label = "all"
         verdict = check_fourpartite_equiv_all_cuts(
@@ -255,7 +255,6 @@ def cmd_check(args) -> int:
         "verdict": verdict.status.name,
         "cut": cut_label,
         "seed": seed,
-        "restarts": args.restarts,
         "tolerance": args.tol,
         "certificate": None,
         "proof": None,
@@ -453,12 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
-    )
-    p.add_argument(
-        "--restarts",
-        type=int,
-        default=SolverConfig.restarts,
-        help="solver restart budget",
     )
     p.add_argument("--seed", type=int, default=None, help="solver seed (default 0)")
     p.add_argument(

@@ -388,7 +388,6 @@ def _search_cut(
     outcome = solve_ptilde(frame2, frame1, config)
     diagnostics["solver_status"] = outcome.status.name
     diagnostics["solver_residual"] = outcome.residual
-    diagnostics["solver_restarts"] = outcome.restarts_used
     if outcome.status is SolveStatus.EXHAUSTED:
         diagnostics["stage"] = "coupling_search"
         return _undecided(diagnostics)
@@ -536,7 +535,6 @@ def check_tripartite_equiv(
     outcome = solve_ptilde_single(u_full, u_prime_full, r, (i2, i1), config)
     diagnostics["solver_status"] = outcome.status.name
     diagnostics["solver_residual"] = outcome.residual
-    diagnostics["solver_restarts"] = outcome.restarts_used
     if outcome.status is SolveStatus.EXHAUSTED:
         diagnostics["stage"] = "coupling_search"
         return _undecided(diagnostics)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from slocceq.catalog import random_orbit_case
 from slocceq.cli import (
     CERTIFICATE_VERSION,
     EXIT_BAD_CUT,
@@ -115,21 +116,22 @@ class TestCheck:
         assert code == EXIT_OK
         assert "EQUIVALENT" in capsys.readouterr().out
 
-    def test_undecided_exit(self, files, tmp_path, capsys):
-        code = main(["orbit", files["w4"], "--out", str(tmp_path / "worb")])
+    def test_undecided_exit(self, tmp_path, capsys):
+        # Cut 12-34 of a (2,2,2,3) state has no construction.
+        source = str(tmp_path / "s2223.state")
+        write_state_file(source, random_orbit_case((2, 2, 2, 3), 3)[0])
+        code = main(["orbit", source, "--out", str(tmp_path / "orb")])
         assert code == EXIT_OK
         capsys.readouterr()
-        code = main(
-            [
-                "check",
-                str(tmp_path / "worb.state"),
-                files["w4"],
-                "--restarts",
-                "4",
-            ]
-        )
+        code = main(["check", str(tmp_path / "orb.state"), source])
         assert code == EXIT_UNDECIDED
-        assert "UNDECIDED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "UNDECIDED" in out
+        assert "stage: coupling_search" in out
+
+    def test_restarts_option_removed(self, files, capsys):
+        code = main(["check", files["ghz4"], files["w4"], "--restarts", "4"])
+        assert code == EXIT_PARSE
 
     def test_dims_mismatch_before_party_count(self, files, capsys):
         code = main(["check", files["ghz4"], files["ghz3"]])

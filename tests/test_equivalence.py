@@ -1,5 +1,7 @@
 """Unit tests for operator recovery, verification, and the full decision."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -258,11 +260,9 @@ class TestCheckFourpartite:
         mapped = apply_local_ops(state, cert.ops)
         assert np.linalg.norm(cert.scalar * mapped.amps - image.amps) < 1e-8
 
-    def test_w_orbit_is_undecided_not_inequivalent(self):
-        w4 = make_state("w4")
-        image = apply_local_ops(w4, random_invertible_ops((2, 2, 2, 2), 3, 5.0))
-        config = SolverConfig(rng_seed=0, restarts=4, max_iterations=200)
-        verdict = check_fourpartite_equiv(image, w4, CUT_12_34, config)
+    def test_unsupported_geometry_orbit_is_undecided_not_inequivalent(self):
+        state, image, _ = random_orbit_case((2, 2, 2, 3), 3, 5.0)
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
         assert verdict.status is EquivalenceStatus.UNDECIDED
         assert verdict.diagnostics["stage"] == "coupling_search"
         assert verdict.proof is None and verdict.certificate is None
@@ -348,9 +348,7 @@ class TestOneDecompositionPerState:
         s1 = random_orbit_case((2, 2, 2, 3), 1)[0]
         s2 = random_orbit_case((2, 2, 2, 3), 2)[0]
         screens = count_calls(monkeypatch, equivalence, "invariant_screen")
-        verdict = check_fourpartite_equiv_all_cuts(
-            s1, s2, SolverConfig(rng_seed=0, restarts=1)
-        )
+        verdict = check_fourpartite_equiv_all_cuts(s1, s2, CONFIG)
         assert verdict.status is EquivalenceStatus.UNDECIDED
         assert verdict.diagnostics["stage"] == "all_cuts"
         per_cut = verdict.diagnostics["per_cut"]
@@ -363,6 +361,133 @@ class TestOneDecompositionPerState:
                 "verification",
             )
         assert screens[0] == 3
+
+
+def planted(state, seed, cap=10.0):
+    """Image of a three- or four-party state under seeded local operators."""
+    n = len(state.dims)
+    dims = tuple(state.dims) + (2,) * (4 - n)
+    return apply_local_ops(state, random_invertible_ops(dims, seed, cap).ops[:n])
+
+
+def qubit_state(rng, rank):
+    """Random four-qubit state of the given rank at cut 12-34."""
+    m = random_complex(rng, (4, rank)) @ random_complex(rng, (rank, 4))
+    return PureState((2, 2, 2, 2), m.reshape(-1))
+
+
+def planted_slices(rng, stack):
+    """Slices mixed by a random first-party map and random 2x2 sides."""
+    r = stack.shape[0]
+    mix = random_complex(rng, (r, r))
+    a_row = random_complex(rng, (2, 2))
+    a_col = random_complex(rng, (2, 2))
+    image = np.tensordot(mix, a_row @ stack @ a_col.T, axes=([1], [0]))
+    return TripartiteState(r_dim=r, slices=tuple(image))
+
+
+def mixed_type_state():
+    """|0000> + |1101> + |1110>: GHZ-type columns, W-type rows at 12-34."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0000, 0b1101, 0b1110]] = 1.0
+    return PureState((2, 2, 2, 2), amps)
+
+
+def four_party_orbit(state, cut):
+    def pair(seed, rng):
+        base = state(rng)
+        s1, s2 = planted(base, 2 * seed + 1), planted(base, 2 * seed + 2)
+        return check_fourpartite_equiv(s1, s2, cut, CONFIG)
+    return pair
+
+
+def catalog_orbit(dims):
+    def pair(seed, rng):
+        state, image, _ = random_orbit_case(dims, seed, 10.0)
+        return check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+    return pair
+
+
+def slice_orbit(stack):
+    def pair(seed, rng):
+        base = stack(rng)
+        t1, t2 = planted_slices(rng, base), planted_slices(rng, base)
+        return check_tripartite_equiv(t1, t2, CONFIG)
+    return pair
+
+
+def named_stack(name):
+    return lambda rng: make_state(name).tensor()
+
+
+CUT_13_24, CUT_14_23 = STANDARD_CUTS[1:]
+
+DECIDED = {
+    "2222-rank1": four_party_orbit(lambda rng: qubit_state(rng, 1), CUT_12_34),
+    "2222-rank2-ghz": four_party_orbit(lambda rng: make_state("ghz4"), CUT_12_34),
+    "2222-rank2-w": four_party_orbit(lambda rng: make_state("w4"), CUT_12_34),
+    "2222-rank2-mixed": four_party_orbit(lambda rng: mixed_type_state(), CUT_12_34),
+    "2222-rank4": catalog_orbit((2, 2, 2, 2)),
+    "w4-13-24": four_party_orbit(lambda rng: make_state("w4"), CUT_13_24),
+    "w4-14-23": four_party_orbit(lambda rng: make_state("w4"), CUT_14_23),
+    "2233-rank4": catalog_orbit((2, 2, 3, 3)),
+    "3322-rank4": catalog_orbit((3, 3, 2, 2)),
+    "slices-rank1": slice_orbit(lambda rng: random_complex(rng, (1, 2, 2))),
+    "slices-rank2-ghz3": slice_orbit(named_stack("ghz3")),
+    "slices-rank2-w3": slice_orbit(named_stack("w3")),
+    "slices-rank3": slice_orbit(lambda rng: random_complex(rng, (3, 2, 2))),
+    "slices-rank4": slice_orbit(lambda rng: random_complex(rng, (4, 2, 2))),
+}
+
+UNDECIDED = {
+    "2223-orbit": catalog_orbit((2, 2, 2, 3)),
+    "3333-orbit": catalog_orbit((3, 3, 3, 3)),
+    "2222-rank3-orbit": four_party_orbit(lambda rng: qubit_state(rng, 3), CUT_12_34),
+    "2222-generic-pair": lambda seed, rng: check_fourpartite_equiv(
+        random_orbit_case((2, 2, 2, 2), 2 * seed)[0],
+        random_orbit_case((2, 2, 2, 2), 2 * seed + 1)[0],
+        CUT_12_34,
+        CONFIG,
+    ),
+}
+
+
+def solver_outcomes(monkeypatch):
+    """Record every outcome the checks get from the two solver entry points."""
+    outcomes = []
+    for name in ("solve_ptilde", "solve_ptilde_single"):
+        original = getattr(equivalence, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            outcomes.append(_original(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(equivalence, name, recorded)
+    return outcomes
+
+
+class TestSupportedGeometries:
+    """The geometries the constructions decide; the rest are UNDECIDED at once."""
+
+    @pytest.mark.parametrize("name", sorted(DECIDED))
+    def test_planted_orbits_are_equivalent_without_restarts(self, name, monkeypatch):
+        outcomes = solver_outcomes(monkeypatch)
+        rng = np.random.default_rng(64)
+        for seed in range(10):
+            verdict = DECIDED[name](seed, rng)
+            assert verdict.status is EquivalenceStatus.EQUIVALENT, (name, seed)
+        assert outcomes and all(out.restarts_used == 0 for out in outcomes)
+
+    @pytest.mark.parametrize("name", sorted(UNDECIDED))
+    def test_other_geometries_are_undecided_at_once(self, name):
+        rng = np.random.default_rng(65)
+        for seed in range(3):
+            start = time.perf_counter()
+            verdict = UNDECIDED[name](seed, rng)
+            elapsed = time.perf_counter() - start
+            assert verdict.status is EquivalenceStatus.UNDECIDED, (name, seed)
+            assert verdict.diagnostics["stage"] == "coupling_search", (name, seed)
+            assert elapsed < 0.5, (name, seed, elapsed)
 
 
 class TestCheckTripartite:
