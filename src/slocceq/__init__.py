@@ -2,11 +2,12 @@
 
 Decides whether two pure states of four parties are related by invertible
 local operators. The decision pipeline decomposes both states into a
-triple-state set across a chosen bipartition, searches for a block
-upper-triangular coupling between the two singular frames, factors the
-coupling into one operator per party, and re-verifies the certificate on
-the input amplitudes. Inequivalence is established only through sound
-invariants; search failure is reported as UNDECIDED.
+triple-state set across a chosen bipartition, screens them with sound
+invariants, constructs candidate operators, one per party, from the two
+singular frames in closed form, and accepts the first candidate that
+re-verifies on the input amplitudes. Inequivalence is established only
+through sound invariants; when no candidate verifies the verdict is
+UNDECIDED.
 """
 
 from .tensorops import (
@@ -55,12 +56,9 @@ from .invariants import (
     tripartite_as_pure_state,
 )
 from .solver import (
-    PTildeCandidate,
     SolveOutcome,
     SolveStatus,
     SolverConfig,
-    couple_q,
-    residual,
     solve_ptilde,
     solve_ptilde_single,
 )
@@ -126,12 +124,9 @@ __all__ = [
     "hyperdeterminant_222",
     "invariant_screen",
     "tripartite_as_pure_state",
-    "PTildeCandidate",
     "SolveOutcome",
     "SolveStatus",
     "SolverConfig",
-    "couple_q",
-    "residual",
     "solve_ptilde",
     "solve_ptilde_single",
     "Certificate",

@@ -300,12 +300,12 @@ def cmd_check(args) -> int:
         print(f"value b: {proof.value_b}")
         print(f"reason: {proof.description}")
     else:
-        stage = verdict.diagnostics.get("stage", "unknown")
-        print(f"stage: {stage}")
-        status = verdict.diagnostics.get("solver_status")
-        if status is not None:
-            print(f"solver status: {status}")
-            print(f"solver residual: {verdict.diagnostics.get('solver_residual'):.6g}")
+        diagnostics = verdict.diagnostics
+        print(f"stage: {diagnostics.get('stage', 'unknown')}")
+        if "candidates" in diagnostics:
+            print(f"candidates: {diagnostics['candidates']}")
+        if "verify_residual" in diagnostics:
+            print(f"best verify residual: {diagnostics['verify_residual']:.6g}")
     return _STATUS_EXIT[verdict.status.name]
 
 

@@ -1,25 +1,29 @@
 """Equivalence decisions for four-partite and tripartite pure states.
 
 Pipeline for the four-partite check: one :class:`StateProfile` per state,
-the invariant screen on the two profiles, block-triangular coupling
-search on the profiles' singular frames at a common bipartition,
-Kronecker factorization of the coupling into per-party operators, and a
-final state-level verification. Each state is decomposed at most once per
-cut, however many cuts are screened and searched. A verdict
-is three-valued: EQUIVALENT carries an operator certificate that has been
-re-verified on the input states, INEQUIVALENT carries an invariant proof,
-and UNDECIDED carries diagnostics only.
+the invariant screen on the two profiles, closed-form construction of
+candidate per-party operators from the profiles' singular frames at a
+common bipartition, and state-level verification of each candidate in
+construction order. Verification is the only acceptance gate: the first
+candidate that maps one state onto the other within ``verify_tol``
+decides. Each state is decomposed at most once per cut, however many cuts
+are screened and searched. A verdict is three-valued: EQUIVALENT carries
+an operator certificate that has been re-verified on the input states,
+INEQUIVALENT carries an invariant proof, and UNDECIDED carries
+diagnostics only, with stage ``coupling_search`` when no candidate was
+built and ``verification`` when none of the built ones verified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .decomposition import SingularFrame, StateProfile
+from .decomposition import StateProfile
 from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
 from .invariants import (
     InequivalenceProof,
@@ -27,14 +31,7 @@ from .invariants import (
     invariant_screen,
     tripartite_as_pure_state,
 )
-from .solver import (
-    PTildeCandidate,
-    SolveOutcome,
-    SolveStatus,
-    SolverConfig,
-    solve_ptilde,
-    solve_ptilde_single,
-)
+from .solver import SolveOutcome, SolverConfig, solve_ptilde, solve_ptilde_single
 from .states import (
     Bipartition,
     LocalOperatorTuple,
@@ -43,18 +40,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import (
-    DEFAULT_RTOL,
-    FactorizationError,
-    _lead_phase,
-    commutation_matrix,
-    fold,
-    numerical_rank,
-    rank1_kron_factor,
-    realign,
-    sigma_ratio,
-    vectorize,
-)
+from .tensorops import DEFAULT_RTOL, _lead_phase, fold, numerical_rank, vectorize
 
 __all__ = [
     "EquivalenceStatus",
@@ -83,28 +69,7 @@ class EquivalenceStatus(Enum):
 
 
 class RecoveryError(ValueError):
-    """Raised when a coupling candidate does not factor into local operators.
-
-    Attributes
-    ----------
-    second_singular_value : float
-        Second singular value of the realigned coupling map, relative to
-        the largest one; zero when the failure was not a rank test.
-    swapped_pair : bool
-        True when factorization succeeds after composing with the
-        fold-transpose permutation, meaning the states can only be related
-        by operators that also exchange the two parties of the pair.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        second_singular_value: float = 0.0,
-        swapped_pair: bool = False,
-    ):
-        super().__init__(message)
-        self.second_singular_value = float(second_singular_value)
-        self.swapped_pair = bool(swapped_pair)
+    """Raised when a candidate's factors do not form invertible local operators."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +88,6 @@ class Certificate:
     scalar: complex
     residual: float
     cut: Optional[Bipartition] = None
-    swapped_pair: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,37 +111,6 @@ class EquivalenceVerdict:
                 raise ValueError("UNDECIDED verdict carries no evidence")
 
 
-def _factor_pair(
-    matrix: np.ndarray,
-    dl: int,
-    dr: int,
-    rtol: float,
-    side: str,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Factor ``matrix`` as a Kronecker pair, probing the swapped layout on failure."""
-    # Diagnostic gap sigma2/sigma1: 0.0 for a zero matrix or a single row or column.
-    s = np.linalg.svd(realign(matrix, dl, dr), compute_uv=False)
-    gap = sigma_ratio(s, 1, if_short=0.0)
-    try:
-        b, c = rank1_kron_factor(matrix, dl, dr, rtol)
-        return b, c, gap
-    except FactorizationError as exc:
-        swapped = False
-        if dl == dr:
-            swap = commutation_matrix(dl, dl)
-            try:
-                rank1_kron_factor(matrix @ swap, dl, dr, rtol)
-                swapped = True
-            except FactorizationError:
-                pass
-        raise RecoveryError(
-            f"coupling on the {side} pair is not a Kronecker product "
-            f"(second singular ratio {gap:.3e})",
-            second_singular_value=gap,
-            swapped_pair=swapped,
-        ) from exc
-
-
 def _gauge(mats):
     """Fix the scale and phase of each operator, keeping their tensor product.
 
@@ -195,83 +128,25 @@ def _gauge(mats):
 
 
 def recover_local_operators(
-    frames: Tuple[SingularFrame, SingularFrame],
-    candidate: Union[SolveOutcome, Sequence[PTildeCandidate]],
-    rtol: float = DEFAULT_RTOL,
-) -> Tuple[LocalOperatorTuple, Dict[str, object]]:
-    """Factor an admissible coupling pair into four local operators.
+    cut: Bipartition, candidate: Sequence[np.ndarray]
+) -> LocalOperatorTuple:
+    """Party-ordered, gauged local operators from a candidate's factors.
 
-    Parameters
-    ----------
-    frames : tuple of SingularFrame
-        ``(frame, frame_prime)`` for the source and target state,
-        decomposed at the same bipartition.
-    candidate : SolveOutcome or pair of PTildeCandidate
-        Coupling candidate; for a :class:`SolveOutcome` the stored
-        candidate pair is used.
-    rtol : float
-        Relative tolerance for the rank-1 factorization tests.
-
-    Returns
-    -------
-    ops : LocalOperatorTuple
-        Operators in party order mapping the source state onto the target
-        state up to a scalar. The first three operators have unit
-        Frobenius norm with real positive leading entry; the residual
-        scale sits in the last operator.
-    diagnostics : dict
-        Second-singular ratios of the two realigned coupling maps.
+    ``candidate`` is ``(A_l1, A_l2, A_r1, A_r2)``, the factors of
+    :func:`solve_ptilde` for the parties ``cut.left + cut.right``. The
+    first three operators of the result have unit Frobenius norm with a
+    real positive leading entry; the remaining scale sits in the last.
 
     Raises
     ------
     RecoveryError
-        If either coupling map is not a Kronecker product at ``rtol``
-        (spurious candidate), or a recovered operator is singular.
+        If a recovered operator is numerically singular.
     """
-    frame, frame_prime = frames
-    if isinstance(candidate, SolveOutcome):
-        if candidate.candidate is None:
-            raise RecoveryError("solver outcome carries no candidate")
-        candidate = candidate.candidate
-    pt, qt = candidate
-    if frame.bipartition != frame_prime.bipartition:
-        raise ValueError("frames were taken at different bipartitions")
-    if frame.dims != frame_prime.dims:
-        raise ValueError("frames have mismatched party dimensions")
-
+    by_party = dict(zip(cut.left + cut.right, candidate))
     try:
-        m_u = np.linalg.inv(
-            frame.u_full @ pt.assembled @ frame_prime.u_full.conj().T
-        )
-        m_v = np.linalg.inv(
-            frame.v_full @ qt.assembled @ frame_prime.v_full.conj().T
-        )
-    except np.linalg.LinAlgError as exc:
-        raise RecoveryError(f"coupling candidate is singular: {exc}") from exc
-
-    ia, ib = frame.left_dims
-    ic, id_ = frame.right_dims
-    a_left1, a_left2, gap_u = _factor_pair(m_u, ia, ib, rtol, "row")
-    a_right1, a_right2, gap_v = _factor_pair(np.conj(m_v), ic, id_, rtol, "column")
-
-    cut = frame.bipartition
-    by_party = {
-        cut.left[0]: a_left1,
-        cut.left[1]: a_left2,
-        cut.right[0]: a_right1,
-        cut.right[1]: a_right2,
-    }
-    mats = [by_party[k] for k in (1, 2, 3, 4)]
-
-    try:
-        ops = LocalOperatorTuple(tuple(_gauge(mats)))
+        return LocalOperatorTuple(tuple(_gauge([by_party[k] for k in (1, 2, 3, 4)])))
     except ValueError as exc:
         raise RecoveryError(f"recovered operator is singular: {exc}") from exc
-    diagnostics = {
-        "row_pair_factor_gap": gap_u,
-        "column_pair_factor_gap": gap_v,
-    }
-    return ops, diagnostics
 
 
 def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]:
@@ -326,15 +201,43 @@ def _profiles(s1: PureState, s2: PureState, rtol: float):
     return StateProfile(s1, rtol), StateProfile(s2, rtol)
 
 
-def _cut_diagnostics(
-    cut: Bipartition, rtol: float, verify_tol: float, config: SolverConfig
-) -> Dict[str, object]:
-    return {
-        "cut": cut.label,
-        "rtol": rtol,
-        "verify_tol": verify_tol,
-        "residual_tol": config.residual_tol,
-    }
+def _cut_diagnostics(cut: Bipartition, rtol: float, verify_tol: float) -> Dict[str, object]:
+    return {"cut": cut.label, "rtol": rtol, "verify_tol": verify_tol}
+
+
+def _first_verified(
+    outcome: SolveOutcome,
+    verify,
+    verify_tol: float,
+    diagnostics: Dict[str, object],
+    cut: Optional[Bipartition] = None,
+) -> EquivalenceVerdict:
+    """EQUIVALENT at the first candidate that verifies, else UNDECIDED.
+
+    ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or to
+    None when the candidate yields no operators. Records the candidate
+    count, the accepted (else the best) residual and, when nothing
+    verifies, the UNDECIDED stage.
+    """
+    diagnostics["candidates"] = len(outcome.candidates)
+    best = math.inf
+    for candidate in outcome.candidates:
+        got = verify(candidate)
+        if got is None:
+            continue
+        ops, scalar, resid = got
+        best = min(best, resid)
+        if resid <= verify_tol:
+            diagnostics["verify_residual"] = resid
+            return EquivalenceVerdict(
+                status=EquivalenceStatus.EQUIVALENT,
+                certificate=Certificate(ops=ops, scalar=scalar, residual=resid, cut=cut),
+                diagnostics=diagnostics,
+            )
+    if best < math.inf:
+        diagnostics["verify_residual"] = best
+    diagnostics["stage"] = "verification" if outcome.candidates else "coupling_search"
+    return _undecided(diagnostics)
 
 
 def check_fourpartite_equiv(
@@ -356,7 +259,7 @@ def check_fourpartite_equiv(
     p1, p2 = _profiles(s1, s2, rtol)
     proof = invariant_screen(p1, p2, cut)
     if proof is not None:
-        diagnostics = _cut_diagnostics(cut, rtol, verify_tol, config)
+        diagnostics = _cut_diagnostics(cut, rtol, verify_tol)
         diagnostics["stage"] = "invariant_screen"
         return EquivalenceVerdict(
             status=EquivalenceStatus.INEQUIVALENT,
@@ -373,49 +276,28 @@ def _search_cut(
     config: SolverConfig,
     verify_tol: float,
 ) -> EquivalenceVerdict:
-    """Search, recover and verify at a cut; EQUIVALENT or UNDECIDED.
+    """Construct and verify candidates at a cut; EQUIVALENT or UNDECIDED.
 
     The screen has passed, so both frames have the same rank at ``cut``.
     """
-    diagnostics = _cut_diagnostics(cut, p1.rtol, verify_tol, config)
+    diagnostics = _cut_diagnostics(cut, p1.rtol, verify_tol)
     _, frame1 = p1.decomposition(cut)
     _, frame2 = p2.decomposition(cut)
     warnings = list(frame1.warnings) + list(frame2.warnings)
     if warnings:
         diagnostics["frame_warnings"] = warnings
 
+    def verify(candidate):
+        try:
+            ops = recover_local_operators(cut, candidate)
+        except RecoveryError:
+            return None
+        _, scalar, resid = verify_equivalence(p1.state, p2.state, ops, verify_tol)
+        return ops, scalar, resid
+
     # Frames: s2 is the source (operators act on it), s1 is the target.
     outcome = solve_ptilde(frame2, frame1, config)
-    diagnostics["solver_status"] = outcome.status.name
-    diagnostics["solver_residual"] = outcome.residual
-    if outcome.status is SolveStatus.EXHAUSTED:
-        diagnostics["stage"] = "coupling_search"
-        return _undecided(diagnostics)
-
-    factor_rtol = max(p1.rtol, config.residual_tol)
-    try:
-        ops, recovery_diag = recover_local_operators(
-            (frame2, frame1), outcome, factor_rtol
-        )
-    except RecoveryError as exc:
-        diagnostics["stage"] = "operator_recovery"
-        diagnostics["recovery_error"] = str(exc)
-        diagnostics["swapped_pair"] = exc.swapped_pair
-        return _undecided(diagnostics)
-    diagnostics.update(recovery_diag)
-
-    passed, scalar, resid = verify_equivalence(p1.state, p2.state, ops, verify_tol)
-    diagnostics["verify_residual"] = resid
-    if not passed:
-        diagnostics["stage"] = "verification"
-        return _undecided(diagnostics)
-
-    certificate = Certificate(ops=ops, scalar=scalar, residual=resid, cut=cut)
-    return EquivalenceVerdict(
-        status=EquivalenceStatus.EQUIVALENT,
-        certificate=certificate,
-        diagnostics=diagnostics,
-    )
+    return _first_verified(outcome, verify, verify_tol, diagnostics, cut)
 
 
 def check_fourpartite_equiv_all_cuts(
@@ -479,10 +361,11 @@ def check_tripartite_equiv(
     Both states must have linearly independent slices of equal count and
     shape. For two-qubit-slice pairs (shape (2, 2), two slices) the
     tripartite entanglement-class screen runs first and can prove
-    inequivalence. Otherwise a single-sided coupling search runs on the
-    column frames of the vectorized slices; a successful candidate is
-    factored into a slice-space operator pair plus a mixing operator on
-    the slice index, and the result is verified slice-wise.
+    inequivalence. Otherwise the single-sided construction proposes
+    slice-space operator pairs from the column frames of the vectorized
+    slices; each is completed by a least-squares mixing operator on the
+    slice index and verified slice-wise, and the first that verifies
+    decides.
 
     The certificate operators ``(A_first, A_row, A_col)`` act per party:
     ``t1`` slices match ``scalar * sum_j A_first[i, j] * A_row @ t2_j @
@@ -498,11 +381,7 @@ def check_tripartite_equiv(
 
     i1, i2 = t1.slice_shape
     r = t1.r_dim
-    diagnostics: Dict[str, object] = {
-        "rtol": rtol,
-        "verify_tol": verify_tol,
-        "residual_tol": config.residual_tol,
-    }
+    diagnostics: Dict[str, object] = {"rtol": rtol, "verify_tol": verify_tol}
 
     if r == 2 and (i1, i2) == (2, 2):
         class1 = classify_tripartite_qubit(tripartite_as_pure_state(t1))
@@ -529,60 +408,23 @@ def check_tripartite_equiv(
     # Column stacks of vectorized slices; t2 is the source, t1 the target.
     w2 = np.column_stack([vectorize(s) for s in t2.slices])
     w1 = np.column_stack([vectorize(s) for s in t1.slices])
-    u_full = _complete_frame(w2)
-    u_prime_full = _complete_frame(w1)
 
-    outcome = solve_ptilde_single(u_full, u_prime_full, r, (i2, i1), config)
-    diagnostics["solver_status"] = outcome.status.name
-    diagnostics["solver_residual"] = outcome.residual
-    if outcome.status is SolveStatus.EXHAUSTED:
-        diagnostics["stage"] = "coupling_search"
-        return _undecided(diagnostics)
+    def verify(candidate):
+        a_col, a_row = candidate
+        # Mixing operator on the slice index from the least-squares fit of
+        # the mapped source stack onto the target stack.
+        a_first = np.linalg.lstsq(np.kron(a_col, a_row) @ w2, w1, rcond=None)[0].T
+        if numerical_rank(a_first, rtol) < r:
+            return None
+        ops = tuple(_gauge([a_first, a_row, a_col]))
+        image = np.tensordot(ops[0], ops[1] @ t2.stacked() @ ops[2].T, axes=([1], [0]))
+        scalar, resid = _best_scalar(t1.stacked().reshape(-1), image.reshape(-1))
+        return ops, scalar, resid
 
-    pt = outcome.candidate[0]
-    try:
-        m = np.linalg.inv(u_full @ pt.assembled @ u_prime_full.conj().T)
-    except np.linalg.LinAlgError:
-        diagnostics["stage"] = "operator_recovery"
-        diagnostics["recovery_error"] = "coupling candidate is singular"
-        return _undecided(diagnostics)
-
-    factor_rtol = max(rtol, config.residual_tol)
-    try:
-        a_col, a_row, gap = _factor_pair(m, i2, i1, factor_rtol, "slice")
-    except RecoveryError as exc:
-        diagnostics["stage"] = "operator_recovery"
-        diagnostics["recovery_error"] = str(exc)
-        diagnostics["swapped_pair"] = exc.swapped_pair
-        return _undecided(diagnostics)
-    diagnostics["slice_factor_gap"] = gap
-
-    # Mixing operator on the slice index from the least-squares fit of the
-    # mapped source stack onto the target stack.
-    mixing_t = np.linalg.lstsq(m @ w2, w1, rcond=None)[0]
-    a_first = mixing_t.T
-    if numerical_rank(a_first, rtol) < r:
-        diagnostics["stage"] = "operator_recovery"
-        diagnostics["recovery_error"] = "slice-mixing operator is singular"
-        return _undecided(diagnostics)
-
-    a_first, a_row, a_col = _gauge([a_first, a_row, a_col])
-
-    image = np.tensordot(a_first, a_row @ t2.stacked() @ a_col.T, axes=([1], [0]))
-    scalar, resid = _best_scalar(t1.stacked().reshape(-1), image.reshape(-1))
-    diagnostics["verify_residual"] = resid
-    if resid > verify_tol:
-        diagnostics["stage"] = "verification"
-        return _undecided(diagnostics)
-
-    certificate = Certificate(
-        ops=(a_first, a_row, a_col), scalar=scalar, residual=resid, cut=None
+    outcome = solve_ptilde_single(
+        _complete_frame(w2), _complete_frame(w1), r, (i2, i1), config
     )
-    return EquivalenceVerdict(
-        status=EquivalenceStatus.EQUIVALENT,
-        certificate=certificate,
-        diagnostics=diagnostics,
-    )
+    return _first_verified(outcome, verify, verify_tol, diagnostics)
 
 
 class ProbeStatus(Enum):

@@ -1,13 +1,14 @@
-"""Spectral constructions of the block-triangular coupling certificate.
+"""Spectral constructions of local operators between two flattenings.
 
-Given full singular frames (U, V) and (U', V') of two states at the same
-cut, equivalence holds exactly when some block upper-triangular P-tilde
-and its coupled companion Q-tilde make both conjugated frames realign to
-rank one. Every candidate here is built in closed form from explicit
-local operators for the flattening relation ``M' = B M C^T`` and is
-accepted only through the residual gate, so spurious matches are
-harmless. A geometry without a construction, or a pair no construction
-certifies, is reported EXHAUSTED at once.
+Two states flattened at the same cut into M and M' are related by local
+operators exactly when ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T``, with
+the row pair's operators on the left and the column pair's on the right.
+Every construction here proposes such per-party factors in closed form
+from the two singular frames; the caller re-applies each candidate to the
+raw amplitudes and accepts only what verifies, so spurious candidates are
+harmless. The one gate applied here is the invertibility floor
+``CANDIDATE_MARGIN_RTOL`` on each side's Kronecker product. A geometry
+without a construction is reported EXHAUSTED at once.
 
 On a qubit pair the antisymmetric form eps satisfies
 ``A^T eps A = det(A) eps`` for every 2x2 operator A, so with
@@ -21,7 +22,8 @@ When the columns are a pair of qutrits instead of qubits the same
 similarity is manufactured from the cubic form det(fold(M^T x)) on the
 row space: the trace square of its J-twisted Hessian is a quadratic in x
 whose matrix transforms by congruence with B, and J converts that
-congruence into a similarity.
+congruence into a similarity. Both constructions end with whole 4x4
+matrices, which are split into their Kronecker factors.
 
 At rank two on qubit pairs the column and row spaces fold into
 two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
@@ -35,10 +37,10 @@ forms is one small nullspace per family. Rank-one cuts of any shape
 reduce to congruences of the folded singular vectors.
 
 The single-sided variant used for tripartite checks on a 2x2 split
-carries the span of the slices onto its primed partner: by congruence of
-the one slice at rank one, by the pencil normal forms at rank two, by
-congruence of the annihilating complement at rank three, and by the
-identity at rank four.
+proposes factors ``(A_1, A_2)`` whose Kronecker product carries the span
+of the slices onto its primed partner: by congruence of the one slice at
+rank one, by the pencil normal forms at rank two, by congruence of the
+annihilating complement at rank three, and by the identity at rank four.
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .decomposition import SingularFrame
-from .tensorops import realign, sigma_ratio
+from .tensorops import FactorizationError, rank1_kron_factor, realign, sigma_ratio
 
-# Smallest acceptable sigma_min/sigma_max for the square blocks of an
-# accepted candidate. Planted orbits at condition cap 20 give margins
-# above 1e-4; degenerate collapse gives machine-zero margins.
+# Smallest acceptable sigma_min/sigma_max of each side's Kronecker
+# product. Planted orbits at condition cap 20 give margins above 1e-4;
+# degenerate collapse gives machine-zero margins.
 CANDIDATE_MARGIN_RTOL = 1e-8
 
 # Edge values of the rank-one gap sigma2/sigma1: a zero matrix is as far
@@ -69,73 +71,11 @@ class SolveStatus(Enum):
     EXHAUSTED = "EXHAUSTED"
 
 
-@dataclass(frozen=True, eq=False)
-class PTildeCandidate:
-    """One block upper-triangular coupling matrix [[P, Y], [0, P_bar]].
-
-    ``margin_p`` and ``margin_p_bar`` are the relative invertibility
-    margins (smallest over largest singular value) of the square blocks;
-    absent blocks report margin infinity. Construction never rejects a
-    poorly conditioned candidate: admissibility thresholds are applied
-    by the caller.
-    """
-
-    P: np.ndarray
-    Y: np.ndarray
-    P_bar: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.P, dtype=complex)
-        y = np.array(self.Y, dtype=complex).reshape(p.shape[0], -1)
-        pb = np.array(self.P_bar, dtype=complex)
-        k = pb.shape[0] if pb.size else 0
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("P must be square")
-        pb = pb.reshape(k, k)
-        if y.shape != (p.shape[0], k):
-            raise ValueError("Y shape inconsistent with P and P_bar")
-        for m in (p, y, pb):
-            m.flags.writeable = False
-        object.__setattr__(self, "P", p)
-        object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "P_bar", pb)
-
-    @property
-    def r(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.P.shape[0] + self.P_bar.shape[0]
-
-    @property
-    def assembled(self) -> np.ndarray:
-        r, k = self.P.shape[0], self.P_bar.shape[0]
-        out = np.zeros((r + k, r + k), dtype=complex)
-        out[:r, :r] = self.P
-        if k:
-            out[:r, r:] = self.Y
-            out[r:, r:] = self.P_bar
-        return out
-
-    @property
-    def margin_p(self) -> float:
-        return sigma_ratio(np.linalg.svd(self.P, compute_uv=False))
-
-    @property
-    def margin_p_bar(self) -> float:
-        return sigma_ratio(np.linalg.svd(self.P_bar, compute_uv=False))
-
-    def min_margin(self) -> float:
-        return min(self.margin_p, self.margin_p_bar)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Seed and acceptance gate of the coupling search.
+    """Seed of the constructions.
 
-    ``rng_seed`` seeds the probe vectors of the spectral constructions;
-    ``residual_tol`` is the rank-one gap a candidate must reach.
+    ``rng_seed`` seeds the probe vectors of the spectral constructions.
     ``restarts`` has no effect: every candidate comes from a closed-form
     construction and no randomized search runs. It is still accepted,
     and must be positive, because existing callers such as the
@@ -144,67 +84,45 @@ class SolverConfig:
 
     rng_seed: int
     restarts: int = 1
-    residual_tol: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class SolveOutcome:
-    """Search result. EXHAUSTED is never a proof of inequivalence.
+    """Candidates of a construction. EXHAUSTED is never a proof of inequivalence.
 
-    EXHAUSTED means no construction certified the pair: the geometry has
-    none, or every candidate failed the residual gate. ``candidate`` is
-    the pair (U-side, V-side) of coupling candidates for the two-sided
-    search, or a 1-tuple for the single-sided variant; on EXHAUSTED it is
-    the best candidate that was gated, or None when there was none.
-    ``restarts_used`` is always 0.
+    ``candidates`` holds, in construction order, the per-party factor
+    tuples that clear the invertibility floor: ``(A_l1, A_l2, A_r1, A_r2)``
+    for the two-sided search, ``(A_1, A_2)`` for the single-sided one.
+    None of them is verified yet. FOUND means there is at least one;
+    EXHAUSTED means the geometry has no construction or every candidate
+    fell below the floor. ``restarts_used`` is always 0.
     """
 
     status: SolveStatus
-    candidate: Optional[tuple]
-    residual: float
+    candidates: tuple
     restarts_used: int
-
-
-def couple_q(p: np.ndarray, lam: np.ndarray, lam_prime: np.ndarray) -> np.ndarray:
-    """The lambda-coupled companion block diag(1/lam) @ P @ diag(lam').
-
-    ``lam`` and ``lam_prime`` may be diagonal matrices or plain vectors
-    of the positive singular values. The V-side constraint determines
-    the top-left block of the true Q-tilde as the inverse adjoint of
-    this matrix; at full rank either form certifies the same set of
-    solutions.
-    """
-    p = np.asarray(p, dtype=complex)
-    dl = np.diagonal(lam) if np.ndim(lam) == 2 else np.asarray(lam)
-    dlp = np.diagonal(lam_prime) if np.ndim(lam_prime) == 2 else np.asarray(lam_prime)
-    if p.shape[0] != p.shape[1] or dl.size != p.shape[0] or dlp.size != p.shape[0]:
-        raise ValueError(
-            f"size mismatch: P is {p.shape}, lambdas have {dl.size} and {dlp.size} entries"
-        )
-    return (p * dlp[np.newaxis, :]) / dl[:, np.newaxis].astype(complex)
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _QUBIT_PAIR_FORM = np.kron(_EPS2, _EPS2)
 
-# Relative rank-one gap a spectral candidate must reach before it is
-# worth converting to coupling blocks; the residual gate in
-# solve_ptilde remains the only acceptance authority.
+# Relative misfit up to which a construction still proposes a candidate:
+# the Kronecker gap of a whole 4x4 matrix, the fit of a right tuple or of
+# a rank-two core. Verification on the amplitudes remains the only
+# acceptance authority.
 _DIRECT_PRESCREEN_GAP = 1e-6
 
 
-def _flat_matrix(frame: SingularFrame) -> np.ndarray:
-    """Flattened state matrix reassembled from its singular frame."""
-    r = frame.r
-    return (frame.u_full[:, :r] * frame.singular_values) @ frame.v_full[
-        :, :r
-    ].conj().T
+def _kron_split(mat: np.ndarray):
+    """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None."""
+    try:
+        return rank1_kron_factor(mat, 2, 2, _DIRECT_PRESCREEN_GAP)
+    except FactorizationError:
+        return None
 
 
 def _intertwiner_family(right: np.ndarray, left: np.ndarray, rtol: float = 1e-9):
@@ -463,14 +381,14 @@ def _degenerate_square_b_candidates(m, mp, t, tq, rng):
 
 
 def _square_qubit_candidates(m, mp, rng):
-    """(B, C) candidates for mp = B m C^T on an invertible 4x4 qubit cut.
+    """Factor candidates for mp = B m C^T on an invertible 4x4 qubit cut.
 
     For each determinant-ratio root the B side sweeps the twisted-square
     intertwiner family; its rank-one realignment points come from the
     probe pencil when the twisted spectrum is simple and from the wedge
     eigen-plane construction when it carries two double eigenvalues.
-    The right factor follows by a linear solve, and every candidate must
-    survive the realignment prescreens.
+    C follows by a linear solve, and a candidate is proposed when both B
+    and C split into Kronecker factors.
     """
     j4 = _QUBIT_PAIR_FORM
     t = m @ j4 @ m.T @ j4
@@ -497,14 +415,12 @@ def _square_qubit_candidates(m, mp, rng):
         for b in bs:
             if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
                 continue
-            s_b = np.linalg.svd(realign(b, 2, 2), compute_uv=False)
-            if sigma_ratio(s_b, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
+            left = _kron_split(b)
+            if left is None:
                 continue
-            ct = np.linalg.solve(m, np.linalg.solve(b, mp))
-            s_ct = np.linalg.svd(realign(ct, 2, 2), compute_uv=False)
-            if sigma_ratio(s_ct, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
-                continue
-            out.append((b, ct.T))
+            right = _kron_split(np.linalg.solve(m, np.linalg.solve(b, mp)).T)
+            if right is not None:
+                out.append(left + right)
     return out
 
 
@@ -577,7 +493,7 @@ def _right_tuple_solve(rs, ts, rng, attempts=6):
 
 
 def _mixed_pair_candidates(m, mp, rng):
-    """(B, C) candidates for a full-row-rank (2,2) x (3,3) flattening."""
+    """Factor candidates for a full-row-rank (2,2) x (3,3) flattening."""
     n_mat = _row_pair_covariant(m)
     n_mat_p = _row_pair_covariant(mp)
     det_n = np.linalg.det(n_mat)
@@ -598,16 +514,14 @@ def _mixed_pair_candidates(m, mp, rng):
             b = y.T
             if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
                 continue
-            s_b = np.linalg.svd(realign(b, 2, 2), compute_uv=False)
-            if sigma_ratio(s_b, 1, **_GAP_EDGES) > _DIRECT_PRESCREEN_GAP:
+            left = _kron_split(b)
+            if left is None:
                 continue
             xi = np.linalg.solve(b, mp)
             ts = [xi[i, :].reshape(3, 3) for i in range(4)]
-            got = _right_tuple_solve(rs, ts, rng)
-            if got is None:
-                continue
-            c3, c4 = got
-            out.append((b, np.kron(c3, c4)))
+            right = _right_tuple_solve(rs, ts, rng)
+            if right is not None:
+                out.append(left + right)
     return out
 
 
@@ -707,37 +621,40 @@ def _congruence(x, xp, rtol=1e-9):
     return left, right
 
 
-def _rank1_flat_candidates(m, mp, left, right):
-    """(B, C) candidate for a rank-one flattening at any cut shape.
+def _rank1_flat_candidates(frame, frame_prime):
+    """Factor candidate for a rank-one flattening at any cut shape.
 
-    Both sides decouple: B carries the folded column direction onto its
-    primed image and C the folded conjugate row direction, each through
-    an exact congruence; a rank mismatch between the folds means the
-    relation has no Kronecker solution and yields no candidate.
+    Both sides decouple: the row factors carry the folded column
+    direction onto its primed image and the column factors the folded
+    conjugate row direction, each through an exact congruence; a rank
+    mismatch between the folds means the relation has no Kronecker
+    solution and yields no candidate.
     """
-    wu, su, vhu = np.linalg.svd(m)
-    wp, sp, vhp = np.linalg.svd(mp)
-    got_u = _congruence(wu[:, 0].reshape(left), wp[:, 0].reshape(left))
-    got_v = _congruence(vhu[0].reshape(right), vhp[0].reshape(right))
+    left, right = frame.left_dims, frame.right_dims
+    got_u = _congruence(
+        frame.u_full[:, 0].reshape(left), frame_prime.u_full[:, 0].reshape(left)
+    )
+    got_v = _congruence(
+        frame.v_full[:, 0].conj().reshape(right),
+        frame_prime.v_full[:, 0].conj().reshape(right),
+    )
     if got_u is None or got_v is None:
         return []
-    a1, a2 = got_u
-    a3, a4 = got_v
-    return [(np.kron(a1, a2) * (sp[0] / su[0]), np.kron(a3, a4))]
+    return [got_u + got_v]
 
 
 def _between(src, dst, a=np.eye(2), b=np.eye(2)):
-    """Kronecker map ``(N1'^-1 a N1) (x) (N2'^-1 b N2)`` between normal forms.
+    """Factors ``(N1'^-1 a N1, N2'^-1 b N2)`` of a map between normal forms.
 
     ``src`` and ``dst`` are ``(N1, N2, form)`` and ``(N1', N2', form)``; when
-    (a, b) preserves the normal span, the map carries the span ``src`` was
-    taken from onto the span of ``dst``.
+    (a, b) preserves the normal span, the Kronecker product of the factors
+    carries the span ``src`` was taken from onto the span of ``dst``.
     """
-    return np.kron(np.linalg.solve(dst[0], a @ src[0]), np.linalg.solve(dst[1], b @ src[1]))
+    return np.linalg.solve(dst[0], a @ src[0]), np.linalg.solve(dst[1], b @ src[1])
 
 
-def _rank2_square_candidates(m, mp, rng):
-    """(B, C) candidates for a rank-two qubit-pair by qubit-pair cut.
+def _rank2_square_candidates(frame, frame_prime, rng):
+    """Factor candidates for a rank-two qubit-pair by qubit-pair cut.
 
     Each state's column and row spans go to their normal forms, giving
     ``(N1 (x) N2) M (N3 (x) N4)^T = S_c k S_r^T`` with the normal bases
@@ -748,13 +665,13 @@ def _rank2_square_candidates(m, mp, rng):
     point of each nullspace is lifted back to Kronecker factors.
     """
     forms = []
-    for mat in (m, mp):
-        w, _, vh = np.linalg.svd(mat)
-        col = _pencil_normal_form(w[:, 0].reshape(2, 2), w[:, 1].reshape(2, 2))
-        row = _pencil_normal_form(vh[0].reshape(2, 2), vh[1].reshape(2, 2))
+    for f in (frame, frame_prime):
+        u, v = f.u_full, f.v_full.conj()
+        col = _pencil_normal_form(u[:, 0].reshape(2, 2), u[:, 1].reshape(2, 2))
+        row = _pencil_normal_form(v[:, 0].reshape(2, 2), v[:, 1].reshape(2, 2))
         if col is None or row is None:
             return []
-        g = np.kron(col[0], col[1]) @ mat @ np.kron(row[0], row[1]).T
+        g = np.kron(col[0], col[1]) @ f.reconstruct() @ np.kron(row[0], row[1]).T
         core = np.linalg.pinv(col[2].basis) @ g @ np.linalg.pinv(row[2].basis).T
         forms.append((col, row, core))
     (col, row, k), (col_p, row_p, k_p) = forms
@@ -769,7 +686,7 @@ def _rank2_square_candidates(m, mp, rng):
             )
             _, s, vh = np.linalg.svd(system)
             # Keep at least the smallest singular vector, so a noisy pair
-            # still puts its best candidate through the gate.
+            # still proposes its best candidate for verification.
             rank = min(int(np.sum(s > 1e-8 * s[0])), len(vh) - 1)
             null = vh[rank:].conj()
             mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
@@ -782,26 +699,27 @@ def _rank2_square_candidates(m, mp, rng):
             margins = sigma_ratio(np.linalg.svd(np.stack([sigma, rho_c]), compute_uv=False))
             if margins.min() < 1e-10:
                 continue
-            b = _between(col, col_p, *lift_c(rho_c))
-            c = _between(row, row_p, *lift_r(np.linalg.inv(sigma).T))
-            out.append((b, c))
+            out.append(
+                _between(col, col_p, *lift_c(rho_c))
+                + _between(row, row_p, *lift_r(np.linalg.inv(sigma).T))
+            )
     return out
 
 
 def _single_kron_candidates(u_full, u_prime_full, r):
-    """Kronecker maps carrying one slice span onto the other, on a 2x2 split.
+    """Factor pairs carrying one slice span onto the other, on a 2x2 split.
 
     The spans are those of the first ``r`` frame columns, folded to 2x2
     matrices. They are matched through the one slice at rank one, the
     pencil normal forms at rank two and the annihilator, the conjugate
     of the complement column, at rank three; at rank four the identity
-    will do. The coupling block absorbs the basis inside each span.
+    will do.
     """
     def folded(frame, j):
         return frame[:, j].reshape(2, 2)
 
     if r == 4:
-        return [np.eye(4, dtype=complex)]
+        return [(np.eye(2, dtype=complex), np.eye(2, dtype=complex))]
     if r == 2:
         src = _pencil_normal_form(folded(u_full, 0), folded(u_full, 1))
         dst = _pencil_normal_form(folded(u_prime_full, 0), folded(u_prime_full, 1))
@@ -810,17 +728,17 @@ def _single_kron_candidates(u_full, u_prime_full, r):
         return [_between(src, dst)]
     if r == 1:
         got = _congruence(folded(u_full, 0), folded(u_prime_full, 0))
-        return [] if got is None else [np.kron(*got)]
+        return [] if got is None else [got]
     # At rank three the span is the annihilator of Y, the conjugate
     # complement column; L Y R^T = Y' there is (L^-T, R^-T) on the spans.
     got = _congruence(folded(u_full, 3).conj(), folded(u_prime_full, 3).conj())
     if got is None:
         return []
-    return [np.kron(np.linalg.inv(got[0]).T, np.linalg.inv(got[1]).T)]
+    return [(np.linalg.inv(got[0]).T, np.linalg.inv(got[1]).T)]
 
 
 def _direct_flat_candidates(frame, frame_prime, rng):
-    """Spectral (B, C) candidates for the flattening relation, or [].
+    """Factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings, or [].
 
     Dispatches on the cut geometry. Invertible qubit-pair-by-qubit-pair
     flattenings use the twisted-square similarity; full-row-rank cuts
@@ -832,87 +750,46 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     r = frame.r
     left = frame.left_dims
     right = frame.right_dims
-    m = _flat_matrix(frame)
-    mp = _flat_matrix(frame_prime)
     if r == 1:
-        return _rank1_flat_candidates(m, mp, left, right)
+        return _rank1_flat_candidates(frame, frame_prime)
     if left == (2, 2) and right == (2, 2) and r == 2:
-        return _rank2_square_candidates(m, mp, rng)
-    if left == (2, 2) and right == (2, 2) and r == 4:
+        return _rank2_square_candidates(frame, frame_prime, rng)
+    if r != 4:
+        return []
+    m, mp = frame.reconstruct(), frame_prime.reconstruct()
+    if left == (2, 2) and right == (2, 2):
         return _square_qubit_candidates(m, mp, rng)
-    if left == (2, 2) and right == (3, 3) and r == 4:
+    if left == (2, 2) and right == (3, 3):
         return _mixed_pair_candidates(m, mp, rng)
-    if left == (3, 3) and right == (2, 2) and r == 4:
+    if left == (3, 3) and right == (2, 2):
         swapped = _mixed_pair_candidates(m.T, mp.T, rng)
-        return [(c, b) for b, c in swapped]
+        return [cand[2:] + cand[:2] for cand in swapped]
     return []
 
 
-def _coupling_blocks_from_operators(b, c, frame, frame_prime):
-    """Candidate coupling blocks induced by explicit flattening factors.
+def _kron_margin(a: np.ndarray, b: np.ndarray) -> float:
+    """sigma_min/sigma_max of ``kron(a, b)``, the product of the factors' ratios."""
+    s = [np.linalg.svd(m, compute_uv=False) for m in (a, b)]
+    return sigma_ratio(s[0]) * sigma_ratio(s[1])
 
-    Inverts the recovery maps: the U side conjugates B^{-1} into the
-    frame bases, the V side conjugates conj(C)^{-1}. Block-triangularity
-    is enforced by construction (the dropped corner vanishes for true
-    factors) and re-checked by the caller through the residual gate.
+
+def _above_floor(candidates) -> SolveOutcome:
+    """Outcome keeping the candidates whose every side clears the floor.
+
+    A candidate's factors come in pairs, one pair per side of the
+    relation; each pair's Kronecker product must have a margin of at
+    least ``CANDIDATE_MARGIN_RTOL``.
     """
-    r = frame.r
-    pt_full = frame.u_full.conj().T @ np.linalg.solve(b, frame_prime.u_full)
-    qt_full = frame.v_full.conj().T @ np.linalg.solve(
-        np.conj(c), frame_prime.v_full
+    kept = tuple(
+        cand
+        for cand in candidates
+        if all(
+            _kron_margin(cand[k], cand[k + 1]) >= CANDIDATE_MARGIN_RTOL
+            for k in range(0, len(cand), 2)
+        )
     )
-    cand_u = PTildeCandidate(
-        P=pt_full[:r, :r], Y=pt_full[:r, r:], P_bar=pt_full[r:, r:]
-    )
-    cand_v = PTildeCandidate(
-        P=qt_full[:r, :r], Y=qt_full[:r, r:], P_bar=qt_full[r:, r:]
-    )
-    return cand_u, cand_v
-
-
-def residual(
-    pt: PTildeCandidate,
-    qt: PTildeCandidate,
-    frames: tuple[SingularFrame, SingularFrame],
-) -> float:
-    """Distance of a candidate pair from certifying equivalence.
-
-    Sum over both sides of sigma2/sigma1 of the realigned conjugated
-    frames; zero exactly when both realignments are rank one. ``frames``
-    is (unprimed, primed) in the same order as :func:`solve_ptilde`.
-    """
-    frame, frame_prime = frames
-    r_u = realign(
-        frame.u_full @ pt.assembled @ frame_prime.u_full.conj().T,
-        *frame.left_dims,
-    )
-    r_v = realign(
-        frame.v_full @ qt.assembled @ frame_prime.v_full.conj().T,
-        *frame.right_dims,
-    )
-    s_u = np.linalg.svd(r_u, compute_uv=False)
-    s_v = np.linalg.svd(r_v, compute_uv=False)
-    return sigma_ratio(s_u, 1, **_GAP_EDGES) + sigma_ratio(s_v, 1, **_GAP_EDGES)
-
-
-def _single_residual(cand: PTildeCandidate, u_full, u_prime_full, split) -> float:
-    """Rank-one gap of the single-sided realignment, as in :func:`residual`."""
-    realigned = realign(u_full @ cand.assembled @ u_prime_full.conj().T, *split)
-    return sigma_ratio(np.linalg.svd(realigned, compute_uv=False), 1, **_GAP_EDGES)
-
-
-def _first_passing(gated, config: SolverConfig) -> SolveOutcome:
-    """FOUND at the first (candidate, residual) of ``gated`` within the gate.
-
-    Otherwise EXHAUSTED with the best candidate seen.
-    """
-    best_resid, best = math.inf, None
-    for cand, resid in gated:
-        if resid <= config.residual_tol:
-            return SolveOutcome(SolveStatus.FOUND, cand, resid, restarts_used=0)
-        if resid < best_resid:
-            best_resid, best = resid, cand
-    return SolveOutcome(SolveStatus.EXHAUSTED, best, best_resid, restarts_used=0)
+    status = SolveStatus.FOUND if kept else SolveStatus.EXHAUSTED
+    return SolveOutcome(status, kept, restarts_used=0)
 
 
 def solve_ptilde(
@@ -920,20 +797,20 @@ def solve_ptilde(
     frame_prime: SingularFrame,
     config: SolverConfig,
 ) -> SolveOutcome:
-    """Construct the coupling pair certifying frame -> frame_prime.
+    """Construct local operators relating frame to frame_prime.
 
-    ``frame`` belongs to the unprimed state (the one the recovered
-    operators act on) and ``frame_prime`` to its image. On FOUND the
-    candidate pair (U side, V side) satisfies ``residual(...) <=
-    config.residual_tol`` with all square blocks invertible at margin
-    ``CANDIDATE_MARGIN_RTOL``.
+    ``frame`` belongs to the unprimed state (the one the operators act
+    on) and ``frame_prime`` to its image. Each candidate
+    ``(A_l1, A_l2, A_r1, A_r2)`` proposes
+    ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T`` for the two flattenings,
+    with both Kronecker products invertible at margin
+    ``CANDIDATE_MARGIN_RTOL``; none is verified here.
 
     Candidates come from closed-form constructions for rank-one
     flattenings of any shape, rank-two and invertible flattenings with
     qubit pairs on both sides, and invertible qubit-pair-by-qutrit-pair
-    flattenings. Any other geometry, and any pair no candidate certifies,
-    is EXHAUSTED at once; that is never evidence of inequivalence.
-    ``restarts_used`` is always 0.
+    flattenings. Any other geometry is EXHAUSTED at once; that is never
+    evidence of inequivalence. ``restarts_used`` is always 0.
     """
     if frame.r != frame_prime.r:
         raise ValueError(
@@ -948,14 +825,7 @@ def solve_ptilde(
     ):
         raise ValueError("frames live on different spaces")
     rng = np.random.default_rng((config.rng_seed, 0))
-
-    def gated():
-        for b, c in _direct_flat_candidates(frame, frame_prime, rng):
-            pair = _coupling_blocks_from_operators(b, c, frame, frame_prime)
-            if min(pair[0].min_margin(), pair[1].min_margin()) >= CANDIDATE_MARGIN_RTOL:
-                yield pair, residual(*pair, (frame, frame_prime))
-
-    return _first_passing(gated(), config)
+    return _above_floor(_direct_flat_candidates(frame, frame_prime, rng))
 
 
 def solve_ptilde_single(
@@ -965,25 +835,16 @@ def solve_ptilde_single(
     split: tuple[int, int],
     config: SolverConfig,
 ) -> SolveOutcome:
-    """Single-sided variant for tripartite checking (no lambda coupling).
+    """Single-sided variant for tripartite checking.
 
-    Looks for one block upper-triangular candidate making
-    ``realign(U @ P_tilde @ U'^{-1}, *split)`` rank one; the outcome's
-    candidate is a 1-tuple. Only the 2x2 split has a construction, at
-    every rank; other splits are EXHAUSTED at once.
+    Each candidate ``(A_1, A_2)`` proposes a map ``kron(A_1, A_2)``
+    carrying the span of the first ``r`` columns of ``u_full`` onto that
+    of ``u_prime_full``, with the columns folded by ``split``. Only the
+    2x2 split has a construction, at every rank; other splits are
+    EXHAUSTED at once.
     """
     if u_full.shape != u_prime_full.shape:
         raise ValueError("frames live on different spaces")
-
-    def gated():
-        if split != (2, 2):
-            return
-        for m_cand in _single_kron_candidates(u_full, u_prime_full, r):
-            pt_full = u_full.conj().T @ np.linalg.solve(m_cand, u_prime_full)
-            cand = PTildeCandidate(
-                P=pt_full[:r, :r], Y=pt_full[:r, r:], P_bar=pt_full[r:, r:]
-            )
-            if cand.min_margin() >= CANDIDATE_MARGIN_RTOL:
-                yield (cand,), _single_residual(cand, u_full, u_prime_full, split)
-
-    return _first_passing(gated(), config)
+    if split != (2, 2):
+        return _above_floor([])
+    return _above_floor(_single_kron_candidates(u_full, u_prime_full, r))

@@ -125,7 +125,7 @@ def test_criterion_4_cluster_pair(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
-    report(4, f"solver residual {resid:.1e} in {elapsed:.2f}s; closed-form operators verify, exit 0")
+    report(4, f"verify residual {resid:.1e} in {elapsed:.2f}s; closed-form operators verify, exit 0")
 
 
 def test_criterion_5_plant_and_recover_suite():

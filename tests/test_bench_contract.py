@@ -1,0 +1,37 @@
+"""The benchmark's layer trace still finds every name it rebinds.
+
+``bench/spans.py`` wraps public functions by module and name. A rename in
+the package would silently drop a layer from the traced run, so this
+checks the contract from the package side without running the benchmark.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans")
+
+
+def test_every_wrapped_name_resolves(spans):
+    for layer, module, name in spans.WRAPPED:
+        assert callable(getattr(module, name, None)), (layer, module.__name__, name)
+
+
+def test_installed_wraps_and_restores(spans):
+    originals = [(module, name, getattr(module, name)) for _, module, name in spans.WRAPPED]
+    svd = np.linalg.svd
+    with spans.Tracer().installed():
+        for module, name, original in originals:
+            assert getattr(module, name) is not original, name
+        assert np.linalg.svd is not svd
+    for module, name, original in originals:
+        assert getattr(module, name) is original, name
+    assert np.linalg.svd is svd

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from slocceq import solver
 from slocceq.catalog import random_orbit_case
 from slocceq.cli import (
     CERTIFICATE_VERSION,
@@ -128,6 +129,23 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "UNDECIDED" in out
         assert "stage: coupling_search" in out
+        assert "candidates: 0" in out
+        assert "verify residual" not in out
+
+    def test_undecided_after_verification(self, tmp_path, capsys, monkeypatch):
+        # An orbit pair whose only candidate, the identity, does not verify.
+        eye = np.eye(2, dtype=complex)
+        monkeypatch.setattr(solver, "_direct_flat_candidates", lambda *a: [(eye,) * 4])
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 3)
+        write_state_file(tmp_path / "a.state", image)
+        write_state_file(tmp_path / "b.state", state)
+        code = main(["check", str(tmp_path / "a.state"), str(tmp_path / "b.state")])
+        assert code == EXIT_UNDECIDED
+        lines = capsys.readouterr().out.splitlines()
+        assert "stage: verification" in lines
+        assert "candidates: 1" in lines
+        best = [ln for ln in lines if ln.startswith("best verify residual: ")]
+        assert len(best) == 1 and float(best[0].split()[-1]) > 1e-3
 
     def test_restarts_option_removed(self, files, capsys):
         code = main(["check", files["ghz4"], files["w4"], "--restarts", "4"])

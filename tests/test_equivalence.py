@@ -7,7 +7,7 @@ import pytest
 
 from slocceq import decomposition, equivalence
 from slocceq.catalog import random_invertible_ops, random_orbit_case
-from slocceq.decomposition import SingularFrame, StateProfile, triple_state_set
+from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.equivalence import (
     EquivalenceStatus,
     ProbeStatus,
@@ -20,13 +20,8 @@ from slocceq.equivalence import (
     verify_equivalence,
 )
 from slocceq.invariants import invariant_screen
-from slocceq.solver import (
-    PTildeCandidate,
-    SolveOutcome,
-    SolveStatus,
-    SolverConfig,
-    solve_ptilde,
-)
+from slocceq import solver
+from slocceq.solver import CANDIDATE_MARGIN_RTOL, SolverConfig, solve_ptilde
 from slocceq.states import (
     Bipartition,
     PureState,
@@ -39,7 +34,6 @@ from slocceq.tensorops import commutation_matrix, fold, numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
-EMPTY = np.zeros((0, 0), dtype=complex)
 
 
 def random_complex(rng, shape):
@@ -52,18 +46,6 @@ def proportionality(a, b):
     c = np.vdot(vb, va) / np.vdot(vb, vb)
     resid = np.linalg.norm(va - c * vb) / np.linalg.norm(va)
     return c, resid
-
-
-def frame_from_unitary(u, v, sv, dims):
-    return SingularFrame(
-        u_full=np.asarray(u, dtype=complex),
-        v_full=np.asarray(v, dtype=complex),
-        singular_values=np.asarray(sv, dtype=float),
-        r=len(sv),
-        bipartition=CUT_12_34,
-        dims=dims,
-        warnings=(),
-    )
 
 
 def slices_of(state):
@@ -116,6 +98,17 @@ class TestVerifyEquivalence:
         assert resid > 1e-3
 
 
+def recovered(state, image, cut=CUT_12_34):
+    """Operators of the first candidate that verifies, as the check picks them."""
+    _, frame = triple_state_set(state, cut)
+    _, frame_img = triple_state_set(image, cut)
+    for candidate in solve_ptilde(frame, frame_img, CONFIG).candidates:
+        ops = recover_local_operators(cut, candidate)
+        if verify_equivalence(image, state, ops)[0]:
+            return ops
+    raise AssertionError("no candidate verifies")
+
+
 class TestRecoverLocalOperators:
     def test_plant_and_recover_per_party(self):
         # Recovered operators may differ from the planted ones by a
@@ -123,10 +116,7 @@ class TestRecoverLocalOperators:
         # that: the per-party quotient must stabilize the source.
         for seed in range(10):
             state, image, planted = random_orbit_case((2, 2, 2, 2), seed, 10.0)
-            _, frame = triple_state_set(state, CUT_12_34)
-            _, frame_img = triple_state_set(image, CUT_12_34)
-            outcome = solve_ptilde(frame, frame_img, CONFIG)
-            ops, diag = recover_local_operators((frame, frame_img), outcome)
+            ops = recovered(state, image)
             ok, _, resid = verify_equivalence(image, state, ops)
             assert ok and resid < 1e-10, seed
             quotient = [
@@ -136,15 +126,10 @@ class TestRecoverLocalOperators:
             fixed = apply_local_ops(state, quotient)
             _, prop_resid = proportionality(fixed.amps, state.amps)
             assert prop_resid < 1e-8, seed
-            assert diag["row_pair_factor_gap"] < 1e-8
 
     def test_recovered_gauge(self):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 11, 10.0)
-        _, frame = triple_state_set(state, CUT_12_34)
-        _, frame_img = triple_state_set(image, CUT_12_34)
-        ops, _ = recover_local_operators(
-            (frame, frame_img), solve_ptilde(frame, frame_img, CONFIG)
-        )
+        ops = recovered(state, image)
         for mat in ops.ops[:3]:
             assert abs(np.linalg.norm(mat) - 1.0) < 1e-12
             lead = mat.reshape(-1)[np.argmax(np.abs(mat.reshape(-1)))]
@@ -152,11 +137,7 @@ class TestRecoverLocalOperators:
 
     def test_mixed_dimensions(self):
         state, image, planted = random_orbit_case((2, 2, 3, 3), 3, 10.0)
-        _, frame = triple_state_set(state, CUT_12_34)
-        _, frame_img = triple_state_set(image, CUT_12_34)
-        ops, _ = recover_local_operators(
-            (frame, frame_img), solve_ptilde(frame, frame_img, CONFIG)
-        )
+        ops = recovered(state, image)
         assert tuple(m.shape[0] for m in ops.ops) == (2, 2, 3, 3)
         quotient = [
             np.linalg.inv(plant) @ rec
@@ -166,46 +147,58 @@ class TestRecoverLocalOperators:
         _, prop_resid = proportionality(fixed.amps, state.amps)
         assert prop_resid < 1e-8
 
-    def test_outcome_without_candidate_rejected(self):
-        _, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
-        empty_outcome = SolveOutcome(
-            status=SolveStatus.EXHAUSTED,
-            candidate=None,
-            residual=1.0,
-            restarts_used=1,
-        )
-        with pytest.raises(RecoveryError):
-            recover_local_operators((frame, frame), empty_outcome)
-
-    def test_non_kron_candidate_rejected(self):
-        swap = commutation_matrix(2, 2).astype(complex)
-        frame = frame_from_unitary(np.eye(4), np.eye(4), [4.0, 3.0, 2.0, 1.0], (2, 2, 2, 2))
-        cand = PTildeCandidate(P=swap, Y=np.zeros((4, 0)), P_bar=EMPTY)
-        good = PTildeCandidate(P=np.eye(4), Y=np.zeros((4, 0)), P_bar=EMPTY)
-        with pytest.raises(RecoveryError) as info:
-            recover_local_operators((frame, frame), [cand, good])
-        assert info.value.second_singular_value > 0.1
-
-    def test_swapped_pair_flagged(self):
+    def test_factors_land_on_their_parties(self):
         rng = np.random.default_rng(61)
-        swap = commutation_matrix(2, 2).astype(complex)
-        a3 = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        a4 = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        frame = frame_from_unitary(np.eye(4), np.eye(4), [4.0, 3.0, 2.0, 1.0], (2, 2, 2, 2))
-        good = PTildeCandidate(P=np.eye(4), Y=np.zeros((4, 0)), P_bar=EMPTY)
-        q = PTildeCandidate(
-            P=np.linalg.inv(np.kron(a3, a4) @ swap), Y=np.zeros((4, 0)), P_bar=EMPTY
-        )
-        with pytest.raises(RecoveryError) as info:
-            recover_local_operators((frame, frame), [good, q])
-        assert info.value.swapped_pair
+        mats = [random_complex(rng, (2, 2)) + 1.5 * np.eye(2) for _ in range(4)]
+        cut = Bipartition((2, 4), (3, 1))
+        ops = recover_local_operators(cut, mats)
+        for party, mat in zip((2, 4, 3, 1), mats):
+            _, resid = proportionality(ops.ops[party - 1], mat)
+            assert resid < 1e-14, party
 
-    def test_mismatched_cuts_rejected(self):
-        s = make_state("ghz4")
-        _, f1 = triple_state_set(s, CUT_12_34)
-        _, f2 = triple_state_set(s, Bipartition((1, 3), (2, 4)))
-        with pytest.raises(ValueError):
-            recover_local_operators((f1, f2), [None, None])
+    def test_singular_operator_raises_recovery_error(self):
+        singular = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(RecoveryError):
+            recover_local_operators(CUT_12_34, (np.eye(2), singular, np.eye(2), np.eye(2)))
+
+
+class TestInvertibilityFloor:
+    """Candidates below the Kronecker margin floor never reach verification."""
+
+    def orbit_check(self, monkeypatch, candidates):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 4, 10.0)
+        monkeypatch.setattr(solver, "_direct_flat_candidates", lambda *a: candidates)
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        return verdict, verifies[0]
+
+    def test_candidate_below_floor_is_dropped(self, monkeypatch):
+        thin = np.diag([1.0, 1e-9]).astype(complex)
+        assert 1e-9 < CANDIDATE_MARGIN_RTOL
+        eye = np.eye(2, dtype=complex)
+        verdict, verifies = self.orbit_check(monkeypatch, [(eye, thin, eye, eye)])
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "coupling_search"
+        assert verdict.diagnostics["candidates"] == 0
+        assert verifies == 0
+
+    def test_margin_is_taken_over_the_kronecker_product(self, monkeypatch):
+        # Each factor clears the floor alone; their product does not.
+        half = np.diag([1.0, 1e-5]).astype(complex)
+        eye = np.eye(2, dtype=complex)
+        verdict, verifies = self.orbit_check(monkeypatch, [(eye, eye, half, half)])
+        assert verdict.diagnostics["candidates"] == 0
+        assert verifies == 0
+
+    def test_candidate_above_floor_is_verified(self, monkeypatch):
+        thin = np.diag([1.0, 1e-7]).astype(complex)
+        eye = np.eye(2, dtype=complex)
+        verdict, verifies = self.orbit_check(monkeypatch, [(eye, thin, eye, eye)])
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "verification"
+        assert verdict.diagnostics["candidates"] == 1
+        assert verdict.diagnostics["verify_residual"] > 1e-3
+        assert verifies == 1
 
 
 class TestCheckFourpartite:
@@ -355,11 +348,7 @@ class TestOneDecompositionPerState:
         assert list(per_cut) == [cut.label for cut in STANDARD_CUTS]
         for label, diagnostics in per_cut.items():
             assert diagnostics["cut"] == label
-            assert diagnostics["stage"] in (
-                "coupling_search",
-                "operator_recovery",
-                "verification",
-            )
+            assert diagnostics["stage"] in ("coupling_search", "verification")
         assert screens[0] == 3
 
 
@@ -490,6 +479,36 @@ class TestSupportedGeometries:
             assert elapsed < 0.5, (name, seed, elapsed)
 
 
+def noisy(state, rel, seed):
+    """``state`` moved by relative amplitude noise ``rel`` along a seeded direction."""
+    rng = np.random.default_rng(seed)
+    direction = random_complex(rng, state.amps.shape)
+    step = rel * np.linalg.norm(state.amps) / np.linalg.norm(direction)
+    return PureState(state.dims, state.amps + step * direction)
+
+
+def noisy_orbit_verdicts(rel):
+    counts = {status: 0 for status in EquivalenceStatus}
+    for seed in range(20):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), seed)
+        verdict = check_fourpartite_equiv(noisy(image, rel, seed), state, CUT_12_34, CONFIG)
+        counts[verdict.status] += 1
+    return counts
+
+
+class TestNoiseRobustness:
+    """Verification alone decides, so noise far below ``verify_tol`` is accepted."""
+
+    def test_noise_below_verify_tol_is_equivalent(self):
+        counts = noisy_orbit_verdicts(1e-10)
+        assert counts[EquivalenceStatus.INEQUIVALENT] == 0
+        assert counts[EquivalenceStatus.EQUIVALENT] >= 18, counts
+
+    def test_noise_above_verify_tol_is_undecided(self):
+        counts = noisy_orbit_verdicts(1e-6)
+        assert counts[EquivalenceStatus.UNDECIDED] == 20, counts
+
+
 class TestCheckTripartite:
     def test_ghz_vs_w_inequivalent(self):
         verdict = check_tripartite_equiv(
@@ -587,12 +606,8 @@ class TestRankPreservationProbe:
         state, image, _ = random_orbit_case((2, 2, 2, 2), 12, 10.0)
         _, frame = triple_state_set(state, CUT_12_34)
         _, frame_img = triple_state_set(image, CUT_12_34)
-        outcome = solve_ptilde(frame, frame_img, CONFIG)
-        pt = outcome.candidate[0]
-        m_u = np.linalg.inv(
-            frame.u_full @ pt.assembled @ frame_img.u_full.conj().T
-        )
-        result = rank_preservation_probe(m_u, 2, 2)
+        a1, a2, _, _ = solve_ptilde(frame, frame_img, CONFIG).candidates[0]
+        result = rank_preservation_probe(np.kron(a1, a2), 2, 2)
         assert result.status is ProbeStatus.CONSISTENT
 
     def test_shape_guard(self):
