@@ -9,6 +9,7 @@ from slocceq import decomposition, equivalence
 from slocceq.catalog import random_invertible_ops, random_orbit_case
 from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.equivalence import (
+    DEFAULT_VERIFY_TOL,
     EquivalenceStatus,
     ProbeStatus,
     RecoveryError,
@@ -161,6 +162,14 @@ class TestRecoverLocalOperators:
         with pytest.raises(RecoveryError):
             recover_local_operators(CUT_12_34, (np.eye(2), singular, np.eye(2), np.eye(2)))
 
+    def test_gauge_keeps_the_tensor_product(self):
+        rng = np.random.default_rng(62)
+        mats = [random_complex(rng, (2, 2)) + 1.5 * np.eye(2) for _ in range(4)]
+        ops = recover_local_operators(CUT_12_34, mats)
+        expected = np.kron(np.kron(mats[0], mats[1]), np.kron(mats[2], mats[3]))
+        got = np.kron(np.kron(ops.ops[0], ops.ops[1]), np.kron(ops.ops[2], ops.ops[3]))
+        assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
 
 class TestInvertibilityFloor:
     """Candidates below the Kronecker margin floor never reach verification."""
@@ -198,6 +207,38 @@ class TestInvertibilityFloor:
         assert verdict.diagnostics["stage"] == "verification"
         assert verdict.diagnostics["candidates"] == 1
         assert verdict.diagnostics["verify_residual"] > 1e-3
+        assert verifies == 1
+
+
+class TestVerificationDecides:
+    """Candidates are verified in construction order; the first to pass decides."""
+
+    def planted_check(self, monkeypatch, candidates):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 5, 10.0)
+        monkeypatch.setattr(solver, "_direct_flat_candidates", lambda *a: candidates)
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        return verdict, verifies[0]
+
+    def planted_and_broken(self):
+        planted = tuple(random_orbit_case((2, 2, 2, 2), 5, 10.0)[2].ops)
+        broken = planted[:3] + (planted[3] + 1e-3 * np.eye(2),)
+        return planted, broken
+
+    def test_first_verified_candidate_decides(self, monkeypatch):
+        planted, broken = self.planted_and_broken()
+        verdict, verifies = self.planted_check(monkeypatch, [broken, planted, planted])
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert verdict.diagnostics["candidates"] == 3
+        assert verdict.certificate.residual < 1e-10
+        assert verifies == 2
+
+    def test_broken_candidate_is_undecided_at_verification(self, monkeypatch):
+        _, broken = self.planted_and_broken()
+        verdict, verifies = self.planted_check(monkeypatch, [broken])
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "verification"
+        assert verdict.diagnostics["verify_residual"] > DEFAULT_VERIFY_TOL
         assert verifies == 1
 
 

@@ -1,21 +1,31 @@
-"""Unit tests for the coupling-certificate search."""
+"""Unit tests for the local-operator constructions."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from slocceq.catalog import random_orbit_case
-from slocceq.decomposition import SingularFrame, triple_state_set
+from slocceq.catalog import cluster_pair_operators, random_orbit_case
+from slocceq.decomposition import SingularFrame, flatten_bipartition, triple_state_set
 from slocceq.solver import (
+    CANDIDATE_MARGIN_RTOL,
     SolveStatus,
     SolverConfig,
+    _above_floor,
     _binary_quadratic_roots,
+    _kron_margin,
+    _kron_split,
     solve_ptilde,
     solve_ptilde_single,
 )
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
+from slocceq.tensorops import commutation_matrix, sigma_ratio
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
+EYE = np.eye(2, dtype=complex)
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -49,6 +59,106 @@ class TestSolverConfig:
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverConfig(rng_seed=0, restarts=0)
+
+    def test_two_settable_fields(self):
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == ["rng_seed", "restarts"]
+
+
+class TestKronMargin:
+    def test_equals_margin_of_the_product(self):
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            a, b = random_complex(rng, (2, 2)), random_complex(rng, (3, 3))
+            s = np.linalg.svd(np.kron(a, b), compute_uv=False)
+            assert abs(_kron_margin(a, b) - sigma_ratio(s)) < 1e-12 * sigma_ratio(s)
+
+    def test_singular_factor_gives_zero(self):
+        singular = np.diag([1.0, 0.0]).astype(complex)
+        assert _kron_margin(EYE, singular) == 0.0
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(71)
+        a, b = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
+        margin = _kron_margin(a, b)
+        assert abs(_kron_margin(3.0 * a, -0.01j * b) - margin) < 1e-12 * margin
+
+
+class TestAboveFloor:
+    """The invertibility floor is the solver's only gate on a candidate."""
+
+    def test_keeps_candidates_in_construction_order(self):
+        rng = np.random.default_rng(72)
+        cands = [
+            tuple(random_complex(rng, (2, 2)) + 2.0 * EYE for _ in range(4))
+            for _ in range(3)
+        ]
+        out = _above_floor(cands)
+        assert out.status is SolveStatus.FOUND
+        assert out.restarts_used == 0
+        assert len(out.candidates) == 3
+        for kept, cand in zip(out.candidates, cands):
+            assert all(x is y for x, y in zip(kept, cand))
+
+    def test_every_side_must_clear_the_floor(self):
+        thin = np.diag([1.0, 0.1 * CANDIDATE_MARGIN_RTOL]).astype(complex)
+        good = (EYE, EYE, EYE, EYE)
+        out = _above_floor([(EYE, EYE, EYE, thin), good, (thin, EYE, EYE, EYE)])
+        assert out.status is SolveStatus.FOUND
+        assert len(out.candidates) == 1
+        assert out.candidates[0] is good
+
+    def test_single_sided_pairs_below_floor_exhaust(self):
+        thin = np.diag([1.0, 0.1 * CANDIDATE_MARGIN_RTOL]).astype(complex)
+        out = _above_floor([(EYE, thin), (thin, EYE)])
+        assert out.status is SolveStatus.EXHAUSTED
+        assert out.candidates == ()
+
+
+class TestKronSplit:
+    """Whole 4x4 matrices are split into qubit factors or dropped."""
+
+    def test_product_splits_up_to_scale(self):
+        rng = np.random.default_rng(73)
+        x, y = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
+        got = _kron_split(np.kron(x, y))
+        assert got is not None
+        product = np.kron(*got)
+        target = np.kron(x, y)
+        c = np.vdot(product, target) / np.vdot(product, product)
+        assert np.linalg.norm(target - c * product) < 1e-12 * np.linalg.norm(target)
+
+    def test_swap_gives_none(self):
+        assert _kron_split(commutation_matrix(2, 2).astype(complex)) is None
+
+    def test_prescreen_gap_bounds_the_split(self):
+        rng = np.random.default_rng(74)
+        product = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
+        direction = random_complex(rng, (4, 4))
+        direction *= np.linalg.norm(product) / np.linalg.norm(direction)
+        assert _kron_split(product + 1e-9 * direction) is not None
+        assert _kron_split(product + 1e-3 * direction) is None
+
+
+class TestFlatteningRelation:
+    def test_cluster_pair_operators_fit_the_flattening(self):
+        # Local operators on the state act on its flattening at 12|34 as
+        # M' = (A1 (x) A2) M (A3 (x) A4)^T, the relation every candidate
+        # proposes.
+        ops = cluster_pair_operators(0.6, 0.5, 0.4, 0.3).ops
+        psi2 = make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3))
+        m = flatten_bipartition(psi2, CUT_12_34)
+        mp = flatten_bipartition(make_state("cluster1d"), CUT_12_34)
+        image = np.kron(ops[0], ops[1]) @ m @ np.kron(ops[2], ops[3]).T
+        c = np.vdot(image, mp) / np.vdot(image, image)
+        assert np.linalg.norm(mp - c * image) < 1e-12 * np.linalg.norm(mp)
+
+    def test_cluster_pair_construction_fits_the_flattening(self):
+        _, frame = triple_state_set(make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3)), CUT_12_34)
+        _, frame_p = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        out = solve_ptilde(frame, frame_p, CONFIG)
+        assert out.status is SolveStatus.FOUND
+        assert flat_misfit(out, frame, frame_p) < 1e-10
 
 
 class TestSolvePtilde:
