@@ -230,9 +230,8 @@ def rank1_kron_factor(
         If the realigned matrix is zero or not rank one within ``rtol``.
         The error records the offending second singular value.
     """
-    # The final phase gauge on B fixes the output, so the raw singular
-    # vectors serve; the gauged svd() would only cost its column loops.
-    u, sigma, vh = np.linalg.svd(realign(matrix, dim_left, dim_right), full_matrices=False)
+    r = realign(matrix, dim_left, dim_right)
+    u, sigma, v = svd(r)
     if sigma[0] == 0.0:
         raise FactorizationError("zero matrix has no Kronecker factorization")
     if sigma.size > 1 and sigma[1] > rtol * sigma[0]:
@@ -243,7 +242,7 @@ def rank1_kron_factor(
         )
     scale = np.sqrt(sigma[0])
     b = scale * fold(u[:, 0], dim_left, dim_left)
-    c = scale * fold(vh[0], dim_right, dim_right)
+    c = scale * fold(np.conj(v[:, 0]), dim_right, dim_right)
     ph = _lead_phase(vectorize(b))
     b *= np.conj(ph)
     c *= ph

@@ -209,6 +209,18 @@ class TestInvertibilityFloor:
         assert verdict.diagnostics["verify_residual"] > 1e-3
         assert verifies == 1
 
+    def test_single_sided_candidates_below_floor_exhaust(self, monkeypatch):
+        thin = np.diag([1.0, 1e-9]).astype(complex)
+        eye = np.eye(2, dtype=complex)
+        monkeypatch.setattr(
+            solver, "_single_kron_candidates", lambda *a: [(eye, thin), (thin, eye)]
+        )
+        t = slices_of(make_state("ghz3"))
+        verdict = check_tripartite_equiv(t, t, CONFIG)
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "coupling_search"
+        assert verdict.diagnostics["candidates"] == 0
+
 
 class TestVerificationDecides:
     """Candidates are verified in construction order; the first to pass decides."""
