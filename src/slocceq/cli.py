@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -412,6 +413,27 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
+def _finite_above(bound: float):
+    """argparse type: a finite float strictly greater than ``bound``.
+
+    A rejected value makes argparse name the flag and exit with the parse
+    error code.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value <= bound:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number > {bound:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -422,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slocceq",
         description=(
             "Decide SLOCC equivalence of four-partite pure states via "
-            "triple-state decomposition and coupling-certificate search."
+            "triple-state decomposition and closed-form constructions of local "
+            "operators, each verified on the amplitudes."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state file")
     p.add_argument("--cut", default="12-34", help="cut label: 12-34, 13-24 or 14-23")
     p.add_argument(
-        "--tol", type=float, default=DEFAULT_RTOL, help="relative rank tolerance"
+        "--tol",
+        type=_finite_above(0.0),
+        default=DEFAULT_RTOL,
+        help="relative rank tolerance",
     )
     p.set_defaults(func=cmd_decompose)
 
@@ -449,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol",
-        type=float,
+        type=_finite_above(0.0),
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
     )
@@ -467,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert", help="certificate file")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_finite_above(0.0),
         default=DEFAULT_VERIFY_TOL,
         help="acceptance tolerance on the relative residual",
     )
@@ -486,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="operator seed (default 0)")
     p.add_argument(
         "--cond-cap",
-        type=float,
+        type=_finite_above(1.0),
         default=DEFAULT_CONDITION_CAP,
         help="condition number cap for the drawn operators",
     )

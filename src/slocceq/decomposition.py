@@ -5,8 +5,8 @@ A four-partite state, flattened at a two-versus-two cut, factors as
 and ``V`` back into matrices yields two tripartite states that, together
 with the diagonal of singular values, carry the full SLOCC content of
 the original state at that cut. The remaining columns (the kernel
-complements) are kept as well: the coupling-matrix search needs full
-square frames.
+complements) are kept as well: they fold into the complementary states
+and give the tripartite check its rank-three annihilator.
 """
 
 from __future__ import annotations

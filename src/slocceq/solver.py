@@ -20,10 +20,14 @@ delta pinned up to a fourth root of unity by determinants; inside the
 family, Kronecker points are eigenvectors of a small two-probe pencil.
 When the columns are a pair of qutrits instead of qubits the same
 similarity is manufactured from the cubic form det(fold(M^T x)) on the
-row space: the trace square of its J-twisted Hessian is a quadratic in x
-whose matrix transforms by congruence with B, and J converts that
-congruence into a similarity. Both constructions end with whole 4x4
-matrices, which are split into their Kronecker factors.
+row space. Its symmetric polarization tensor E, built once from the
+folded rows, gives the Hessian as E x; the trace square of the J-twisted
+Hessian is then a quadratic in x whose matrix transforms by congruence
+with B, and J converts that congruence into a similarity. Once B is
+known, the qutrit factors of ``B^{-1} M' = M (G (x) H)^T`` satisfy
+``G S_i = S'_i H^{-T}`` on the folded rows, which is linear in
+(G, H^{-T}) and solved by one nullspace. Both constructions end with a
+whole 4x4 matrix B, which is split into its qubit factors.
 
 At rank two on qubit pairs the column and row spaces fold into
 two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
@@ -110,10 +114,15 @@ class SolveOutcome:
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _QUBIT_PAIR_FORM = np.kron(_EPS2, _EPS2)
 
+# Levi-Civita symbol on three indices: +1 on even, -1 on odd permutations.
+_EPS3 = np.zeros((3, 3, 3))
+_EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+
 # Relative misfit up to which a construction still proposes a candidate:
-# the Kronecker gap of a whole 4x4 matrix, the fit of a right tuple or of
-# a rank-two core. Verification on the amplitudes remains the only
-# acceptance authority.
+# the Kronecker gap of a whole 4x4 matrix, or the misfit of a nullspace
+# point (a right tuple or a rank-two core). Verification on the amplitudes
+# remains the only acceptance authority.
 _DIRECT_PRESCREEN_GAP = 1e-6
 
 
@@ -204,73 +213,21 @@ def _rank1_points_in_family(mats, rng, als_iterations=160):
     return out
 
 
-def _match_spectrum(target, actual, rtol=1e-6):
-    """Permutation p with actual[p[i]] close to target[i], or None."""
-    n = target.size
-    used = np.zeros(n, dtype=bool)
-    perm = np.zeros(n, dtype=int)
-    scale = float(np.max(np.abs(target)) + np.max(np.abs(actual)))
-    if scale == 0.0:
-        return None
-    for i in range(n):
-        dists = np.abs(actual - target[i])
-        dists[used] = np.inf
-        j = int(np.argmin(dists))
-        if dists[j] > rtol * scale * 1e3:
-            return None
-        perm[i] = j
-        used[j] = True
-    return perm
-
-
-def _det3_hessian(slices, x):
-    """Hessian in x of det(sum_k x_k slices[k]) for 3x3 slices, exact.
-
-    Uses the adjugate chain rule with adj(R) = R^2 - tr(R) R + e2(R) I,
-    so every entry is evaluated without finite differencing.
-    """
-    n = len(slices)
-    r = sum(xi * si for xi, si in zip(x, slices))
-    eye3 = np.eye(3)
-    h = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        s = slices[j]
-        dadj = (
-            r @ s
-            + s @ r
-            - np.trace(s) * r
-            - np.trace(r) * s
-            + (np.trace(r) * np.trace(s) - np.trace(r @ s)) * eye3
-        )
-        for i in range(n):
-            h[i, j] = np.trace(dadj @ slices[i])
-    return h
-
-
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
     """Similarity covariant of a (2,2)-row, (3,3)-column flattening.
 
-    Returns N = J Q where Q is the matrix of the quadratic form
-    ``x -> tr((J Hess det fold(m^T x))^2)``. For related flattenings
-    N' = omega B^{-T} N B^T with one unknown scalar omega.
+    With the folded rows S_i, the symmetric polarization
+    ``E_ijk = eps_abc eps_lmn S_i[a,l] S_j[b,m] S_k[c,n]`` of the cubic
+    form gives ``Hess det(sum_k x_k S_k) = E x``, so the quadratic form
+    ``x -> tr((J Hess)^2)`` has matrix ``Q_kl = tr(J E_k J E_l)``.
+    Returns N = J Q; for related flattenings N' = omega B^{-T} N B^T
+    with one unknown scalar omega.
     """
-    slices = [m[i, :].reshape(3, 3) for i in range(m.shape[0])]
-    j4 = _QUBIT_PAIR_FORM
-
-    def scalar(x):
-        n_mat = j4 @ _det3_hessian(slices, x)
-        return np.trace(n_mat @ n_mat)
-
-    n = m.shape[0]
-    q = np.zeros((n, n), dtype=complex)
-    basis = np.eye(n)
-    for i in range(n):
-        q[i, i] = scalar(basis[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = (scalar(basis[i] + basis[j]) - q[i, i] - q[j, j]) / 2.0
-            q[i, j] = q[j, i] = val
-    return j4 @ q
+    s = m.reshape(-1, 3, 3)
+    half = np.einsum("abc,ial,jbm->ijlmc", _EPS3, s, s)
+    e = np.einsum("ijlmc,lmn,kcn->ijk", half, _EPS3, s)
+    je = np.einsum("ab,bck->ack", _QUBIT_PAIR_FORM, e)
+    return _QUBIT_PAIR_FORM @ np.einsum("abk,bal->kl", je, je)
 
 
 def _binary_quadratic_roots(a, b, c, rtol):
@@ -424,72 +381,43 @@ def _square_qubit_candidates(m, mp, rng):
     return out
 
 
-def _right_tuple_solve(rs, ts, rng, attempts=6):
+def _nullspace_point(system: np.ndarray, rng):
+    """Seeded random point of the numerical nullspace of ``system``, or None.
+
+    The nullspace keeps at least the smallest right singular vector, so a
+    noisy system still proposes its best point for verification. The
+    point is dropped when its relative misfit
+    ``|system x| / (sigma_max |x|)`` exceeds ``_DIRECT_PRESCREEN_GAP``.
+    """
+    _, s, vh = np.linalg.svd(system)
+    rank = min(int(np.sum(s > 1e-8 * s[0])), len(vh) - 1)
+    null = vh[rank:].conj()
+    mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
+    point = mix @ null
+    misfit = np.linalg.norm(system @ point) / (s[0] * np.linalg.norm(point))
+    return None if misfit > _DIRECT_PRESCREEN_GAP else point
+
+
+def _right_tuple_solve(rs, ts, rng):
     """(G, H) with G @ rs[i] @ H.T = ts[i] for all i, or None.
 
-    Pair quotients of generic slice combinations eliminate H and leave a
-    similarity for G; the eigenvector correspondence determines G up to
-    a diagonal, and a third combination pins the diagonal ratios.
+    With ``K = H^-T`` the relation reads ``G rs[i] = ts[i] K``, linear in
+    (G, K), so one nullspace over the stacked slices gives both factors.
+    Returns None when the point misfits or K falls below the
+    invertibility floor.
     """
     d = rs[0].shape[0]
-    count = len(rs)
-    for _ in range(attempts):
-        combos = [
-            rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            for _ in range(3)
-        ]
-        mix_r = [sum(c * r for c, r in zip(cv, rs)) for cv in combos]
-        mix_t = [sum(c * t for c, t in zip(cv, ts)) for cv in combos]
-        pivots = np.stack([mix_r[1], mix_t[1]])
-        if sigma_ratio(np.linalg.svd(pivots, compute_uv=False)).min() < 1e-10:
-            continue
-        quot_r = np.linalg.solve(mix_r[1].T, mix_r[0].T).T
-        quot_t = np.linalg.solve(mix_t[1].T, mix_t[0].T).T
-        mu, evec = np.linalg.eig(quot_r)
-        mu_t, evec_t = np.linalg.eig(quot_t)
-        perm = _match_spectrum(mu, mu_t)
-        if perm is None:
-            continue
-        evec_t = evec_t[:, perm]
-        pin_r = np.linalg.solve(evec, np.linalg.solve(mix_r[1].T, mix_r[2].T).T @ evec)
-        pin_t = np.linalg.solve(
-            evec_t, np.linalg.solve(mix_t[1].T, mix_t[2].T).T @ evec_t
-        )
-        mask = np.abs(pin_r) > 1e-8 * np.max(np.abs(pin_r))
-        np.fill_diagonal(mask, False)
-        ratio = np.where(mask, pin_t / np.where(mask, pin_r, 1.0), 0.0)
-        anchor = int(np.argmax(mask.sum(axis=0)))
-        diag = np.ones(d, dtype=complex)
-        complete = True
-        for i in range(d):
-            if i == anchor:
-                continue
-            if mask[i, anchor]:
-                diag[i] = ratio[i, anchor]
-                continue
-            for j in range(d):
-                if mask[i, j] and mask[j, anchor]:
-                    diag[i] = ratio[i, j] * ratio[j, anchor]
-                    break
-            else:
-                complete = False
-                break
-        if not complete or np.min(np.abs(diag)) == 0.0:
-            continue
-        g = evec_t @ np.diag(diag) @ np.linalg.inv(evec)
-        if sigma_ratio(np.linalg.svd(g, compute_uv=False)) < 1e-12:
-            continue
-        ht = np.linalg.inv(mix_r[1]) @ np.linalg.solve(g, mix_t[1])
-        worst = max(
-            float(
-                np.linalg.norm(g @ r @ ht - t)
-                / max(np.linalg.norm(t), np.finfo(float).tiny)
-            )
-            for r, t in zip(rs, ts)
-        )
-        if worst <= _DIRECT_PRESCREEN_GAP:
-            return g, ht.T
-    return None
+    eye = np.eye(d)
+    system = np.vstack(
+        [np.hstack([np.kron(eye, r.T), -np.kron(t, eye)]) for r, t in zip(rs, ts)]
+    )
+    point = _nullspace_point(system, rng)
+    if point is None:
+        return None
+    g, k = point[: d * d].reshape(d, d), point[d * d :].reshape(d, d)
+    if sigma_ratio(np.linalg.svd(k, compute_uv=False)) < CANDIDATE_MARGIN_RTOL:
+        return None
+    return g, np.linalg.inv(k).T
 
 
 def _mixed_pair_candidates(m, mp, rng):
@@ -684,15 +612,8 @@ def _rank2_square_candidates(frame, frame_prime, rng):
             system = np.column_stack(
                 [(k_p @ q).ravel() for q in basis_s] + [-(p @ k).ravel() for p in basis_c]
             )
-            _, s, vh = np.linalg.svd(system)
-            # Keep at least the smallest singular vector, so a noisy pair
-            # still proposes its best candidate for verification.
-            rank = min(int(np.sum(s > 1e-8 * s[0])), len(vh) - 1)
-            null = vh[rank:].conj()
-            mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
-            coeff = mix @ null
-            misfit = np.linalg.norm(system @ coeff) / (s[0] * np.linalg.norm(coeff))
-            if misfit > _DIRECT_PRESCREEN_GAP:
+            coeff = _nullspace_point(system, rng)
+            if coeff is None:
                 continue
             sigma = sum(ci * q for ci, q in zip(coeff, basis_s))
             rho_c = sum(ci * p for ci, p in zip(coeff[len(basis_s):], basis_c))

@@ -338,6 +338,38 @@ class TestCertificateFiles:
             read_certificate_file(path)
 
 
+class TestNumericFlags:
+    """Tolerances and condition caps outside their domain are parse errors."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "{ghz4}", "{ghz4}", "--tol", "nan", "--json"], "--tol"),
+            (["check", "{ghz4}", "{ghz4}", "--tol", "-1"], "--tol"),
+            (["check", "{ghz4}", "{ghz4}", "--tol", "0"], "--tol"),
+            (["check", "{ghz4}", "{ghz4}", "--tol", "inf"], "--tol"),
+            (["verify", "{ghz4}", "{ghz4}", "{ghz4}", "--tol", "-1"], "--tol"),
+            (["decompose", "{ghz4}", "--tol", "nan"], "--tol"),
+            (["orbit", "{ghz4}", "--cond-cap", "0.5", "--out", "{dir}/o"], "--cond-cap"),
+            (["orbit", "{ghz4}", "--cond-cap", "1", "--out", "{dir}/o"], "--cond-cap"),
+            (["orbit", "{ghz4}", "--cond-cap", "inf", "--out", "{dir}/o"], "--cond-cap"),
+            (["orbit", "{ghz4}", "--cond-cap", "many", "--out", "{dir}/o"], "--cond-cap"),
+        ],
+    )
+    def test_rejected_with_the_flag_named(self, files, capsys, argv, flag):
+        assert main([arg.format(**files) for arg in argv]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_values_in_domain_accepted(self, files, tmp_path, capsys):
+        code = main(["check", files["ghz4"], files["ghz4"], "--tol", "1e-6", "--json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
+        out = tmp_path / "orb"
+        assert main(["orbit", files["ghz4"], "--cond-cap", "1.5", "--out", str(out)]) == EXIT_OK
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK

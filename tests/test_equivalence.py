@@ -540,12 +540,13 @@ def noisy(state, rel, seed):
     return PureState(state.dims, state.amps + step * direction)
 
 
-def noisy_orbit_verdicts(rel):
+def noisy_orbit_verdicts(rel, dims_list=((2, 2, 2, 2),)):
     counts = {status: 0 for status in EquivalenceStatus}
-    for seed in range(20):
-        state, image, _ = random_orbit_case((2, 2, 2, 2), seed)
-        verdict = check_fourpartite_equiv(noisy(image, rel, seed), state, CUT_12_34, CONFIG)
-        counts[verdict.status] += 1
+    for dims in dims_list:
+        for seed in range(20):
+            state, image, _ = random_orbit_case(dims, seed)
+            verdict = check_fourpartite_equiv(noisy(image, rel, seed), state, CUT_12_34, CONFIG)
+            counts[verdict.status] += 1
     return counts
 
 
@@ -556,6 +557,11 @@ class TestNoiseRobustness:
         counts = noisy_orbit_verdicts(1e-10)
         assert counts[EquivalenceStatus.INEQUIVALENT] == 0
         assert counts[EquivalenceStatus.EQUIVALENT] >= 18, counts
+
+    def test_mixed_pair_noise_below_verify_tol_is_equivalent(self):
+        counts = noisy_orbit_verdicts(1e-10, ((2, 2, 3, 3), (3, 3, 2, 2)))
+        assert counts[EquivalenceStatus.INEQUIVALENT] == 0
+        assert counts[EquivalenceStatus.EQUIVALENT] >= 30, counts
 
     def test_noise_above_verify_tol_is_undecided(self):
         counts = noisy_orbit_verdicts(1e-6)

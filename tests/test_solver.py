@@ -8,9 +8,12 @@ from slocceq.decomposition import SingularFrame, triple_state_set
 from slocceq.solver import (
     SolveStatus,
     SolverConfig,
+    _QUBIT_PAIR_FORM,
     _binary_quadratic_roots,
     _kron_margin,
     _kron_split,
+    _right_tuple_solve,
+    _row_pair_covariant,
     solve_ptilde,
     solve_ptilde_single,
 )
@@ -99,6 +102,82 @@ class TestKronSplit:
         direction *= np.linalg.norm(product) / np.linalg.norm(direction)
         assert _kron_split(product + 1e-9 * direction) is not None
         assert _kron_split(product + 1e-3 * direction) is None
+
+
+def scale_fit_misfit(got, target):
+    """Relative misfit of ``target ≈ c got`` over a list of matrices, best complex c."""
+    got, target = np.stack(got), np.stack(target)
+    c = np.vdot(got, target) / np.vdot(got, got)
+    return np.linalg.norm(target - c * got) / np.linalg.norm(target)
+
+
+class TestRowPairCovariant:
+    """The det-form covariant of a (2,2)-row, (3,3)-column flattening."""
+
+    def test_transforms_by_similarity(self):
+        rng = np.random.default_rng(75)
+        for _ in range(5):
+            m = random_complex(rng, (4, 9))
+            b = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
+            g, h = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+            n_mat = _row_pair_covariant(m)
+            n_img = _row_pair_covariant(b @ m @ np.kron(g, h).T)
+            predicted = np.linalg.inv(b).T @ n_mat @ b.T
+            assert scale_fit_misfit([predicted], [n_img]) < 1e-10
+
+    def test_quadratic_form_is_trace_square_of_twisted_hessian(self):
+        rng = np.random.default_rng(76)
+        m = random_complex(rng, (4, 9))
+        q = _QUBIT_PAIR_FORM @ _row_pair_covariant(m)
+        eye = np.eye(4)
+        step = 0.5
+
+        def cubic(x):
+            return np.linalg.det((m.T @ x).reshape(3, 3))
+
+        for _ in range(2):
+            x = rng.standard_normal(4)
+            # Central second differences are exact for a cubic.
+            hess = np.array(
+                [
+                    [
+                        (
+                            cubic(x + step * (eye[i] + eye[j]))
+                            - cubic(x + step * (eye[i] - eye[j]))
+                            - cubic(x - step * (eye[i] - eye[j]))
+                            + cubic(x - step * (eye[i] + eye[j]))
+                        )
+                        / (4.0 * step**2)
+                        for j in range(4)
+                    ]
+                    for i in range(4)
+                ]
+            )
+            twisted = _QUBIT_PAIR_FORM @ hess
+            expected = np.trace(twisted @ twisted)
+            assert abs(x @ q @ x - expected) < 1e-10 * abs(expected)
+
+
+class TestRightTupleSolve:
+    """The qutrit factors of the mixed construction come from one linear solve."""
+
+    def test_recovers_planted_factors(self):
+        rng = np.random.default_rng(77)
+        for _ in range(5):
+            rs = [random_complex(rng, (3, 3)) for _ in range(4)]
+            g, h = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+            ts = [g @ r @ h.T for r in rs]
+            got = _right_tuple_solve(rs, ts, rng)
+            assert got is not None
+            g_got, h_got = got
+            assert scale_fit_misfit([g_got @ r @ h_got.T for r in rs], ts) < 1e-10
+
+    def test_unrelated_slices_give_none(self):
+        rng = np.random.default_rng(78)
+        for _ in range(5):
+            rs = [random_complex(rng, (3, 3)) for _ in range(4)]
+            ts = [random_complex(rng, (3, 3)) for _ in range(4)]
+            assert _right_tuple_solve(rs, ts, rng) is None
 
 
 class TestFlatteningRelation:
@@ -234,14 +313,15 @@ class TestSolvePtilde:
             solve_ptilde(f_ghz, f_cluster, CONFIG)
 
     def test_deterministic_given_seed(self):
-        state, image, _ = random_orbit_case((2, 2, 2, 2), 9, 20.0)
-        _, frame = triple_state_set(state, CUT_12_34)
-        _, frame_image = triple_state_set(image, CUT_12_34)
-        out1 = solve_ptilde(frame, frame_image, CONFIG)
-        out2 = solve_ptilde(frame, frame_image, CONFIG)
-        assert len(out1.candidates) == len(out2.candidates) > 0
-        for cand1, cand2 in zip(out1.candidates, out2.candidates):
-            assert all(np.array_equal(a, b) for a, b in zip(cand1, cand2))
+        for dims in [(2, 2, 2, 2), (2, 2, 3, 3)]:
+            state, image, _ = random_orbit_case(dims, 9, 20.0)
+            _, frame = triple_state_set(state, CUT_12_34)
+            _, frame_image = triple_state_set(image, CUT_12_34)
+            out1 = solve_ptilde(frame, frame_image, CONFIG)
+            out2 = solve_ptilde(frame, frame_image, CONFIG)
+            assert len(out1.candidates) == len(out2.candidates) > 0, dims
+            for cand1, cand2 in zip(out1.candidates, out2.candidates):
+                assert all(np.array_equal(a, b) for a, b in zip(cand1, cand2)), dims
 
 
 class TestSolvePtildeSingle:
