@@ -12,22 +12,26 @@ without a construction is reported EXHAUSTED at once.
 
 On a qubit pair the antisymmetric form eps satisfies
 ``A^T eps A = det(A) eps`` for every 2x2 operator A, so with
-``J = kron(eps, eps)`` the twisted square ``T(M) = M J M^T J`` of an
-invertible flattening obeys ``T(M') = delta B T(M) B^{-1}`` whenever
-``M' = B M C^T`` with Kronecker B and C. The left factor therefore lives
-in a Sylvester intertwiner family computable by one nullspace, with
-delta pinned up to a fourth root of unity by determinants; inside the
-family, Kronecker points are eigenvectors of a small two-probe pencil.
-When the columns are a pair of qutrits instead of qubits the same
-similarity is manufactured from the cubic form det(fold(M^T x)) on the
-row space. Its symmetric polarization tensor E, built once from the
-folded rows, gives the Hessian as E x; the trace square of the J-twisted
-Hessian is then a quadratic in x whose matrix transforms by congruence
-with B, and J converts that congruence into a similarity. Once B is
-known, the qutrit factors of ``B^{-1} M' = M (G (x) H)^T`` satisfy
-``G S_i = S'_i H^{-T}`` on the folded rows, which is linear in
-(G, H^{-T}) and solved by one nullspace. Both constructions end with a
-whole 4x4 matrix B, which is split into its qubit factors.
+``J = kron(eps, eps)`` the symmetric matrix ``S = M J M^T`` of an
+invertible flattening obeys ``S' = c B S B^T`` whenever ``M' = B M C^T``
+with Kronecker B and C. When the columns are a pair of qutrits instead
+the same congruence comes from the cubic form det(fold(M^T x)) on the
+row space: its symmetric polarization tensor E, built once from the
+folded rows, gives the Hessian as E x, and the trace square of the
+J-twisted Hessian is a quadratic in x whose symmetric matrix Q obeys
+``Q' = c B Q B^T``. Both are solved by one construction. In the magic
+basis the Kronecker products of determinant one are exactly SO(4, C)
+(Verstraete, Dehaene, De Moor & Verschelde, *PRA* 65, 052112, 2002), and
+two similar complex symmetric matrices are similar through the
+orthogonal factor ``W (W^T W)^{-1/2}`` of any intertwiner W (Gantmacher,
+*Theory of Matrices* II, ch. XI). So for each determinant root c one
+Sylvester nullspace gives W, a Denman-Beavers square root gives the
+orthogonal factor, and reflections along eigenvectors supply the rest
+of the orthogonal centralizer; every resulting B is split into qubit
+factors. C then follows by a linear solve on qubit pairs; on
+qutrit pairs ``G S_i = S'_i H^{-T}`` on the folded rows of
+``B^{-1} M' = M (G (x) H)^T`` is linear in (G, H^{-T}) and solved by one
+nullspace.
 
 At rank two on qubit pairs the column and row spaces fold into
 two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
@@ -57,17 +61,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import SingularFrame
-from .tensorops import FactorizationError, rank1_kron_factor, realign, sigma_ratio
+from .tensorops import FactorizationError, rank1_kron_factor, sigma_ratio
 
 # Smallest acceptable sigma_min/sigma_max of each side's Kronecker
 # product. Planted orbits at condition cap 20 give margins above 1e-4;
 # degenerate collapse gives machine-zero margins.
 CANDIDATE_MARGIN_RTOL = 1e-8
-
-# Edge values of the rank-one gap sigma2/sigma1: a zero matrix is as far
-# from rank one as the gap can say, and a matrix with a single row or
-# column is rank one.
-_GAP_EDGES = {"if_zero": 1.0, "if_short": 0.0}
 
 
 class SolveStatus(Enum):
@@ -79,7 +78,7 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Seed of the constructions.
 
-    ``rng_seed`` seeds the probe vectors of the spectral constructions.
+    ``rng_seed`` seeds the random nullspace points the constructions mix.
     ``restarts`` has no effect: every candidate comes from a closed-form
     construction and no randomized search runs. It is still accepted,
     and must be positive, because existing callers such as the
@@ -113,6 +112,9 @@ class SolveOutcome:
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _QUBIT_PAIR_FORM = np.kron(_EPS2, _EPS2)
+# Magic basis as rows: unitary, with _MAGIC^T _MAGIC = _QUBIT_PAIR_FORM.
+_MAGIC = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1j, 1j, 0], [0, 1, -1, 0]])
+_MAGIC = _MAGIC / math.sqrt(2.0)
 
 # Levi-Civita symbol on three indices: +1 on even, -1 on odd permutations.
 _EPS3 = np.zeros((3, 3, 3))
@@ -147,87 +149,21 @@ def _intertwiner_family(right: np.ndarray, left: np.ndarray, rtol: float = 1e-9)
     ]
 
 
-def _rank1_points_in_family(mats, rng, als_iterations=160):
-    """Coefficient vectors making a combination of ``mats`` rank one.
-
-    A rank-one member maps every probe vector into one common column, so
-    when the family has as many members as matrix rows its rank-one
-    points are eigenvectors of the pencil built from two random probes.
-    Other family sizes fall back to a short alternating fit between the
-    family span and the rank-one cone, started from the family
-    projections of every coordinate dyad plus random points scaled to
-    the family size. Both paths only propose candidates; callers must
-    re-validate.
-    """
-    p = len(mats)
-    rows, cols = mats[0].shape
-    if p == rows:
-        for _ in range(3):
-            w1 = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-            w2 = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-            a1 = np.column_stack([m @ w1 for m in mats])
-            a2 = np.column_stack([m @ w2 for m in mats])
-            if sigma_ratio(np.linalg.svd(a1, compute_uv=False)) < 1e-12:
-                continue
-            return list(np.linalg.eig(np.linalg.solve(a1, a2))[1].T)
-    wmat = np.column_stack([m.reshape(-1) for m in mats])
-    starts = []
-    for flat_index in range(rows * cols):
-        dyad = np.zeros(rows * cols, dtype=complex)
-        dyad[flat_index] = 1.0
-        s = np.linalg.lstsq(wmat, dyad, rcond=None)[0]
-        norm = np.linalg.norm(s)
-        if norm > 0.0:
-            starts.append(s / norm)
-    for _ in range(3 * p):
-        s = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        starts.append(s / np.linalg.norm(s))
-    out = []
-    for s in starts:
-        best_gap = math.inf
-        stalled = 0
-        gap = math.inf
-        for _ in range(als_iterations):
-            w, sv, vh = np.linalg.svd(sum(si * mi for si, mi in zip(s, mats)))
-            gap = sigma_ratio(sv, 1, **_GAP_EDGES)
-            trunc = sv[0] * np.outer(w[:, 0], vh[0])
-            if gap <= 1e-12:
-                break
-            if gap < 0.9 * best_gap:
-                best_gap = gap
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= 30:
-                    break
-            s_next = np.linalg.lstsq(wmat, trunc.reshape(-1), rcond=None)[0]
-            norm = np.linalg.norm(s_next)
-            if norm == 0.0:
-                break
-            s = s_next / norm
-        if gap > 1e-7:
-            continue
-        if any(abs(np.vdot(s, seen)) > 1.0 - 1e-9 for seen in out):
-            continue
-        out.append(s)
-    return out
-
-
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
-    """Similarity covariant of a (2,2)-row, (3,3)-column flattening.
+    """Symmetric covariant of a (2,2)-row, (3,3)-column flattening.
 
     With the folded rows S_i, the symmetric polarization
     ``E_ijk = eps_abc eps_lmn S_i[a,l] S_j[b,m] S_k[c,n]`` of the cubic
     form gives ``Hess det(sum_k x_k S_k) = E x``, so the quadratic form
     ``x -> tr((J Hess)^2)`` has matrix ``Q_kl = tr(J E_k J E_l)``.
-    Returns N = J Q; for related flattenings N' = omega B^{-T} N B^T
-    with one unknown scalar omega.
+    Returns Q; for related flattenings ``M' = B M (G (x) H)^T`` it obeys
+    ``Q' = c B Q B^T`` with one unknown scalar c.
     """
     s = m.reshape(-1, 3, 3)
     half = np.einsum("abc,ial,jbm->ijlmc", _EPS3, s, s)
     e = np.einsum("ijlmc,lmn,kcn->ijk", half, _EPS3, s)
     je = np.einsum("ab,bck->ack", _QUBIT_PAIR_FORM, e)
-    return _QUBIT_PAIR_FORM @ np.einsum("abk,bal->kl", je, je)
+    return np.einsum("abk,bal->kl", je, je)
 
 
 def _binary_quadratic_roots(a, b, c, rtol):
@@ -256,128 +192,114 @@ def _binary_quadratic_roots(a, b, c, rtol):
     ]
 
 
-def _sym_root_dirs(x, rtol=1e-8):
-    """Factor directions of a symmetric 2x2 matrix, or None.
+def _sqrtm(z: np.ndarray, steps: int = 30):
+    """Principal square root of ``z``, or None if the iteration stalls.
 
-    A rank-two symmetric X splits as v w^T + w v^T; the factors are the
-    symplectic rotations of the isotropic directions of the associated
-    binary quadratic. Returns None for a repeated direction or a zero
-    matrix.
+    Product form of the Denman-Beavers iteration (Higham, *Functions of
+    Matrices*, 2008, eq. 6.17): ``Y_k^2 = z M_k`` throughout and M_k
+    tends to the identity, so Y_k tends to a primary function of z that
+    commutes with everything z commutes with. One step is taken past
+    ``|M_k - I| <= 1e-10``, where convergence is quadratic.
     """
-    zs = _binary_quadratic_roots(x[0, 0], 2.0 * x[0, 1], x[1, 1], rtol)
-    if zs is None:
-        return None
-    return [_EPS2 @ np.asarray(z, dtype=complex) for z in zs]
+    eye = np.eye(len(z))
+    m, y = z, z
+    for _ in range(steps):
+        done = np.linalg.norm(m - eye) <= 1e-10
+        try:
+            m_inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            return None
+        y = 0.5 * y @ (eye + m_inv)
+        m = 0.5 * eye + 0.25 * (m + m_inv)
+        if done:
+            return y
+    return None
 
 
-def _wedge_sym_parts(basis):
-    """Symmetric wedge components of a two-column 4-vector basis.
+def _polar_orthogonal(w: np.ndarray):
+    """Complex-orthogonal factor ``W sqrt(W^T W)^-1`` of W, or None.
 
-    For a plane in the qubit-pair space the wedge of a basis decomposes
-    into a symmetric 2x2 block per tensor factor; a Kronecker map sends
-    each block to a congruence image under the matching factor. Returns
-    (left block, right block).
+    W is first rotated in phase so that ``tr(W^T W)`` is real positive,
+    which keeps the spectrum of ``W^T W`` off the negative real axis in
+    the usual case; None when the square root does not converge.
     """
-    p_mat = np.outer(basis[:, 0], basis[:, 1])
-    p_mat = p_mat - p_mat.T
-    p4 = p_mat.reshape(2, 2, 2, 2)
-    left = -0.5 * np.einsum("ijkl,jl->ik", p4, _EPS2.T)
-    right = -0.5 * np.einsum("ijkl,ik->jl", p4, _EPS2.T)
-    return left, right
+    trace = np.trace(w.T @ w)
+    w = w * np.sqrt(abs(trace) / trace)
+    root = _sqrtm(w.T @ w)
+    return None if root is None else np.linalg.solve(root.T, w.T).T
 
 
-def _degenerate_square_b_candidates(m, mp, t, tq, rng):
-    """B candidates when the twisted square has two double eigenvalues.
+def _eigen_reflections(a: np.ndarray, rtol: float = 1e-6):
+    """Reflections along the non-isotropic eigenvectors of a symmetric ``a``.
 
-    Kronecker intertwiners must carry the positive eigen-2-plane of the
-    twisted square onto its primed partner, and on the wedge square they
-    act blockwise, so each tensor factor maps the root directions of the
-    plane's symmetric wedge block onto the primed roots. That pins every
-    factor only up to a diagonal rescaling in the root bases, leaving a
-    two-parameter Kronecker family per root pairing; the induced right
-    factor is linear in the reciprocal diagonal, so its rank-one
-    realignment points are recovered with the probe pencil.
+    An eigenvector v with ``v^T v != 0`` has an ``a``-invariant
+    complement, so ``I - 2 v v^T / v^T v`` is complex orthogonal and
+    commutes with ``a``. Vectors are ordered from the least isotropic;
+    those with ``|v^T v| <= rtol`` (eig returns unit vectors) are dropped.
     """
-    mu2 = np.trace(t @ t) / 4.0
-    mu = np.sqrt(mu2)
-    if mu == 0.0:
+    vecs = np.linalg.eig(a)[1].T
+    norms = np.einsum("ij,ij->i", vecs, vecs)
+    order = np.argsort(-np.abs(norms))
+    return [
+        np.eye(len(a)) - 2.0 * np.outer(vecs[i], vecs[i]) / norms[i]
+        for i in order
+        if abs(norms[i]) > rtol
+    ]
+
+
+def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
+    """4x4 matrices B with ``s_p ∝ B s B^T``, for symmetric s and s_p.
+
+    With ``A = P s P^T`` in the magic basis P the relation reads
+    ``A' = c O A O^T`` with O in SO(4, C). For each determinant root c the
+    orthogonal factor of a seeded intertwiner of ``W A = (A'/c) W`` is such
+    an O, because the principal square root of ``W^T W`` commutes with A.
+    Its determinant-one products with reflections along A's eigenvectors
+    cover the orthogonal centralizer of A up to sign when the spectrum is
+    simple, and reach both of its components otherwise. Each
+    ``B = P^-1 O R P`` is proposed.
+    """
+    a, a_p = _MAGIC @ s @ _MAGIC.T, _MAGIC @ s_p @ _MAGIC.T
+    det_a, det_ap = np.linalg.det(a), np.linalg.det(a_p)
+    if det_a == 0.0 or det_ap == 0.0:
         return []
-    eye4 = np.eye(4)
-    if np.linalg.norm(t @ t - mu2 * eye4) > 1e-6 * abs(mu2):
-        return []
-    if np.linalg.norm(tq @ tq - mu2 * eye4) > 1e-6 * abs(mu2):
-        return []
-    basis = np.linalg.svd(t + mu * eye4)[0][:, :2]
-    basis_p = np.linalg.svd(tq + mu * eye4)[0][:, :2]
-    roots = [_sym_root_dirs(blk) for blk in _wedge_sym_parts(basis)]
-    roots_p = [_sym_root_dirs(blk) for blk in _wedge_sym_parts(basis_p)]
-    if any(r is None for r in roots + roots_p):
-        return []
-    m_inv = np.linalg.inv(m)
-    w_left = np.column_stack(roots[0])
-    w_right = np.column_stack(roots[1])
+    c0 = (det_ap / det_a) ** 0.25
     out = []
-    for swap_left in (False, True):
-        lp = roots_p[0][::-1] if swap_left else roots_p[0]
-        for swap_right in (False, True):
-            rp = roots_p[1][::-1] if swap_right else roots_p[1]
-            kw = np.kron(w_left, w_right)
-            kwp = np.kron(np.column_stack(lp), np.column_stack(rp))
-            margins = sigma_ratio(np.linalg.svd(np.stack([kw, kwp]), compute_uv=False))
-            if margins.min() < 1e-10:
-                continue
-            back = np.linalg.solve(kwp, mp)
-            gs = [m_inv @ np.outer(kw[:, i], back[i]) for i in range(4)]
-            fam = [realign(g, 2, 2) for g in gs]
-            for coeff in _rank1_points_in_family(fam, rng):
-                ct = sum(ci * gi for ci, gi in zip(coeff, gs))
-                if sigma_ratio(np.linalg.svd(ct, compute_uv=False)) < 1e-10:
-                    continue
-                out.append(mp @ np.linalg.inv(ct) @ m_inv)
+    for k in range(4):
+        family = _intertwiner_family(a, a_p / (c0 * 1j**k))
+        if not family:
+            continue
+        mix = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
+        o = _polar_orthogonal(sum(ci * xi for ci, xi in zip(mix, family)))
+        # A first orthogonal factor projected back onto the family is a
+        # near-orthogonal W, whose polar step is well conditioned.
+        o = None if o is None else _polar_orthogonal(sum(np.vdot(x, o) * x for x in family))
+        if o is None:
+            continue
+        reflections = _eigen_reflections(a)
+        if np.linalg.det(o).real > 0.0:
+            rs = [np.eye(4)] + [reflections[0] @ r for r in reflections[1:]]
+        else:
+            rs = reflections
+        out.extend(_MAGIC.conj().T @ o @ r @ _MAGIC for r in rs)
     return out
 
 
 def _square_qubit_candidates(m, mp, rng):
     """Factor candidates for mp = B m C^T on an invertible 4x4 qubit cut.
 
-    For each determinant-ratio root the B side sweeps the twisted-square
-    intertwiner family; its rank-one realignment points come from the
-    probe pencil when the twisted spectrum is simple and from the wedge
-    eigen-plane construction when it carries two double eigenvalues.
-    C follows by a linear solve, and a candidate is proposed when both B
-    and C split into Kronecker factors.
+    B comes from the congruence of ``M J M^T`` and C by a linear solve; a
+    candidate is proposed when both split into Kronecker factors.
     """
     j4 = _QUBIT_PAIR_FORM
-    t = m @ j4 @ m.T @ j4
-    tp = mp @ j4 @ mp.T @ j4
-    det_t = np.linalg.det(t)
-    det_tp = np.linalg.det(tp)
-    if det_t == 0.0 or det_tp == 0.0:
-        return []
-    delta0 = (det_tp / det_t) ** 0.25
     out = []
-    for k in range(4):
-        delta = delta0 * np.exp(0.5j * np.pi * k)
-        family = _intertwiner_family(t, tp / delta)
-        if not family:
+    for b in _kron_congruences(m @ j4 @ m.T, mp @ j4 @ mp.T, rng):
+        left = _kron_split(b)
+        if left is None:
             continue
-        if len(family) == 8:
-            bs = _degenerate_square_b_candidates(m, mp, t, tp / delta, rng)
-        else:
-            realigned = [realign(x, 2, 2) for x in family]
-            bs = [
-                sum(ci * xi for ci, xi in zip(coeff, family))
-                for coeff in _rank1_points_in_family(realigned, rng)
-            ]
-        for b in bs:
-            if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
-                continue
-            left = _kron_split(b)
-            if left is None:
-                continue
-            right = _kron_split(np.linalg.solve(m, np.linalg.solve(b, mp)).T)
-            if right is not None:
-                out.append(left + right)
+        right = _kron_split(np.linalg.solve(m, np.linalg.solve(b, mp)).T)
+        if right is not None:
+            out.append(left + right)
     return out
 
 
@@ -421,35 +343,21 @@ def _right_tuple_solve(rs, ts, rng):
 
 
 def _mixed_pair_candidates(m, mp, rng):
-    """Factor candidates for a full-row-rank (2,2) x (3,3) flattening."""
-    n_mat = _row_pair_covariant(m)
-    n_mat_p = _row_pair_covariant(mp)
-    det_n = np.linalg.det(n_mat)
-    det_np = np.linalg.det(n_mat_p)
-    if det_n == 0.0 or det_np == 0.0:
-        return []
-    omega0 = (det_np / det_n) ** 0.25
+    """Factor candidates for a full-row-rank (2,2) x (3,3) flattening.
+
+    B comes from the congruence of the det-form covariant and the qutrit
+    factors from one linear solve on the folded rows of ``B^-1 M'``.
+    """
     rs = [m[i, :].reshape(3, 3) for i in range(4)]
     out = []
-    for k in range(4):
-        omega = omega0 * np.exp(0.5j * np.pi * k)
-        family = _intertwiner_family(n_mat_p, omega * n_mat)
-        if not family:
+    for b in _kron_congruences(_row_pair_covariant(m), _row_pair_covariant(mp), rng):
+        left = _kron_split(b)
+        if left is None:
             continue
-        realigned = [realign(y, 2, 2) for y in family]
-        for coeff in _rank1_points_in_family(realigned, rng):
-            y = sum(ci * yi for ci, yi in zip(coeff, family))
-            b = y.T
-            if sigma_ratio(np.linalg.svd(b, compute_uv=False)) < 1e-10:
-                continue
-            left = _kron_split(b)
-            if left is None:
-                continue
-            xi = np.linalg.solve(b, mp)
-            ts = [xi[i, :].reshape(3, 3) for i in range(4)]
-            right = _right_tuple_solve(rs, ts, rng)
-            if right is not None:
-                out.append(left + right)
+        xi = np.linalg.solve(b, mp)
+        right = _right_tuple_solve(rs, [xi[i, :].reshape(3, 3) for i in range(4)], rng)
+        if right is not None:
+            out.append(left + right)
     return out
 
 
@@ -662,7 +570,7 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     """Factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings, or [].
 
     Dispatches on the cut geometry. Invertible qubit-pair-by-qubit-pair
-    flattenings use the twisted-square similarity; full-row-rank cuts
+    flattenings use the congruence of ``M J M^T``; full-row-rank cuts
     pairing qubits against equal qutrits use the det-form covariant, on
     the transposed relation when the qubit pair sits on the columns.
     Rank-one cuts of any shape reduce to fold congruences, and rank-two

@@ -231,7 +231,8 @@ def rank1_kron_factor(
         The error records the offending second singular value.
     """
     r = realign(matrix, dim_left, dim_right)
-    u, sigma, v = svd(r)
+    # The final gauge on B fixes the phase, so the raw SVD suffices.
+    u, sigma, vh = np.linalg.svd(r)
     if sigma[0] == 0.0:
         raise FactorizationError("zero matrix has no Kronecker factorization")
     if sigma.size > 1 and sigma[1] > rtol * sigma[0]:
@@ -242,7 +243,7 @@ def rank1_kron_factor(
         )
     scale = np.sqrt(sigma[0])
     b = scale * fold(u[:, 0], dim_left, dim_left)
-    c = scale * fold(np.conj(v[:, 0]), dim_right, dim_right)
+    c = scale * fold(vh[0], dim_right, dim_right)
     ph = _lead_phase(vectorize(b))
     b *= np.conj(ph)
     c *= ph

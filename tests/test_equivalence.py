@@ -532,6 +532,111 @@ class TestSupportedGeometries:
             assert elapsed < 0.5, (name, seed, elapsed)
 
 
+def qubit_terms(terms):
+    """Four-qubit state summing ``coeff |bits>`` over ``(bits, coeff)`` pairs."""
+    amps = np.zeros(16, dtype=complex)
+    for bits, coeff in terms:
+        amps[int(bits, 2)] += coeff
+    return PureState((2, 2, 2, 2), amps)
+
+
+def g_abcd(a, b, c, d):
+    return qubit_terms(
+        [("0000", (a + d) / 2), ("1111", (a + d) / 2), ("0011", (a - d) / 2), ("1100", (a - d) / 2)]
+        + [("0101", (b + c) / 2), ("1010", (b + c) / 2), ("0110", (b - c) / 2), ("1001", (b - c) / 2)]
+    )
+
+
+def l_abc2(a, b, c):
+    return qubit_terms(
+        [("0000", (a + b) / 2), ("1111", (a + b) / 2), ("0011", (a - b) / 2), ("1100", (a - b) / 2)]
+        + [("0101", c), ("1010", c), ("0110", 1.0)]
+    )
+
+
+def l_a2b2(a, b):
+    return qubit_terms(
+        [("0000", a), ("1111", a), ("0101", b), ("1010", b), ("0110", 1.0), ("0011", 1.0)]
+    )
+
+
+def l_ab3(a, b):
+    half = 1j / np.sqrt(2.0)
+    return qubit_terms(
+        [("0000", a), ("1111", a), ("0101", (a + b) / 2), ("1010", (a + b) / 2)]
+        + [("0110", (a - b) / 2), ("1001", (a - b) / 2)]
+        + [(bits, half) for bits in ("0001", "0010", "0111", "1011")]
+    )
+
+
+def l_a4(a):
+    return qubit_terms(
+        [("0000", a), ("0101", a), ("1010", a), ("1111", a), ("0001", 1j), ("0110", 1.0), ("1011", -1j)]
+    )
+
+
+def l_a2_0_3_1(a):
+    return qubit_terms([("0000", a), ("1111", a), ("0011", 1.0), ("0101", 1.0), ("0110", 1.0)])
+
+
+def l_0_5_3():
+    return qubit_terms([("0000", 1.0), ("0101", 1.0), ("1000", 1.0), ("1110", 1.0)])
+
+
+def l_0_7_1():
+    return qubit_terms([("0000", 1.0), ("1011", 1.0), ("1101", 1.0), ("1110", 1.0)])
+
+
+def l_0_3_1_0_3_1():
+    return qubit_terms([("0000", 1.0), ("0111", 1.0)])
+
+
+# The nine four-qubit SLOCC families of Verstraete, Dehaene, De Moor and
+# Verschelde, PRA 65, 052112 (2002). The first five are invertible at cut
+# 12-34; the rest have rank three or two at every cut.
+# Each entry is (constructor, number of complex parameters).
+RANK_FOUR_FAMILIES = {
+    "G_abcd": (g_abcd, 4),
+    "L_abc2": (l_abc2, 3),
+    "L_a2b2": (l_a2b2, 2),
+    "L_ab3": (l_ab3, 2),
+    "L_a4": (l_a4, 1),
+}
+LOWER_RANK_FAMILIES = {
+    "L_a2_0(3+1)": (l_a2_0_3_1, 1),
+    "L_0(5+3)": (l_0_5_3, 0),
+    "L_0(7+1)": (l_0_7_1, 0),
+    "L_0(3+1)0(3+1)": (l_0_3_1_0_3_1, 0),
+}
+
+
+def family_verdicts(entry, seed):
+    """All-cuts verdicts of 10 orbit images against their family member."""
+    family, n_params = entry
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for draw in range(10):
+        state = family(*random_complex(rng, (n_params,)))
+        ops = random_invertible_ops((2, 2, 2, 2), (seed, draw))
+        verdicts.append(check_fourpartite_equiv_all_cuts(apply_local_ops(state, ops.ops), state, CONFIG))
+    return verdicts
+
+
+class TestNineFamilies:
+    """Orbit images of each of Verstraete's nine families, through all cuts."""
+
+    @pytest.mark.parametrize("name", list(RANK_FOUR_FAMILIES))
+    def test_rank_four_families_are_equivalent(self, name):
+        verdicts = family_verdicts(RANK_FOUR_FAMILIES[name], 66)
+        statuses = [v.status for v in verdicts]
+        assert statuses == [EquivalenceStatus.EQUIVALENT] * 10, statuses
+
+    @pytest.mark.parametrize("name", list(LOWER_RANK_FAMILIES))
+    def test_lower_rank_families_are_never_inequivalent(self, name):
+        verdicts = family_verdicts(LOWER_RANK_FAMILIES[name], 67)
+        assert all(v.status is not EquivalenceStatus.INEQUIVALENT for v in verdicts)
+
+
 def noisy(state, rel, seed):
     """``state`` moved by relative amplitude noise ``rel`` along a seeded direction."""
     rng = np.random.default_rng(seed)

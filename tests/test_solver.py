@@ -5,15 +5,19 @@ import pytest
 
 from slocceq.catalog import random_orbit_case
 from slocceq.decomposition import SingularFrame, triple_state_set
+from slocceq import solver
 from slocceq.solver import (
     SolveStatus,
     SolverConfig,
+    _MAGIC,
     _QUBIT_PAIR_FORM,
     _binary_quadratic_roots,
+    _kron_congruences,
     _kron_margin,
     _kron_split,
     _right_tuple_solve,
     _row_pair_covariant,
+    _sqrtm,
     solve_ptilde,
     solve_ptilde_single,
 )
@@ -114,21 +118,21 @@ def scale_fit_misfit(got, target):
 class TestRowPairCovariant:
     """The det-form covariant of a (2,2)-row, (3,3)-column flattening."""
 
-    def test_transforms_by_similarity(self):
+    def test_transforms_by_congruence(self):
         rng = np.random.default_rng(75)
         for _ in range(5):
             m = random_complex(rng, (4, 9))
             b = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
             g, h = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
-            n_mat = _row_pair_covariant(m)
-            n_img = _row_pair_covariant(b @ m @ np.kron(g, h).T)
-            predicted = np.linalg.inv(b).T @ n_mat @ b.T
-            assert scale_fit_misfit([predicted], [n_img]) < 1e-10
+            q = _row_pair_covariant(m)
+            q_img = _row_pair_covariant(b @ m @ np.kron(g, h).T)
+            assert np.allclose(q, q.T, rtol=0.0, atol=1e-12 * np.linalg.norm(q))
+            assert scale_fit_misfit([b @ q @ b.T], [q_img]) < 1e-10
 
     def test_quadratic_form_is_trace_square_of_twisted_hessian(self):
         rng = np.random.default_rng(76)
         m = random_complex(rng, (4, 9))
-        q = _QUBIT_PAIR_FORM @ _row_pair_covariant(m)
+        q = _row_pair_covariant(m)
         eye = np.eye(4)
         step = 0.5
 
@@ -156,6 +160,101 @@ class TestRowPairCovariant:
             twisted = _QUBIT_PAIR_FORM @ hess
             expected = np.trace(twisted @ twisted)
             assert abs(x @ q @ x - expected) < 1e-10 * abs(expected)
+
+
+def l_a4_flattening(a):
+    """Flattening at 12-34 of Verstraete's L_a4, whose twisted square is one Jordan block."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0000, 0b0101, 0b1010, 0b1111]] = a
+    amps[[0b0001, 0b0110, 0b1011]] = [1j, 1.0, -1j]
+    return amps.reshape(4, 4)
+
+
+def planted_congruence(rng, s):
+    """A random Kronecker B and the image ``c B s B^T`` with a random scalar c."""
+    b = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
+    return b, random_complex(rng, ()) * b @ s @ b.T
+
+
+def congruence_misfits(cands, s, s_p):
+    """Relative misfit of ``s_p ≈ c b s b^T`` for each Kronecker candidate b."""
+    return [
+        scale_fit_misfit([b @ s @ b.T], [s_p]) for b in cands if _kron_split(b) is not None
+    ]
+
+
+def symmetric_of(m):
+    return m @ _QUBIT_PAIR_FORM @ m.T
+
+
+class TestKronCongruences:
+    """One construction finds B with ``S' ∝ B S B^T`` for every symmetric S."""
+
+    def test_distinct_spectrum_recovers_the_planted_product(self):
+        rng = np.random.default_rng(79)
+        for _ in range(5):
+            s = random_complex(rng, (4, 4))
+            s = s + s.T
+            b, s_p = planted_congruence(rng, s)
+            cands = _kron_congruences(s, s_p, rng)
+            assert min(congruence_misfits(cands, s, s_p)) < 1e-8
+            assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
+
+    def test_two_double_eigenvalues(self):
+        rng = np.random.default_rng(80)
+        s = symmetric_of(make_state("cluster1d").amps.reshape(4, 4))
+        square = s @ _QUBIT_PAIR_FORM
+        mu2 = np.trace(square @ square) / 4.0
+        assert np.linalg.norm(square @ square - mu2 * np.eye(4)) < 1e-12
+        for _ in range(5):
+            _, s_p = planted_congruence(rng, s)
+            assert min(congruence_misfits(_kron_congruences(s, s_p, rng), s, s_p)) < 1e-8
+
+    def test_single_jordan_block(self):
+        rng = np.random.default_rng(81)
+        s = symmetric_of(l_a4_flattening(0.7 - 0.4j))
+        a = _MAGIC @ s @ _MAGIC.T
+        lam = np.trace(a) / 4.0
+        assert np.linalg.matrix_rank(a - lam * np.eye(4), tol=1e-10 * np.linalg.norm(a)) == 3
+        for _ in range(5):
+            b, s_p = planted_congruence(rng, s)
+            cands = _kron_congruences(s, s_p, rng)
+            assert min(congruence_misfits(cands, s, s_p)) < 1e-8
+            assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
+
+    def test_determinant_minus_one_is_repaired_by_a_reflection(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        s = random_complex(rng, (4, 4))
+        s = s + s.T
+        v = np.linalg.eig(_MAGIC @ s @ _MAGIC.T)[1][:, 0]
+        flip = np.eye(4) - 2.0 * np.outer(v, v) / (v @ v)
+        original = solver._polar_orthogonal
+        dets = []
+
+        def flipped(w):
+            o = original(w)
+            if o is not None:
+                if np.linalg.det(o).real > 0.0:
+                    o = o @ flip
+                dets.append(np.linalg.det(o))
+            return o
+
+        monkeypatch.setattr(solver, "_polar_orthogonal", flipped)
+        b, s_p = planted_congruence(rng, s)
+        cands = _kron_congruences(s, s_p, rng)
+        assert dets and all(abs(d + 1.0) < 1e-10 for d in dets)
+        assert min(congruence_misfits(cands, s, s_p)) < 1e-8
+        assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
+
+
+class TestSqrtm:
+    def test_jordan_block(self):
+        z = (1.5 - 0.5j) * np.eye(4) + np.eye(4, k=1)
+        y = _sqrtm(z)
+        assert y is not None
+        assert np.linalg.norm(y @ y - z) < 1e-12 * np.linalg.norm(z)
+        assert np.linalg.norm(y @ z - z @ y) < 1e-12 * np.linalg.norm(z)
+        assert np.all(np.linalg.eigvals(y).real > 0.0)
 
 
 class TestRightTupleSolve:

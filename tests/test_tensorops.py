@@ -299,6 +299,20 @@ class TestRank1KronFactor:
         b, c = rank1_kron_factor(4.0 * np.eye(4, dtype=complex), 2, 2)
         assert abs(np.linalg.norm(b) - np.linalg.norm(c)) < 1e-12
 
+    def test_matches_the_gauged_svd_split(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            prod = kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
+            u, sigma, v = svd(realign(prod, 2, 2))
+            b_ref = np.sqrt(sigma[0]) * fold(u[:, 0], 2, 2)
+            c_ref = np.sqrt(sigma[0]) * fold(np.conj(v[:, 0]), 2, 2)
+            lead = vectorize(b_ref)[np.argmax(np.abs(vectorize(b_ref)))]
+            phase = lead / abs(lead)
+            b, c = rank1_kron_factor(prod, 2, 2)
+            scale = np.linalg.norm(prod)
+            assert np.linalg.norm(b - b_ref / phase) < 1e-12 * np.sqrt(scale)
+            assert np.linalg.norm(c - c_ref * phase) < 1e-12 * np.sqrt(scale)
+
 
 class TestCommutationMatrix:
     def test_maps_vec_to_vec_transpose(self):
