@@ -28,10 +28,9 @@ orthogonal factor ``W (W^T W)^{-1/2}`` of any intertwiner W (Gantmacher,
 Sylvester nullspace gives W, a Denman-Beavers square root gives the
 orthogonal factor, and reflections along eigenvectors supply the rest
 of the orthogonal centralizer; every resulting B is split into qubit
-factors. C then follows by a linear solve on qubit pairs; on
-qutrit pairs ``G S_i = S'_i H^{-T}`` on the folded rows of
-``B^{-1} M' = M (G (x) H)^T`` is linear in (G, H^{-T}) and solved by one
-nullspace.
+factors. On qubit and qutrit pairs alike ``G S_i = S'_i H^{-T}`` on the
+folded rows of M and ``B^{-1} M' = M (G (x) H)^T`` is then linear in
+(G, H^{-T}) and solved by one nullspace.
 
 At rank two on qubit pairs the column and row spaces fold into
 two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
@@ -136,11 +135,17 @@ def _kron_split(mat: np.ndarray):
         return None
 
 
+def _sylvester_system(right, left):
+    """``kron(right^T, I) - kron(I, left)``: X -> X right - left X on column-stacked X."""
+    eye = np.eye(len(right))
+    lhs = np.einsum("ij,ab->iajb", right.T, eye) - np.einsum("ij,ab->iajb", eye, left)
+    return lhs.reshape(eye.size, eye.size)
+
+
 def _intertwiner_family(right: np.ndarray, left: np.ndarray, rtol: float = 1e-9):
     """Basis of the Sylvester nullspace {X : X @ right = left @ X}."""
     n = right.shape[0]
-    lhs = np.kron(right.T, np.eye(n)) - np.kron(np.eye(n), left)
-    _, s, vh = np.linalg.svd(lhs)
+    _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
     keep = s <= rtol * s[0]
@@ -285,24 +290,6 @@ def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
     return out
 
 
-def _square_qubit_candidates(m, mp, rng):
-    """Factor candidates for mp = B m C^T on an invertible 4x4 qubit cut.
-
-    B comes from the congruence of ``M J M^T`` and C by a linear solve; a
-    candidate is proposed when both split into Kronecker factors.
-    """
-    j4 = _QUBIT_PAIR_FORM
-    out = []
-    for b in _kron_congruences(m @ j4 @ m.T, mp @ j4 @ mp.T, rng):
-        left = _kron_split(b)
-        if left is None:
-            continue
-        right = _kron_split(np.linalg.solve(m, np.linalg.solve(b, mp)).T)
-        if right is not None:
-            out.append(left + right)
-    return out
-
-
 def _nullspace_point(system: np.ndarray, rng):
     """Seeded random point of the numerical nullspace of ``system``, or None.
 
@@ -320,6 +307,14 @@ def _nullspace_point(system: np.ndarray, rng):
     return None if misfit > _DIRECT_PRESCREEN_GAP else point
 
 
+def _right_tuple_system(rs, ts):
+    """Rows ``[kron(I, r^T), -kron(t, I)]`` over the slice pairs (r, t), stacked."""
+    eye = np.eye(len(rs[0]))
+    g_part = np.einsum("ac,ieb->iabce", eye, rs).reshape(-1, eye.size)
+    k_part = np.einsum("iac,be->iabce", ts, eye).reshape(-1, eye.size)
+    return np.hstack([g_part, -k_part])
+
+
 def _right_tuple_solve(rs, ts, rng):
     """(G, H) with G @ rs[i] @ H.T = ts[i] for all i, or None.
 
@@ -328,34 +323,31 @@ def _right_tuple_solve(rs, ts, rng):
     Returns None when the point misfits or K falls below the
     invertibility floor.
     """
-    d = rs[0].shape[0]
-    eye = np.eye(d)
-    system = np.vstack(
-        [np.hstack([np.kron(eye, r.T), -np.kron(t, eye)]) for r, t in zip(rs, ts)]
-    )
-    point = _nullspace_point(system, rng)
+    point = _nullspace_point(_right_tuple_system(rs, ts), rng)
     if point is None:
         return None
-    g, k = point[: d * d].reshape(d, d), point[d * d :].reshape(d, d)
+    g, k = point.reshape(2, *rs[0].shape)
     if sigma_ratio(np.linalg.svd(k, compute_uv=False)) < CANDIDATE_MARGIN_RTOL:
         return None
     return g, np.linalg.inv(k).T
 
 
-def _mixed_pair_candidates(m, mp, rng):
-    """Factor candidates for a full-row-rank (2,2) x (3,3) flattening.
+def _qubit_row_pair_candidates(m, mp, rng):
+    """Factor candidates for a full-row-rank cut with a qubit pair on the rows.
 
-    B comes from the congruence of the det-form covariant and the qutrit
-    factors from one linear solve on the folded rows of ``B^-1 M'``.
+    B comes from the congruence of ``M J M^T`` on qubit-pair columns or of
+    the det-form covariant on qutrit-pair columns, and the column factors
+    from one linear solve on the folded rows of M and ``B^-1 M'``.
     """
-    rs = [m[i, :].reshape(3, 3) for i in range(4)]
+    d = math.isqrt(m.shape[1])
+    covariant = _row_pair_covariant if d == 3 else lambda x: x @ _QUBIT_PAIR_FORM @ x.T
+    rs = m.reshape(4, d, d)
     out = []
-    for b in _kron_congruences(_row_pair_covariant(m), _row_pair_covariant(mp), rng):
+    for b in _kron_congruences(covariant(m), covariant(mp), rng):
         left = _kron_split(b)
         if left is None:
             continue
-        xi = np.linalg.solve(b, mp)
-        right = _right_tuple_solve(rs, [xi[i, :].reshape(3, 3) for i in range(4)], rng)
+        right = _right_tuple_solve(rs, np.linalg.solve(b, mp).reshape(4, d, d), rng)
         if right is not None:
             out.append(left + right)
     return out
@@ -569,10 +561,9 @@ def _single_kron_candidates(u_full, u_prime_full, r):
 def _direct_flat_candidates(frame, frame_prime, rng):
     """Factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings, or [].
 
-    Dispatches on the cut geometry. Invertible qubit-pair-by-qubit-pair
-    flattenings use the congruence of ``M J M^T``; full-row-rank cuts
-    pairing qubits against equal qutrits use the det-form covariant, on
-    the transposed relation when the qubit pair sits on the columns.
+    Dispatches on the cut geometry. A full-row-rank cut with a qubit pair
+    on the rows has one construction, which (3,3) x (2,2) cuts run on the
+    transposed relation.
     Rank-one cuts of any shape reduce to fold congruences, and rank-two
     qubit-pair cuts to pencil normal forms.
     """
@@ -586,12 +577,10 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     if r != 4:
         return []
     m, mp = frame.reconstruct(), frame_prime.reconstruct()
-    if left == (2, 2) and right == (2, 2):
-        return _square_qubit_candidates(m, mp, rng)
-    if left == (2, 2) and right == (3, 3):
-        return _mixed_pair_candidates(m, mp, rng)
+    if left == (2, 2) and right in ((2, 2), (3, 3)):
+        return _qubit_row_pair_candidates(m, mp, rng)
     if left == (3, 3) and right == (2, 2):
-        swapped = _mixed_pair_candidates(m.T, mp.T, rng)
+        swapped = _qubit_row_pair_candidates(m.T, mp.T, rng)
         return [cand[2:] + cand[:2] for cand in swapped]
     return []
 

@@ -72,45 +72,40 @@ def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
     Parameters
     ----------
     matrix : ndarray
-        Square matrix of side ``dim_left * dim_right``, or a stack of
-        them on the leading axes.
+        Square matrix of side ``dim_left * dim_right``.
     dim_left, dim_right : int
         Sides of the two would-be Kronecker factors.
 
     Returns
     -------
-    ndarray of shape ``(..., dim_left**2, dim_right**2)``.
+    ndarray of shape ``(dim_left**2, dim_right**2)``.
     """
     a = np.asarray(matrix, dtype=complex)
     n = dim_left * dim_right
-    if a.shape[-2:] != (n, n):
+    if a.shape != (n, n):
         raise ValueError(
             f"realign expects a {n}x{n} matrix for split ({dim_left}, {dim_right}), "
             f"got shape {a.shape}"
         )
-    lead = a.shape[:-2]
-    k = len(lead)
     return (
-        a.reshape(lead + (dim_left, dim_right, dim_left, dim_right))
-        .transpose(*range(k), k + 2, k, k + 3, k + 1)
-        .reshape(lead + (dim_left * dim_left, dim_right * dim_right))
+        a.reshape(dim_left, dim_right, dim_left, dim_right)
+        .transpose(2, 0, 3, 1)
+        .reshape(dim_left * dim_left, dim_right * dim_right)
     )
 
 
 def unrealign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
-    """Invert :func:`realign`: rebuild the square matrix (or stack) from its realignment."""
+    """Invert :func:`realign`: rebuild the square matrix from its realignment."""
     b = np.asarray(matrix, dtype=complex)
-    if b.shape[-2:] != (dim_left * dim_left, dim_right * dim_right):
+    if b.shape != (dim_left * dim_left, dim_right * dim_right):
         raise ValueError(
             f"unrealign expects shape ({dim_left**2}, {dim_right**2}), got {b.shape}"
         )
     n = dim_left * dim_right
-    lead = b.shape[:-2]
-    k = len(lead)
     return (
-        b.reshape(lead + (dim_left, dim_left, dim_right, dim_right))
-        .transpose(*range(k), k + 1, k + 3, k, k + 2)
-        .reshape(lead + (n, n))
+        b.reshape(dim_left, dim_left, dim_right, dim_right)
+        .transpose(1, 3, 0, 2)
+        .reshape(n, n)
     )
 
 
@@ -137,27 +132,22 @@ def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def sigma_ratio(s, index: int = -1, *, if_zero: float = 0.0, if_short: float = math.inf):
-    """Ratio ``s[..., index] / s[..., 0]`` of descending singular values.
+def sigma_ratio(s):
+    """Invertibility margin ``s[..., -1] / s[..., 0]`` of descending singular values.
 
     ``s`` holds the singular values of one matrix on its last axis, or of
     a stack of matrices on the leading axes; a stack gives an array of
-    ratios, one matrix a float. ``if_zero`` is returned for a zero matrix
-    (leading value 0) and ``if_short`` when the last axis has too few
-    entries to hold ``index``. The defaults give the invertibility margin
-    sigma_min / sigma_max: 0.0 for a zero matrix, infinity for an empty
-    one. Callers pass their own edge values for other ratios.
+    margins, one matrix a float. A zero matrix (leading value 0) has
+    margin 0.0 and an empty one infinity.
     """
     s = np.asarray(s)
-    if s.shape[-1] < (index + 1 if index >= 0 else -index):
-        return float(if_short) if s.ndim == 1 else np.full(s.shape[:-1], if_short)
+    if s.shape[-1] == 0:
+        return math.inf if s.ndim == 1 else np.full(s.shape[:-1], math.inf)
     if s.ndim == 1:
-        return float(s[index] / s[0]) if s[0] != 0.0 else float(if_zero)
+        return float(s[-1] / s[0]) if s[0] != 0.0 else 0.0
     lead = s[..., 0]
     live = lead != 0.0
-    if live.all():
-        return s[..., index] / lead
-    return np.where(live, s[..., index] / np.where(live, lead, 1.0), if_zero)
+    return np.where(live, s[..., -1] / np.where(live, lead, 1.0), 0.0)
 
 
 def _lead_phase(column: np.ndarray) -> complex:

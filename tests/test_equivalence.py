@@ -637,6 +637,29 @@ class TestNineFamilies:
         assert all(v.status is not EquivalenceStatus.INEQUIVALENT for v in verdicts)
 
 
+class TestNearFamilyBoundary:
+    """L_a4 close to the nilpotent family at a = 0, through all cuts."""
+
+    @pytest.mark.parametrize("a", [-0.029 - 0.065j, 0.05])
+    def test_l_a4_orbits_are_equivalent(self, a):
+        state = l_a4(a)
+        statuses = []
+        for draw in range(10):
+            ops = random_invertible_ops((2, 2, 2, 2), (66, draw))
+            image = apply_local_ops(state, ops.ops)
+            statuses.append(check_fourpartite_equiv_all_cuts(image, state, CONFIG).status)
+        assert statuses == [EquivalenceStatus.EQUIVALENT] * 10, statuses
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_exact_orbit_below_rank_cutoff_is_not_inequivalent(self):
+        # The image's sigma_4 / sigma_1 at 12-34 is 9.96e-10, just under
+        # the screen's 1e-9 rank cutoff; the source's is 3.96e-8.
+        state = l_a4(0.01 + 0.01j)
+        image = apply_local_ops(state, random_invertible_ops((2, 2, 2, 2), (11, 7)).ops)
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is not EquivalenceStatus.INEQUIVALENT
+
+
 def noisy(state, rel, seed):
     """``state`` moved by relative amplitude noise ``rel`` along a seeded direction."""
     rng = np.random.default_rng(seed)
@@ -667,6 +690,11 @@ class TestNoiseRobustness:
         counts = noisy_orbit_verdicts(1e-10, ((2, 2, 3, 3), (3, 3, 2, 2)))
         assert counts[EquivalenceStatus.INEQUIVALENT] == 0
         assert counts[EquivalenceStatus.EQUIVALENT] >= 30, counts
+
+    def test_noise_a_tenth_of_verify_tol_is_equivalent(self):
+        counts = noisy_orbit_verdicts(1e-9)
+        assert counts[EquivalenceStatus.INEQUIVALENT] == 0
+        assert counts[EquivalenceStatus.EQUIVALENT] >= 19, counts
 
     def test_noise_above_verify_tol_is_undecided(self):
         counts = noisy_orbit_verdicts(1e-6)

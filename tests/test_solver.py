@@ -16,8 +16,10 @@ from slocceq.solver import (
     _kron_margin,
     _kron_split,
     _right_tuple_solve,
+    _right_tuple_system,
     _row_pair_covariant,
     _sqrtm,
+    _sylvester_system,
     solve_ptilde,
     solve_ptilde_single,
 )
@@ -257,8 +259,28 @@ class TestSqrtm:
         assert np.all(np.linalg.eigvals(y).real > 0.0)
 
 
+class TestKroneckerBuilds:
+    """The einsum-built systems equal their np.kron definitions bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_right_tuple_system(self, d):
+        rng = np.random.default_rng(80 + d)
+        rs, ts = random_complex(rng, (4, d, d)), random_complex(rng, (4, d, d))
+        eye = np.eye(d)
+        reference = np.vstack(
+            [np.hstack([np.kron(eye, r.T), -np.kron(t, eye)]) for r, t in zip(rs, ts)]
+        )
+        assert np.array_equal(_right_tuple_system(rs, ts), reference)
+
+    def test_sylvester_system(self):
+        rng = np.random.default_rng(84)
+        right, left = random_complex(rng, (4, 4)), random_complex(rng, (4, 4))
+        reference = np.kron(right.T, np.eye(4)) - np.kron(np.eye(4), left)
+        assert np.array_equal(_sylvester_system(right, left), reference)
+
+
 class TestRightTupleSolve:
-    """The qutrit factors of the mixed construction come from one linear solve."""
+    """The column factors of the rank-4 construction come from one linear solve."""
 
     def test_recovers_planted_factors(self):
         rng = np.random.default_rng(77)
