@@ -13,15 +13,12 @@ UNDECIDED.
 from .tensorops import (
     DEFAULT_RTOL,
     FactorizationError,
-    commutation_matrix,
     fold,
-    kron,
     numerical_rank,
     qr,
     rank1_kron_factor,
     realign,
     svd,
-    unrealign,
     vectorize,
 )
 from .states import (
@@ -39,10 +36,8 @@ from .states import (
     write_state_file,
 )
 from .decomposition import (
-    SingularFrame,
     StateProfile,
     TripleStateSet,
-    complementary_state,
     flatten_bipartition,
     triple_state_set,
 )
@@ -89,15 +84,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_RTOL",
     "FactorizationError",
-    "commutation_matrix",
     "fold",
-    "kron",
     "numerical_rank",
     "qr",
     "rank1_kron_factor",
     "realign",
     "svd",
-    "unrealign",
     "vectorize",
     "CATALOG_NAMES",
     "Bipartition",
@@ -111,10 +103,8 @@ __all__ = [
     "read_state_file",
     "states_proportional",
     "write_state_file",
-    "SingularFrame",
     "StateProfile",
     "TripleStateSet",
-    "complementary_state",
     "flatten_bipartition",
     "triple_state_set",
     "InequivalenceProof",

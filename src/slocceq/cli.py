@@ -181,32 +181,33 @@ def cmd_decompose(args) -> int:
             f"decompose needs a four-party state, file has {state.num_parties} parties",
         )
     try:
-        triple, frame = triple_state_set(state, cut, rtol=args.tol)
+        triple = triple_state_set(state, cut, rtol=args.tol)
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    psi_u, psi_v = triple.psi_u, triple.psi_v
 
     payload = {
         "command": "decompose",
         "cut": cut.label,
         "dims": list(state.dims),
-        "rank": frame.r,
-        "singular_values": [float(s) for s in frame.singular_values],
-        "psi_u": [_complex_pairs(s) for s in triple.psi_u.slices],
-        "psi_v": [_complex_pairs(s) for s in triple.psi_v.slices],
-        "warnings": list(frame.warnings),
+        "rank": triple.r,
+        "singular_values": [float(s) for s in triple.singular_values],
+        "psi_u": [_complex_pairs(s) for s in psi_u.slices],
+        "psi_v": [_complex_pairs(s) for s in psi_v.slices],
+        "warnings": list(triple.warnings),
     }
     if args.json:
         _emit_json(payload)
         return EXIT_OK
     print(f"cut: {cut.label}")
     print(f"dims: {list(state.dims)}")
-    print(f"rank: {frame.r}")
-    print("singular values: " + "  ".join(f"{s:.12g}" for s in frame.singular_values))
-    for name, tri in (("psi_u", triple.psi_u), ("psi_v", triple.psi_v)):
+    print(f"rank: {triple.r}")
+    print("singular values: " + "  ".join(f"{s:.12g}" for s in triple.singular_values))
+    for name, tri in (("psi_u", psi_u), ("psi_v", psi_v)):
         for j, piece in enumerate(tri.slices):
             print(f"{name} slice {j + 1}:")
             _print_matrix(piece)
-    for warning in frame.warnings:
+    for warning in triple.warnings:
         print(f"warning: {warning}")
     return EXIT_OK
 

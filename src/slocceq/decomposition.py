@@ -4,9 +4,8 @@ A four-partite state, flattened at a two-versus-two cut, factors as
 ``U @ diag(sv) @ V.conj().T``. Folding the first ``r`` columns of ``U``
 and ``V`` back into matrices yields two tripartite states that, together
 with the diagonal of singular values, carry the full SLOCC content of
-the original state at that cut. The remaining columns (the kernel
-complements) are kept as well: they fold into the complementary states
-and give the tripartite check its rank-three annihilator.
+the original state at that cut. :class:`TripleStateSet` holds the full
+singular frames of that one SVD and folds the two factors on demand.
 """
 
 from __future__ import annotations
@@ -25,13 +24,14 @@ CONDITIONING_BAND = 10.0
 
 
 @dataclass(frozen=True, eq=False)
-class SingularFrame:
-    """Full singular frames of one state at one cut.
+class TripleStateSet:
+    """One state's triple-state set at one cut, read off one SVD.
 
-    Columns ``0..r-1`` of ``u_full`` (``v_full``) are the left (right)
-    singular vectors with positive singular values; the remaining
-    columns span the orthogonal complement and fold into the
-    complementary states.
+    ``u_full`` and ``v_full`` are the full left and right singular frames
+    of the flattening and ``singular_values`` its ``r`` positive singular
+    values, the diagonal bipartite middle. Columns ``0..r-1`` of
+    ``u_full`` (``v_full``) fold into the tripartite factor ``psi_u``
+    (``psi_v``); the remaining columns span the orthogonal complement.
     """
 
     u_full: np.ndarray
@@ -75,53 +75,23 @@ class SingularFrame:
         return (self.dims[c - 1], self.dims[d - 1])
 
     @property
-    def row_dim(self) -> int:
-        return self.u_full.shape[0]
+    def psi_u(self) -> TripartiteState:
+        """The left tripartite factor: the first ``r`` columns of ``u_full``, folded."""
+        return _folded(self.u_full, self.r, self.left_dims)
 
     @property
-    def col_dim(self) -> int:
-        return self.v_full.shape[0]
-
-    def u1(self) -> np.ndarray:
-        return self.u_full[:, : self.r]
-
-    def v1(self) -> np.ndarray:
-        return self.v_full[:, : self.r]
-
-    def u0(self) -> np.ndarray:
-        return self.u_full[:, self.r :]
-
-    def v0(self) -> np.ndarray:
-        return self.v_full[:, self.r :]
+    def psi_v(self) -> TripartiteState:
+        """The right tripartite factor: the first ``r`` columns of ``v_full``, folded."""
+        return _folded(self.v_full, self.r, self.right_dims)
 
     def reconstruct(self) -> np.ndarray:
-        """The flattened state this frame decomposes."""
-        return (
-            self.u1() * self.singular_values[np.newaxis, :]
-        ) @ self.v1().conj().T
+        """The flattened state this set decomposes."""
+        r = self.r
+        return (self.u_full[:, :r] * self.singular_values) @ self.v_full[:, :r].conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class TripleStateSet:
-    """The two tripartite factors plus the diagonal bipartite middle."""
-
-    psi_u: TripartiteState
-    psi_lambda: np.ndarray
-    psi_v: TripartiteState
-
-    def __post_init__(self):
-        lam = np.array(self.psi_lambda, dtype=complex)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ValueError("psi_lambda must be square")
-        if np.any(lam - np.diag(np.diagonal(lam))):
-            raise ValueError("psi_lambda must be diagonal")
-        d = np.diagonal(lam)
-        if np.any(d.imag != 0) or np.any(d.real <= 0):
-            raise ValueError("psi_lambda diagonal must be strictly positive")
-        if not (self.psi_u.r_dim == self.psi_v.r_dim == lam.shape[0]):
-            raise ValueError("slice counts must match the diagonal rank")
-        lam.flags.writeable = False
-        object.__setattr__(self, "psi_lambda", lam)
+def _folded(frame: np.ndarray, r: int, dims: tuple[int, int]) -> TripartiteState:
+    return TripartiteState(r, tuple(fold(frame[:, i], *dims) for i in range(r)))
 
 
 def flatten_bipartition(state: PureState, cut: Bipartition) -> np.ndarray:
@@ -149,12 +119,12 @@ def triple_state_set(
     state: PureState,
     cut: Bipartition,
     rtol: float = DEFAULT_RTOL,
-):
-    """Decompose a four-partite state at a cut.
+) -> TripleStateSet:
+    """Decompose a four-partite state at a cut into its :class:`TripleStateSet`.
 
-    Returns ``(TripleStateSet, SingularFrame)``: the triple-state
-    reduction (slices folded from the singular vectors, diagonal of
-    singular values) and the full frames for downstream solving.
+    The rank ``r`` counts the singular values above ``rtol`` times the
+    largest; those within ``CONDITIONING_BAND`` of that cutoff are named
+    in the set's warnings.
     """
     m = flatten_bipartition(state, cut)
     u, sigma, v = svd(m, full=True)
@@ -168,7 +138,7 @@ def triple_state_set(
         for i in range(r)
         if sigma[i] <= CONDITIONING_BAND * rtol * top
     )
-    frame = SingularFrame(
+    return TripleStateSet(
         u_full=u,
         v_full=v,
         singular_values=sigma[:r],
@@ -177,30 +147,6 @@ def triple_state_set(
         dims=state.dims,
         warnings=warnings,
     )
-    ia, ib = frame.left_dims
-    ic, id_ = frame.right_dims
-    psi_u = TripartiteState(r, tuple(fold(u[:, i], ia, ib) for i in range(r)))
-    psi_v = TripartiteState(r, tuple(fold(v[:, i], ic, id_) for i in range(r)))
-    triple = TripleStateSet(psi_u=psi_u, psi_lambda=np.diag(sigma[:r]), psi_v=psi_v)
-    return triple, frame
-
-
-def complementary_state(frame: SingularFrame, side: str):
-    """Tripartite state folded from the kernel-complement columns.
-
-    ``side`` is ``"u"`` or ``"v"``. Returns the empty tuple when the
-    frame has full rank on that side (no complement exists).
-    """
-    if side == "u":
-        cols, (d1, d2) = frame.u0(), frame.left_dims
-    elif side == "v":
-        cols, (d1, d2) = frame.v0(), frame.right_dims
-    else:
-        raise ValueError(f"side must be 'u' or 'v', got {side!r}")
-    k = cols.shape[1]
-    if k == 0:
-        return ()
-    return TripartiteState(k, tuple(fold(cols[:, i], d1, d2) for i in range(k)))
 
 
 class StateProfile:
@@ -208,7 +154,7 @@ class StateProfile:
 
     Each value is computed on first use, at the profile's ``rtol``, and
     kept: the rank at a cut (from singular values alone), the marginal
-    rank of a party, and the :func:`triple_state_set` pair at a cut.
+    rank of a party, and the :func:`triple_state_set` at a cut.
     """
 
     def __init__(self, state: PureState, rtol: float = DEFAULT_RTOL):
@@ -216,7 +162,7 @@ class StateProfile:
         self.rtol = rtol
         self._ranks: dict[Bipartition, int] = {}
         self._marginal_ranks: dict[int, int] = {}
-        self._decompositions: dict[Bipartition, tuple[TripleStateSet, SingularFrame]] = {}
+        self._decompositions: dict[Bipartition, TripleStateSet] = {}
 
     def rank(self, cut: Bipartition) -> int:
         """Numerical rank of the state flattened at ``cut``."""
@@ -232,8 +178,8 @@ class StateProfile:
             self._marginal_ranks[party] = numerical_rank(m, self.rtol)
         return self._marginal_ranks[party]
 
-    def decomposition(self, cut: Bipartition) -> tuple[TripleStateSet, SingularFrame]:
-        """``triple_state_set(state, cut, rtol)``, the factors and frame at ``cut``."""
+    def decomposition(self, cut: Bipartition) -> TripleStateSet:
+        """``triple_state_set(state, cut, rtol)``, the decomposition at ``cut``."""
         if cut not in self._decompositions:
             self._decompositions[cut] = triple_state_set(self.state, cut, self.rtol)
         return self._decompositions[cut]

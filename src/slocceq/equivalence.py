@@ -278,12 +278,12 @@ def _search_cut(
 ) -> EquivalenceVerdict:
     """Construct and verify candidates at a cut; EQUIVALENT or UNDECIDED.
 
-    The screen has passed, so both frames have the same rank at ``cut``.
+    The screen has passed, so both decompositions have the same rank at ``cut``.
     """
     diagnostics = _cut_diagnostics(cut, p1.rtol, verify_tol)
-    _, frame1 = p1.decomposition(cut)
-    _, frame2 = p2.decomposition(cut)
-    warnings = list(frame1.warnings) + list(frame2.warnings)
+    triple1 = p1.decomposition(cut)
+    triple2 = p2.decomposition(cut)
+    warnings = list(triple1.warnings) + list(triple2.warnings)
     if warnings:
         diagnostics["frame_warnings"] = warnings
 
@@ -295,8 +295,8 @@ def _search_cut(
         _, scalar, resid = verify_equivalence(p1.state, p2.state, ops, verify_tol)
         return ops, scalar, resid
 
-    # Frames: s2 is the source (operators act on it), s1 is the target.
-    outcome = solve_ptilde(frame2, frame1, config)
+    # s2 is the source (operators act on it), s1 is the target.
+    outcome = solve_ptilde(triple2, triple1, config)
     return _first_verified(outcome, verify, verify_tol, diagnostics, cut)
 
 
@@ -360,8 +360,8 @@ def check_tripartite_equiv(
 
     Both states must have linearly independent slices of equal count and
     shape. For two-qubit-slice pairs (shape (2, 2), two slices) the
-    tripartite entanglement-class screen runs first and can prove
-    inequivalence. Otherwise the single-sided construction proposes
+    tripartite entanglement-class screen runs first, at ``rtol``, and can
+    prove inequivalence. Otherwise the single-sided construction proposes
     slice-space operator pairs from the column frames of the vectorized
     slices; each is completed by a least-squares mixing operator on the
     slice index and verified slice-wise, and the first that verifies
@@ -384,8 +384,8 @@ def check_tripartite_equiv(
     diagnostics: Dict[str, object] = {"rtol": rtol, "verify_tol": verify_tol}
 
     if r == 2 and (i1, i2) == (2, 2):
-        class1 = classify_tripartite_qubit(tripartite_as_pure_state(t1))
-        class2 = classify_tripartite_qubit(tripartite_as_pure_state(t2))
+        class1 = classify_tripartite_qubit(tripartite_as_pure_state(t1), rtol)
+        class2 = classify_tripartite_qubit(tripartite_as_pure_state(t2), rtol)
         diagnostics["class_a"] = class1.label.name
         diagnostics["class_b"] = class2.label.name
         if class1.label != class2.label:

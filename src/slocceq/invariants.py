@@ -138,8 +138,9 @@ def invariant_screen(
 
     Checks, in order: bipartition ranks at all three cuts, single-party
     marginal ranks, and (for qubit states of rank 2 at ``cut``) the SLOCC
-    classes of the triple-state factors at ``cut``. Only the class test
-    decomposes the states, so a rank proof costs no singular vectors.
+    classes of the triple-state factors at ``cut``, all at the profiles'
+    ``rtol``. Only the class test decomposes the states, so a rank proof
+    costs no singular vectors.
     Returns the first violation found, or None. None means no obstruction
     was found, never that the states are equivalent.
     """
@@ -174,14 +175,14 @@ def invariant_screen(
             )
 
     if all(d == 2 for d in dims) and p1.rank(cut) == 2:
-        triple1, _ = p1.decomposition(cut)
-        triple2, _ = p2.decomposition(cut)
+        triple1 = p1.decomposition(cut)
+        triple2 = p2.decomposition(cut)
         for side, f1, f2 in (
             ("u", triple1.psi_u, triple2.psi_u),
             ("v", triple1.psi_v, triple2.psi_v),
         ):
-            la = classify_tripartite_qubit(tripartite_as_pure_state(f1))
-            lb = classify_tripartite_qubit(tripartite_as_pure_state(f2))
+            la = classify_tripartite_qubit(tripartite_as_pure_state(f1), p1.rtol)
+            lb = classify_tripartite_qubit(tripartite_as_pure_state(f2), p2.rtol)
             if la.label != lb.label:
                 return InequivalenceProof(
                     invariant="tripartite-class",

@@ -59,13 +59,36 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decomposition import SingularFrame
+from .decomposition import TripleStateSet
 from .tensorops import FactorizationError, rank1_kron_factor, sigma_ratio
 
+# Tolerances of the constructions, one per role. None of them accepts a
+# candidate: verification on the amplitudes is the only acceptance gate.
+#
 # Smallest acceptable sigma_min/sigma_max of each side's Kronecker
 # product. Planted orbits at condition cap 20 give margins above 1e-4;
 # degenerate collapse gives machine-zero margins.
 CANDIDATE_MARGIN_RTOL = 1e-8
+# Relative misfit up to which a construction still proposes a candidate:
+# the Kronecker gap of a whole 4x4 matrix, or the misfit of a nullspace
+# point (a right tuple or a rank-two core).
+_DIRECT_PRESCREEN_GAP = 1e-6
+# Singular value cutoff of the numerical nullspace a seeded point is drawn from.
+_NULLSPACE_RTOL = 1e-8
+# Singular value cutoff of the Sylvester nullspace of intertwiners.
+_INTERTWINER_RTOL = 1e-9
+# Smallest |v^T v| of a unit eigenvector that still gives a reflection.
+_ISOTROPY_CUTOFF = 1e-6
+# Pencil cutoff: a zero determinant form, a repeated root, a rank-one member.
+_PENCIL_RTOL = 1e-6
+# Rank cutoff of the folded matrices matched by a congruence.
+_CONGRUENCE_RTOL = 1e-9
+# Invertibility floor of the rank-two stabiliser actions sigma and rho_c.
+_STABILISER_MARGIN = 1e-10
+# Denman-Beavers square root: distance of M_k from I counted as converged,
+# and the iteration cap.
+_SQRTM_TOL = 1e-10
+_SQRTM_STEPS = 30
 
 
 class SolveStatus(Enum):
@@ -120,12 +143,6 @@ _EPS3 = np.zeros((3, 3, 3))
 _EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
 
-# Relative misfit up to which a construction still proposes a candidate:
-# the Kronecker gap of a whole 4x4 matrix, or the misfit of a nullspace
-# point (a right tuple or a rank-two core). Verification on the amplitudes
-# remains the only acceptance authority.
-_DIRECT_PRESCREEN_GAP = 1e-6
-
 
 def _kron_split(mat: np.ndarray):
     """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None."""
@@ -142,13 +159,13 @@ def _sylvester_system(right, left):
     return lhs.reshape(eye.size, eye.size)
 
 
-def _intertwiner_family(right: np.ndarray, left: np.ndarray, rtol: float = 1e-9):
+def _intertwiner_family(right: np.ndarray, left: np.ndarray):
     """Basis of the Sylvester nullspace {X : X @ right = left @ X}."""
     n = right.shape[0]
     _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
-    keep = s <= rtol * s[0]
+    keep = s <= _INTERTWINER_RTOL * s[0]
     return [
         vh[i].conj().reshape(n, n, order="F") for i in range(n * n) if keep[i]
     ]
@@ -197,19 +214,19 @@ def _binary_quadratic_roots(a, b, c, rtol):
     ]
 
 
-def _sqrtm(z: np.ndarray, steps: int = 30):
+def _sqrtm(z: np.ndarray):
     """Principal square root of ``z``, or None if the iteration stalls.
 
     Product form of the Denman-Beavers iteration (Higham, *Functions of
     Matrices*, 2008, eq. 6.17): ``Y_k^2 = z M_k`` throughout and M_k
     tends to the identity, so Y_k tends to a primary function of z that
     commutes with everything z commutes with. One step is taken past
-    ``|M_k - I| <= 1e-10``, where convergence is quadratic.
+    ``|M_k - I| <= _SQRTM_TOL``, where convergence is quadratic.
     """
     eye = np.eye(len(z))
     m, y = z, z
-    for _ in range(steps):
-        done = np.linalg.norm(m - eye) <= 1e-10
+    for _ in range(_SQRTM_STEPS):
+        done = np.linalg.norm(m - eye) <= _SQRTM_TOL
         try:
             m_inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
@@ -234,13 +251,14 @@ def _polar_orthogonal(w: np.ndarray):
     return None if root is None else np.linalg.solve(root.T, w.T).T
 
 
-def _eigen_reflections(a: np.ndarray, rtol: float = 1e-6):
+def _eigen_reflections(a: np.ndarray):
     """Reflections along the non-isotropic eigenvectors of a symmetric ``a``.
 
     An eigenvector v with ``v^T v != 0`` has an ``a``-invariant
     complement, so ``I - 2 v v^T / v^T v`` is complex orthogonal and
     commutes with ``a``. Vectors are ordered from the least isotropic;
-    those with ``|v^T v| <= rtol`` (eig returns unit vectors) are dropped.
+    those with ``|v^T v| <= _ISOTROPY_CUTOFF`` (eig returns unit vectors)
+    are dropped.
     """
     vecs = np.linalg.eig(a)[1].T
     norms = np.einsum("ij,ij->i", vecs, vecs)
@@ -248,7 +266,7 @@ def _eigen_reflections(a: np.ndarray, rtol: float = 1e-6):
     return [
         np.eye(len(a)) - 2.0 * np.outer(vecs[i], vecs[i]) / norms[i]
         for i in order
-        if abs(norms[i]) > rtol
+        if abs(norms[i]) > _ISOTROPY_CUTOFF
     ]
 
 
@@ -299,7 +317,7 @@ def _nullspace_point(system: np.ndarray, rng):
     ``|system x| / (sigma_max |x|)`` exceeds ``_DIRECT_PRESCREEN_GAP``.
     """
     _, s, vh = np.linalg.svd(system)
-    rank = min(int(np.sum(s > 1e-8 * s[0])), len(vh) - 1)
+    rank = min(int(np.sum(s > _NULLSPACE_RTOL * s[0])), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     point = mix @ null
@@ -388,7 +406,7 @@ _W_FORM = _PencilForm(
 )
 
 
-def _pencil_normal_form(x0, x1, rtol=1e-6):
+def _pencil_normal_form(x0, x1):
     """``(N1, N2, form)`` sending span{x0, x1} to the normal span, or None.
 
     ``x0`` and ``x1`` must be orthonormal; ``N1 X N2^T`` lies in the span
@@ -402,16 +420,16 @@ def _pencil_normal_form(x0, x1, rtol=1e-6):
     det0 = np.linalg.det(x0)
     det1 = np.linalg.det(x1)
     cross = np.linalg.det(x0 + x1) - det0 - det1
-    if max(abs(det0), abs(cross), abs(det1)) < rtol:
+    if max(abs(det0), abs(cross), abs(det1)) < _PENCIL_RTOL:
         return None
-    roots = _binary_quadratic_roots(det0, cross, det1, rtol)
+    roots = _binary_quadratic_roots(det0, cross, det1, _PENCIL_RTOL)
     if roots is None:
         # The repeated root -b/2a = -2c/b, in its better-scaled form.
         roots = [(-cross, 2.0 * det0) if abs(det0) >= abs(det1) else (2.0 * det1, -cross)]
     factors = []
     for x, y in roots:
         w, s, vh = np.linalg.svd(x * x0 + y * x1)
-        if s[1] > rtol * s[0]:
+        if s[1] > _PENCIL_RTOL * s[0]:
             return None
         factors.append((w[:, 0] * s[0], vh[0]))
     if len(factors) == 2:
@@ -429,7 +447,7 @@ def _pencil_normal_form(x0, x1, rtol=1e-6):
     return n1, n2, _W_FORM
 
 
-def _congruence(x, xp, rtol=1e-9):
+def _congruence(x, xp):
     """Invertible pair (L, R) with L @ x @ R.T == xp, or None.
 
     Requires equal numerical rank; both factors are assembled from the
@@ -438,8 +456,8 @@ def _congruence(x, xp, rtol=1e-9):
     """
     ux, sx, vhx = np.linalg.svd(x)
     up, sp, vhp = np.linalg.svd(xp)
-    k = int(np.sum(sx > rtol * sx[0]))
-    kp = int(np.sum(sp > rtol * sp[0]))
+    k = int(np.sum(sx > _CONGRUENCE_RTOL * sx[0]))
+    kp = int(np.sum(sp > _CONGRUENCE_RTOL * sp[0]))
     if k != kp:
         return None
     t = np.ones(x.shape[0])
@@ -518,7 +536,7 @@ def _rank2_square_candidates(frame, frame_prime, rng):
             sigma = sum(ci * q for ci, q in zip(coeff, basis_s))
             rho_c = sum(ci * p for ci, p in zip(coeff[len(basis_s):], basis_c))
             margins = sigma_ratio(np.linalg.svd(np.stack([sigma, rho_c]), compute_uv=False))
-            if margins.min() < 1e-10:
+            if margins.min() < _STABILISER_MARGIN:
                 continue
             out.append(
                 _between(col, col_p, *lift_c(rho_c))
@@ -611,14 +629,15 @@ def _above_floor(candidates) -> SolveOutcome:
 
 
 def solve_ptilde(
-    frame: SingularFrame,
-    frame_prime: SingularFrame,
+    frame: TripleStateSet,
+    frame_prime: TripleStateSet,
     config: SolverConfig,
 ) -> SolveOutcome:
     """Construct local operators relating frame to frame_prime.
 
-    ``frame`` belongs to the unprimed state (the one the operators act
-    on) and ``frame_prime`` to its image. Each candidate
+    Both are triple-state sets at one cut. ``frame`` belongs to the
+    unprimed state (the one the operators act on) and ``frame_prime`` to
+    its image. Each candidate
     ``(A_l1, A_l2, A_r1, A_r2)`` proposes
     ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T`` for the two flattenings,
     with both Kronecker products invertible at margin
@@ -635,12 +654,7 @@ def solve_ptilde(
             f"frame ranks differ ({frame.r} vs {frame_prime.r}); "
             "rank inequality is already an inequivalence proof"
         )
-    if (
-        frame.row_dim != frame_prime.row_dim
-        or frame.col_dim != frame_prime.col_dim
-        or frame.left_dims != frame_prime.left_dims
-        or frame.right_dims != frame_prime.right_dims
-    ):
+    if frame.left_dims != frame_prime.left_dims or frame.right_dims != frame_prime.right_dims:
         raise ValueError("frames live on different spaces")
     rng = np.random.default_rng((config.rng_seed, 0))
     return _above_floor(_direct_flat_candidates(frame, frame_prime, rng))

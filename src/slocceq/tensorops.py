@@ -54,11 +54,6 @@ def fold(vector: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor indexing the coarse blocks."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
     """Regroup a ``(dl*dr) x (dl*dr)`` matrix by Kronecker factor indices.
 
@@ -92,36 +87,6 @@ def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
         .transpose(2, 0, 3, 1)
         .reshape(dim_left * dim_left, dim_right * dim_right)
     )
-
-
-def unrealign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
-    """Invert :func:`realign`: rebuild the square matrix from its realignment."""
-    b = np.asarray(matrix, dtype=complex)
-    if b.shape != (dim_left * dim_left, dim_right * dim_right):
-        raise ValueError(
-            f"unrealign expects shape ({dim_left**2}, {dim_right**2}), got {b.shape}"
-        )
-    n = dim_left * dim_right
-    return (
-        b.reshape(dim_left, dim_left, dim_right, dim_right)
-        .transpose(1, 3, 0, 2)
-        .reshape(n, n)
-    )
-
-
-def commutation_matrix(d1: int, d2: int) -> np.ndarray:
-    """Permutation matrix mapping vec(X) to vec(X.T) for d1 x d2 matrices.
-
-    Column-major vectorization throughout, matching :func:`vectorize`.
-    For d1 == d2 the matrix is symmetric and involutory.
-    """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("commutation matrix dimensions must be positive")
-    k = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for r in range(d1):
-        for c in range(d2):
-            k[r * d2 + c, c * d1 + r] = 1.0
-    return k
 
 
 def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:

@@ -58,10 +58,10 @@ def test_criterion_1_ghz_vs_w_inequivalent(tmp_path, capsys):
 
 
 def test_criterion_2_ghz_decomposition():
-    triple, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
-    assert frame.r == 2
+    triple = triple_state_set(make_state("ghz4"), CUT_12_34)
+    assert triple.r == 2
     assert np.all(
-        np.abs(frame.singular_values - np.sqrt(0.5)) <= 1e-12
+        np.abs(triple.singular_values - np.sqrt(0.5)) <= 1e-12
     )
     corners = (
         np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -76,7 +76,7 @@ def test_criterion_2_ghz_decomposition():
     cosines = np.linalg.svd(basis.conj().T @ target, compute_uv=False)
     angle = float(np.sqrt(max(0.0, 1.0 - float(np.min(cosines)) ** 2)))
     assert angle < 1e-10
-    report(2, f"r=2, spectrum off by {np.max(np.abs(frame.singular_values - np.sqrt(0.5))):.1e}, span angle {angle:.1e}")
+    report(2, f"r=2, spectrum off by {np.max(np.abs(triple.singular_values - np.sqrt(0.5))):.1e}, span angle {angle:.1e}")
 
 
 def test_criterion_3_parameter_family_equivalences():

@@ -40,14 +40,14 @@ class TestGoldenCases:
                 if case.expected_status is EquivalenceStatus.EQUIVALENT:
                     assert verdict.certificate.residual < case.tolerance, case.name
             if case.expected_spectrum is not None:
-                _, frame = triple_state_set(case.state_a, case.cut)
+                frame = triple_state_set(case.state_a, case.cut)
                 assert np.allclose(
                     frame.singular_values,
                     case.expected_spectrum,
                     atol=case.tolerance,
                 ), case.name
             if case.expected_u_span is not None:
-                triple, _ = triple_state_set(case.state_a, case.cut)
+                triple = triple_state_set(case.state_a, case.cut)
                 gap = span_gap(triple.psi_u.slices, case.expected_u_span)
                 assert gap < case.tolerance, case.name
             if case.operators is not None:

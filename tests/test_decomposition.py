@@ -10,11 +10,9 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
-from slocceq.decomposition import (
-    complementary_state,
-    flatten_bipartition,
-    triple_state_set,
-)
+from slocceq.catalog import random_orbit_case
+from slocceq.decomposition import flatten_bipartition, triple_state_set
+from slocceq.tensorops import fold
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 INV_SQRT2 = np.sqrt(0.5)
@@ -82,12 +80,12 @@ class TestFlattenBipartition:
 
 class TestTripleStateSet:
     def test_ghz4_rank_and_spectrum(self):
-        triple, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
-        assert frame.r == 2
-        assert np.all(np.abs(frame.singular_values - INV_SQRT2) < 1e-12)
+        triple = triple_state_set(make_state("ghz4"), CUT_12_34)
+        assert triple.r == 2
+        assert np.all(np.abs(triple.singular_values - INV_SQRT2) < 1e-12)
 
     def test_ghz4_u_slice_span(self):
-        triple, _ = triple_state_set(make_state("ghz4"), CUT_12_34)
+        triple = triple_state_set(make_state("ghz4"), CUT_12_34)
         corners = [
             np.array([[1, 0], [0, 0]], dtype=complex),
             np.array([[0, 0], [0, 1]], dtype=complex),
@@ -95,43 +93,43 @@ class TestTripleStateSet:
         assert span_gap(triple.psi_u.slices, corners) < 1e-10
 
     def test_cluster1d_rank_and_spectrum(self):
-        _, frame = triple_state_set(make_state("cluster1d"), CUT_12_34)
-        assert frame.r == 4
-        assert np.all(np.abs(frame.singular_values - 0.5) < 1e-12)
+        triple = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        assert triple.r == 4
+        assert np.all(np.abs(triple.singular_values - 0.5) < 1e-12)
 
     def test_psi2_spectrum_is_parameter_list(self):
         params = (0.6, 0.5, 0.4, 0.3)
-        _, frame = triple_state_set(make_state("psi2_abcd", params), CUT_12_34)
-        assert np.all(np.abs(frame.singular_values - np.array(params)) < 1e-12)
+        triple = triple_state_set(make_state("psi2_abcd", params), CUT_12_34)
+        assert np.all(np.abs(triple.singular_values - np.array(params)) < 1e-12)
 
     def test_psi_abcd_spectrum_sorted_parameters(self):
-        _, frame = triple_state_set(
+        triple = triple_state_set(
             make_state("psi_abcd", (1.0, 2.0, 3.0, 4.0)), CUT_12_34
         )
-        assert np.all(np.abs(frame.singular_values - [4.0, 3.0, 2.0, 1.0]) < 1e-12)
+        assert np.all(np.abs(triple.singular_values - [4.0, 3.0, 2.0, 1.0]) < 1e-12)
 
     def test_reconstruction_all_catalog_all_cuts(self):
         for state in FOUR_PARTY_CATALOG:
             for cut in STANDARD_CUTS:
-                _, frame = triple_state_set(state, cut)
+                triple = triple_state_set(state, cut)
                 m = flatten_bipartition(state, cut)
                 assert (
-                    np.linalg.norm(frame.reconstruct() - m)
+                    np.linalg.norm(triple.reconstruct() - m)
                     < 1e-10 * np.linalg.norm(m)
                 )
 
     def test_norm_squared_equals_spectrum_energy(self):
         for state in FOUR_PARTY_CATALOG:
-            _, frame = triple_state_set(state, CUT_12_34)
-            energy = float(np.sum(frame.singular_values**2))
+            triple = triple_state_set(state, CUT_12_34)
+            energy = float(np.sum(triple.singular_values**2))
             assert abs(energy - state.norm() ** 2) < 1e-12 * state.norm() ** 2
 
     def test_slice_counts_match_rank(self):
         for state in FOUR_PARTY_CATALOG:
-            triple, frame = triple_state_set(state, CUT_12_34)
-            assert triple.psi_u.r_dim == frame.r
-            assert triple.psi_v.r_dim == frame.r
-            assert triple.psi_lambda.shape == (frame.r, frame.r)
+            triple = triple_state_set(state, CUT_12_34)
+            assert triple.psi_u.r_dim == triple.r
+            assert triple.psi_v.r_dim == triple.r
+            assert triple.singular_values.shape == (triple.r,)
 
     def test_rank_is_orbit_invariant(self):
         rng = np.random.default_rng(31)
@@ -142,66 +140,39 @@ class TestTripleStateSet:
             ]
             image = apply_local_ops(state, ops)
             for cut in STANDARD_CUTS:
-                _, frame = triple_state_set(state, cut)
-                _, frame_image = triple_state_set(image, cut)
-                assert frame.r == frame_image.r
+                triple = triple_state_set(state, cut)
+                triple_image = triple_state_set(image, cut)
+                assert triple.r == triple_image.r
 
     def test_borderline_rank_warning(self):
         amps = np.zeros(16, dtype=complex)
         amps[0b0000] = 1.0
         amps[0b0101] = 5e-9
-        _, frame = triple_state_set(PureState((2, 2, 2, 2), amps), CUT_12_34)
-        assert frame.r == 2
-        assert frame.warnings
-        assert "borderline" in frame.warnings[0]
+        triple = triple_state_set(PureState((2, 2, 2, 2), amps), CUT_12_34)
+        assert triple.r == 2
+        assert triple.warnings
+        assert "borderline" in triple.warnings[0]
 
     def test_mixed_dimensions(self):
         rng = np.random.default_rng(32)
         state = PureState((2, 2, 3, 3), random_complex(rng, (36,)))
-        triple, frame = triple_state_set(state, CUT_12_34)
-        assert frame.r == 4
+        triple = triple_state_set(state, CUT_12_34)
+        assert triple.r == 4
         assert triple.psi_u.slice_shape == (2, 2)
         assert triple.psi_v.slice_shape == (3, 3)
         m = flatten_bipartition(state, CUT_12_34)
-        assert np.linalg.norm(frame.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(triple.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
 
-
-class TestComplementaryState:
-    def test_ghz4_u_complement_span(self):
-        _, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
-        comp = complementary_state(frame, "u")
-        off_corners = [
-            np.array([[0, 0], [1, 0]], dtype=complex),
-            np.array([[0, 1], [0, 0]], dtype=complex),
-        ]
-        assert comp.r_dim == 2
-        gap = 0.0
-        qa, _ = np.linalg.qr(
-            np.column_stack([s.reshape(-1) for s in comp.slices])
-        )
-        qb, _ = np.linalg.qr(
-            np.column_stack([s.reshape(-1) for s in off_corners])
-        )
-        overlap = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-        gap = float(np.sqrt(max(0.0, 1.0 - np.min(overlap) ** 2)))
-        assert gap < 1e-10
-
-    def test_full_rank_has_empty_complement(self):
-        _, frame = triple_state_set(make_state("cluster1d"), CUT_12_34)
-        assert complementary_state(frame, "u") == ()
-        assert complementary_state(frame, "v") == ()
-
-    def test_complement_orthonormal_to_range(self):
-        rng = np.random.default_rng(33)
-        left = random_complex(rng, (16, 2))
-        right = random_complex(rng, (4, 2))
-        amps = (left @ right.T).reshape(-1)
-        state = PureState((4, 4, 2, 2), amps)
-        _, frame = triple_state_set(state, CUT_12_34)
-        assert frame.r == 2
-        comp = complementary_state(frame, "u")
-        vecs = np.column_stack([s.reshape(-1, order="F") for s in comp.slices])
-        gram = vecs.conj().T @ vecs
-        assert np.linalg.norm(gram - np.eye(vecs.shape[1])) < 1e-12
-        overlap = frame.u1().conj().T @ vecs
-        assert np.linalg.norm(overlap) < 1e-12
+    def test_factors_fold_the_frame_columns(self):
+        """Each slice is bit for bit the fold of its frame column."""
+        orbits = [random_orbit_case((2, 2, 3, 3), seed)[1] for seed in range(5)]
+        for state in FOUR_PARTY_CATALOG + orbits:
+            for cut in STANDARD_CUTS:
+                triple = triple_state_set(state, cut)
+                for factor, frame, dims in (
+                    (triple.psi_u, triple.u_full, triple.left_dims),
+                    (triple.psi_v, triple.v_full, triple.right_dims),
+                ):
+                    assert factor.r_dim == triple.r
+                    for i, piece in enumerate(factor.slices):
+                        assert np.array_equal(piece, fold(frame[:, i], *dims))

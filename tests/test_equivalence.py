@@ -31,7 +31,7 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
-from slocceq.tensorops import commutation_matrix, fold, numerical_rank
+from slocceq.tensorops import fold, numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
@@ -101,8 +101,8 @@ class TestVerifyEquivalence:
 
 def recovered(state, image, cut=CUT_12_34):
     """Operators of the first candidate that verifies, as the check picks them."""
-    _, frame = triple_state_set(state, cut)
-    _, frame_img = triple_state_set(image, cut)
+    frame = triple_state_set(state, cut)
+    frame_img = triple_state_set(image, cut)
     for candidate in solve_ptilde(frame, frame_img, CONFIG).candidates:
         ops = recover_local_operators(cut, candidate)
         if verify_equivalence(image, state, ops)[0]:
@@ -381,6 +381,13 @@ class TestOneDecompositionPerState:
         assert p1.rank(CUT_12_34) == 4
         assert invariant_screen(p1, p2, CUT_12_34) is None
         assert calls[0] == 0
+
+    def test_rank_four_orbit_check_folds_no_factor(self, monkeypatch):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 7, 10.0)
+        built = count_calls(monkeypatch, TripartiteState, "__post_init__")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert built[0] == 0
 
     def test_all_cuts_class_proof_decomposes_each_state_once(self, monkeypatch):
         calls = count_calls(monkeypatch, decomposition, "triple_state_set")
@@ -701,6 +708,28 @@ class TestNoiseRobustness:
         assert counts[EquivalenceStatus.UNDECIDED] == 20, counts
 
 
+class TestClassScreenRtol:
+    """The class screens take the caller's ``rtol``, so declared noise gives no class proof."""
+
+    @pytest.mark.parametrize(
+        "w, ghz, rel, draw_seed", [("w4", "ghz4", 1e-8, 5), ("w3", "ghz3", 1e-7, 6)]
+    )
+    def test_noisy_w_orbits_get_no_class_proof(self, w, ghz, rel, draw_seed):
+        w_state = make_state(w)
+        parties = w_state.num_parties
+
+        def check(a, b):
+            if parties == 4:
+                return check_fourpartite_equiv(a, b, CUT_12_34, CONFIG, rtol=1e-5)
+            return check_tripartite_equiv(slices_of(a), slices_of(b), CONFIG, rtol=1e-5)
+
+        for k in range(10):
+            ops = random_invertible_ops((2, 2, 2, 2), (draw_seed, k)).ops[:parties]
+            image = noisy(apply_local_ops(w_state, ops), rel, k)
+            assert check(image, w_state).status is not EquivalenceStatus.INEQUIVALENT, k
+            assert check(image, make_state(ghz)).proof.invariant == "tripartite-class", k
+
+
 class TestCheckTripartite:
     def test_ghz_vs_w_inequivalent(self):
         verdict = check_tripartite_equiv(
@@ -780,7 +809,11 @@ class TestRankPreservationProbe:
         rng = np.random.default_rng(65)
         b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
         c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        phi = np.kron(b, c) @ commutation_matrix(2, 2)
+        # The swap matrix maps vec(X) to vec(X^T) for 2x2 X.
+        swap = np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
+        phi = np.kron(b, c) @ swap
         result = rank_preservation_probe(phi, 2, 2)
         assert result.status is ProbeStatus.CONSISTENT
 
@@ -796,8 +829,8 @@ class TestRankPreservationProbe:
 
     def test_recovered_coupling_map_consistent(self):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 12, 10.0)
-        _, frame = triple_state_set(state, CUT_12_34)
-        _, frame_img = triple_state_set(image, CUT_12_34)
+        frame = triple_state_set(state, CUT_12_34)
+        frame_img = triple_state_set(image, CUT_12_34)
         a1, a2, _, _ = solve_ptilde(frame, frame_img, CONFIG).candidates[0]
         result = rank_preservation_probe(np.kron(a1, a2), 2, 2)
         assert result.status is ProbeStatus.CONSISTENT

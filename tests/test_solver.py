@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slocceq.catalog import random_orbit_case
-from slocceq.decomposition import SingularFrame, triple_state_set
+from slocceq.decomposition import TripleStateSet, triple_state_set
 from slocceq import solver
 from slocceq.solver import (
     SolveStatus,
@@ -24,7 +24,7 @@ from slocceq.solver import (
     solve_ptilde_single,
 )
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
-from slocceq.tensorops import commutation_matrix, sigma_ratio
+from slocceq.tensorops import sigma_ratio
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
@@ -99,7 +99,10 @@ class TestKronSplit:
         assert np.linalg.norm(target - c * product) < 1e-12 * np.linalg.norm(target)
 
     def test_swap_gives_none(self):
-        assert _kron_split(commutation_matrix(2, 2).astype(complex)) is None
+        swap = np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
+        assert _kron_split(swap) is None
 
     def test_prescreen_gap_bounds_the_split(self):
         rng = np.random.default_rng(74)
@@ -303,8 +306,8 @@ class TestRightTupleSolve:
 
 class TestFlatteningRelation:
     def test_cluster_pair_construction_fits_the_flattening(self):
-        _, frame = triple_state_set(make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3)), CUT_12_34)
-        _, frame_p = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        frame = triple_state_set(make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3)), CUT_12_34)
+        frame_p = triple_state_set(make_state("cluster1d"), CUT_12_34)
         out = solve_ptilde(frame, frame_p, CONFIG)
         assert out.status is SolveStatus.FOUND
         assert flat_misfit(out, frame, frame_p) < 1e-10
@@ -320,7 +323,7 @@ class TestSolvePtilde:
             ("psi2_abcd", (0.6, 0.5, 0.4, 0.3)),
         ]
         for name, params in cases:
-            _, frame = triple_state_set(make_state(name, params), CUT_12_34)
+            frame = triple_state_set(make_state(name, params), CUT_12_34)
             out = solve_ptilde(frame, frame, CONFIG)
             assert out.status is SolveStatus.FOUND, name
             assert flat_misfit(out, frame, frame) < 1e-12, name
@@ -328,8 +331,8 @@ class TestSolvePtilde:
     def test_full_rank_orbits_solve_directly(self):
         for seed in range(30):
             state, image, _ = random_orbit_case((2, 2, 2, 2), seed, 20.0)
-            _, frame = triple_state_set(state, CUT_12_34)
-            _, frame_image = triple_state_set(image, CUT_12_34)
+            frame = triple_state_set(state, CUT_12_34)
+            frame_image = triple_state_set(image, CUT_12_34)
             out = solve_ptilde(frame, frame_image, CONFIG)
             assert out.status is SolveStatus.FOUND, seed
             assert out.restarts_used == 0, seed
@@ -339,8 +342,8 @@ class TestSolvePtilde:
         for dims in [(2, 2, 3, 3), (3, 3, 2, 2)]:
             for seed in range(5):
                 state, image, _ = random_orbit_case(dims, seed, 20.0)
-                _, frame = triple_state_set(state, CUT_12_34)
-                _, frame_image = triple_state_set(image, CUT_12_34)
+                frame = triple_state_set(state, CUT_12_34)
+                frame_image = triple_state_set(image, CUT_12_34)
                 out = solve_ptilde(frame, frame_image, CONFIG)
                 assert out.status is SolveStatus.FOUND, (dims, seed)
                 assert out.restarts_used == 0, (dims, seed)
@@ -354,8 +357,8 @@ class TestSolvePtilde:
                 random_complex(rng, (2, 2)) + 1.5 * np.eye(2) for _ in range(4)
             ]
             image = apply_local_ops(state, ops)
-            _, frame = triple_state_set(state, CUT_12_34)
-            _, frame_image = triple_state_set(image, CUT_12_34)
+            frame = triple_state_set(state, CUT_12_34)
+            frame_image = triple_state_set(image, CUT_12_34)
             out = solve_ptilde(frame, frame_image, CONFIG)
             assert out.status is SolveStatus.FOUND, seed
             assert out.restarts_used == 0, seed
@@ -370,8 +373,8 @@ class TestSolvePtilde:
                 random_complex(rng, (2, 2)) + 1.5 * np.eye(2) for _ in range(4)
             ]
             image = apply_local_ops(state, ops)
-            _, frame = triple_state_set(state, CUT_12_34)
-            _, frame_image = triple_state_set(image, CUT_12_34)
+            frame = triple_state_set(state, CUT_12_34)
+            frame_image = triple_state_set(image, CUT_12_34)
             out = solve_ptilde(frame, frame_image, CONFIG)
             assert out.status is SolveStatus.FOUND
             assert out.restarts_used == 0
@@ -387,8 +390,8 @@ class TestSolvePtilde:
                     for _ in range(4)
                 ]
                 image = apply_local_ops(state, ops)
-                _, frame = triple_state_set(state, CUT_12_34)
-                _, frame_image = triple_state_set(image, CUT_12_34)
+                frame = triple_state_set(state, CUT_12_34)
+                frame_image = triple_state_set(image, CUT_12_34)
                 out = solve_ptilde(frame, frame_image, CONFIG)
                 assert out.status is SolveStatus.FOUND, name
                 assert out.restarts_used == 0, name
@@ -396,13 +399,13 @@ class TestSolvePtilde:
 
     def test_gauge_rotation_in_degenerate_block(self):
         rng = np.random.default_rng(55)
-        _, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
+        frame = triple_state_set(make_state("ghz4"), CUT_12_34)
         w, _ = np.linalg.qr(random_complex(rng, (2, 2)))
         u_mod = frame.u_full.copy()
         v_mod = frame.v_full.copy()
         u_mod[:, :2] = u_mod[:, :2] @ w
         v_mod[:, :2] = v_mod[:, :2] @ w
-        rotated = SingularFrame(
+        rotated = TripleStateSet(
             u_full=u_mod,
             v_full=v_mod,
             singular_values=frame.singular_values,
@@ -420,24 +423,24 @@ class TestSolvePtilde:
         assert flat_misfit(out, rotated, frame) < 1e-9
 
     def test_ghz_vs_w_exhausts(self):
-        _, f_w = triple_state_set(make_state("w4"), CUT_12_34)
-        _, f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
+        f_w = triple_state_set(make_state("w4"), CUT_12_34)
+        f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
         out = solve_ptilde(f_w, f_ghz, CONFIG)
         assert out.status is SolveStatus.EXHAUSTED
         assert out.restarts_used == 0
         assert flat_misfit(out, f_w, f_ghz) > 1e-3
 
     def test_rank_mismatch_rejected(self):
-        _, f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
-        _, f_cluster = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
+        f_cluster = triple_state_set(make_state("cluster1d"), CUT_12_34)
         with pytest.raises(ValueError):
             solve_ptilde(f_ghz, f_cluster, CONFIG)
 
     def test_deterministic_given_seed(self):
         for dims in [(2, 2, 2, 2), (2, 2, 3, 3)]:
             state, image, _ = random_orbit_case(dims, 9, 20.0)
-            _, frame = triple_state_set(state, CUT_12_34)
-            _, frame_image = triple_state_set(image, CUT_12_34)
+            frame = triple_state_set(state, CUT_12_34)
+            frame_image = triple_state_set(image, CUT_12_34)
             out1 = solve_ptilde(frame, frame_image, CONFIG)
             out2 = solve_ptilde(frame, frame_image, CONFIG)
             assert len(out1.candidates) == len(out2.candidates) > 0, dims
@@ -447,7 +450,7 @@ class TestSolvePtilde:
 
 class TestSolvePtildeSingle:
     def test_identity_frames(self):
-        _, frame = triple_state_set(make_state("ghz4"), CUT_12_34)
+        frame = triple_state_set(make_state("ghz4"), CUT_12_34)
         out = solve_ptilde_single(
             frame.u_full, frame.u_full, frame.r, frame.left_dims, CONFIG
         )

@@ -5,16 +5,13 @@ import pytest
 
 from slocceq.tensorops import (
     FactorizationError,
-    commutation_matrix,
     fold,
-    kron,
     numerical_rank,
     qr,
     rank1_kron_factor,
     realign,
     sigma_ratio,
     svd,
-    unrealign,
     vectorize,
 )
 
@@ -22,7 +19,7 @@ SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-# Hand expansion of kron([[1,2],[3,4]], [[0,1],[1,0]]).
+# Hand expansion of np.kron([[1,2],[3,4]], [[0,1],[1,0]]).
 KRON_HAND = np.array(
     [[0, 1, 0, 2], [1, 0, 2, 0], [0, 3, 0, 4], [3, 0, 4, 0]], dtype=complex
 )
@@ -85,16 +82,6 @@ class TestVectorizeFold:
             assert np.array_equal(fold(vectorize(m), rows, cols), m)
 
 
-class TestKron:
-    def test_identity_pair(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_expansion(self):
-        b = np.array([[1, 2], [3, 4]], dtype=complex)
-        c = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.array_equal(kron(b, c), KRON_HAND)
-
-
 class TestRealign:
     def test_matches_blockwise_oracle(self):
         rng = np.random.default_rng(7)
@@ -108,7 +95,7 @@ class TestRealign:
             for _ in range(50):
                 b = random_complex(rng, (dl, dl))
                 c = random_complex(rng, (dr, dr))
-                lhs = realign(kron(b, c), dl, dr)
+                lhs = realign(np.kron(b, c), dl, dr)
                 rhs = np.outer(vectorize(b), vectorize(c))
                 assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
@@ -117,12 +104,6 @@ class TestRealign:
 
     def test_swap_realigns_to_rank_four(self):
         assert numerical_rank(realign(SWAP, 2, 2)) == 4
-
-    def test_unrealign_inverts_realign(self):
-        rng = np.random.default_rng(9)
-        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
-            m = random_complex(rng, (dl * dr, dl * dr))
-            assert np.array_equal(unrealign(realign(m, dl, dr), dl, dr), m)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -244,7 +225,7 @@ class TestRank1KronFactor:
         for got, ref in [(b, b_ref), (c, c_ref)]:
             coeff = np.vdot(ref, got) / np.vdot(ref, ref)
             assert np.linalg.norm(got - coeff * ref) < 1e-12 * abs(coeff)
-        assert np.linalg.norm(kron(b, c) - KRON_HAND) < 1e-12 * np.linalg.norm(
+        assert np.linalg.norm(np.kron(b, c) - KRON_HAND) < 1e-12 * np.linalg.norm(
             KRON_HAND
         )
 
@@ -265,10 +246,10 @@ class TestRank1KronFactor:
             for _ in range(20):
                 b = random_complex(rng, (dl, dl))
                 c = random_complex(rng, (dr, dr))
-                prod = kron(b, c)
+                prod = np.kron(b, c)
                 b2, c2 = rank1_kron_factor(prod, dl, dr)
                 assert (
-                    np.linalg.norm(kron(b2, c2) - prod)
+                    np.linalg.norm(np.kron(b2, c2) - prod)
                     < 1e-10 * np.linalg.norm(prod)
                 )
                 # Gauge: equal Frobenius norms, real-positive lead in B.
@@ -283,7 +264,7 @@ class TestRank1KronFactor:
     def test_matches_the_gauged_svd_split(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
-            prod = kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
+            prod = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
             u, sigma, v = svd(realign(prod, 2, 2))
             b_ref = np.sqrt(sigma[0]) * fold(u[:, 0], 2, 2)
             c_ref = np.sqrt(sigma[0]) * fold(np.conj(v[:, 0]), 2, 2)
@@ -293,16 +274,3 @@ class TestRank1KronFactor:
             scale = np.linalg.norm(prod)
             assert np.linalg.norm(b - b_ref / phase) < 1e-12 * np.sqrt(scale)
             assert np.linalg.norm(c - c_ref * phase) < 1e-12 * np.sqrt(scale)
-
-
-class TestCommutationMatrix:
-    def test_maps_vec_to_vec_transpose(self):
-        rng = np.random.default_rng(18)
-        for d1, d2 in [(2, 2), (2, 3), (3, 4)]:
-            m = random_complex(rng, (d1, d2))
-            k = commutation_matrix(d1, d2)
-            assert np.array_equal(k @ vectorize(m), vectorize(m.T))
-
-    def test_square_case_involutory(self):
-        k = commutation_matrix(3, 3)
-        assert np.array_equal(k @ k, np.eye(9, dtype=complex))
