@@ -176,3 +176,41 @@ class TestTripleStateSet:
                     assert factor.r_dim == triple.r
                     for i, piece in enumerate(factor.slices):
                         assert np.array_equal(piece, fold(frame[:, i], *dims))
+
+
+class TestComplementaryState:
+    """The frame columns past ``r`` span the complement of the factor's range."""
+
+    def test_ghz4_u_complement_span(self):
+        triple = triple_state_set(make_state("ghz4"), CUT_12_34)
+        complement = triple.u_full[:, triple.r :]
+        assert complement.shape[1] == 2
+        off_corners = [
+            np.array([[0, 0], [1, 0]], dtype=complex),
+            np.array([[0, 1], [0, 0]], dtype=complex),
+        ]
+        slices = [fold(col, *triple.left_dims) for col in complement.T]
+        assert span_gap(slices, off_corners) < 1e-10
+
+    def test_full_rank_has_empty_complement(self):
+        triple = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        assert triple.u_full[:, triple.r :].shape == (4, 0)
+        assert triple.v_full[:, triple.r :].shape == (4, 0)
+
+    def test_complement_orthonormal_to_range(self):
+        rng = np.random.default_rng(33)
+        left = random_complex(rng, (16, 2))
+        right = random_complex(rng, (4, 2))
+        amps = (left @ right.T).reshape(-1)
+        state = PureState((4, 4, 2, 2), amps)
+        triple = triple_state_set(state, CUT_12_34)
+        assert triple.r == 2
+        vecs = triple.u_full[:, triple.r :]
+        assert vecs.shape == (16, 14)
+        gram = vecs.conj().T @ vecs
+        assert np.linalg.norm(gram - np.eye(vecs.shape[1])) < 1e-12
+        overlap = triple.u_full[:, : triple.r].conj().T @ vecs
+        assert np.linalg.norm(overlap) < 1e-12
+        # The complement annihilates the flattening from the left.
+        m = flatten_bipartition(state, CUT_12_34)
+        assert np.linalg.norm(vecs.conj().T @ m) < 1e-12 * np.linalg.norm(m)

@@ -82,6 +82,23 @@ class TestVectorizeFold:
             assert np.array_equal(fold(vectorize(m), rows, cols), m)
 
 
+class TestKron:
+    """The left-coarse block layout of ``np.kron`` is the one ``realign`` reads."""
+
+    def test_identity_pair(self):
+        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
+            eye = np.eye(dl * dr, dtype=complex)
+            expected = np.outer(vectorize(np.eye(dl)), vectorize(np.eye(dr)))
+            assert np.array_equal(realign(eye, dl, dr), expected)
+
+    def test_hand_expansion(self):
+        b = np.array([[1, 2], [3, 4]], dtype=complex)
+        c = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert np.array_equal(np.kron(b, c), KRON_HAND)
+        expected = np.outer(vectorize(b), vectorize(c))
+        assert np.array_equal(realign(KRON_HAND, 2, 2), expected)
+
+
 class TestRealign:
     def test_matches_blockwise_oracle(self):
         rng = np.random.default_rng(7)
@@ -104,6 +121,19 @@ class TestRealign:
 
     def test_swap_realigns_to_rank_four(self):
         assert numerical_rank(realign(SWAP, 2, 2)) == 4
+
+    def test_unrealign_inverts_realign(self):
+        """Realignment only moves entries, so its index map inverts exactly."""
+        rng = np.random.default_rng(9)
+        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
+            m = random_complex(rng, (dl * dr, dl * dr))
+            back = (
+                realign(m, dl, dr)
+                .reshape(dl, dl, dr, dr)
+                .transpose(1, 3, 0, 2)
+                .reshape(dl * dr, dl * dr)
+            )
+            assert np.array_equal(back, m)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -274,3 +304,33 @@ class TestRank1KronFactor:
             scale = np.linalg.norm(prod)
             assert np.linalg.norm(b - b_ref / phase) < 1e-12 * np.sqrt(scale)
             assert np.linalg.norm(c - c_ref * phase) < 1e-12 * np.sqrt(scale)
+
+
+def commutation_matrix(d1, d2):
+    """Permutation taking entry (r, c) of a d1 x d2 matrix to its slot in X.T."""
+    k = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for r in range(d1):
+        for c in range(d2):
+            k[r * d2 + c, c * d1 + r] = 1.0
+    return k
+
+
+class TestCommutationMatrix:
+    """``vectorize`` and ``fold`` place entry (r, c) of a d1 x d2 matrix at c*d1 + r."""
+
+    def test_maps_vec_to_vec_transpose(self):
+        rng = np.random.default_rng(18)
+        for d1, d2 in [(2, 2), (2, 3), (3, 4)]:
+            m = random_complex(rng, (d1, d2))
+            k = commutation_matrix(d1, d2)
+            assert np.array_equal(k @ vectorize(m), vectorize(m.T))
+            assert np.array_equal(fold(k @ vectorize(m), d2, d1), m.T)
+        # The literal SWAP the tests use is the 2 x 2 case.
+        assert np.array_equal(commutation_matrix(2, 2), SWAP)
+
+    def test_square_case_involutory(self):
+        rng = np.random.default_rng(19)
+        k = commutation_matrix(3, 3)
+        assert np.array_equal(k @ k, np.eye(9, dtype=complex))
+        m = random_complex(rng, (3, 3))
+        assert np.array_equal(fold(k @ (k @ vectorize(m)), 3, 3), m)
