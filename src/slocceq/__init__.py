@@ -61,13 +61,10 @@ from .equivalence import (
     Certificate,
     EquivalenceStatus,
     EquivalenceVerdict,
-    ProbeResult,
-    ProbeStatus,
     RecoveryError,
     check_fourpartite_equiv,
     check_fourpartite_equiv_all_cuts,
     check_tripartite_equiv,
-    rank_preservation_probe,
     recover_local_operators,
     verify_equivalence,
 )
@@ -122,13 +119,10 @@ __all__ = [
     "Certificate",
     "EquivalenceStatus",
     "EquivalenceVerdict",
-    "ProbeResult",
-    "ProbeStatus",
     "RecoveryError",
     "check_fourpartite_equiv",
     "check_fourpartite_equiv_all_cuts",
     "check_tripartite_equiv",
-    "rank_preservation_probe",
     "recover_local_operators",
     "verify_equivalence",
     "GoldenCase",

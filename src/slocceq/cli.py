@@ -62,6 +62,12 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _dims_differ(target, source):
+    """Fail with ``EXIT_DIMS``, naming both, when the states' dims differ; else None."""
+    if target.dims != source.dims:
+        return _fail(EXIT_DIMS, f"party dimensions differ: {list(target.dims)} vs {list(source.dims)}")
+
+
 def _jsonable(value):
     """Recursively convert numpy scalars and containers to JSON types."""
     if isinstance(value, dict):
@@ -227,11 +233,8 @@ def cmd_check(args) -> int:
         source = read_state_file(args.state_b)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    if target.dims != source.dims:
-        return _fail(
-            EXIT_DIMS,
-            f"party dimensions differ: {list(target.dims)} vs {list(source.dims)}",
-        )
+    if (code := _dims_differ(target, source)) is not None:
+        return code
     if target.num_parties != 4:
         return _fail(EXIT_PARSE, "check needs four-party states")
 
@@ -318,6 +321,8 @@ def cmd_verify(args) -> int:
         cert = read_certificate_file(args.cert)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
+    if (code := _dims_differ(target, source)) is not None:
+        return code
     ops = cert["operators"]
     if len(ops) != source.num_parties:
         return _fail(

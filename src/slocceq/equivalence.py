@@ -4,10 +4,11 @@ Pipeline for the four-partite check: one :class:`StateProfile` per state,
 the invariant screen on the two profiles, closed-form construction of
 candidate per-party operators from the profiles' singular frames at a
 common bipartition, and state-level verification of each candidate in
-construction order. Verification is the only acceptance gate: the first
-candidate that maps one state onto the other within ``verify_tol``
-decides. Each state is decomposed at most once per cut, however many cuts
-are screened and searched. A verdict is three-valued: EQUIVALENT carries
+construction order. Verification is the only acceptance gate: it pulls
+the candidates one at a time, and the first that maps one state onto the
+other within ``verify_tol`` decides, so no later candidate is built.
+Each state is decomposed at most once per cut, however many cuts are
+screened and searched. A verdict is three-valued: EQUIVALENT carries
 an operator certificate that has been re-verified on the input states,
 INEQUIVALENT carries an invariant proof, and UNDECIDED carries
 diagnostics only, with stage ``coupling_search`` when no candidate was
@@ -40,7 +41,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, fold, numerical_rank, vectorize
+from .tensorops import DEFAULT_RTOL, _lead_phase, numerical_rank, vectorize
 
 __all__ = [
     "EquivalenceStatus",
@@ -52,9 +53,6 @@ __all__ = [
     "check_fourpartite_equiv",
     "check_fourpartite_equiv_all_cuts",
     "check_tripartite_equiv",
-    "ProbeStatus",
-    "ProbeResult",
-    "rank_preservation_probe",
 ]
 
 DEFAULT_VERIFY_TOL = 1e-8
@@ -215,13 +213,16 @@ def _first_verified(
     """EQUIVALENT at the first candidate that verifies, else UNDECIDED.
 
     ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or to
-    None when the candidate yields no operators. Records the candidate
-    count, the accepted (else the best) residual and, when nothing
-    verifies, the UNDECIDED stage.
+    None when the candidate yields no operators. Candidates are pulled one
+    at a time and none is built past the first that verifies. Records the
+    number pulled, the accepted (else the best) residual and, when nothing
+    verifies, the UNDECIDED stage: ``coupling_search`` when no candidate
+    was built, ``verification`` otherwise.
     """
-    diagnostics["candidates"] = len(outcome.candidates)
+    diagnostics["candidates"] = 0
     best = math.inf
     for candidate in outcome.candidates:
+        diagnostics["candidates"] += 1
         got = verify(candidate)
         if got is None:
             continue
@@ -236,7 +237,7 @@ def _first_verified(
             )
     if best < math.inf:
         diagnostics["verify_residual"] = best
-    diagnostics["stage"] = "verification" if outcome.candidates else "coupling_search"
+    diagnostics["stage"] = "verification" if diagnostics["candidates"] else "coupling_search"
     return _undecided(diagnostics)
 
 
@@ -426,72 +427,3 @@ def check_tripartite_equiv(
     )
     return _first_verified(outcome, verify, verify_tol, diagnostics)
 
-
-class ProbeStatus(Enum):
-    """Outcome of the randomized rank-preservation probe."""
-
-    CONSISTENT = "consistent"
-    VIOLATED = "violated"
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeResult:
-    """Result of :func:`rank_preservation_probe`.
-
-    ``witness`` is a vector whose fold rank changes under the map when the
-    probe found a violation; ``checked`` counts the samples examined.
-    """
-
-    status: ProbeStatus
-    witness: Optional[np.ndarray]
-    checked: int
-    rank_input: Optional[int] = None
-    rank_image: Optional[int] = None
-
-
-def rank_preservation_probe(
-    phi: np.ndarray,
-    i1: int,
-    i2: int,
-    samples: int = 64,
-    seed: int = 0,
-    rtol: float = DEFAULT_RTOL,
-) -> ProbeResult:
-    """Randomized necessary-condition test for per-party linear maps.
-
-    A map of the form B (x) C, possibly composed with the fold-transpose,
-    preserves the rank of ``fold(a, i1, i2)`` for every vector ``a``. The
-    probe draws random vectors stratified by fold rank (rank k built as a
-    sum of k outer products) and compares the fold rank before and after
-    applying ``phi``. The first discrepancy is returned as a witness;
-    exhausting the samples is evidence of consistency, not proof.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    n = i1 * i2
-    if phi.shape != (n, n):
-        raise ValueError(f"map has shape {phi.shape}, expected {(n, n)}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-
-    rng = np.random.default_rng(seed)
-    kmax = min(i1, i2)
-
-    def draw(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-    for index in range(samples):
-        k = (index % kmax) + 1
-        a = np.zeros(n, dtype=complex)
-        for _ in range(k):
-            a += np.kron(draw(i2), draw(i1))
-        rank_in = numerical_rank(fold(a, i1, i2), rtol)
-        rank_out = numerical_rank(fold(phi @ a, i1, i2), rtol)
-        if rank_in != rank_out:
-            return ProbeResult(
-                status=ProbeStatus.VIOLATED,
-                witness=a,
-                checked=index + 1,
-                rank_input=rank_in,
-                rank_image=rank_out,
-            )
-    return ProbeResult(status=ProbeStatus.CONSISTENT, witness=None, checked=samples)

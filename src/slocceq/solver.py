@@ -6,9 +6,10 @@ the row pair's operators on the left and the column pair's on the right.
 Every construction here proposes such per-party factors in closed form
 from the two singular frames; the caller re-applies each candidate to the
 raw amplitudes and accepts only what verifies, so spurious candidates are
-harmless. The one gate applied here is the invertibility floor
-``CANDIDATE_MARGIN_RTOL`` on each side's Kronecker product. A geometry
-without a construction is reported EXHAUSTED at once.
+harmless, and each is built only when the caller pulls it. The one gate
+applied here is the invertibility floor ``CANDIDATE_MARGIN_RTOL`` on each
+side's Kronecker product. A geometry without a construction is reported
+EXHAUSTED at once.
 
 On a qubit pair the antisymmetric form eps satisfies
 ``A^T eps A = det(A) eps`` for every 2x2 operator A, so with
@@ -52,10 +53,11 @@ annihilating complement at rank three, and by the identity at rank four.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -119,16 +121,17 @@ class SolverConfig:
 class SolveOutcome:
     """Candidates of a construction. EXHAUSTED is never a proof of inequivalence.
 
-    ``candidates`` holds, in construction order, the per-party factor
-    tuples that clear the invertibility floor: ``(A_l1, A_l2, A_r1, A_r2)``
-    for the two-sided search, ``(A_1, A_2)`` for the single-sided one.
-    None of them is verified yet. FOUND means there is at least one;
-    EXHAUSTED means the geometry has no construction or every candidate
-    fell below the floor. ``restarts_used`` is always 0.
+    ``candidates`` is a one-pass iterable over the per-party factor tuples
+    that clear the invertibility floor, in construction order:
+    ``(A_l1, A_l2, A_r1, A_r2)`` for the two-sided search, ``(A_1, A_2)``
+    for the single-sided one. Each is built only when it is pulled, and
+    none is verified yet. FOUND means there is at least one; EXHAUSTED
+    means the geometry has no construction or every candidate fell below
+    the floor. ``restarts_used`` is always 0.
     """
 
     status: SolveStatus
-    candidates: tuple
+    candidates: Iterable[tuple]
     restarts_used: int
 
 
@@ -351,7 +354,7 @@ def _right_tuple_solve(rs, ts, rng):
 
 
 def _qubit_row_pair_candidates(m, mp, rng):
-    """Factor candidates for a full-row-rank cut with a qubit pair on the rows.
+    """Yield factor candidates for a full-row-rank cut with a qubit pair on the rows.
 
     B comes from the congruence of ``M J M^T`` on qubit-pair columns or of
     the det-form covariant on qutrit-pair columns, and the column factors
@@ -360,15 +363,14 @@ def _qubit_row_pair_candidates(m, mp, rng):
     d = math.isqrt(m.shape[1])
     covariant = _row_pair_covariant if d == 3 else lambda x: x @ _QUBIT_PAIR_FORM @ x.T
     rs = m.reshape(4, d, d)
-    out = []
+    # A list, not a stream: every B draws from rng before any right tuple does.
     for b in _kron_congruences(covariant(m), covariant(mp), rng):
         left = _kron_split(b)
         if left is None:
             continue
         right = _right_tuple_solve(rs, np.linalg.solve(b, mp).reshape(4, d, d), rng)
         if right is not None:
-            out.append(left + right)
-    return out
+            yield left + right
 
 
 _E11, _E12, _E21, _E22 = (np.eye(4)[k].reshape(2, 2) for k in range(4))
@@ -500,7 +502,7 @@ def _between(src, dst, a=np.eye(2), b=np.eye(2)):
 
 
 def _rank2_square_candidates(frame, frame_prime, rng):
-    """Factor candidates for a rank-two qubit-pair by qubit-pair cut.
+    """Yield factor candidates for a rank-two qubit-pair by qubit-pair cut.
 
     Each state's column and row spans go to their normal forms, giving
     ``(N1 (x) N2) M (N3 (x) N4)^T = S_c k S_r^T`` with the normal bases
@@ -516,14 +518,13 @@ def _rank2_square_candidates(frame, frame_prime, rng):
         col = _pencil_normal_form(u[:, 0].reshape(2, 2), u[:, 1].reshape(2, 2))
         row = _pencil_normal_form(v[:, 0].reshape(2, 2), v[:, 1].reshape(2, 2))
         if col is None or row is None:
-            return []
+            return
         g = np.kron(col[0], col[1]) @ f.reconstruct() @ np.kron(row[0], row[1]).T
         core = np.linalg.pinv(col[2].basis) @ g @ np.linalg.pinv(row[2].basis).T
         forms.append((col, row, core))
     (col, row, k), (col_p, row_p, k_p) = forms
     if col[2] is not col_p[2] or row[2] is not row_p[2]:
-        return []
-    out = []
+        return
     for basis_c, lift_c in col[2].families:
         for basis_r, lift_r in row[2].families:
             basis_s = [q.T for q in basis_r]
@@ -538,11 +539,10 @@ def _rank2_square_candidates(frame, frame_prime, rng):
             margins = sigma_ratio(np.linalg.svd(np.stack([sigma, rho_c]), compute_uv=False))
             if margins.min() < _STABILISER_MARGIN:
                 continue
-            out.append(
+            yield (
                 _between(col, col_p, *lift_c(rho_c))
                 + _between(row, row_p, *lift_r(np.linalg.inv(sigma).T))
             )
-    return out
 
 
 def _single_kron_candidates(u_full, u_prime_full, r):
@@ -577,7 +577,7 @@ def _single_kron_candidates(u_full, u_prime_full, r):
 
 
 def _direct_flat_candidates(frame, frame_prime, rng):
-    """Factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings, or [].
+    """Iterable of factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings.
 
     Dispatches on the cut geometry. A full-row-rank cut with a qubit pair
     on the rows has one construction, which (3,3) x (2,2) cuts run on the
@@ -585,9 +585,7 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     Rank-one cuts of any shape reduce to fold congruences, and rank-two
     qubit-pair cuts to pencil normal forms.
     """
-    r = frame.r
-    left = frame.left_dims
-    right = frame.right_dims
+    r, left, right = frame.r, frame.left_dims, frame.right_dims
     if r == 1:
         return _rank1_flat_candidates(frame, frame_prime)
     if left == (2, 2) and right == (2, 2) and r == 2:
@@ -599,7 +597,7 @@ def _direct_flat_candidates(frame, frame_prime, rng):
         return _qubit_row_pair_candidates(m, mp, rng)
     if left == (3, 3) and right == (2, 2):
         swapped = _qubit_row_pair_candidates(m.T, mp.T, rng)
-        return [cand[2:] + cand[:2] for cand in swapped]
+        return (cand[2:] + cand[:2] for cand in swapped)
     return []
 
 
@@ -610,22 +608,22 @@ def _kron_margin(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _above_floor(candidates) -> SolveOutcome:
-    """Outcome keeping the candidates whose every side clears the floor.
+    """Outcome streaming the candidates whose every side clears the floor.
 
     A candidate's factors come in pairs, one pair per side of the
     relation; each pair's Kronecker product must have a margin of at
-    least ``CANDIDATE_MARGIN_RTOL``.
+    least ``CANDIDATE_MARGIN_RTOL``. Only the first that does is built
+    here, to tell FOUND from EXHAUSTED; the rest are built as pulled.
     """
-    kept = tuple(
+    kept = (
         cand
         for cand in candidates
-        if all(
-            _kron_margin(cand[k], cand[k + 1]) >= CANDIDATE_MARGIN_RTOL
-            for k in range(0, len(cand), 2)
-        )
+        if all(_kron_margin(a, b) >= CANDIDATE_MARGIN_RTOL for a, b in zip(cand[::2], cand[1::2]))
     )
-    status = SolveStatus.FOUND if kept else SolveStatus.EXHAUSTED
-    return SolveOutcome(status, kept, restarts_used=0)
+    first = next(kept, None)
+    if first is None:
+        return SolveOutcome(SolveStatus.EXHAUSTED, (), restarts_used=0)
+    return SolveOutcome(SolveStatus.FOUND, itertools.chain([first], kept), restarts_used=0)
 
 
 def solve_ptilde(

@@ -14,9 +14,7 @@ from slocceq.cli import main, write_certificate_file
 from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.equivalence import (
     EquivalenceStatus,
-    ProbeStatus,
     check_fourpartite_equiv,
-    rank_preservation_probe,
     verify_equivalence,
 )
 from slocceq.invariants import invariant_screen
@@ -186,23 +184,3 @@ def test_criterion_7_structural_identities():
         worst_recon = max(worst_recon, float(np.linalg.norm(q @ r - m)))
     assert worst_recon < 1e-12
     report(7, f"fold/vectorize exact; realign identity max err {worst_realign:.1e}; reconstruction max err {worst_recon:.1e}")
-
-
-def test_criterion_8_rank_preservation_probe():
-    rng = np.random.default_rng(101)
-    for trial in range(1000):
-        b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        result = rank_preservation_probe(np.kron(b, c), 2, 2, seed=trial)
-        assert result.status is ProbeStatus.CONSISTENT, trial
-
-    violated = 0
-    for trial in range(1000):
-        phi = random_complex(rng, (4, 4))
-        if abs(np.linalg.det(phi)) < 1e-6:
-            phi = phi + 0.5 * np.eye(4)
-        result = rank_preservation_probe(phi, 2, 2, samples=64, seed=trial)
-        if result.status is ProbeStatus.VIOLATED:
-            violated += 1
-    assert violated >= 990
-    report(8, f"1000 product maps CONSISTENT; {violated}/1000 generic maps VIOLATED within 64 samples")

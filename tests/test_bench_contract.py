@@ -11,6 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slocceq.decomposition import triple_state_set
+from slocceq.solver import SolverConfig, solve_ptilde, solve_ptilde_single
+from slocceq.states import Bipartition, make_state
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -35,3 +39,16 @@ def test_installed_wraps_and_restores(spans):
     for module, name, original in originals:
         assert getattr(module, name) is original, name
     assert np.linalg.svd is svd
+
+
+def test_outcome_labels_real_solver_outcomes(spans):
+    cut = Bipartition((1, 2), (3, 4))
+    config = SolverConfig(rng_seed=0)
+    ghz = triple_state_set(make_state("ghz4"), cut)
+    w = triple_state_set(make_state("w4"), cut)
+    assert spans._outcome("solver", solve_ptilde(ghz, ghz, config)) == ("spectral", 0)
+    assert spans._outcome("solver", solve_ptilde(w, ghz, config)) == ("exhausted", 0)
+    found = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 2), config)
+    exhausted = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 3), config)
+    assert spans._outcome("solver", found) == ("spectral", 0)
+    assert spans._outcome("solver", exhausted) == ("exhausted", 0)

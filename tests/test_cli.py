@@ -244,6 +244,17 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["residual"] < 1e-12
 
+    def test_dims_mismatch_rejected(self, files, tmp_path, capsys):
+        source = tmp_path / "mixed.state"
+        write_state_file(source, random_orbit_case((2, 2, 3, 3), 0)[0])
+        out = tmp_path / "orb"
+        assert main(["orbit", str(source), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["verify", files["ghz4"], str(source), f"{out}.cert"])
+        assert code == EXIT_DIMS
+        err = capsys.readouterr().err
+        assert "[2, 2, 2, 2]" in err and "[2, 2, 3, 3]" in err
+
 
 class TestClassify3:
     def test_ghz_label(self, files, capsys):

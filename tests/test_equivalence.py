@@ -11,18 +11,16 @@ from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.equivalence import (
     DEFAULT_VERIFY_TOL,
     EquivalenceStatus,
-    ProbeStatus,
     RecoveryError,
     check_fourpartite_equiv,
     check_fourpartite_equiv_all_cuts,
     check_tripartite_equiv,
-    rank_preservation_probe,
     recover_local_operators,
     verify_equivalence,
 )
 from slocceq.invariants import invariant_screen
 from slocceq import solver
-from slocceq.solver import CANDIDATE_MARGIN_RTOL, SolverConfig, solve_ptilde
+from slocceq.solver import CANDIDATE_MARGIN_RTOL, SolverConfig, _kron_margin, solve_ptilde
 from slocceq.states import (
     Bipartition,
     PureState,
@@ -31,7 +29,6 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
-from slocceq.tensorops import fold, numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
@@ -223,7 +220,10 @@ class TestInvertibilityFloor:
 
 
 class TestVerificationDecides:
-    """Candidates are verified in construction order; the first to pass decides."""
+    """Candidates are verified in construction order; the first to pass decides.
+
+    Candidates are pulled one at a time, so none after it is built.
+    """
 
     def planted_check(self, monkeypatch, candidates):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 5, 10.0)
@@ -241,9 +241,19 @@ class TestVerificationDecides:
         planted, broken = self.planted_and_broken()
         verdict, verifies = self.planted_check(monkeypatch, [broken, planted, planted])
         assert verdict.status is EquivalenceStatus.EQUIVALENT
-        assert verdict.diagnostics["candidates"] == 3
+        assert verdict.diagnostics["candidates"] == 2
         assert verdict.certificate.residual < 1e-10
         assert verifies == 2
+
+    def test_planted_orbit_builds_one_candidate(self, monkeypatch):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 5, 10.0)
+        solves = count_calls(monkeypatch, solver, "_right_tuple_solve")
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert verdict.diagnostics["candidates"] == 1
+        assert solves[0] == 1
+        assert verifies[0] == 1
 
     def test_broken_candidate_is_undecided_at_verification(self, monkeypatch):
         _, broken = self.planted_and_broken()
@@ -796,49 +806,15 @@ class TestCheckTripartite:
 
 
 class TestRankPreservationProbe:
-    def test_kron_map_consistent(self):
-        rng = np.random.default_rng(64)
-        b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        result = rank_preservation_probe(np.kron(b, c), 2, 2)
-        assert result.status is ProbeStatus.CONSISTENT
-        assert result.witness is None
-        assert result.checked == 64
-
-    def test_fold_transpose_composition_consistent(self):
-        rng = np.random.default_rng(65)
-        b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
-        # The swap matrix maps vec(X) to vec(X^T) for 2x2 X.
-        swap = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-        phi = np.kron(b, c) @ swap
-        result = rank_preservation_probe(phi, 2, 2)
-        assert result.status is ProbeStatus.CONSISTENT
-
-    def test_generic_map_violated_with_witness(self):
-        rng = np.random.default_rng(66)
-        phi = random_complex(rng, (4, 4))
-        result = rank_preservation_probe(phi, 2, 2)
-        assert result.status is ProbeStatus.VIOLATED
-        a = result.witness
-        assert numerical_rank(fold(a, 2, 2)) == result.rank_input
-        assert numerical_rank(fold(phi @ a, 2, 2)) == result.rank_image
-        assert result.rank_input != result.rank_image
+    """The first candidate's maps are invertible Kronecker products, which preserve fold rank."""
 
     def test_recovered_coupling_map_consistent(self):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 12, 10.0)
         frame = triple_state_set(state, CUT_12_34)
         frame_img = triple_state_set(image, CUT_12_34)
-        a1, a2, _, _ = solve_ptilde(frame, frame_img, CONFIG).candidates[0]
-        result = rank_preservation_probe(np.kron(a1, a2), 2, 2)
-        assert result.status is ProbeStatus.CONSISTENT
-
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            rank_preservation_probe(np.eye(5), 2, 2)
-
-    def test_sample_guard(self):
-        with pytest.raises(ValueError):
-            rank_preservation_probe(np.eye(4), 2, 2, samples=0)
+        a1, a2, a3, a4 = next(iter(solve_ptilde(frame, frame_img, CONFIG).candidates))
+        mapped = np.kron(a1, a2) @ frame.reconstruct() @ np.kron(a3, a4).T
+        _, resid = proportionality(frame_img.reconstruct(), mapped)
+        assert resid < 1e-8
+        assert _kron_margin(a1, a2) >= CANDIDATE_MARGIN_RTOL
+        assert _kron_margin(a3, a4) >= CANDIDATE_MARGIN_RTOL

@@ -441,10 +441,10 @@ class TestSolvePtilde:
             state, image, _ = random_orbit_case(dims, 9, 20.0)
             frame = triple_state_set(state, CUT_12_34)
             frame_image = triple_state_set(image, CUT_12_34)
-            out1 = solve_ptilde(frame, frame_image, CONFIG)
-            out2 = solve_ptilde(frame, frame_image, CONFIG)
-            assert len(out1.candidates) == len(out2.candidates) > 0, dims
-            for cand1, cand2 in zip(out1.candidates, out2.candidates):
+            cands1 = list(solve_ptilde(frame, frame_image, CONFIG).candidates)
+            cands2 = list(solve_ptilde(frame, frame_image, CONFIG).candidates)
+            assert len(cands1) == len(cands2) > 0, dims
+            for cand1, cand2 in zip(cands1, cands2):
                 assert all(np.array_equal(a, b) for a, b in zip(cand1, cand2)), dims
 
 
