@@ -29,6 +29,7 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
+from slocceq.tensorops import fold, numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
@@ -805,8 +806,62 @@ class TestCheckTripartite:
             check_tripartite_equiv(t, t, CONFIG)
 
 
+def fold_ranks(phi, i1, i2, seed, samples=64):
+    """Fold ranks of random vectors before and after the map ``phi``.
+
+    Sample k has fold rank ``k % min(i1, i2) + 1``, built as a sum of that
+    many outer products; yields ``(vector, rank_in, rank_out)``.
+    """
+    rng = np.random.default_rng(seed)
+    for index in range(samples):
+        a = sum(
+            np.kron(random_complex(rng, i2), random_complex(rng, i1))
+            for _ in range(index % min(i1, i2) + 1)
+        )
+        yield a, numerical_rank(fold(a, i1, i2)), numerical_rank(fold(phi @ a, i1, i2))
+
+
 class TestRankPreservationProbe:
     """The first candidate's maps are invertible Kronecker products, which preserve fold rank."""
+
+    def test_kron_map_consistent(self):
+        rng = np.random.default_rng(64)
+        b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
+        c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
+        ranks = [(r_in, r_out) for _, r_in, r_out in fold_ranks(np.kron(b, c), 2, 2, seed=0)]
+        assert {r_in for r_in, _ in ranks} == {1, 2}
+        assert all(r_in == r_out for r_in, r_out in ranks)
+
+    def test_fold_transpose_composition_consistent(self):
+        rng = np.random.default_rng(65)
+        b = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
+        c = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
+        # The swap matrix maps vec(X) to vec(X^T) for 2x2 X.
+        swap = np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
+        phi = np.kron(b, c) @ swap
+        assert all(r_in == r_out for _, r_in, r_out in fold_ranks(phi, 2, 2, seed=0))
+
+    def test_generic_map_violated_with_witness(self):
+        rng = np.random.default_rng(66)
+        phi = random_complex(rng, (4, 4))
+        witnesses = [w for w in fold_ranks(phi, 2, 2, seed=0) if w[1] != w[2]]
+        assert witnesses
+        a, r_in, r_out = witnesses[0]
+        assert (r_in, r_out) == (1, 2)
+        assert np.linalg.matrix_rank(a.reshape(2, 2, order="F")) == 1
+
+    def test_shape_guard(self):
+        with pytest.raises(ValueError):
+            fold(np.eye(5) @ np.ones(5), 2, 2)
+
+    def test_sample_guard(self):
+        # The zero vector has fold rank 0, and so has its image.
+        zero = np.zeros(4, dtype=complex)
+        assert numerical_rank(fold(zero, 2, 2)) == 0
+        assert numerical_rank(fold(np.kron(np.eye(2), 2 * np.eye(2)) @ zero, 2, 2)) == 0
+        assert numerical_rank(np.zeros((0, 0))) == 0
 
     def test_recovered_coupling_map_consistent(self):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 12, 10.0)
