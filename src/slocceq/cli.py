@@ -440,6 +440,17 @@ def _finite_above(bound: float):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0, as numpy's seed sequences require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
     )
-    p.add_argument("--seed", type=int, default=None, help="solver seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="solver seed (default 0)")
     p.add_argument(
         "--cert-out", default=None, help="write the certificate here when equivalent"
     )
@@ -515,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         "orbit", parents=[common], help="generate a random local orbit image"
     )
     p.add_argument("state", help="state file")
-    p.add_argument("--seed", type=int, default=None, help="operator seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="operator seed (default 0)")
     p.add_argument(
         "--cond-cap",
         type=_finite_above(1.0),

@@ -25,13 +25,17 @@ basis the Kronecker products of determinant one are exactly SO(4, C)
 (Verstraete, Dehaene, De Moor & Verschelde, *PRA* 65, 052112, 2002), and
 two similar complex symmetric matrices are similar through the
 orthogonal factor ``W (W^T W)^{-1/2}`` of any intertwiner W (Gantmacher,
-*Theory of Matrices* II, ch. XI). So for each determinant root c one
-Sylvester nullspace gives W, a Denman-Beavers square root gives the
-orthogonal factor, and reflections along eigenvectors supply the rest
-of the orthogonal centralizer; every resulting B is split into qubit
-factors. On qubit and qutrit pairs alike ``G S_i = S'_i H^{-T}`` on the
-folded rows of M and ``B^{-1} M' = M (G (x) H)^T`` is then linear in
-(G, H^{-T}) and solved by one nullspace.
+*Theory of Matrices* II, ch. XI). With ``A = P S P^T`` in the magic
+basis P, the four determinant roots c are tried in the order in which
+``c^p tr(A^p)`` matches ``tr(A'^p)`` for p = 1, 2, 3, so the root that
+has intertwiners usually comes first. For each root, when it is
+reached, one Sylvester nullspace gives W, a Denman-Beavers square root
+gives the orthogonal factor, and reflections along eigenvectors supply
+the rest of the orthogonal centralizer; each B is built only when it is
+pulled, and split into qubit factors. On qubit and qutrit pairs alike
+``G S_i = S'_i H^{-T}`` on the folded rows of M and
+``B^{-1} M' = M (G (x) H)^T`` is then linear in (G, H^{-T}) and solved
+by one nullspace.
 
 At rank two on qubit pairs the column and row spaces fold into
 two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
@@ -102,7 +106,8 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Seed of the constructions.
 
-    ``rng_seed`` seeds the random nullspace points the constructions mix.
+    ``rng_seed`` seeds the random nullspace points the constructions mix;
+    it must be non-negative, as numpy's seed sequences require.
     ``restarts`` has no effect: every candidate comes from a closed-form
     construction and no randomized search runs. It is still accepted,
     and must be positive, because existing callers such as the
@@ -113,6 +118,8 @@ class SolverConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -273,8 +280,14 @@ def _eigen_reflections(a: np.ndarray):
     ]
 
 
+def _power_traces(a: np.ndarray) -> np.ndarray:
+    """``[tr(a), tr(a^2), tr(a^3)]``, from one matrix product."""
+    square = a @ a
+    return np.array([np.trace(a), np.trace(square), np.einsum("ij,ji->", square, a)])
+
+
 def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
-    """4x4 matrices B with ``s_p ∝ B s B^T``, for symmetric s and s_p.
+    """Yield 4x4 matrices B with ``s_p ∝ B s B^T``, for symmetric s and s_p.
 
     With ``A = P s P^T`` in the magic basis P the relation reads
     ``A' = c O A O^T`` with O in SO(4, C). For each determinant root c the
@@ -284,15 +297,28 @@ def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
     cover the orthogonal centralizer of A up to sign when the spectrum is
     simple, and reach both of its components otherwise. Each
     ``B = P^-1 O R P`` is proposed.
+
+    Since ``tr(A'^p) = c^p tr(A^p)``, the roots are tried in increasing
+    order of ``sum_p |tr(A'^p) / c^p - tr(A^p)|`` over p = 1, 2, 3, ties in
+    root order, so the root whose intertwiners exist usually comes first.
+    Everything is built as it is pulled: a root's Sylvester nullspace when
+    the root is reached, A's eigenvectors once, at the first reflection,
+    and each B when it is yielded.
     """
     a, a_p = _MAGIC @ s @ _MAGIC.T, _MAGIC @ s_p @ _MAGIC.T
     det_a, det_ap = np.linalg.det(a), np.linalg.det(a_p)
     if det_a == 0.0 or det_ap == 0.0:
-        return []
+        return
     c0 = (det_ap / det_a) ** 0.25
-    out = []
-    for k in range(4):
-        family = _intertwiner_family(a, a_p / (c0 * 1j**k))
+    traces, traces_p = _power_traces(a), _power_traces(a_p)
+    powers = np.arange(1, 4)
+    roots = sorted(
+        (c0 * 1j**k for k in range(4)),
+        key=lambda c: np.abs(traces_p / c**powers - traces).sum(),
+    )
+    reflections = None
+    for c in roots:
+        family = _intertwiner_family(a, a_p / c)
         if not family:
             continue
         mix = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
@@ -302,13 +328,16 @@ def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
         o = None if o is None else _polar_orthogonal(sum(np.vdot(x, o) * x for x in family))
         if o is None:
             continue
-        reflections = _eigen_reflections(a)
-        if np.linalg.det(o).real > 0.0:
-            rs = [np.eye(4)] + [reflections[0] @ r for r in reflections[1:]]
-        else:
-            rs = reflections
-        out.extend(_MAGIC.conj().T @ o @ r @ _MAGIC for r in rs)
-    return out
+        positive = np.linalg.det(o).real > 0.0
+        if positive:
+            yield _MAGIC.conj().T @ o @ _MAGIC
+        if reflections is None:
+            reflections = _eigen_reflections(a)
+        # O R must have determinant one: an even number of reflections R
+        # when det O = 1, an odd number when it is -1.
+        rs = (reflections[0] @ r for r in reflections[1:]) if positive else reflections
+        for r in rs:
+            yield _MAGIC.conj().T @ o @ r @ _MAGIC
 
 
 def _nullspace_point(system: np.ndarray, rng):
@@ -319,7 +348,9 @@ def _nullspace_point(system: np.ndarray, rng):
     point is dropped when its relative misfit
     ``|system x| / (sigma_max |x|)`` exceeds ``_DIRECT_PRESCREEN_GAP``.
     """
-    _, s, vh = np.linalg.svd(system)
+    # U is never read; V stays square when the system is wide, so that
+    # its nullspace rows are kept.
+    _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
     rank = min(int(np.sum(s > _NULLSPACE_RTOL * s[0])), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
@@ -363,7 +394,6 @@ def _qubit_row_pair_candidates(m, mp, rng):
     d = math.isqrt(m.shape[1])
     covariant = _row_pair_covariant if d == 3 else lambda x: x @ _QUBIT_PAIR_FORM @ x.T
     rs = m.reshape(4, d, d)
-    # A list, not a stream: every B draws from rng before any right tuple does.
     for b in _kron_congruences(covariant(m), covariant(mp), rng):
         left = _kron_split(b)
         if left is None:
@@ -602,8 +632,14 @@ def _direct_flat_candidates(frame, frame_prime, rng):
 
 
 def _kron_margin(a: np.ndarray, b: np.ndarray) -> float:
-    """sigma_min/sigma_max of ``kron(a, b)``, the product of the factors' ratios."""
-    s = [np.linalg.svd(m, compute_uv=False) for m in (a, b)]
+    """sigma_min/sigma_max of ``kron(a, b)``, the product of the factors' ratios.
+
+    Factors of one shape share one stacked SVD call.
+    """
+    if a.shape == b.shape:
+        s = np.linalg.svd(np.stack([a, b]), compute_uv=False)
+    else:
+        s = [np.linalg.svd(m, compute_uv=False) for m in (a, b)]
     return sigma_ratio(s[0]) * sigma_ratio(s[1])
 
 

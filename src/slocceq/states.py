@@ -160,7 +160,14 @@ class LocalOperatorTuple:
         for k, m in enumerate(ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"operator {k + 1} is not square: shape {m.shape}")
-            s = np.linalg.svd(m, compute_uv=False)
+        # One stacked SVD call per operator shape.
+        spectra = {}
+        for shape in {m.shape for m in ops}:
+            ks = [k for k, m in enumerate(ops) if m.shape == shape]
+            stacked = np.stack([ops[k] for k in ks])
+            spectra.update(zip(ks, np.linalg.svd(stacked, compute_uv=False)))
+        for k, m in enumerate(ops):
+            s = spectra[k]
             if s[-1] <= OPERATOR_INVERTIBILITY_RTOL * s[0]:
                 raise ValueError(
                     f"operator {k + 1} is numerically singular "

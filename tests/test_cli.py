@@ -350,7 +350,7 @@ class TestCertificateFiles:
 
 
 class TestNumericFlags:
-    """Tolerances and condition caps outside their domain are parse errors."""
+    """Tolerances, condition caps and seeds outside their domain are parse errors."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -365,6 +365,9 @@ class TestNumericFlags:
             (["orbit", "{ghz4}", "--cond-cap", "1", "--out", "{dir}/o"], "--cond-cap"),
             (["orbit", "{ghz4}", "--cond-cap", "inf", "--out", "{dir}/o"], "--cond-cap"),
             (["orbit", "{ghz4}", "--cond-cap", "many", "--out", "{dir}/o"], "--cond-cap"),
+            (["check", "{ghz4}", "{ghz4}", "--seed", "-1"], "--seed"),
+            (["check", "{ghz4}", "{ghz4}", "--seed", "1.5", "--json"], "--seed"),
+            (["orbit", "{ghz4}", "--seed", "-1", "--out", "{dir}/o"], "--seed"),
         ],
     )
     def test_rejected_with_the_flag_named(self, files, capsys, argv, flag):
@@ -379,6 +382,7 @@ class TestNumericFlags:
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
         out = tmp_path / "orb"
         assert main(["orbit", files["ghz4"], "--cond-cap", "1.5", "--out", str(out)]) == EXIT_OK
+        assert main(["check", files["ghz4"], files["ghz4"], "--seed", "0"]) == EXIT_OK
 
 
 class TestTopLevel:

@@ -256,6 +256,17 @@ class TestVerificationDecides:
         assert solves[0] == 1
         assert verifies[0] == 1
 
+    def test_planted_orbit_solves_one_sylvester_system(self, monkeypatch):
+        # Only the root matching the trace powers has intertwiners, and it
+        # is tried first; the first B verifies, so no other root is reached.
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 5, 10.0)
+        families = count_calls(monkeypatch, solver, "_intertwiner_family")
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert families[0] == 1
+        assert svds[0] <= 25
+
     def test_broken_candidate_is_undecided_at_verification(self, monkeypatch):
         _, broken = self.planted_and_broken()
         verdict, verifies = self.planted_check(monkeypatch, [broken])

@@ -12,6 +12,7 @@ from slocceq.solver import (
     _MAGIC,
     _QUBIT_PAIR_FORM,
     _binary_quadratic_roots,
+    _intertwiner_family,
     _kron_congruences,
     _kron_margin,
     _kron_split,
@@ -65,6 +66,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(rng_seed=0, restarts=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SolverConfig(rng_seed=-1)
+
 
 class TestKronMargin:
     def test_equals_margin_of_the_product(self):
@@ -77,6 +82,14 @@ class TestKronMargin:
     def test_singular_factor_gives_zero(self):
         singular = np.diag([1.0, 0.0]).astype(complex)
         assert _kron_margin(EYE, singular) == 0.0
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 2), (3, 3))])
+    def test_equals_product_of_factor_ratios_bit_for_bit(self, shapes):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            a, b = (random_complex(rng, shape) for shape in shapes)
+            ratios = [sigma_ratio(np.linalg.svd(m, compute_uv=False)) for m in (a, b)]
+            assert np.array_equal(_kron_margin(a, b), ratios[0] * ratios[1])
 
     def test_scale_free(self):
         rng = np.random.default_rng(71)
@@ -201,7 +214,7 @@ class TestKronCongruences:
             s = random_complex(rng, (4, 4))
             s = s + s.T
             b, s_p = planted_congruence(rng, s)
-            cands = _kron_congruences(s, s_p, rng)
+            cands = list(_kron_congruences(s, s_p, rng))
             assert min(congruence_misfits(cands, s, s_p)) < 1e-8
             assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
 
@@ -215,6 +228,26 @@ class TestKronCongruences:
             _, s_p = planted_congruence(rng, s)
             assert min(congruence_misfits(_kron_congruences(s, s_p, rng), s, s_p)) < 1e-8
 
+    def test_stream_yields_every_nonempty_root(self):
+        # cluster1d's twisted square has tr(A) = tr(A^3) = 0, so the roots c
+        # and -c tie on the trace match and both have intertwiners.
+        rng = np.random.default_rng(83)
+        s = symmetric_of(make_state("cluster1d").amps.reshape(4, 4))
+        a = _MAGIC @ s @ _MAGIC.T
+        for _ in range(5):
+            _, s_p = planted_congruence(rng, s)
+            cands = list(_kron_congruences(s, s_p, rng))
+            a_p = _MAGIC @ s_p @ _MAGIC.T
+            c0 = (np.linalg.det(a_p) / np.linalg.det(a)) ** 0.25
+            roots = [c0 * 1j**k for k in range(4) if _intertwiner_family(a, a_p / (c0 * 1j**k))]
+            assert len(roots) == 2
+            assert len(cands) == 8
+            images = [b @ s @ b.T for b in cands]
+            assert max(scale_fit_misfit([x], [s_p]) for x in images) < 1e-8
+            scalars = [np.vdot(x, s_p) / np.vdot(x, x) for x in images]
+            for root in roots:
+                assert sum(abs(c / root - 1.0) < 1e-8 for c in scalars) == 4
+
     def test_single_jordan_block(self):
         rng = np.random.default_rng(81)
         s = symmetric_of(l_a4_flattening(0.7 - 0.4j))
@@ -223,7 +256,7 @@ class TestKronCongruences:
         assert np.linalg.matrix_rank(a - lam * np.eye(4), tol=1e-10 * np.linalg.norm(a)) == 3
         for _ in range(5):
             b, s_p = planted_congruence(rng, s)
-            cands = _kron_congruences(s, s_p, rng)
+            cands = list(_kron_congruences(s, s_p, rng))
             assert min(congruence_misfits(cands, s, s_p)) < 1e-8
             assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
 
@@ -246,7 +279,7 @@ class TestKronCongruences:
 
         monkeypatch.setattr(solver, "_polar_orthogonal", flipped)
         b, s_p = planted_congruence(rng, s)
-        cands = _kron_congruences(s, s_p, rng)
+        cands = list(_kron_congruences(s, s_p, rng))
         assert dets and all(abs(d + 1.0) < 1e-10 for d in dets)
         assert min(congruence_misfits(cands, s, s_p)) < 1e-8
         assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8

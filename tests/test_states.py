@@ -155,6 +155,13 @@ class TestLocalOperatorTuple:
         with pytest.raises(ValueError):
             LocalOperatorTuple(tuple(mats))
 
+    def test_singular_operator_named_among_mixed_shapes(self):
+        rng = np.random.default_rng(22)
+        singular = np.outer(random_complex(rng, (3,)), random_complex(rng, (3,)))
+        mats = [random_complex(rng, (2, 2)), random_complex(rng, (2, 2)), singular, np.eye(3)]
+        with pytest.raises(ValueError, match="operator 3 is numerically singular"):
+            LocalOperatorTuple(tuple(mats))
+
 
 class TestApplyLocalOps:
     def test_identity_fixes_state(self):
