@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equivalence import EquivalenceStatus
+from .equivalence import DEFAULT_VERIFY_TOL, EquivalenceStatus
 from .states import (
     Bipartition,
     LocalOperatorTuple,
@@ -57,7 +57,7 @@ class GoldenCase:
     expected_spectrum: Optional[Tuple[float, ...]] = None
     expected_u_span: Optional[Tuple[np.ndarray, ...]] = None
     operators: Optional[LocalOperatorTuple] = None
-    tolerance: float = 1e-8
+    tolerance: float = DEFAULT_VERIFY_TOL
 
 
 def cluster_pair_operators(a: float, b: float, c: float, d: float) -> LocalOperatorTuple:

@@ -69,7 +69,10 @@ def _dims_differ(target, source):
 
 
 def _jsonable(value):
-    """Recursively convert numpy scalars and containers to JSON types."""
+    """Recursively convert numpy scalars and containers to JSON types.
+
+    Complex numbers become ``[re, im]`` pairs, so does each entry of ``ndarray.tolist()``.
+    """
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -85,12 +88,6 @@ def _jsonable(value):
     return value
 
 
-def _complex_pairs(matrix) -> list:
-    """Matrix entries as nested [re, im] pairs, row by row."""
-    mat = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def _matrix_from_pairs(rows, field: str) -> np.ndarray:
     try:
         mat = np.array(
@@ -100,6 +97,8 @@ def _matrix_from_pairs(rows, field: str) -> np.ndarray:
         raise ValueError(f"certificate field {field!r} is malformed: {exc}")
     if mat.ndim != 2 or mat.size == 0 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"certificate field {field!r} must hold square matrices")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"certificate field {field!r} holds nan or inf entries")
     return mat
 
 
@@ -108,13 +107,13 @@ def write_certificate_file(path, ops, scalar, cut_label, residual, diagnostics):
     payload = {
         "version": CERTIFICATE_VERSION,
         "cut": cut_label,
-        "scalar": [float(complex(scalar).real), float(complex(scalar).imag)],
+        "scalar": complex(scalar),
         "residual": float(residual),
-        "operators": [_complex_pairs(op) for op in ops],
-        "diagnostics": _jsonable(diagnostics),
+        "operators": [np.asarray(op, dtype=complex).tolist() for op in ops],
+        "diagnostics": diagnostics,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(_jsonable(payload), handle, indent=2)
         handle.write("\n")
 
 
@@ -137,12 +136,12 @@ def read_certificate_file(path) -> dict:
     if (
         not isinstance(raw_scalar, list)
         or len(raw_scalar) != 2
-        or not all(isinstance(x, (int, float)) for x in raw_scalar)
+        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in raw_scalar)
     ):
-        raise ValueError("certificate field 'scalar' must be an [re, im] pair")
+        raise ValueError("certificate field 'scalar' must be a finite [re, im] pair")
     residual = doc.get("residual")
-    if not isinstance(residual, (int, float)):
-        raise ValueError("certificate field 'residual' must be a number")
+    if not isinstance(residual, (int, float)) or not math.isfinite(residual):
+        raise ValueError("certificate field 'residual' must be a finite number")
     return {
         "version": doc["version"],
         "cut": doc.get("cut"),
@@ -166,8 +165,8 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
 
 
-def _parse_cut(label: str):
-    return _CUTS.get(label)
+def _bad_cut(label: str) -> int:
+    return _fail(EXIT_BAD_CUT, f"invalid cut {label!r}; expected one of {', '.join(_CUTS)}")
 
 
 def cmd_decompose(args) -> int:
@@ -175,12 +174,9 @@ def cmd_decompose(args) -> int:
         state = read_state_file(args.state)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    cut = _parse_cut(args.cut)
+    cut = _CUTS.get(args.cut)
     if cut is None:
-        return _fail(
-            EXIT_BAD_CUT,
-            f"invalid cut {args.cut!r}; expected one of {', '.join(_CUTS)}",
-        )
+        return _bad_cut(args.cut)
     if state.num_parties != 4:
         return _fail(
             EXIT_PARSE,
@@ -198,8 +194,8 @@ def cmd_decompose(args) -> int:
         "dims": list(state.dims),
         "rank": triple.r,
         "singular_values": [float(s) for s in triple.singular_values],
-        "psi_u": [_complex_pairs(s) for s in psi_u.slices],
-        "psi_v": [_complex_pairs(s) for s in psi_v.slices],
+        "psi_u": [s.tolist() for s in psi_u.slices],
+        "psi_v": [s.tolist() for s in psi_v.slices],
         "warnings": list(triple.warnings),
     }
     if args.json:
@@ -218,15 +214,6 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _certificate_payload(cert) -> dict:
-    return {
-        "cut": cert.cut.label if cert.cut is not None else None,
-        "scalar": [cert.scalar.real, cert.scalar.imag],
-        "residual": cert.residual,
-        "operators": [_complex_pairs(op) for op in cert.ops.ops],
-    }
-
-
 def cmd_check(args) -> int:
     try:
         target = read_state_file(args.state_a)
@@ -238,8 +225,7 @@ def cmd_check(args) -> int:
     if target.num_parties != 4:
         return _fail(EXIT_PARSE, "check needs four-party states")
 
-    seed = 0 if args.seed is None else args.seed
-    config = SolverConfig(rng_seed=seed)
+    config = SolverConfig(rng_seed=args.seed)
     if args.all_cuts:
         cut_label = "all"
         verdict = check_fourpartite_equiv_all_cuts(
@@ -247,35 +233,33 @@ def cmd_check(args) -> int:
         )
     else:
         cut_label = args.cut if args.cut is not None else "12-34"
-        cut = _parse_cut(cut_label)
+        cut = _CUTS.get(cut_label)
         if cut is None:
-            return _fail(
-                EXIT_BAD_CUT,
-                f"invalid cut {cut_label!r}; expected one of {', '.join(_CUTS)}",
-            )
+            return _bad_cut(cut_label)
         verdict = check_fourpartite_equiv(target, source, cut, config, verify_tol=args.tol)
 
     payload = {
         "command": "check",
         "verdict": verdict.status.name,
         "cut": cut_label,
-        "seed": seed,
+        "seed": args.seed,
         "tolerance": args.tol,
         "certificate": None,
         "proof": None,
         "diagnostics": _jsonable(verdict.diagnostics),
     }
-    if verdict.certificate is not None:
-        payload["certificate"] = _certificate_payload(verdict.certificate)
+    cert = verdict.certificate
+    if cert is not None:
+        cert_cut = cert.cut.label if cert.cut is not None else None
+        payload["certificate"] = {
+            "cut": cert_cut,
+            "scalar": cert.scalar,
+            "residual": cert.residual,
+            "operators": [op.tolist() for op in cert.ops.ops],
+        }
         if args.cert_out:
-            cert = verdict.certificate
             write_certificate_file(
-                args.cert_out,
-                cert.ops.ops,
-                cert.scalar,
-                cert.cut.label if cert.cut is not None else None,
-                cert.residual,
-                verdict.diagnostics,
+                args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics
             )
             payload["certificate_file"] = args.cert_out
     if verdict.proof is not None:
@@ -285,9 +269,8 @@ def cmd_check(args) -> int:
         _emit_json(payload)
         return _STATUS_EXIT[verdict.status.name]
 
-    print(f"seed: {seed}")
+    print(f"seed: {args.seed}")
     print(f"verdict: {verdict.status.name}")
-    cert = verdict.certificate
     if cert is not None:
         print(f"cut: {cert.cut.label}")
         print(f"scalar: {_fmt_complex(cert.scalar)}")
@@ -337,7 +320,7 @@ def cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "passed": passed,
-        "scalar": [scalar.real, scalar.imag],
+        "scalar": scalar,
         "residual": residual,
         "tolerance": args.tol,
         "certificate_residual": cert["residual"],
@@ -382,8 +365,7 @@ def cmd_orbit(args) -> int:
         state = read_state_file(args.state)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    seed = 0 if args.seed is None else args.seed
-    ops = random_invertible_ops(state.dims, seed, condition_cap=args.cond_cap)
+    ops = random_invertible_ops(state.dims, args.seed, condition_cap=args.cond_cap)
     image = apply_local_ops(state, ops)
     passed, scalar, residual = verify_equivalence(image, state, ops)
     if not passed:
@@ -398,11 +380,11 @@ def cmd_orbit(args) -> int:
         scalar,
         None,
         residual,
-        {"planted": True, "seed": seed, "condition_cap": args.cond_cap},
+        {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap},
     )
     payload = {
         "command": "orbit",
-        "seed": seed,
+        "seed": args.seed,
         "condition_cap": args.cond_cap,
         "image_file": image_path,
         "certificate_file": cert_path,
@@ -411,7 +393,7 @@ def cmd_orbit(args) -> int:
     if args.json:
         _emit_json(payload)
     else:
-        print(f"seed: {seed}")
+        print(f"seed: {args.seed}")
         print(f"condition cap: {args.cond_cap:g}")
         print(f"wrote image: {image_path}")
         print(f"wrote certificate: {cert_path}")
@@ -496,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
     )
-    p.add_argument("--seed", type=_non_negative_int, default=None, help="solver seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="solver seed (default 0)")
     p.add_argument(
         "--cert-out", default=None, help="write the certificate here when equivalent"
     )
@@ -526,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "orbit", parents=[common], help="generate a random local orbit image"
     )
     p.add_argument("state", help="state file")
-    p.add_argument("--seed", type=_non_negative_int, default=None, help="operator seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="operator seed (default 0)")
     p.add_argument(
         "--cond-cap",
         type=_finite_above(1.0),

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, fold, numerical_rank, svd
+from .tensorops import DEFAULT_RTOL, fold, numerical_rank, sigma_rank, svd
 
 # Singular values in (rtol, 10*rtol) times the largest are counted as
 # nonzero but flagged: the block structure downstream is discontinuous
 # in the rank, so a borderline cut deserves a warning.
 CONDITIONING_BAND = 10.0
+# Largest |F^H F - I| per unit of side accepted from a singular frame F.
+FRAME_UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +51,8 @@ class TripleStateSet:
         for name, m in (("u_full", u), ("v_full", v)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-12 * m.shape[0]:
+            gap = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+            if gap > FRAME_UNITARITY_TOL * m.shape[0]:
                 raise ValueError(f"{name} is not unitary")
         if not (0 < self.r <= min(u.shape[0], v.shape[0])):
             raise ValueError(f"rank {self.r} out of range")
@@ -131,7 +134,7 @@ def triple_state_set(
     top = sigma[0] if sigma.size else 0.0
     if top == 0.0:
         raise ValueError("cannot decompose the zero state")
-    r = int(np.count_nonzero(sigma > rtol * top))
+    r = sigma_rank(sigma, rtol)
     warnings = tuple(
         f"singular value {i + 1} of {sigma.size} lies within "
         f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"

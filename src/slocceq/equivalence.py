@@ -8,11 +8,13 @@ construction order. Verification is the only acceptance gate: it pulls
 the candidates one at a time, and the first that maps one state onto the
 other within ``verify_tol`` decides, so no later candidate is built.
 Each state is decomposed at most once per cut, however many cuts are
-screened and searched. A verdict is three-valued: EQUIVALENT carries
-an operator certificate that has been re-verified on the input states,
-INEQUIVALENT carries an invariant proof, and UNDECIDED carries
-diagnostics only, with stage ``coupling_search`` when no candidate was
-built and ``verification`` when none of the built ones verified.
+screened and searched. The single-cut and all-cuts checks run one loop
+over their cuts: screen every cut, then search them in order. A verdict
+is three-valued: EQUIVALENT carries an operator certificate that has
+been re-verified on the input states, INEQUIVALENT carries an invariant
+proof, and UNDECIDED carries diagnostics only, with stage
+``coupling_search`` when no candidate was built and ``verification``
+when none of the built ones verified.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .decomposition import StateProfile
 from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
 from .invariants import (
     InequivalenceProof,
+    class_proof,
     classify_tripartite_qubit,
     invariant_screen,
     tripartite_as_pure_state,
@@ -41,7 +44,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, numerical_rank, vectorize
+from .tensorops import DEFAULT_RTOL, _lead_phase, numerical_rank, qr, vectorize
 
 __all__ = [
     "EquivalenceStatus",
@@ -177,9 +180,7 @@ def verify_equivalence(
     """
     if s1.dims != s2.dims:
         return False, 0.0 + 0.0j, 1.0
-    mats = ops.ops if isinstance(ops, LocalOperatorTuple) else tuple(
-        np.asarray(m, dtype=complex) for m in ops
-    )
+    mats = ops.ops if isinstance(ops, LocalOperatorTuple) else ops
     image = contract_local_ops(s2.amps, s2.dims, mats)
     c, resid = _best_scalar(s1.amps, image)
     return resid <= tol, c, resid
@@ -189,14 +190,6 @@ def _undecided(diagnostics: Dict[str, object]) -> EquivalenceVerdict:
     return EquivalenceVerdict(
         status=EquivalenceStatus.UNDECIDED, diagnostics=diagnostics
     )
-
-
-def _profiles(s1: PureState, s2: PureState, rtol: float):
-    if s1.num_parties != 4 or s2.num_parties != 4:
-        raise ValueError("four-partite check requires four-party states")
-    if s1.dims != s2.dims:
-        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-    return StateProfile(s1, rtol), StateProfile(s2, rtol)
 
 
 def _cut_diagnostics(cut: Bipartition, rtol: float, verify_tol: float) -> Dict[str, object]:
@@ -257,17 +250,39 @@ def check_fourpartite_equiv(
     verdicts carry operators re-verified on the input amplitudes at
     ``verify_tol``. Search failure yields UNDECIDED, never INEQUIVALENT.
     """
-    p1, p2 = _profiles(s1, s2, rtol)
-    proof = invariant_screen(p1, p2, cut)
-    if proof is not None:
-        diagnostics = _cut_diagnostics(cut, rtol, verify_tol)
-        diagnostics["stage"] = "invariant_screen"
-        return EquivalenceVerdict(
-            status=EquivalenceStatus.INEQUIVALENT,
-            proof=proof,
-            diagnostics=diagnostics,
-        )
-    return _search_cut(p1, p2, cut, config, verify_tol)
+    return _check_cuts(s1, s2, (cut,), config, rtol, verify_tol)
+
+
+def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol):
+    """The one check loop: screen every cut, then search the cuts in order.
+
+    Both states are profiled once for all cuts. One cut's UNDECIDED
+    verdict is returned as it is; several cuts' diagnostics are merged
+    under ``per_cut``.
+    """
+    if s1.num_parties != 4 or s2.num_parties != 4:
+        raise ValueError("four-partite check requires four-party states")
+    if s1.dims != s2.dims:
+        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
+    p1, p2 = StateProfile(s1, rtol), StateProfile(s2, rtol)
+    for cut in cuts:
+        proof = invariant_screen(p1, p2, cut)
+        if proof is not None:
+            diagnostics = _cut_diagnostics(cut, rtol, verify_tol)
+            diagnostics["stage"] = "invariant_screen"
+            return EquivalenceVerdict(
+                status=EquivalenceStatus.INEQUIVALENT,
+                proof=proof,
+                diagnostics=diagnostics,
+            )
+
+    per_cut: Dict[str, object] = {}
+    for cut in cuts:
+        verdict = _search_cut(p1, p2, cut, config, verify_tol)
+        if verdict.status is EquivalenceStatus.EQUIVALENT or len(cuts) == 1:
+            return verdict
+        per_cut[cut.label] = verdict.diagnostics
+    return _undecided({"stage": "all_cuts", "per_cut": per_cut})
 
 
 def _search_cut(
@@ -316,38 +331,7 @@ def check_fourpartite_equiv_all_cuts(
     decides EQUIVALENT. Otherwise the UNDECIDED verdict holds each cut's
     diagnostics under ``per_cut``.
     """
-    p1, p2 = _profiles(s1, s2, rtol)
-    for cut in STANDARD_CUTS:
-        proof = invariant_screen(p1, p2, cut)
-        if proof is not None:
-            return EquivalenceVerdict(
-                status=EquivalenceStatus.INEQUIVALENT,
-                proof=proof,
-                diagnostics={"cut": cut.label, "stage": "invariant_screen"},
-            )
-
-    per_cut: Dict[str, object] = {}
-    for cut in STANDARD_CUTS:
-        verdict = _search_cut(p1, p2, cut, config, verify_tol)
-        if verdict.status is EquivalenceStatus.EQUIVALENT:
-            return verdict
-        per_cut[cut.label] = verdict.diagnostics
-    return _undecided({"stage": "all_cuts", "per_cut": per_cut})
-
-
-def _complete_frame(columns: np.ndarray) -> np.ndarray:
-    """Unitary completion of a tall column stack, gauged deterministically.
-
-    Returns a square unitary whose first ``k`` columns span the input
-    columns, with the triangular factor's diagonal phased real positive.
-    """
-    n, k = columns.shape
-    q, r = np.linalg.qr(columns, mode="complete")
-    for j in range(k):
-        d = r[j, j]
-        if abs(d) > 0.0:
-            q[:, j] = q[:, j] * (d / abs(d))
-    return q
+    return _check_cuts(s1, s2, STANDARD_CUTS, config, rtol, verify_tol)
 
 
 def check_tripartite_equiv(
@@ -389,17 +373,8 @@ def check_tripartite_equiv(
         class2 = classify_tripartite_qubit(tripartite_as_pure_state(t2), rtol)
         diagnostics["class_a"] = class1.label.name
         diagnostics["class_b"] = class2.label.name
-        if class1.label != class2.label:
-            proof = InequivalenceProof(
-                invariant="tripartite-class",
-                location="three-qubit states",
-                value_a=class1.label.name,
-                value_b=class2.label.name,
-                description=(
-                    f"entanglement classes differ: {class1.label.name} vs "
-                    f"{class2.label.name}"
-                ),
-            )
+        proof = class_proof(class1, class2, "three-qubit states")
+        if proof is not None:
             return EquivalenceVerdict(
                 status=EquivalenceStatus.INEQUIVALENT,
                 proof=proof,
@@ -422,8 +397,6 @@ def check_tripartite_equiv(
         scalar, resid = _best_scalar(t1.stacked().reshape(-1), image.reshape(-1))
         return ops, scalar, resid
 
-    outcome = solve_ptilde_single(
-        _complete_frame(w2), _complete_frame(w1), r, (i2, i1), config
-    )
+    outcome = solve_ptilde_single(qr(w2)[0], qr(w1)[0], r, (i2, i1), config)
     return _first_verified(outcome, verify, verify_tol, diagnostics)
 

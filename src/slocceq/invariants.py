@@ -3,9 +3,11 @@
 Two kinds of invariants are checked: matrix ranks of the state at every
 two-party cut (and every single-party marginal), and, for qubit systems
 whose triple-state factors are three-qubit states, the exact
-SLOCC class of those factors (product / biseparable / W / GHZ). A proof
-from this module never depends on search convergence; an empty result
-means nothing, only that no cheap obstruction was found.
+SLOCC class of those factors (product / biseparable / W / GHZ), where
+the hyperdeterminant, the discriminant of the slice pencil
+``det(x T0 + y T1)``, tells GHZ from W. A proof from this module never
+depends on search convergence; an empty result means nothing, only that
+no cheap obstruction was found.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ import numpy as np
 
 from .decomposition import StateProfile, flatten_party
 from .states import STANDARD_CUTS, Bipartition, PureState, TripartiteState
-from .tensorops import numerical_rank
-
-# Zero threshold for the three-qubit hyperdeterminant, relative to the
-# fourth power of the state norm (the polynomial is degree 4).
-HYPERDET_TOL = 1e-9
+from .tensorops import DEFAULT_RTOL, numerical_rank, pencil_det_form
 
 
 class TriClassLabel(Enum):
@@ -69,33 +67,18 @@ class InequivalenceProof:
 
 
 def hyperdeterminant_222(amps: np.ndarray) -> complex:
-    """Cayley hyperdeterminant of a 2x2x2 amplitude tensor.
+    """Cayley hyperdeterminant of a 2x2x2 tensor, ``b^2 - 4ac`` of its slice pencil.
 
-    Vanishes exactly on the closure of the W class; the GHZ state gives
-    1/4. Scales by det(A1)^2 det(A2)^2 det(A3)^2 under local operators.
+    ``det(x T0 + y T1) = a x^2 + b x y + c y^2`` (Miyake, *PRA* 67, 012108,
+    2003). Vanishes exactly on the closure of the W class; the GHZ state
+    gives 1/4. Scales by det(A1)^2 det(A2)^2 det(A3)^2 under local operators.
     """
     t = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
-    t000, t001, t010, t011 = t[0, 0, 0], t[0, 0, 1], t[0, 1, 0], t[0, 1, 1]
-    t100, t101, t110, t111 = t[1, 0, 0], t[1, 0, 1], t[1, 1, 0], t[1, 1, 1]
-    return (
-        t000**2 * t111**2
-        + t001**2 * t110**2
-        + t010**2 * t101**2
-        + t011**2 * t100**2
-        - 2
-        * (
-            t000 * t001 * t110 * t111
-            + t000 * t010 * t101 * t111
-            + t000 * t011 * t100 * t111
-            + t001 * t010 * t101 * t110
-            + t001 * t011 * t100 * t110
-            + t010 * t011 * t100 * t101
-        )
-        + 4 * (t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111)
-    )
+    a, b, c = pencil_det_form(t[0], t[1])
+    return b * b - 4 * a * c
 
 
-def classify_tripartite_qubit(state: PureState, tol: float = HYPERDET_TOL) -> TriClass:
+def classify_tripartite_qubit(state: PureState, tol: float = DEFAULT_RTOL) -> TriClass:
     """SLOCC class of a three-qubit pure state.
 
     Marginal ranks separate product and biseparable states; among the
@@ -121,6 +104,19 @@ def classify_tripartite_qubit(state: PureState, tol: float = HYPERDET_TOL) -> Tr
     else:
         label = TriClassLabel.W_CLASS
     return TriClass(label=label, marginal_ranks=ranks, hyperdet_magnitude=float(det_mag))
+
+
+def class_proof(a: TriClass, b: TriClass, location: str) -> Optional[InequivalenceProof]:
+    """The ``tripartite-class`` proof at ``location`` when two classes differ, else None."""
+    if a.label is b.label:
+        return None
+    return InequivalenceProof(
+        invariant="tripartite-class",
+        location=location,
+        value_a=a.label.value,
+        value_b=b.label.value,
+        description=f"triple-state {location} classifies {a.label.value} vs {b.label.value}",
+    )
 
 
 def tripartite_as_pure_state(t: TripartiteState) -> PureState:
@@ -181,17 +177,11 @@ def invariant_screen(
             ("u", triple1.psi_u, triple2.psi_u),
             ("v", triple1.psi_v, triple2.psi_v),
         ):
-            la = classify_tripartite_qubit(tripartite_as_pure_state(f1), p1.rtol)
-            lb = classify_tripartite_qubit(tripartite_as_pure_state(f2), p2.rtol)
-            if la.label != lb.label:
-                return InequivalenceProof(
-                    invariant="tripartite-class",
-                    location=f"factor {side} at cut {cut.label}",
-                    value_a=la.label.value,
-                    value_b=lb.label.value,
-                    description=(
-                        f"triple-state factor {side} at cut {cut.label} "
-                        f"classifies {la.label.value} vs {lb.label.value}"
-                    ),
-                )
+            proof = class_proof(
+                classify_tripartite_qubit(tripartite_as_pure_state(f1), p1.rtol),
+                classify_tripartite_qubit(tripartite_as_pure_state(f2), p2.rtol),
+                f"factor {side} at cut {cut.label}",
+            )
+            if proof is not None:
+                return proof
     return None

@@ -66,7 +66,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .decomposition import TripleStateSet
-from .tensorops import FactorizationError, rank1_kron_factor, sigma_ratio
+from .tensorops import FactorizationError, pencil_det_form, rank1_kron_factor, sigma_rank, sigma_ratio
 
 # Tolerances of the constructions, one per role. None of them accepts a
 # candidate: verification on the amplitudes is the only acceptance gate.
@@ -175,10 +175,7 @@ def _intertwiner_family(right: np.ndarray, left: np.ndarray):
     _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
-    keep = s <= _INTERTWINER_RTOL * s[0]
-    return [
-        vh[i].conj().reshape(n, n, order="F") for i in range(n * n) if keep[i]
-    ]
+    return [x.conj().reshape(n, n, order="F") for x in vh[sigma_rank(s, _INTERTWINER_RTOL):]]
 
 
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
@@ -351,7 +348,7 @@ def _nullspace_point(system: np.ndarray, rng):
     # U is never read; V stays square when the system is wide, so that
     # its nullspace rows are kept.
     _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
-    rank = min(int(np.sum(s > _NULLSPACE_RTOL * s[0])), len(vh) - 1)
+    rank = min(sigma_rank(s, _NULLSPACE_RTOL), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     point = mix @ null
@@ -449,9 +446,7 @@ def _pencil_normal_form(x0, x1):
     it becomes ``x E11 + E12 + E21``. Returns None when every member is
     singular or a root member is not numerically rank one.
     """
-    det0 = np.linalg.det(x0)
-    det1 = np.linalg.det(x1)
-    cross = np.linalg.det(x0 + x1) - det0 - det1
+    det0, cross, det1 = pencil_det_form(x0, x1)
     if max(abs(det0), abs(cross), abs(det1)) < _PENCIL_RTOL:
         return None
     roots = _binary_quadratic_roots(det0, cross, det1, _PENCIL_RTOL)
@@ -488,9 +483,8 @@ def _congruence(x, xp):
     """
     ux, sx, vhx = np.linalg.svd(x)
     up, sp, vhp = np.linalg.svd(xp)
-    k = int(np.sum(sx > _CONGRUENCE_RTOL * sx[0]))
-    kp = int(np.sum(sp > _CONGRUENCE_RTOL * sp[0]))
-    if k != kp:
+    k = sigma_rank(sx, _CONGRUENCE_RTOL)
+    if k != sigma_rank(sp, _CONGRUENCE_RTOL):
         return None
     t = np.ones(x.shape[0])
     t[:k] = sp[:k] / sx[:k]

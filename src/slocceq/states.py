@@ -17,11 +17,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tensorops import DEFAULT_RTOL, numerical_rank
+from .tensorops import DEFAULT_RTOL, numerical_rank, sigma_ratio
 
 # Reject only clearly singular operators at construction time; quality
 # control for recovered operators happens at verification.
 OPERATOR_INVERTIBILITY_RTOL = 1e-12
+# Default residual bound of ``states_proportional``, relative to the
+# largest amplitude.
+PROPORTIONAL_TOL = 1e-10
 
 _INV_SQRT2 = math.sqrt(0.5)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -53,6 +56,8 @@ class PureState:
             raise ValueError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amps must be finite: no nan or inf entries")
         if not np.any(amps):
             raise ValueError("state vector must be nonzero")
         amps.flags.writeable = False
@@ -96,6 +101,8 @@ class TripartiteState:
         for s in slices:
             if s.shape != shape:
                 raise ValueError("all slices must share dimensions")
+            if not np.isfinite(s).all():
+                raise ValueError("slices must be finite: no nan or inf entries")
             s.flags.writeable = False
         object.__setattr__(self, "r_dim", int(self.r_dim))
         object.__setattr__(self, "slices", slices)
@@ -160,6 +167,8 @@ class LocalOperatorTuple:
         for k, m in enumerate(ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"operator {k + 1} is not square: shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"operator {k + 1} has nan or inf entries")
         # One stacked SVD call per operator shape.
         spectra = {}
         for shape in {m.shape for m in ops}:
@@ -168,7 +177,7 @@ class LocalOperatorTuple:
             spectra.update(zip(ks, np.linalg.svd(stacked, compute_uv=False)))
         for k, m in enumerate(ops):
             s = spectra[k]
-            if s[-1] <= OPERATOR_INVERTIBILITY_RTOL * s[0]:
+            if sigma_ratio(s) <= OPERATOR_INVERTIBILITY_RTOL:
                 raise ValueError(
                     f"operator {k + 1} is numerically singular "
                     f"(condition {s[0] / max(s[-1], np.finfo(float).tiny):.3e})"
@@ -211,13 +220,11 @@ def apply_local_ops(
     Accepts a :class:`LocalOperatorTuple` or any sequence of square
     matrices matching the party count. The result is not renormalized.
     """
-    mats = ops.ops if isinstance(ops, LocalOperatorTuple) else tuple(
-        np.asarray(m, dtype=complex) for m in ops
-    )
+    mats = ops.ops if isinstance(ops, LocalOperatorTuple) else ops
     return PureState(state.dims, contract_local_ops(state.amps, state.dims, mats))
 
 
-def states_proportional(s1: PureState, s2: PureState, tol: float = 1e-10) -> bool:
+def states_proportional(s1: PureState, s2: PureState, tol: float = PROPORTIONAL_TOL) -> bool:
     """True iff ``s1 == c * s2`` for some nonzero scalar, within ``tol``.
 
     The residual is measured relative to the largest amplitude of ``s1``.
@@ -332,9 +339,13 @@ def read_state_file(path: Union[str, os.PathLike]) -> PureState:
     raw = doc["amps"]
     if not isinstance(dims, list) or not isinstance(raw, list):
         raise ValueError("'dims' and 'amps' must be lists")
+    if not all(isinstance(d, int) for d in dims):
+        raise ValueError("'dims' must hold integers")
     amps = []
     for pair in raw:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError("each amplitude must be a [re, im] pair")
-        amps.append(complex(float(pair[0]), float(pair[1])))
-    return PureState(tuple(int(d) for d in dims), np.array(amps, dtype=complex))
+        if not isinstance(pair, list) or len(pair) != 2 or not all(
+            isinstance(x, (int, float)) for x in pair
+        ):
+            raise ValueError("each amplitude in 'amps' must be a [re, im] pair of numbers")
+        amps.append(complex(pair[0], pair[1]))
+    return PureState(tuple(dims), np.array(amps, dtype=complex))

@@ -10,6 +10,9 @@ Conventions fixed here and relied on everywhere else:
   the largest-magnitude entry (lowest index on ties) is made real
   positive. Degenerate singular blocks are left exactly as the backend
   returns them; no extra rotation is invented.
+* Shared rules have one copy each: the rank (``sigma_rank``) and margin
+  (``sigma_ratio``) of descending singular values, and the determinant
+  form of a 2x2 pencil (``pencil_det_form``).
 """
 
 from __future__ import annotations
@@ -91,7 +94,12 @@ def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
 
 def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
     """Count singular values above ``rtol`` times the largest one."""
-    s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
+    return sigma_rank(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False), rtol)
+
+
+def sigma_rank(s, rtol: float = DEFAULT_RTOL) -> int:
+    """Count of descending singular values ``s`` above ``rtol * s[0]``; 0 if empty or zero."""
+    s = np.asarray(s)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
@@ -152,19 +160,25 @@ def svd(matrix: np.ndarray, full: bool = False):
 
 
 def qr(matrix: np.ndarray):
-    """QR factorization with the diagonal of ``r`` made real nonnegative.
+    """Complete QR factorization with the diagonal of ``r`` made real nonnegative.
 
-    For a unitary input this pins ``q`` to the input itself and ``r`` to
+    ``q`` is square; on a tall input the columns past the first ``n``
+    complete the frame. A unitary input gives ``q`` equal to it and ``r``
     the identity, up to roundoff.
     """
-    m = np.asarray(matrix, dtype=complex)
-    q, r = np.linalg.qr(m)
+    q, r = np.linalg.qr(np.asarray(matrix, dtype=complex), mode="complete")
     d = np.diagonal(r)
     mags = np.abs(d)
     phases = np.where(mags == 0.0, 1.0 + 0.0j, d / np.where(mags == 0.0, 1.0, mags))
-    q = q * phases[np.newaxis, :]
-    r = r * np.conj(phases)[:, np.newaxis]
+    q[:, : d.size] *= phases
+    r[: d.size] *= np.conj(phases)[:, np.newaxis]
     return q, r
+
+
+def pencil_det_form(x0: np.ndarray, x1: np.ndarray):
+    """``(a, b, c)`` with ``det(x x0 + y x1) = a x^2 + b x y + c y^2`` for 2x2 x0, x1."""
+    a, c, both = np.linalg.det(np.stack([x0, x1, x0 + x1]))
+    return a, both - a - c, c
 
 
 def rank1_kron_factor(

@@ -395,3 +395,51 @@ class TestTopLevel:
 
     def test_no_command(self, capsys):
         assert main([]) == EXIT_PARSE
+
+
+class TestNonFiniteFiles:
+    """State and certificate files holding nan or inf are parse errors naming the field."""
+
+    @pytest.fixture
+    def bad(self, files):
+        amps = [[0.0, 0.0]] * 16
+        amps[0] = [float("nan"), 0.0]
+        amps[15] = [float("inf"), 0.0]
+        path = files["dir"] / "nan.state"
+        path.write_text(json.dumps({"dims": [2, 2, 2, 2], "amps": amps}))
+        cert = files["dir"] / "id.cert"
+        write_certificate_file(cert, [np.eye(2)] * 4, 1.0, "12-34", 0.0, {})
+        return {**files, "nan": str(path), "cert": str(cert)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "nan", "ghz4"],
+            ["check", "ghz4", "nan", "--all-cuts"],
+            ["decompose", "nan"],
+            ["orbit", "nan", "--out", "orb"],
+            ["verify", "nan", "ghz4", "cert"],
+            ["verify", "ghz4", "nan", "cert"],
+        ],
+    )
+    def test_state_file(self, bad, capsys, argv):
+        argv = [bad[a] if a in bad else a for a in argv]
+        argv = [str(bad["dir"] / a) if a == "orb" else a for a in argv]
+        assert main(argv) == EXIT_PARSE
+        assert "amps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("operators", [[[1.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+            ("scalar", [float("inf"), 0.0]),
+            ("residual", float("nan")),
+        ],
+    )
+    def test_certificate_file(self, bad, capsys, field, value):
+        data = json.loads(open(bad["cert"]).read())
+        data[field] = [value] * 4 if field == "operators" else value
+        with open(bad["cert"], "w") as handle:
+            json.dump(data, handle)
+        assert main(["verify", bad["ghz4"], bad["ghz4"], bad["cert"]]) == EXIT_PARSE
+        assert f"'{field}'" in capsys.readouterr().err

@@ -374,6 +374,17 @@ class TestAllCuts:
         assert verdict.status is EquivalenceStatus.INEQUIVALENT
         assert verdict.diagnostics["stage"] == "invariant_screen"
 
+    def test_inequivalent_diagnostics_carry_the_tolerances(self):
+        ghz4, w4 = make_state("ghz4"), make_state("w4")
+        merged = check_fourpartite_equiv_all_cuts(ghz4, w4, CONFIG, rtol=1e-7, verify_tol=1e-6)
+        single = check_fourpartite_equiv(ghz4, w4, CUT_12_34, CONFIG, rtol=1e-7, verify_tol=1e-6)
+        assert merged.diagnostics == single.diagnostics == {
+            "cut": "12-34",
+            "rtol": 1e-7,
+            "verify_tol": 1e-6,
+            "stage": "invariant_screen",
+        }
+
 
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` so every call is counted; returns the count box."""
@@ -763,6 +774,17 @@ class TestCheckTripartite:
             "GHZ_CLASS",
             "W_CLASS",
         }
+
+    def test_class_proof_keeps_location_and_diagnostics(self):
+        verdict = check_tripartite_equiv(
+            slices_of(make_state("ghz3")), slices_of(make_state("w3")), CONFIG
+        )
+        assert verdict.proof.location == "three-qubit states"
+        assert verdict.proof.description == (
+            "triple-state three-qubit states classifies GHZ_CLASS vs W_CLASS"
+        )
+        assert verdict.diagnostics["class_a"] == "GHZ_CLASS"
+        assert verdict.diagnostics["class_b"] == "W_CLASS"
 
     def test_self_equivalence_identity_operators(self):
         t = slices_of(make_state("ghz3"))

@@ -6,6 +6,7 @@ import pytest
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
 from slocceq.invariants import (
     TriClassLabel,
+    class_proof,
     classify_tripartite_qubit,
     hyperdeterminant_222,
     invariant_screen,
@@ -21,7 +22,7 @@ def random_complex(rng, shape):
 
 
 def hyperdet_oracle(amps):
-    """Independent 2x2x2 hyperdeterminant via the slice-pencil discriminant.
+    """2x2x2 hyperdeterminant via the slice-pencil discriminant, from separate det calls.
 
     For slices A, B of the tensor, det(A + xB) is a quadratic in x whose
     discriminant is the hyperdeterminant up to the classical sign
@@ -33,7 +34,39 @@ def hyperdet_oracle(amps):
     return mu * mu - 4.0 * np.linalg.det(a) * np.linalg.det(b)
 
 
+def cayley_hyperdet(amps):
+    """Cayley's explicit degree-4 polynomial for the 2x2x2 hyperdeterminant."""
+    t = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
+    t000, t001, t010, t011 = t[0, 0, 0], t[0, 0, 1], t[0, 1, 0], t[0, 1, 1]
+    t100, t101, t110, t111 = t[1, 0, 0], t[1, 0, 1], t[1, 1, 0], t[1, 1, 1]
+    return (
+        t000**2 * t111**2
+        + t001**2 * t110**2
+        + t010**2 * t101**2
+        + t011**2 * t100**2
+        - 2
+        * (
+            t000 * t001 * t110 * t111
+            + t000 * t010 * t101 * t111
+            + t000 * t011 * t100 * t111
+            + t001 * t010 * t101 * t110
+            + t001 * t011 * t100 * t110
+            + t010 * t011 * t100 * t101
+        )
+        + 4 * (t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111)
+    )
+
+
 class TestHyperdeterminant:
+    def test_equals_cayley_polynomial(self):
+        rng = np.random.default_rng(43)
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=1000)
+        scales[:2] = (1e-6, 1e6)
+        for scale in scales:
+            amps = scale * random_complex(rng, (8,))
+            got, want = hyperdeterminant_222(amps), cayley_hyperdet(amps)
+            assert abs(got - want) <= 1e-12 * np.linalg.norm(amps) ** 4
+
     def test_ghz3_value(self):
         value = hyperdeterminant_222(make_state("ghz3").amps)
         assert abs(abs(value) - 0.25) < 1e-14
@@ -117,6 +150,28 @@ class TestClassifyTripartite:
                 ]
                 image = apply_local_ops(state, ops)
                 assert classify_tripartite_qubit(image).label is label
+
+
+class TestClassProof:
+    def test_same_class_gives_none(self):
+        ghz = classify_tripartite_qubit(make_state("ghz3"))
+        assert class_proof(ghz, ghz, "anywhere") is None
+
+    def test_screen_and_tripartite_check_share_the_form(self):
+        ghz = classify_tripartite_qubit(make_state("ghz3"))
+        w = classify_tripartite_qubit(make_state("w3"))
+        proof = class_proof(ghz, w, "factor u at cut 12-34")
+        assert proof.to_dict() == {
+            "invariant": "tripartite-class",
+            "location": "factor u at cut 12-34",
+            "value_a": "GHZ_CLASS",
+            "value_b": "W_CLASS",
+            "description": "triple-state factor u at cut 12-34 classifies GHZ_CLASS vs W_CLASS",
+        }
+        screen = invariant_screen(
+            StateProfile(make_state("ghz4")), StateProfile(make_state("w4")), CUT_12_34
+        )
+        assert screen == proof
 
 
 class TestInvariantScreen:

@@ -269,8 +269,52 @@ class TestStateFiles:
         with pytest.raises(ValueError):
             read_state_file(path)
 
+    @pytest.mark.parametrize("entry", [[None, 0.0], ["1.0", 0.0], [[1.0], 0.0]])
+    def test_non_number_amp_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.state"
+        path.write_text(json.dumps({"dims": [2, 2], "amps": [entry] + [[0.0, 0.0]] * 3}))
+        with pytest.raises(ValueError, match="'amps'"):
+            read_state_file(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.state"
         path.write_text("not a state")
         with pytest.raises(ValueError):
+            read_state_file(path)
+
+
+class TestNonFiniteEntries:
+    """nan and inf are rejected where the containers are built, with a ValueError."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_pure_state(self, bad):
+        amps = make_state("ghz4").amps.copy()
+        amps[3] = bad
+        with pytest.raises(ValueError, match="amps must be finite"):
+            PureState((2, 2, 2, 2), amps)
+
+    def test_tripartite_state(self):
+        slices = (np.eye(2, dtype=complex), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="slices must be finite"):
+            TripartiteState(2, slices)
+
+    def test_local_operator_tuple(self):
+        mats = [np.eye(2)] * 4
+        mats[1] = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="operator 2 has nan or inf entries"):
+            LocalOperatorTuple(tuple(mats))
+
+    def test_state_file_amplitude(self, tmp_path):
+        path = tmp_path / "nan.state"
+        amps = [[0.0, 0.0]] * 16
+        amps[0] = [float("nan"), 0.0]
+        path.write_text(json.dumps({"dims": [2, 2, 2, 2], "amps": amps}))
+        with pytest.raises(ValueError, match="amps"):
+            read_state_file(path)
+
+    @pytest.mark.parametrize("dims", [[2, float("inf")], [2, float("nan")], [2, 2.5]])
+    def test_state_file_dims(self, tmp_path, dims):
+        path = tmp_path / "dims.state"
+        path.write_text(json.dumps({"dims": dims, "amps": [[1.0, 0.0]] * 4}))
+        with pytest.raises(ValueError, match="'dims' must hold integers"):
             read_state_file(path)

@@ -7,9 +7,11 @@ from slocceq.tensorops import (
     FactorizationError,
     fold,
     numerical_rank,
+    pencil_det_form,
     qr,
     rank1_kron_factor,
     realign,
+    sigma_rank,
     sigma_ratio,
     svd,
     vectorize,
@@ -162,6 +164,52 @@ class TestSigmaRatio:
         assert sigma_ratio(empty) == np.inf
 
 
+class TestSigmaRank:
+    def test_empty_and_zero_leading_value(self):
+        assert sigma_rank(np.zeros(0)) == 0
+        assert sigma_rank(np.zeros(3)) == 0
+
+    def test_rtol_at_least_one_counts_nothing(self):
+        s = np.array([3.0, 2.0, 1.0])
+        assert sigma_rank(s, rtol=1.0) == 0
+        assert sigma_rank(s, rtol=2.0) == 0
+
+    def test_cutoff_is_relative_to_the_leading_value(self):
+        s = np.array([4.0, 1e-3, 1e-8])
+        assert sigma_rank(s, rtol=1e-4) == 2
+        assert sigma_rank(s, rtol=1e-9) == 3
+        assert sigma_rank(1e6 * s, rtol=1e-4) == 2
+
+    def test_agrees_with_numerical_rank(self):
+        rng = np.random.default_rng(17)
+        for rank in range(5):
+            m = random_complex(rng, (5, rank)) @ random_complex(rng, (rank, 4))
+            s = np.linalg.svd(m, compute_uv=False)
+            for rtol in (1e-12, 1e-9, 1e-3, 1.0):
+                assert sigma_rank(s, rtol) == numerical_rank(m, rtol)
+            assert numerical_rank(m) == rank
+
+
+class TestPencilDetForm:
+    def test_coefficients_reproduce_the_determinant(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            x0, x1 = random_complex(rng, (2, 2, 2))
+            a, b, c = pencil_det_form(x0, x1)
+            x, y = random_complex(rng, (2,))
+            want = np.linalg.det(x * x0 + y * x1)
+            assert abs(a * x * x + b * x * y + c * y * y - want) < 1e-12 * max(abs(want), 1.0)
+
+    def test_stacked_call_matches_separate_calls(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            x0, x1 = random_complex(rng, (2, 2, 2))
+            a, b, c = pencil_det_form(x0, x1)
+            det0, det1 = np.linalg.det(x0), np.linalg.det(x1)
+            assert (a, c) == (det0, det1)
+            assert b == np.linalg.det(x0 + x1) - det0 - det1
+
+
 class TestNumericalRank:
     def test_near_singular_diagonal(self):
         assert numerical_rank(np.diag([3.0, 1e-14]), rtol=1e-10) == 1
@@ -232,6 +280,21 @@ class TestQr:
         off = r - np.diag(np.diagonal(r))
         assert np.linalg.norm(off) < 1e-12
         assert np.allclose(np.abs(np.diagonal(r)), 1.0, atol=1e-12)
+
+    def test_tall_input_is_completed_to_a_unitary_frame(self):
+        rng = np.random.default_rng(20)
+        for n, k in ((4, 1), (4, 2), (4, 3), (9, 4)):
+            m = random_complex(rng, (n, k))
+            q, r = qr(m)
+            assert q.shape == (n, n) and r.shape == (n, k)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(n)) < 1e-12
+            assert np.linalg.norm(q @ r - m) < 1e-12 * np.linalg.norm(m)
+            # The first k columns span the input's columns.
+            lead = q[:, :k]
+            assert np.linalg.norm(lead @ (lead.conj().T @ m) - m) < 1e-12 * np.linalg.norm(m)
+            d = np.diagonal(r)
+            assert np.all(d.real >= 0) and np.all(d.imag == 0)
+            assert np.linalg.norm(r[k:]) == 0.0
 
     def test_reconstruction(self):
         rng = np.random.default_rng(16)
