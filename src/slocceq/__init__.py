@@ -3,11 +3,11 @@
 Decides whether two pure states of four parties are related by invertible
 local operators. The decision pipeline decomposes both states into a
 triple-state set across a chosen bipartition, screens them with sound
-invariants, constructs candidate operators, one per party, from the two
-singular frames in closed form, and accepts the first candidate that
-re-verifies on the input amplitudes. Inequivalence is established only
-through sound invariants; when no candidate verifies the verdict is
-UNDECIDED.
+invariants, constructs candidate operators, one per party, in closed
+form from the two flattenings or their singular frames, and accepts the
+first candidate that re-verifies on the input amplitudes. Inequivalence
+is established only through sound invariants; when no candidate
+verifies the verdict is UNDECIDED.
 """
 
 from .tensorops import (

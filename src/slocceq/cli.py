@@ -5,7 +5,8 @@ Exit codes are a stable contract:
 ====  =========================================-
 0     equivalent / verification passed
 1     inequivalent / verification failed
-2     parse error (bad file, bad flags)
+2     parse error (bad file, bad flags, singular
+      certificate operator, unwritable output)
 3     invalid cut label
 4     undecided
 5     party dimension mismatch
@@ -33,6 +34,7 @@ from .invariants import classify_tripartite_qubit
 from .solver import SolverConfig
 from .states import (
     STANDARD_CUTS,
+    LocalOperatorTuple,
     apply_local_ops,
     read_state_file,
     write_state_file,
@@ -60,6 +62,14 @@ _STATUS_EXIT = {
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _unwritable(exc: OSError) -> int:
+    """Fail with ``EXIT_PARSE`` for an output file that could not be written.
+
+    A failed write is a usage error, never a verdict.
+    """
+    return _fail(EXIT_PARSE, f"cannot write output file: {exc}")
 
 
 def _dims_differ(target, source):
@@ -258,9 +268,12 @@ def cmd_check(args) -> int:
             "operators": [op.tolist() for op in cert.ops.ops],
         }
         if args.cert_out:
-            write_certificate_file(
-                args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics
-            )
+            try:
+                write_certificate_file(
+                    args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics
+                )
+            except OSError as exc:
+                return _unwritable(exc)
             payload["certificate_file"] = args.cert_out
     if verdict.proof is not None:
         payload["proof"] = _jsonable(verdict.proof.to_dict())
@@ -315,6 +328,10 @@ def cmd_verify(args) -> int:
         )
     if tuple(op.shape[0] for op in ops) != source.dims:
         return _fail(EXIT_PARSE, "operator shapes do not match the state dimensions")
+    try:
+        ops = LocalOperatorTuple(ops)
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"certificate rejected: {exc}")
 
     passed, scalar, residual = verify_equivalence(target, source, ops, tol=args.tol)
     payload = {
@@ -373,15 +390,18 @@ def cmd_orbit(args) -> int:
 
     image_path = f"{args.out}.state"
     cert_path = f"{args.out}.cert"
-    write_state_file(image_path, image)
-    write_certificate_file(
-        cert_path,
-        ops.ops,
-        scalar,
-        None,
-        residual,
-        {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap},
-    )
+    try:
+        write_state_file(image_path, image)
+        write_certificate_file(
+            cert_path,
+            ops.ops,
+            scalar,
+            None,
+            residual,
+            {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap},
+        )
+    except OSError as exc:
+        return _unwritable(exc)
     payload = {
         "command": "orbit",
         "seed": args.seed,

@@ -1,16 +1,20 @@
 """Bipartition flattening and the SVD-based triple-state reduction.
 
-A four-partite state, flattened at a two-versus-two cut, factors as
-``U @ diag(sv) @ V.conj().T``. Folding the first ``r`` columns of ``U``
-and ``V`` back into matrices yields two tripartite states that, together
-with the diagonal of singular values, carry the full SLOCC content of
-the original state at that cut. :class:`TripleStateSet` holds the full
-singular frames of that one SVD and folds the two factors on demand.
+A four-partite state, flattened at a two-versus-two cut into M, factors
+as ``U @ diag(sv) @ V.conj().T``. Folding the first ``r`` columns of
+``U`` and ``V`` back into matrices yields two tripartite states that,
+together with the diagonal of singular values, carry the full SLOCC
+content of the original state at that cut. :class:`TripleStateSet` holds
+M and its singular values from one values-only SVD; the singular frames
+U and V, and the factors folded from them, are computed from M only when
+read. :class:`StateProfile` keeps each cut's spectrum, so the rank the
+screen reads and the rank of the decomposition come from one SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,17 +31,18 @@ FRAME_UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TripleStateSet:
-    """One state's triple-state set at one cut, read off one SVD.
+    """One state's triple-state set at one cut, read off one flattening.
 
-    ``u_full`` and ``v_full`` are the full left and right singular frames
-    of the flattening and ``singular_values`` its ``r`` positive singular
-    values, the diagonal bipartite middle. Columns ``0..r-1`` of
-    ``u_full`` (``v_full``) fold into the tripartite factor ``psi_u``
-    (``psi_v``); the remaining columns span the orthogonal complement.
+    ``flattening`` is the state's matrix M at the cut and
+    ``singular_values`` its ``r`` positive singular values, the diagonal
+    bipartite middle. The full left and right singular frames ``u_full``
+    and ``v_full`` come from one gauged SVD of M, computed on first read
+    and kept. Columns ``0..r-1`` of ``u_full`` (``v_full``) fold into the
+    tripartite factor ``psi_u`` (``psi_v``); the remaining columns span
+    the orthogonal complement.
     """
 
-    u_full: np.ndarray
-    v_full: np.ndarray
+    flattening: np.ndarray
     singular_values: np.ndarray
     r: int
     bipartition: Bipartition
@@ -45,27 +50,41 @@ class TripleStateSet:
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        u = np.array(self.u_full, dtype=complex)
-        v = np.array(self.v_full, dtype=complex)
+        m = np.array(self.flattening, dtype=complex)
         sv = np.array(self.singular_values, dtype=float)
-        for name, m in (("u_full", u), ("v_full", v)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square")
-            gap = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if gap > FRAME_UNITARITY_TOL * m.shape[0]:
-                raise ValueError(f"{name} is not unitary")
-        if not (0 < self.r <= min(u.shape[0], v.shape[0])):
+        if m.ndim != 2:
+            raise ValueError("flattening must be a matrix")
+        if not (0 < self.r <= min(m.shape)):
             raise ValueError(f"rank {self.r} out of range")
         if sv.size != self.r or np.any(sv <= 0) or np.any(np.diff(sv) > 0):
             raise ValueError("singular values must be positive and descending")
-        for m in (u, v, sv):
-            m.flags.writeable = False
-        object.__setattr__(self, "u_full", u)
-        object.__setattr__(self, "v_full", v)
+        for a in (m, sv):
+            a.flags.writeable = False
+        object.__setattr__(self, "flattening", m)
         object.__setattr__(self, "singular_values", sv)
         object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "warnings", tuple(self.warnings))
+
+    @cached_property
+    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
+        u, _, v = svd(self.flattening, full=True)
+        for name, f in (("u_full", u), ("v_full", v)):
+            gap = np.linalg.norm(f.conj().T @ f - np.eye(f.shape[0]))
+            if gap > FRAME_UNITARITY_TOL * f.shape[0]:
+                raise ValueError(f"{name} is not unitary")
+            f.flags.writeable = False
+        return u, v
+
+    @property
+    def u_full(self) -> np.ndarray:
+        """The full left singular frame of the flattening."""
+        return self._frames[0]
+
+    @property
+    def v_full(self) -> np.ndarray:
+        """The full right singular frame of the flattening."""
+        return self._frames[1]
 
     @property
     def left_dims(self) -> tuple[int, int]:
@@ -88,7 +107,7 @@ class TripleStateSet:
         return _folded(self.v_full, self.r, self.right_dims)
 
     def reconstruct(self) -> np.ndarray:
-        """The flattened state this set decomposes."""
+        """The flattening rebuilt from the first ``r`` frame columns and the singular values."""
         r = self.r
         return (self.u_full[:, :r] * self.singular_values) @ self.v_full[:, :r].conj().T
 
@@ -129,50 +148,35 @@ def triple_state_set(
     largest; those within ``CONDITIONING_BAND`` of that cutoff are named
     in the set's warnings.
     """
-    m = flatten_bipartition(state, cut)
-    u, sigma, v = svd(m, full=True)
-    top = sigma[0] if sigma.size else 0.0
-    if top == 0.0:
-        raise ValueError("cannot decompose the zero state")
-    r = sigma_rank(sigma, rtol)
-    warnings = tuple(
-        f"singular value {i + 1} of {sigma.size} lies within "
-        f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"
-        for i in range(r)
-        if sigma[i] <= CONDITIONING_BAND * rtol * top
-    )
-    return TripleStateSet(
-        u_full=u,
-        v_full=v,
-        singular_values=sigma[:r],
-        r=r,
-        bipartition=cut,
-        dims=state.dims,
-        warnings=warnings,
-    )
+    return StateProfile(state, rtol).decomposition(cut)
 
 
 class StateProfile:
     """One four-partite state's ranks and decompositions, each computed once.
 
     Each value is computed on first use, at the profile's ``rtol``, and
-    kept: the rank at a cut (from singular values alone), the marginal
-    rank of a party, and the :func:`triple_state_set` at a cut.
+    kept: per cut, the flattening and its singular values from one
+    values-only SVD, off which both the rank and the
+    :class:`TripleStateSet` at that cut are read; per party, the
+    marginal rank. A decomposition computes no singular frame until one
+    is read.
     """
 
     def __init__(self, state: PureState, rtol: float = DEFAULT_RTOL):
         self.state = state
         self.rtol = rtol
-        self._ranks: dict[Bipartition, int] = {}
+        # Per cut: the flattening, its singular values and the rank they give.
+        self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, int]] = {}
         self._marginal_ranks: dict[int, int] = {}
         self._decompositions: dict[Bipartition, TripleStateSet] = {}
 
     def rank(self, cut: Bipartition) -> int:
-        """Numerical rank of the state flattened at ``cut``."""
-        if cut not in self._ranks:
+        """Numerical rank of the state flattened at ``cut``, from its spectrum."""
+        if cut not in self._spectra:
             m = flatten_bipartition(self.state, cut)
-            self._ranks[cut] = numerical_rank(m, self.rtol)
-        return self._ranks[cut]
+            sigma = np.linalg.svd(m, compute_uv=False)
+            self._spectra[cut] = (m, sigma, sigma_rank(sigma, self.rtol))
+        return self._spectra[cut][2]
 
     def marginal_rank(self, party: int) -> int:
         """Numerical rank of one party (1-based) flattened against the rest."""
@@ -182,7 +186,25 @@ class StateProfile:
         return self._marginal_ranks[party]
 
     def decomposition(self, cut: Bipartition) -> TripleStateSet:
-        """``triple_state_set(state, cut, rtol)``, the decomposition at ``cut``."""
+        """The :class:`TripleStateSet` at ``cut``, read off the cut's spectrum."""
         if cut not in self._decompositions:
-            self._decompositions[cut] = triple_state_set(self.state, cut, self.rtol)
+            self.rank(cut)
+            m, sigma, r = self._spectra[cut]
+            top = sigma[0] if sigma.size else 0.0
+            if top == 0.0:
+                raise ValueError("cannot decompose the zero state")
+            warnings = tuple(
+                f"singular value {i + 1} of {sigma.size} lies within "
+                f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"
+                for i in range(r)
+                if sigma[i] <= CONDITIONING_BAND * self.rtol * top
+            )
+            self._decompositions[cut] = TripleStateSet(
+                flattening=m,
+                singular_values=sigma[:r],
+                r=r,
+                bipartition=cut,
+                dims=self.state.dims,
+                warnings=warnings,
+            )
         return self._decompositions[cut]

@@ -2,17 +2,19 @@
 
 Pipeline for the four-partite check: one :class:`StateProfile` per state,
 the invariant screen on the two profiles, closed-form construction of
-candidate per-party operators from the profiles' singular frames at a
+candidate per-party operators from the profiles' decompositions at a
 common bipartition, and state-level verification of each candidate in
 construction order. Verification is the only acceptance gate: it pulls
 the candidates one at a time, and the first that maps one state onto the
 other within ``verify_tol`` decides, so no later candidate is built.
-Each state is decomposed at most once per cut, however many cuts are
-screened and searched. The single-cut and all-cuts checks run one loop
-over their cuts: screen every cut, then search them in order. A verdict
-is three-valued: EQUIVALENT carries an operator certificate that has
-been re-verified on the input states, INEQUIVALENT carries an invariant
-proof, and UNDECIDED carries diagnostics only, with stage
+However many cuts are screened and searched, each state's flattening
+at a cut is factored by one values-only SVD, and its singular frames by
+at most one more, taken only when the class screen or a rank-one or
+rank-two construction reads them. The single-cut and all-cuts checks run
+one loop over their cuts: screen every cut, then search them in order.
+A verdict is three-valued: EQUIVALENT carries an operator certificate
+that has been re-verified on the input states, INEQUIVALENT carries an
+invariant proof, and UNDECIDED carries diagnostics only, with stage
 ``coupling_search`` when no candidate was built and ``verification``
 when none of the built ones verified.
 """

@@ -4,7 +4,10 @@ Two states flattened at the same cut into M and M' are related by local
 operators exactly when ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T``, with
 the row pair's operators on the left and the column pair's on the right.
 Every construction here proposes such per-party factors in closed form
-from the two singular frames; the caller re-applies each candidate to the
+from the two states' triple-state sets at the cut: the rank-one and
+rank-two constructions from their singular frames, the rank-four ones
+from covariants of the flattenings themselves, so a rank-four cut
+computes no singular frame. The caller re-applies each candidate to the
 raw amplitudes and accepts only what verifies, so spurious candidates are
 harmless, and each is built only when the caller pulls it. The one gate
 applied here is the invertibility floor ``CANDIDATE_MARGIN_RTOL`` on each
@@ -607,7 +610,8 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     on the rows has one construction, which (3,3) x (2,2) cuts run on the
     transposed relation.
     Rank-one cuts of any shape reduce to fold congruences, and rank-two
-    qubit-pair cuts to pencil normal forms.
+    qubit-pair cuts to pencil normal forms; these two read the singular
+    frames, the full-row-rank construction only the flattenings.
     """
     r, left, right = frame.r, frame.left_dims, frame.right_dims
     if r == 1:
@@ -616,7 +620,7 @@ def _direct_flat_candidates(frame, frame_prime, rng):
         return _rank2_square_candidates(frame, frame_prime, rng)
     if r != 4:
         return []
-    m, mp = frame.reconstruct(), frame_prime.reconstruct()
+    m, mp = frame.flattening, frame_prime.flattening
     if left == (2, 2) and right in ((2, 2), (3, 3)):
         return _qubit_row_pair_candidates(m, mp, rng)
     if left == (3, 3) and right == (2, 2):

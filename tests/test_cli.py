@@ -23,7 +23,15 @@ from slocceq.cli import (
     read_certificate_file,
     write_certificate_file,
 )
-from slocceq.states import make_state, read_state_file, write_state_file
+from slocceq.decomposition import flatten_bipartition
+from slocceq.states import (
+    STANDARD_CUTS,
+    PureState,
+    make_state,
+    read_state_file,
+    write_state_file,
+)
+from slocceq.tensorops import sigma_rank, svd
 
 
 @pytest.fixture
@@ -62,6 +70,32 @@ class TestDecompose:
         assert payload["rank"] == 4
         assert np.allclose(payload["singular_values"], [0.5] * 4)
         assert len(payload["psi_u"]) == 4
+
+    def test_payload_is_the_gauged_svd(self, tmp_path, capsys):
+        # Rank and factors come from the full gauged SVD of the flattening;
+        # the spectrum, from a values-only SVD, agrees with it to roundoff.
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0000], amps[0b0101] = 1.0, 5e-9
+        states = [random_orbit_case((2, 2, 3, 3), 3)[1], PureState((2, 2, 2, 2), amps)]
+        for state in states:
+            path = tmp_path / "s.state"
+            write_state_file(path, state)
+            for cut in STANDARD_CUTS:
+                assert main(["decompose", str(path), "--cut", cut.label, "--json"]) == EXIT_OK
+                payload = json.loads(capsys.readouterr().out)
+                u, sigma, v = svd(flatten_bipartition(state, cut), full=True)
+                r = sigma_rank(sigma)
+                assert payload["rank"] == r
+                got = np.array(payload["singular_values"])
+                assert np.max(np.abs(got - sigma[:r])) <= 1e-14 * sigma[0]
+                for name, frame in (("psi_u", u), ("psi_v", v)):
+                    slices = [np.array([[complex(*z) for z in row] for row in piece])
+                              for piece in payload[name]]
+                    assert len(slices) == r
+                    for i, piece in enumerate(slices):
+                        assert np.array_equal(piece, frame[:, i].reshape(piece.shape, order="F"))
+                borderline = any(sigma[i] <= 1e-8 * sigma[0] for i in range(r))
+                assert bool(payload["warnings"]) == borderline
 
     def test_other_cut(self, files, capsys):
         assert main(["decompose", files["ghz4"], "--cut", "13-24"]) == EXIT_OK
@@ -182,6 +216,14 @@ class TestCheck:
         assert code == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    def test_unwritable_cert_out_is_usage_error(self, files, tmp_path, capsys):
+        cert_path = tmp_path / "missing" / "pair.cert"
+        code = main(
+            ["check", files["abcd"], files["abcd2"], "--cert-out", str(cert_path)]
+        )
+        assert code == EXIT_PARSE
+        assert str(cert_path) in capsys.readouterr().err
+
     def test_seed_flag_reported(self, files, capsys):
         code = main(
             ["check", files["abcd"], files["abcd2"], "--seed", "7", "--json"]
@@ -218,7 +260,25 @@ class TestVerify:
         cert = tmp_path / "zero.cert"
         self.write_cert(cert, [np.zeros((2, 2))] + [np.eye(2)] * 3)
         code = main(["verify", files["ghz4"], files["ghz4"], str(cert)])
-        assert code == EXIT_FAIL
+        assert code == EXIT_PARSE
+        assert "operator 1" in capsys.readouterr().err
+
+    def test_singular_operators_rejected(self, files, tmp_path, capsys):
+        # The projector onto |0> maps GHZ4 onto |0000>, a state that the
+        # bipartition rank proves inequivalent to it: no invertible map.
+        product = tmp_path / "product.state"
+        amps = np.zeros(16, dtype=complex)
+        amps[0] = 1.0
+        write_state_file(product, PureState((2, 2, 2, 2), amps))
+        assert main(["check", str(product), files["ghz4"]]) == EXIT_FAIL
+        capsys.readouterr()
+        cert = tmp_path / "projector.cert"
+        self.write_cert(cert, [np.diag([1.0, 0.0])] * 4)
+        code = main(["verify", str(product), files["ghz4"], str(cert)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "operator 1 is numerically singular" in captured.err
 
     def test_wrong_operator_count_rejected(self, files, tmp_path, capsys):
         cert = tmp_path / "short.cert"
@@ -292,6 +352,12 @@ class TestOrbit:
         )
         assert code == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_unwritable_out_is_usage_error(self, files, tmp_path, capsys):
+        out = tmp_path / "missing" / "orb"
+        code = main(["orbit", files["cluster"], "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert f"{out}.state" in capsys.readouterr().err
 
     def test_deterministic_bytes(self, files, tmp_path, capsys):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -11,8 +11,8 @@ from slocceq.states import (
     make_state,
 )
 from slocceq.catalog import random_orbit_case
-from slocceq.decomposition import flatten_bipartition, triple_state_set
-from slocceq.tensorops import fold
+from slocceq.decomposition import StateProfile, flatten_bipartition, triple_state_set
+from slocceq.tensorops import fold, sigma_rank, svd
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 INV_SQRT2 = np.sqrt(0.5)
@@ -214,3 +214,64 @@ class TestComplementaryState:
         # The complement annihilates the flattening from the left.
         m = flatten_bipartition(state, CUT_12_34)
         assert np.linalg.norm(vecs.conj().T @ m) < 1e-12 * np.linalg.norm(m)
+
+
+class TestOneSpectrum:
+    """A profile's rank and decomposition at a cut read one values-only SVD."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3)])
+    def test_decomposition_reads_the_ranked_spectrum(self, dims, monkeypatch):
+        spectra = []
+        lapack_svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            out = lapack_svd(a, *args, **kwargs)
+            if kwargs.get("compute_uv") is False:
+                spectra.append(out)
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        for seed in range(5):
+            for state in random_orbit_case(dims, seed)[:2]:
+                profile = StateProfile(state)
+                for cut in STANDARD_CUTS:
+                    spectra.clear()
+                    r = profile.rank(cut)
+                    (sigma,) = spectra
+                    triple = profile.decomposition(cut)
+                    assert len(spectra) == 1
+                    assert triple.r == r
+                    assert np.array_equal(triple.singular_values, sigma[:r])
+
+    def test_frames_are_computed_once(self):
+        triple = triple_state_set(random_orbit_case((2, 2, 3, 3), 0)[0], CUT_12_34)
+        assert triple.u_full is triple.u_full
+        assert triple.v_full is triple.v_full
+
+    def test_frames_are_those_of_the_gauged_svd(self):
+        state = random_orbit_case((2, 2, 3, 3), 1)[1]
+        for cut in STANDARD_CUTS:
+            triple = triple_state_set(state, cut)
+            u, _, v = svd(flatten_bipartition(state, cut), full=True)
+            assert np.array_equal(triple.u_full, u)
+            assert np.array_equal(triple.v_full, v)
+
+    def test_spectrum_matches_the_full_svd(self):
+        """Values-only and full SVD spectra agree to roundoff, so ranks agree too."""
+        for dims in [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3)]:
+            for seed in range(20):
+                state = random_orbit_case(dims, seed)[1]
+                for cut in STANDARD_CUTS:
+                    triple = triple_state_set(state, cut)
+                    full = svd(flatten_bipartition(state, cut), full=True)[1]
+                    assert triple.r == sigma_rank(full)
+                    gap = np.max(np.abs(triple.singular_values - full[: triple.r]))
+                    assert gap <= 1e-14 * full[0]
+
+    def test_flattening_is_read_only(self):
+        triple = triple_state_set(make_state("cluster1d"), CUT_12_34)
+        assert np.array_equal(triple.flattening, flatten_bipartition(make_state("cluster1d"), CUT_12_34))
+        with pytest.raises(ValueError):
+            triple.flattening[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            triple.u_full[0, 0] = 1.0

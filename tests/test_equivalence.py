@@ -265,7 +265,7 @@ class TestVerificationDecides:
         verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         assert families[0] == 1
-        assert svds[0] <= 25
+        assert svds[0] <= 21
 
     def test_broken_candidate_is_undecided_at_verification(self, monkeypatch):
         _, broken = self.planted_and_broken()
@@ -399,21 +399,53 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_decompositions(monkeypatch):
+    """Count boxes for the triple-state sets built and the singular frames computed.
+
+    A frame computation is one call of the gauged SVD the frames come from.
+    """
+    sets = count_calls(monkeypatch, decomposition.TripleStateSet, "__post_init__")
+    frames = count_calls(monkeypatch, decomposition, "svd")
+    return sets, frames
+
+
 class TestOneDecompositionPerState:
     def test_single_cut_orbit_check_decomposes_each_state_once(self, monkeypatch):
+        # The rank-four constructions read the flattenings, never the frames.
         state, image, _ = random_orbit_case((2, 2, 2, 2), 7, 10.0)
-        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        sets, frames = count_decompositions(monkeypatch)
         verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
-        assert calls[0] == 2
+        assert sets[0] == 2
+        assert frames[0] == 0
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3, 3), (3, 3, 2, 2)])
+    def test_qutrit_pair_orbit_check_computes_no_frame(self, monkeypatch, dims):
+        state, image, _ = random_orbit_case(dims, 7, 10.0)
+        sets, frames = count_decompositions(monkeypatch)
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert sets[0] == 2
+        assert frames[0] == 0
+
+    def test_rank_two_orbit_check_computes_each_frame_once(self, monkeypatch):
+        # The class screen and the construction read the same frames.
+        w4 = make_state("w4")
+        image = apply_local_ops(w4, random_invertible_ops((2, 2, 2, 2), 7, 10.0))
+        sets, frames = count_decompositions(monkeypatch)
+        verdict = check_fourpartite_equiv(image, w4, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert sets[0] == 2
+        assert frames[0] == 2
 
     def test_rank_four_screen_decomposes_nothing(self, monkeypatch):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 8, 10.0)
-        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        sets, frames = count_decompositions(monkeypatch)
         p1, p2 = StateProfile(image), StateProfile(state)
         assert p1.rank(CUT_12_34) == 4
         assert invariant_screen(p1, p2, CUT_12_34) is None
-        assert calls[0] == 0
+        assert sets[0] == 0
+        assert frames[0] == 0
 
     def test_rank_four_orbit_check_folds_no_factor(self, monkeypatch):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 7, 10.0)
@@ -423,12 +455,13 @@ class TestOneDecompositionPerState:
         assert built[0] == 0
 
     def test_all_cuts_class_proof_decomposes_each_state_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, decomposition, "triple_state_set")
+        sets, frames = count_decompositions(monkeypatch)
         verdict = check_fourpartite_equiv_all_cuts(
             make_state("ghz4"), make_state("w4"), CONFIG
         )
         assert verdict.proof.invariant == "tripartite-class"
-        assert calls[0] == 2
+        assert sets[0] == 2
+        assert frames[0] == 2
 
     def test_all_cuts_undecided_screens_once_per_cut(self, monkeypatch):
         s1 = random_orbit_case((2, 2, 2, 3), 1)[0]

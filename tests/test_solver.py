@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from slocceq.catalog import random_orbit_case
-from slocceq.decomposition import TripleStateSet, triple_state_set
-from slocceq import solver
+from slocceq import decomposition, solver
+from slocceq.decomposition import triple_state_set
 from slocceq.solver import (
     SolveStatus,
     SolverConfig,
@@ -430,23 +430,23 @@ class TestSolvePtilde:
                 assert out.restarts_used == 0, name
                 assert flat_misfit(out, frame, frame_image) < 1e-9, name
 
-    def test_gauge_rotation_in_degenerate_block(self):
+    def test_gauge_rotation_in_degenerate_block(self, monkeypatch):
         rng = np.random.default_rng(55)
         frame = triple_state_set(make_state("ghz4"), CUT_12_34)
+        gauged_u = frame.u_full  # computed before the rotation below is installed
         w, _ = np.linalg.qr(random_complex(rng, (2, 2)))
-        u_mod = frame.u_full.copy()
-        v_mod = frame.v_full.copy()
-        u_mod[:, :2] = u_mod[:, :2] @ w
-        v_mod[:, :2] = v_mod[:, :2] @ w
-        rotated = TripleStateSet(
-            u_full=u_mod,
-            v_full=v_mod,
-            singular_values=frame.singular_values,
-            r=frame.r,
-            bipartition=frame.bipartition,
-            dims=frame.dims,
-            warnings=(),
-        )
+        gauged = decomposition.svd
+
+        def rotated_svd(matrix, full=False):
+            u, sigma, v = gauged(matrix, full=full)
+            u[:, :2] = u[:, :2] @ w
+            v[:, :2] = v[:, :2] @ w
+            return u, sigma, v
+
+        # Frames come from one place; the rotated ones go in through it.
+        monkeypatch.setattr(decomposition, "svd", rotated_svd)
+        rotated = triple_state_set(make_state("ghz4"), CUT_12_34)
+        assert not np.allclose(rotated.u_full[:, :2], gauged_u[:, :2])
         assert np.allclose(
             rotated.reconstruct(), frame.reconstruct(), atol=1e-12
         )
