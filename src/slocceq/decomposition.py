@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .states import Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, fold, numerical_rank, sigma_rank, svd
+from .tensorops import DEFAULT_RTOL, numerical_rank, sigma_rank, svd
 
 # Singular values in (rtol, 10*rtol) times the largest are counted as
 # nonzero but flagged: the block structure downstream is discontinuous
@@ -113,7 +113,8 @@ class TripleStateSet:
 
 
 def _folded(frame: np.ndarray, r: int, dims: tuple[int, int]) -> TripartiteState:
-    return TripartiteState(r, tuple(fold(frame[:, i], *dims) for i in range(r)))
+    # Frame rows follow the flattening's rows, (i_a, i_b) with i_b fastest.
+    return TripartiteState(r, tuple(frame[:, i].reshape(dims) for i in range(r)))
 
 
 def flatten_bipartition(state: PureState, cut: Bipartition) -> np.ndarray:

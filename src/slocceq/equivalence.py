@@ -12,6 +12,9 @@ at a cut is factored by one values-only SVD, and its singular frames by
 at most one more, taken only when the class screen or a rank-one or
 rank-two construction reads them. The single-cut and all-cuts checks run
 one loop over their cuts: screen every cut, then search them in order.
+Every candidate, four-party or tripartite, becomes a
+:class:`LocalOperatorTuple` before it is verified; that type's
+invertibility rule is the only one a candidate meets.
 A verdict is three-valued: EQUIVALENT carries an operator certificate
 that has been re-verified on the input states, INEQUIVALENT carries an
 invariant proof, and UNDECIDED carries diagnostics only, with stage
@@ -46,7 +49,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, numerical_rank, qr, vectorize
+from .tensorops import DEFAULT_RTOL, _lead_phase, qr, vectorize
 
 __all__ = [
     "EquivalenceStatus",
@@ -81,13 +84,13 @@ class Certificate:
 
     ``ops`` maps the second (source) state onto the first (target) state:
     ``target ~ scalar * (ops applied to source)`` with relative error
-    ``residual``. For four-partite checks ``ops`` is a
-    :class:`LocalOperatorTuple` and ``cut`` records the bipartition the
-    certificate was derived at; tripartite certificates store a plain
-    3-tuple of matrices and no cut.
+    ``residual``. ``ops`` is a :class:`LocalOperatorTuple`, one operator
+    per party: four for four-partite checks, where ``cut`` records the
+    bipartition the certificate was derived at, and ``(A_first, A_row,
+    A_col)`` for tripartite checks, which record no cut.
     """
 
-    ops: Union[LocalOperatorTuple, Tuple[np.ndarray, ...]]
+    ops: LocalOperatorTuple
     scalar: complex
     residual: float
     cut: Optional[Bipartition] = None
@@ -118,16 +121,32 @@ def _gauge(mats):
     """Fix the scale and phase of each operator, keeping their tensor product.
 
     Every operator but the last gets unit Frobenius norm and a real
-    positive leading entry; the last absorbs the removed scale.
+    positive leading entry; the last absorbs the removed scale. A zero
+    operator is left as it is, for :class:`LocalOperatorTuple` to reject.
     """
     mats = list(mats)
     carry = 1.0 + 0.0j
     for k in range(len(mats) - 1):
         z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1))
-        mats[k] = mats[k] / z
-        carry *= z
+        if z:
+            mats[k] = mats[k] / z
+            carry *= z
     mats[-1] = mats[-1] * carry
     return mats
+
+
+def _local_operators(mats) -> LocalOperatorTuple:
+    """Gauged :class:`LocalOperatorTuple` of ``mats``, in party order.
+
+    Raises
+    ------
+    RecoveryError
+        If an operator is numerically singular.
+    """
+    try:
+        return LocalOperatorTuple(tuple(_gauge(mats)))
+    except ValueError as exc:
+        raise RecoveryError(f"recovered operator is singular: {exc}") from exc
 
 
 def recover_local_operators(
@@ -146,10 +165,7 @@ def recover_local_operators(
         If a recovered operator is numerically singular.
     """
     by_party = dict(zip(cut.left + cut.right, candidate))
-    try:
-        return LocalOperatorTuple(tuple(_gauge([by_party[k] for k in (1, 2, 3, 4)])))
-    except ValueError as exc:
-        raise RecoveryError(f"recovered operator is singular: {exc}") from exc
+    return _local_operators([by_party[k] for k in (1, 2, 3, 4)])
 
 
 def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]:
@@ -208,8 +224,9 @@ def _first_verified(
     """EQUIVALENT at the first candidate that verifies, else UNDECIDED.
 
     ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or to
-    None when the candidate yields no operators. Candidates are pulled one
-    at a time and none is built past the first that verifies. Records the
+    None when :class:`LocalOperatorTuple` rejects its operators as
+    singular. Candidates are pulled one at a time and none is built past
+    the first that verifies. Records the
     number pulled, the accepted (else the best) residual and, when nothing
     verifies, the UNDECIDED stage: ``coupling_search`` when no candidate
     was built, ``verification`` otherwise.
@@ -351,8 +368,9 @@ def check_tripartite_equiv(
     prove inequivalence. Otherwise the single-sided construction proposes
     slice-space operator pairs from the column frames of the vectorized
     slices; each is completed by a least-squares mixing operator on the
-    slice index and verified slice-wise, and the first that verifies
-    decides.
+    slice index, gauged into a :class:`LocalOperatorTuple` (a singular
+    operator drops the candidate) and verified on the stacked slices, and
+    the first that verifies decides.
 
     The certificate operators ``(A_first, A_row, A_col)`` act per party:
     ``t1`` slices match ``scalar * sum_j A_first[i, j] * A_row @ t2_j @
@@ -392,11 +410,12 @@ def check_tripartite_equiv(
         # Mixing operator on the slice index from the least-squares fit of
         # the mapped source stack onto the target stack.
         a_first = np.linalg.lstsq(np.kron(a_col, a_row) @ w2, w1, rcond=None)[0].T
-        if numerical_rank(a_first, rtol) < r:
+        try:
+            ops = _local_operators([a_first, a_row, a_col])
+        except RecoveryError:
             return None
-        ops = tuple(_gauge([a_first, a_row, a_col]))
-        image = np.tensordot(ops[0], ops[1] @ t2.stacked() @ ops[2].T, axes=([1], [0]))
-        scalar, resid = _best_scalar(t1.stacked().reshape(-1), image.reshape(-1))
+        image = contract_local_ops(t2.stacked(), (r, i1, i2), ops.ops)
+        scalar, resid = _best_scalar(t1.stacked().reshape(-1), image)
         return ops, scalar, resid
 
     outcome = solve_ptilde_single(qr(w2)[0], qr(w1)[0], r, (i2, i1), config)

@@ -9,10 +9,12 @@ rank-two constructions from their singular frames, the rank-four ones
 from covariants of the flattenings themselves, so a rank-four cut
 computes no singular frame. The caller re-applies each candidate to the
 raw amplitudes and accepts only what verifies, so spurious candidates are
-harmless, and each is built only when the caller pulls it. The one gate
-applied here is the invertibility floor ``CANDIDATE_MARGIN_RTOL`` on each
-side's Kronecker product. A geometry without a construction is reported
-EXHAUSTED at once.
+harmless, and each is built only when the caller pulls it. No candidate
+is screened for invertibility here: a construction that would invert an
+exactly singular matrix yields nothing, and every other candidate goes to
+the caller, whose :class:`~slocceq.states.LocalOperatorTuple` rejects a
+singular operator before verification. A geometry without a construction
+is reported EXHAUSTED at once.
 
 On a qubit pair the antisymmetric form eps satisfies
 ``A^T eps A = det(A) eps`` for every 2x2 operator A, so with
@@ -69,15 +71,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .decomposition import TripleStateSet
-from .tensorops import FactorizationError, pencil_det_form, rank1_kron_factor, sigma_rank, sigma_ratio
+from .tensorops import FactorizationError, pencil_det_form, rank1_kron_factor, sigma_rank
 
 # Tolerances of the constructions, one per role. None of them accepts a
 # candidate: verification on the amplitudes is the only acceptance gate.
 #
-# Smallest acceptable sigma_min/sigma_max of each side's Kronecker
-# product. Planted orbits at condition cap 20 give margins above 1e-4;
-# degenerate collapse gives machine-zero margins.
-CANDIDATE_MARGIN_RTOL = 1e-8
 # Relative misfit up to which a construction still proposes a candidate:
 # the Kronecker gap of a whole 4x4 matrix, or the misfit of a nullspace
 # point (a right tuple or a rank-two core).
@@ -92,8 +90,6 @@ _ISOTROPY_CUTOFF = 1e-6
 _PENCIL_RTOL = 1e-6
 # Rank cutoff of the folded matrices matched by a congruence.
 _CONGRUENCE_RTOL = 1e-9
-# Invertibility floor of the rank-two stabiliser actions sigma and rho_c.
-_STABILISER_MARGIN = 1e-10
 # Denman-Beavers square root: distance of M_k from I counted as converged,
 # and the iteration cap.
 _SQRTM_TOL = 1e-10
@@ -131,13 +127,13 @@ class SolverConfig:
 class SolveOutcome:
     """Candidates of a construction. EXHAUSTED is never a proof of inequivalence.
 
-    ``candidates`` is a one-pass iterable over the per-party factor tuples
-    that clear the invertibility floor, in construction order:
-    ``(A_l1, A_l2, A_r1, A_r2)`` for the two-sided search, ``(A_1, A_2)``
-    for the single-sided one. Each is built only when it is pulled, and
-    none is verified yet. FOUND means there is at least one; EXHAUSTED
-    means the geometry has no construction or every candidate fell below
-    the floor. ``restarts_used`` is always 0.
+    ``candidates`` is a one-pass iterable over the per-party factor tuples,
+    in construction order: ``(A_l1, A_l2, A_r1, A_r2)`` for the two-sided
+    search, ``(A_1, A_2)`` for the single-sided one. Each is built only
+    when it is pulled; none is checked for invertibility or verified yet.
+    FOUND means there is at least one; EXHAUSTED means the geometry has no
+    construction or its construction yielded nothing. ``restarts_used`` is
+    always 0.
     """
 
     status: SolveStatus
@@ -372,16 +368,16 @@ def _right_tuple_solve(rs, ts, rng):
 
     With ``K = H^-T`` the relation reads ``G rs[i] = ts[i] K``, linear in
     (G, K), so one nullspace over the stacked slices gives both factors.
-    Returns None when the point misfits or K falls below the
-    invertibility floor.
+    Returns None when the point misfits or K is exactly singular.
     """
     point = _nullspace_point(_right_tuple_system(rs, ts), rng)
     if point is None:
         return None
     g, k = point.reshape(2, *rs[0].shape)
-    if sigma_ratio(np.linalg.svd(k, compute_uv=False)) < CANDIDATE_MARGIN_RTOL:
+    try:
+        return g, np.linalg.inv(k).T
+    except np.linalg.LinAlgError:
         return None
-    return g, np.linalg.inv(k).T
 
 
 def _qubit_row_pair_candidates(m, mp, rng):
@@ -563,13 +559,11 @@ def _rank2_square_candidates(frame, frame_prime, rng):
                 continue
             sigma = sum(ci * q for ci, q in zip(coeff, basis_s))
             rho_c = sum(ci * p for ci, p in zip(coeff[len(basis_s):], basis_c))
-            margins = sigma_ratio(np.linalg.svd(np.stack([sigma, rho_c]), compute_uv=False))
-            if margins.min() < _STABILISER_MARGIN:
+            try:
+                rho_r = np.linalg.inv(sigma).T
+            except np.linalg.LinAlgError:
                 continue
-            yield (
-                _between(col, col_p, *lift_c(rho_c))
-                + _between(row, row_p, *lift_r(np.linalg.inv(sigma).T))
-            )
+            yield _between(col, col_p, *lift_c(rho_c)) + _between(row, row_p, *lift_r(rho_r))
 
 
 def _single_kron_candidates(u_full, u_prime_full, r):
@@ -629,35 +623,16 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     return []
 
 
-def _kron_margin(a: np.ndarray, b: np.ndarray) -> float:
-    """sigma_min/sigma_max of ``kron(a, b)``, the product of the factors' ratios.
+def _peeked(candidates) -> SolveOutcome:
+    """Outcome streaming ``candidates``: FOUND when there is a first one.
 
-    Factors of one shape share one stacked SVD call.
+    Only the first candidate is built here; the rest are built as pulled.
     """
-    if a.shape == b.shape:
-        s = np.linalg.svd(np.stack([a, b]), compute_uv=False)
-    else:
-        s = [np.linalg.svd(m, compute_uv=False) for m in (a, b)]
-    return sigma_ratio(s[0]) * sigma_ratio(s[1])
-
-
-def _above_floor(candidates) -> SolveOutcome:
-    """Outcome streaming the candidates whose every side clears the floor.
-
-    A candidate's factors come in pairs, one pair per side of the
-    relation; each pair's Kronecker product must have a margin of at
-    least ``CANDIDATE_MARGIN_RTOL``. Only the first that does is built
-    here, to tell FOUND from EXHAUSTED; the rest are built as pulled.
-    """
-    kept = (
-        cand
-        for cand in candidates
-        if all(_kron_margin(a, b) >= CANDIDATE_MARGIN_RTOL for a, b in zip(cand[::2], cand[1::2]))
-    )
-    first = next(kept, None)
+    candidates = iter(candidates)
+    first = next(candidates, None)
     if first is None:
         return SolveOutcome(SolveStatus.EXHAUSTED, (), restarts_used=0)
-    return SolveOutcome(SolveStatus.FOUND, itertools.chain([first], kept), restarts_used=0)
+    return SolveOutcome(SolveStatus.FOUND, itertools.chain([first], candidates), restarts_used=0)
 
 
 def solve_ptilde(
@@ -671,9 +646,8 @@ def solve_ptilde(
     unprimed state (the one the operators act on) and ``frame_prime`` to
     its image. Each candidate
     ``(A_l1, A_l2, A_r1, A_r2)`` proposes
-    ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T`` for the two flattenings,
-    with both Kronecker products invertible at margin
-    ``CANDIDATE_MARGIN_RTOL``; none is verified here.
+    ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T`` for the two flattenings;
+    none is checked for invertibility or verified here.
 
     Candidates come from closed-form constructions for rank-one
     flattenings of any shape, rank-two and invertible flattenings with
@@ -689,7 +663,7 @@ def solve_ptilde(
     if frame.left_dims != frame_prime.left_dims or frame.right_dims != frame_prime.right_dims:
         raise ValueError("frames live on different spaces")
     rng = np.random.default_rng((config.rng_seed, 0))
-    return _above_floor(_direct_flat_candidates(frame, frame_prime, rng))
+    return _peeked(_direct_flat_candidates(frame, frame_prime, rng))
 
 
 def solve_ptilde_single(
@@ -710,5 +684,5 @@ def solve_ptilde_single(
     if u_full.shape != u_prime_full.shape:
         raise ValueError("frames live on different spaces")
     if split != (2, 2):
-        return _above_floor([])
-    return _above_floor(_single_kron_candidates(u_full, u_prime_full, r))
+        return _peeked([])
+    return _peeked(_single_kron_candidates(u_full, u_prime_full, r))

@@ -156,14 +156,20 @@ STANDARD_CUTS = (
 
 @dataclass(frozen=True, eq=False)
 class LocalOperatorTuple:
-    """Invertible square operators A1..A4, one per party."""
+    """Invertible square operators, one per party of a 2- to 4-party state.
+
+    This is the package's one invertibility rule: an operator whose
+    ``sigma_min / sigma_max`` is at most ``OPERATOR_INVERTIBILITY_RTOL``
+    is rejected, and the error names it. Every certificate, recovered or
+    read from a file, is built through it.
+    """
 
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         ops = tuple(np.array(m, dtype=complex) for m in self.ops)
-        if len(ops) != 4:
-            raise ValueError(f"expected 4 operators, got {len(ops)}")
+        if len(ops) not in (2, 3, 4):
+            raise ValueError(f"expected 2 to 4 operators, got {len(ops)}")
         for k, m in enumerate(ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"operator {k + 1} is not square: shape {m.shape}")

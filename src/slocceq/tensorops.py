@@ -105,22 +105,14 @@ def sigma_rank(s, rtol: float = DEFAULT_RTOL) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def sigma_ratio(s):
-    """Invertibility margin ``s[..., -1] / s[..., 0]`` of descending singular values.
+def sigma_ratio(s) -> float:
+    """Invertibility margin ``s[-1] / s[0]`` of one matrix's descending singular values.
 
-    ``s`` holds the singular values of one matrix on its last axis, or of
-    a stack of matrices on the leading axes; a stack gives an array of
-    margins, one matrix a float. A zero matrix (leading value 0) has
-    margin 0.0 and an empty one infinity.
+    A zero matrix (leading value 0) has margin 0.0 and an empty one infinity.
     """
-    s = np.asarray(s)
-    if s.shape[-1] == 0:
-        return math.inf if s.ndim == 1 else np.full(s.shape[:-1], math.inf)
-    if s.ndim == 1:
-        return float(s[-1] / s[0]) if s[0] != 0.0 else 0.0
-    lead = s[..., 0]
-    live = lead != 0.0
-    return np.where(live, s[..., -1] / np.where(live, lead, 1.0), 0.0)
+    if len(s) == 0:
+        return math.inf
+    return float(s[-1] / s[0]) if s[0] != 0.0 else 0.0
 
 
 def _lead_phase(column: np.ndarray) -> complex:

@@ -76,7 +76,11 @@ class TestDecompose:
         # the spectrum, from a values-only SVD, agrees with it to roundoff.
         amps = np.zeros(16, dtype=complex)
         amps[0b0000], amps[0b0101] = 1.0, 5e-9
-        states = [random_orbit_case((2, 2, 3, 3), 3)[1], PureState((2, 2, 2, 2), amps)]
+        states = [
+            random_orbit_case((2, 2, 3, 3), 3)[1],
+            random_orbit_case((2, 3, 2, 3), 3)[1],
+            PureState((2, 2, 2, 2), amps),
+        ]
         for state in states:
             path = tmp_path / "s.state"
             write_state_file(path, state)
@@ -93,7 +97,7 @@ class TestDecompose:
                               for piece in payload[name]]
                     assert len(slices) == r
                     for i, piece in enumerate(slices):
-                        assert np.array_equal(piece, frame[:, i].reshape(piece.shape, order="F"))
+                        assert np.array_equal(piece, frame[:, i].reshape(piece.shape))
                 borderline = any(sigma[i] <= 1e-8 * sigma[0] for i in range(r))
                 assert bool(payload["warnings"]) == borderline
 
@@ -280,6 +284,15 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "operator 1 is numerically singular" in captured.err
 
+    def test_three_party_singular_operator_rejected(self, files, tmp_path, capsys):
+        cert = tmp_path / "projector3.cert"
+        self.write_cert(cert, [np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+        code = main(["verify", files["ghz3"], files["ghz3"], str(cert)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "operator 2 is numerically singular" in captured.err
+
     def test_wrong_operator_count_rejected(self, files, tmp_path, capsys):
         cert = tmp_path / "short.cert"
         self.write_cert(cert, [np.eye(2)] * 3)
@@ -351,6 +364,17 @@ class TestOrbit:
             ["verify", f"{out}.state", files["cluster"], f"{out}.cert"]
         )
         assert code == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["ghz3", "bell"])
+    def test_fewer_parties_orbit_and_verify(self, files, tmp_path, capsys, name):
+        if name == "bell":
+            write_state_file(tmp_path / "bell.state", PureState((2, 3), [1, 0, 0, 0, 1, 0]))
+            files = {**files, "bell": str(tmp_path / "bell.state")}
+        out = tmp_path / "orb"
+        assert main(["orbit", files[name], "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", f"{out}.state", files[name], f"{out}.cert"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
     def test_unwritable_out_is_usage_error(self, files, tmp_path, capsys):

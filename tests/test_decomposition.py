@@ -12,7 +12,7 @@ from slocceq.states import (
 )
 from slocceq.catalog import random_orbit_case
 from slocceq.decomposition import StateProfile, flatten_bipartition, triple_state_set
-from slocceq.tensorops import fold, sigma_rank, svd
+from slocceq.tensorops import sigma_rank, svd
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 INV_SQRT2 = np.sqrt(0.5)
@@ -164,8 +164,12 @@ class TestTripleStateSet:
         assert np.linalg.norm(triple.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
 
     def test_factors_fold_the_frame_columns(self):
-        """Each slice is bit for bit the fold of its frame column."""
-        orbits = [random_orbit_case((2, 2, 3, 3), seed)[1] for seed in range(5)]
+        """Each slice is bit for bit its frame column, reshaped row-major."""
+        orbits = [
+            random_orbit_case(dims, seed)[1]
+            for dims in ((2, 2, 3, 3), (2, 3, 2, 3))
+            for seed in range(5)
+        ]
         for state in FOUR_PARTY_CATALOG + orbits:
             for cut in STANDARD_CUTS:
                 triple = triple_state_set(state, cut)
@@ -175,7 +179,25 @@ class TestTripleStateSet:
                 ):
                     assert factor.r_dim == triple.r
                     for i, piece in enumerate(factor.slices):
-                        assert np.array_equal(piece, fold(frame[:, i], *dims))
+                        assert np.array_equal(piece, frame[:, i].reshape(dims))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 3), (2, 2, 3, 3), (3, 2, 2, 3), (2, 2, 2, 2)])
+    def test_factors_rebuild_the_state(self, dims):
+        """``sum_k sv_k psi_u[k] (x) conj(psi_v[k])`` is the state, in the cut's party order."""
+        for seed in range(3):
+            state = random_orbit_case(dims, seed)[0]
+            for cut in STANDARD_CUTS:
+                triple = triple_state_set(state, cut)
+                rebuilt = np.einsum(
+                    "k,kab,kcd->abcd",
+                    triple.singular_values,
+                    triple.psi_u.stacked(),
+                    triple.psi_v.stacked().conj(),
+                )
+                order = [p - 1 for p in cut.left + cut.right]
+                expected = state.tensor().transpose(order)
+                gap = np.max(np.abs(rebuilt - expected))
+                assert gap <= 1e-12, (seed, cut.label, gap)
 
 
 class TestComplementaryState:
@@ -189,7 +211,7 @@ class TestComplementaryState:
             np.array([[0, 0], [1, 0]], dtype=complex),
             np.array([[0, 1], [0, 0]], dtype=complex),
         ]
-        slices = [fold(col, *triple.left_dims) for col in complement.T]
+        slices = [col.reshape(triple.left_dims) for col in complement.T]
         assert span_gap(slices, off_corners) < 1e-10
 
     def test_full_rank_has_empty_complement(self):

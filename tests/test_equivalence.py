@@ -18,11 +18,12 @@ from slocceq.equivalence import (
     recover_local_operators,
     verify_equivalence,
 )
-from slocceq.invariants import invariant_screen
+from slocceq.invariants import invariant_screen, tripartite_as_pure_state
 from slocceq import solver
-from slocceq.solver import CANDIDATE_MARGIN_RTOL, SolverConfig, _kron_margin, solve_ptilde
+from slocceq.solver import SolverConfig, solve_ptilde
 from slocceq.states import (
     Bipartition,
+    LocalOperatorTuple,
     PureState,
     STANDARD_CUTS,
     TripartiteState,
@@ -169,8 +170,19 @@ class TestRecoverLocalOperators:
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
 
 
-class TestInvertibilityFloor:
-    """Candidates below the Kronecker margin floor never reach verification."""
+# Factors at or below LocalOperatorTuple's 1e-12 margin, down to zero.
+SINGULAR_FACTORS = [np.diag([1.0, m]).astype(complex) for m in (1e-12, 1e-14, 0.0)] + [
+    np.zeros((2, 2), dtype=complex)
+]
+
+
+class TestOneInvertibilityRule:
+    """LocalOperatorTuple is the only invertibility rule a candidate meets.
+
+    A candidate whose operators it accepts is verified, however thin; one
+    with an operator at or below its 1e-12 margin is dropped before
+    verification.
+    """
 
     def orbit_check(self, monkeypatch, candidates):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 4, 10.0)
@@ -179,26 +191,14 @@ class TestInvertibilityFloor:
         verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
         return verdict, verifies[0]
 
-    def test_candidate_below_floor_is_dropped(self, monkeypatch):
+    def slice_check(self, monkeypatch, candidates):
+        monkeypatch.setattr(solver, "_single_kron_candidates", lambda *a: candidates)
+        fits = count_calls(monkeypatch, equivalence, "_best_scalar")
+        t = slices_of(make_state("ghz3"))
+        return check_tripartite_equiv(t, t, CONFIG), fits[0]
+
+    def test_thin_factor_reaches_verification(self, monkeypatch):
         thin = np.diag([1.0, 1e-9]).astype(complex)
-        assert 1e-9 < CANDIDATE_MARGIN_RTOL
-        eye = np.eye(2, dtype=complex)
-        verdict, verifies = self.orbit_check(monkeypatch, [(eye, thin, eye, eye)])
-        assert verdict.status is EquivalenceStatus.UNDECIDED
-        assert verdict.diagnostics["stage"] == "coupling_search"
-        assert verdict.diagnostics["candidates"] == 0
-        assert verifies == 0
-
-    def test_margin_is_taken_over_the_kronecker_product(self, monkeypatch):
-        # Each factor clears the floor alone; their product does not.
-        half = np.diag([1.0, 1e-5]).astype(complex)
-        eye = np.eye(2, dtype=complex)
-        verdict, verifies = self.orbit_check(monkeypatch, [(eye, eye, half, half)])
-        assert verdict.diagnostics["candidates"] == 0
-        assert verifies == 0
-
-    def test_candidate_above_floor_is_verified(self, monkeypatch):
-        thin = np.diag([1.0, 1e-7]).astype(complex)
         eye = np.eye(2, dtype=complex)
         verdict, verifies = self.orbit_check(monkeypatch, [(eye, thin, eye, eye)])
         assert verdict.status is EquivalenceStatus.UNDECIDED
@@ -207,17 +207,35 @@ class TestInvertibilityFloor:
         assert verdict.diagnostics["verify_residual"] > 1e-3
         assert verifies == 1
 
-    def test_single_sided_candidates_below_floor_exhaust(self, monkeypatch):
+    @pytest.mark.parametrize("singular", SINGULAR_FACTORS)
+    def test_singular_factor_is_rejected_before_verification(self, monkeypatch, singular):
+        eye = np.eye(2, dtype=complex)
+        verdict, verifies = self.orbit_check(monkeypatch, [(singular, eye, eye, eye)])
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["candidates"] == 1
+        assert "verify_residual" not in verdict.diagnostics
+        assert verifies == 0
+
+    def test_thin_single_sided_factor_reaches_verification(self, monkeypatch):
+        # diag(1, t) on the rows, undone by diag(1, 1/t) on the slice
+        # index, stabilises GHZ3: the thin candidate is a valid certificate.
         thin = np.diag([1.0, 1e-9]).astype(complex)
         eye = np.eye(2, dtype=complex)
-        monkeypatch.setattr(
-            solver, "_single_kron_candidates", lambda *a: [(eye, thin), (thin, eye)]
-        )
-        t = slices_of(make_state("ghz3"))
-        verdict = check_tripartite_equiv(t, t, CONFIG)
+        verdict, fits = self.slice_check(monkeypatch, [(eye, thin)])
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert verdict.diagnostics["candidates"] == 1
+        assert fits == 1
+
+    @pytest.mark.parametrize("singular", SINGULAR_FACTORS)
+    def test_singular_single_sided_factor_is_rejected_before_verification(
+        self, monkeypatch, singular
+    ):
+        eye = np.eye(2, dtype=complex)
+        verdict, fits = self.slice_check(monkeypatch, [(eye, singular), (singular, eye)])
         assert verdict.status is EquivalenceStatus.UNDECIDED
-        assert verdict.diagnostics["stage"] == "coupling_search"
-        assert verdict.diagnostics["candidates"] == 0
+        assert verdict.diagnostics["candidates"] == 2
+        assert "verify_residual" not in verdict.diagnostics
+        assert fits == 0
 
 
 class TestVerificationDecides:
@@ -265,7 +283,7 @@ class TestVerificationDecides:
         verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         assert families[0] == 1
-        assert svds[0] <= 21
+        assert svds[0] <= 18
 
     def test_broken_candidate_is_undecided_at_verification(self, monkeypatch):
         _, broken = self.planted_and_broken()
@@ -825,7 +843,7 @@ class TestCheckTripartite:
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         cert = verdict.certificate
         assert cert.cut is None
-        a_first, a_row, a_col = cert.ops
+        a_first, a_row, a_col = cert.ops.ops
         for mat in (a_first, a_row, a_col):
             _, resid = proportionality(mat, np.eye(2))
             assert resid < 1e-9
@@ -849,7 +867,7 @@ class TestCheckTripartite:
         verdict = check_tripartite_equiv(t1, t2, CONFIG)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         cert = verdict.certificate
-        f, r, c = cert.ops
+        f, r, c = cert.ops.ops
         for mat in (f, r):
             assert abs(np.linalg.norm(mat) - 1.0) < 1e-12
             lead = mat.reshape(-1)[np.argmax(np.abs(mat.reshape(-1)))]
@@ -870,6 +888,30 @@ class TestCheckTripartite:
         t = TripartiteState(r_dim=2, slices=(np.eye(2), np.eye(2)))
         with pytest.raises(ValueError):
             check_tripartite_equiv(t, t, CONFIG)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            named_stack("ghz3"),
+            named_stack("w3"),
+            lambda rng: random_complex(rng, (3, 2, 2)),
+            lambda rng: random_complex(rng, (4, 2, 2)),
+        ],
+        ids=["r2-ghz3", "r2-w3", "r3", "r4"],
+    )
+    def test_certificate_reverifies_on_the_three_party_states(self, stack):
+        rng = np.random.default_rng(68)
+        for seed in range(5):
+            base = stack(rng)
+            t1, t2 = planted_slices(rng, base), planted_slices(rng, base)
+            verdict = check_tripartite_equiv(t1, t2, CONFIG)
+            assert verdict.status is EquivalenceStatus.EQUIVALENT, seed
+            ops = verdict.certificate.ops
+            assert isinstance(ops, LocalOperatorTuple)
+            passed, _, resid = verify_equivalence(
+                tripartite_as_pure_state(t1), tripartite_as_pure_state(t2), ops
+            )
+            assert passed, (seed, resid)
 
 
 def fold_ranks(phi, i1, i2, seed, samples=64):
@@ -937,5 +979,4 @@ class TestRankPreservationProbe:
         mapped = np.kron(a1, a2) @ frame.reconstruct() @ np.kron(a3, a4).T
         _, resid = proportionality(frame_img.reconstruct(), mapped)
         assert resid < 1e-8
-        assert _kron_margin(a1, a2) >= CANDIDATE_MARGIN_RTOL
-        assert _kron_margin(a3, a4) >= CANDIDATE_MARGIN_RTOL
+        LocalOperatorTuple((a1, a2, a3, a4))

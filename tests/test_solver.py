@@ -14,7 +14,6 @@ from slocceq.solver import (
     _binary_quadratic_roots,
     _intertwiner_family,
     _kron_congruences,
-    _kron_margin,
     _kron_split,
     _right_tuple_solve,
     _right_tuple_system,
@@ -25,11 +24,9 @@ from slocceq.solver import (
     solve_ptilde_single,
 )
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
-from slocceq.tensorops import sigma_ratio
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
-EYE = np.eye(2, dtype=complex)
 
 
 def random_complex(rng, shape):
@@ -69,33 +66,6 @@ class TestSolverConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed"):
             SolverConfig(rng_seed=-1)
-
-
-class TestKronMargin:
-    def test_equals_margin_of_the_product(self):
-        rng = np.random.default_rng(70)
-        for _ in range(10):
-            a, b = random_complex(rng, (2, 2)), random_complex(rng, (3, 3))
-            s = np.linalg.svd(np.kron(a, b), compute_uv=False)
-            assert abs(_kron_margin(a, b) - sigma_ratio(s)) < 1e-12 * sigma_ratio(s)
-
-    def test_singular_factor_gives_zero(self):
-        singular = np.diag([1.0, 0.0]).astype(complex)
-        assert _kron_margin(EYE, singular) == 0.0
-
-    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 2), (3, 3))])
-    def test_equals_product_of_factor_ratios_bit_for_bit(self, shapes):
-        rng = np.random.default_rng(72)
-        for _ in range(20):
-            a, b = (random_complex(rng, shape) for shape in shapes)
-            ratios = [sigma_ratio(np.linalg.svd(m, compute_uv=False)) for m in (a, b)]
-            assert np.array_equal(_kron_margin(a, b), ratios[0] * ratios[1])
-
-    def test_scale_free(self):
-        rng = np.random.default_rng(71)
-        a, b = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
-        margin = _kron_margin(a, b)
-        assert abs(_kron_margin(3.0 * a, -0.01j * b) - margin) < 1e-12 * margin
 
 
 class TestKronSplit:

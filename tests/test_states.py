@@ -150,6 +150,21 @@ class TestLocalOperatorTuple:
         with pytest.raises(ValueError):
             LocalOperatorTuple(tuple(mats))
 
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_one_operator_per_party_of_two_to_four(self, count):
+        mats = [np.eye(2, dtype=complex)] * (count - 1) + [np.eye(3, dtype=complex)]
+        assert len(LocalOperatorTuple(tuple(mats)).ops) == count
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_other_operator_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="expected 2 to 4 operators"):
+            LocalOperatorTuple((np.eye(2, dtype=complex),) * count)
+
+    def test_singular_operator_named_among_three(self):
+        mats = [np.eye(2), np.eye(2), np.diag([1.0, 1e-13])]
+        with pytest.raises(ValueError, match="operator 3 is numerically singular"):
+            LocalOperatorTuple(tuple(mats))
+
     def test_non_square_rejected(self):
         mats = [np.eye(2, dtype=complex)] * 3 + [np.ones((2, 3), dtype=complex)]
         with pytest.raises(ValueError):
