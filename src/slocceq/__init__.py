@@ -10,17 +10,7 @@ is established only through sound invariants; when no candidate
 verifies the verdict is UNDECIDED.
 """
 
-from .tensorops import (
-    DEFAULT_RTOL,
-    FactorizationError,
-    fold,
-    numerical_rank,
-    qr,
-    rank1_kron_factor,
-    realign,
-    svd,
-    vectorize,
-)
+from .tensorops import DEFAULT_RTOL, numerical_rank
 from .states import (
     CATALOG_NAMES,
     Bipartition,
@@ -32,7 +22,6 @@ from .states import (
     contract_local_ops,
     make_state,
     read_state_file,
-    states_proportional,
     write_state_file,
 )
 from .decomposition import (
@@ -69,9 +58,7 @@ from .equivalence import (
     verify_equivalence,
 )
 from .catalog import (
-    GoldenCase,
     cluster_pair_operators,
-    golden_cases,
     random_invertible_ops,
     random_orbit_case,
 )
@@ -80,14 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_RTOL",
-    "FactorizationError",
-    "fold",
     "numerical_rank",
-    "qr",
-    "rank1_kron_factor",
-    "realign",
-    "svd",
-    "vectorize",
     "CATALOG_NAMES",
     "Bipartition",
     "LocalOperatorTuple",
@@ -98,7 +78,6 @@ __all__ = [
     "contract_local_ops",
     "make_state",
     "read_state_file",
-    "states_proportional",
     "write_state_file",
     "StateProfile",
     "TripleStateSet",
@@ -125,9 +104,7 @@ __all__ = [
     "check_tripartite_equiv",
     "recover_local_operators",
     "verify_equivalence",
-    "GoldenCase",
     "cluster_pair_operators",
-    "golden_cases",
     "random_invertible_ops",
     "random_orbit_case",
     "__version__",

@@ -71,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .decomposition import TripleStateSet
-from .tensorops import FactorizationError, pencil_det_form, rank1_kron_factor, sigma_rank
+from .tensorops import _lead_phase, fold, pencil_det_form, realign, sigma_rank, vectorize
 
 # Tolerances of the constructions, one per role. None of them accepts a
 # candidate: verification on the amplitudes is the only acceptance gate.
@@ -154,11 +154,22 @@ _EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
 
 
 def _kron_split(mat: np.ndarray):
-    """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None."""
-    try:
-        return rank1_kron_factor(mat, 2, 2, _DIRECT_PRESCREEN_GAP)
-    except FactorizationError:
+    """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None.
+
+    ``realign(kron(X, Y))`` is the rank-one ``vectorize(X) vectorize(Y)^T``,
+    so its leading singular pair gives the factors, each scaled by the
+    root of the leading value, with X's largest entry made real positive.
+    None when the realignment is zero or its Kronecker gap
+    ``sigma_2 / sigma_1`` exceeds ``_DIRECT_PRESCREEN_GAP``.
+    """
+    u, sigma, vh = np.linalg.svd(realign(mat, 2, 2))
+    if sigma[0] == 0.0 or sigma[1] > _DIRECT_PRESCREEN_GAP * sigma[0]:
         return None
+    scale = np.sqrt(sigma[0])
+    x = scale * fold(u[:, 0], 2, 2)
+    y = scale * fold(vh[0], 2, 2)
+    ph = _lead_phase(vectorize(x))
+    return x * np.conj(ph), y * ph
 
 
 def _sylvester_system(right, left):

@@ -22,9 +22,6 @@ from .tensorops import DEFAULT_RTOL, numerical_rank, sigma_ratio
 # Reject only clearly singular operators at construction time; quality
 # control for recovered operators happens at verification.
 OPERATOR_INVERTIBILITY_RTOL = 1e-12
-# Default residual bound of ``states_proportional``, relative to the
-# largest amplitude.
-PROPORTIONAL_TOL = 1e-10
 
 _INV_SQRT2 = math.sqrt(0.5)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -228,22 +225,6 @@ def apply_local_ops(
     """
     mats = ops.ops if isinstance(ops, LocalOperatorTuple) else ops
     return PureState(state.dims, contract_local_ops(state.amps, state.dims, mats))
-
-
-def states_proportional(s1: PureState, s2: PureState, tol: float = PROPORTIONAL_TOL) -> bool:
-    """True iff ``s1 == c * s2`` for some nonzero scalar, within ``tol``.
-
-    The residual is measured relative to the largest amplitude of ``s1``.
-    Mismatched dims return false rather than raising.
-    """
-    if s1.dims != s2.dims:
-        return False
-    a1, a2 = s1.amps, s2.amps
-    c = np.vdot(a2, a1) / np.vdot(a2, a2)
-    if c == 0:
-        return False
-    resid = np.max(np.abs(a1 - c * a2))
-    return bool(resid <= tol * np.max(np.abs(a1)))
 
 
 def _qubit_state(n_parties: int, entries: dict[int, complex]) -> PureState:

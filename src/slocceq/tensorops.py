@@ -24,21 +24,6 @@ import numpy as np
 DEFAULT_RTOL = 1e-9
 
 
-class FactorizationError(ValueError):
-    """A matrix failed to split as a single Kronecker product.
-
-    Attributes
-    ----------
-    second_singular_value : float
-        Second singular value of the realigned matrix, the distance
-        witness: it is zero exactly when the input factors.
-    """
-
-    def __init__(self, message: str, second_singular_value: float = 0.0):
-        super().__init__(message)
-        self.second_singular_value = float(second_singular_value)
-
-
 def vectorize(matrix: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into one vector (column-major)."""
     return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
@@ -171,41 +156,3 @@ def pencil_det_form(x0: np.ndarray, x1: np.ndarray):
     """``(a, b, c)`` with ``det(x x0 + y x1) = a x^2 + b x y + c y^2`` for 2x2 x0, x1."""
     a, c, both = np.linalg.det(np.stack([x0, x1, x0 + x1]))
     return a, both - a - c, c
-
-
-def rank1_kron_factor(
-    matrix: np.ndarray,
-    dim_left: int,
-    dim_right: int,
-    rtol: float = DEFAULT_RTOL,
-):
-    """Split ``matrix`` into ``(B, C)`` with ``matrix ~= kron(B, C)``.
-
-    The factors share the product's Frobenius norm equally and ``B``
-    carries the phase gauge (largest-magnitude entry real positive), so
-    the output is unique, not just unique up to a scalar.
-
-    Raises
-    ------
-    FactorizationError
-        If the realigned matrix is zero or not rank one within ``rtol``.
-        The error records the offending second singular value.
-    """
-    r = realign(matrix, dim_left, dim_right)
-    # The final gauge on B fixes the phase, so the raw SVD suffices.
-    u, sigma, vh = np.linalg.svd(r)
-    if sigma[0] == 0.0:
-        raise FactorizationError("zero matrix has no Kronecker factorization")
-    if sigma.size > 1 and sigma[1] > rtol * sigma[0]:
-        raise FactorizationError(
-            "matrix is not a Kronecker product for this split: second singular "
-            f"value {sigma[1]:.6e} exceeds rtol {rtol:.1e} of leading {sigma[0]:.6e}",
-            second_singular_value=float(sigma[1]),
-        )
-    scale = np.sqrt(sigma[0])
-    b = scale * fold(u[:, 0], dim_left, dim_left)
-    c = scale * fold(vh[0], dim_right, dim_right)
-    ph = _lead_phase(vectorize(b))
-    b *= np.conj(ph)
-    c *= ph
-    return b, c

@@ -1,74 +1,15 @@
-"""Golden-case regressions and random-orbit generator tests."""
+"""Closed-form cluster-pair operators and random-orbit generator tests."""
 
 import numpy as np
 import pytest
 
 from slocceq.catalog import (
     cluster_pair_operators,
-    golden_cases,
     random_invertible_ops,
     random_orbit_case,
 )
-from slocceq.decomposition import triple_state_set
-from slocceq.equivalence import (
-    EquivalenceStatus,
-    check_fourpartite_equiv,
-    verify_equivalence,
-)
-from slocceq.solver import SolverConfig
+from slocceq.equivalence import verify_equivalence
 from slocceq.states import make_state
-
-CONFIG = SolverConfig(rng_seed=0)
-
-
-def span_gap(span_a, span_b):
-    """Largest principal-angle sine between two matrix spans."""
-    qa = np.linalg.qr(np.column_stack([m.reshape(-1) for m in span_a]))[0]
-    qb = np.linalg.qr(np.column_stack([m.reshape(-1) for m in span_b]))[0]
-    angles = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - float(np.min(angles)) ** 2)))
-
-
-class TestGoldenCases:
-    def test_every_case_passes(self):
-        for case in golden_cases():
-            if case.expected_status is not None:
-                verdict = check_fourpartite_equiv(
-                    case.state_a, case.state_b, case.cut, CONFIG
-                )
-                assert verdict.status is case.expected_status, case.name
-                if case.expected_status is EquivalenceStatus.EQUIVALENT:
-                    assert verdict.certificate.residual < case.tolerance, case.name
-            if case.expected_spectrum is not None:
-                frame = triple_state_set(case.state_a, case.cut)
-                assert np.allclose(
-                    frame.singular_values,
-                    case.expected_spectrum,
-                    atol=case.tolerance,
-                ), case.name
-            if case.expected_u_span is not None:
-                triple = triple_state_set(case.state_a, case.cut)
-                gap = span_gap(triple.psi_u.slices, case.expected_u_span)
-                assert gap < case.tolerance, case.name
-            if case.operators is not None:
-                ok, _, resid = verify_equivalence(
-                    case.state_a, case.state_b, case.operators, case.tolerance
-                )
-                assert ok, case.name
-                assert resid < case.tolerance, case.name
-
-    def test_case_names_unique(self):
-        names = [case.name for case in golden_cases()]
-        assert len(names) == len(set(names))
-
-    def test_covers_both_decisive_statuses(self):
-        statuses = {
-            case.expected_status
-            for case in golden_cases()
-            if case.expected_status is not None
-        }
-        assert EquivalenceStatus.EQUIVALENT in statuses
-        assert EquivalenceStatus.INEQUIVALENT in statuses
 
 
 class TestClusterPairOperators:

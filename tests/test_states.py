@@ -14,7 +14,6 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
     read_state_file,
-    states_proportional,
     write_state_file,
 )
 
@@ -209,30 +208,6 @@ class TestApplyLocalOps:
         expected[0b1000] = INV_SQRT2
         expected[0b0111] = INV_SQRT2
         assert np.allclose(image.amps, expected, atol=1e-15)
-
-
-class TestStatesProportional:
-    def test_scalar_multiple(self):
-        state = make_state("ghz4")
-        scaled = PureState(state.dims, 3j * state.amps)
-        assert states_proportional(state, scaled)
-        assert states_proportional(scaled, state)
-
-    def test_different_supports(self):
-        assert not states_proportional(make_state("ghz4"), make_state("w4"))
-
-    def test_reflexive(self):
-        state = make_state("cluster1d")
-        assert states_proportional(state, state)
-
-    def test_dimension_mismatch_is_false(self):
-        assert not states_proportional(make_state("ghz4"), make_state("ghz3"))
-
-    def test_near_miss_rejected(self):
-        state = make_state("ghz4")
-        amps = state.amps.copy()
-        amps[0b0000] *= 1.01
-        assert not states_proportional(state, PureState(state.dims, amps))
 
 
 class TestTripartiteState:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from slocceq.tensorops import (
-    FactorizationError,
     fold,
     numerical_rank,
     pencil_det_form,
     qr,
-    rank1_kron_factor,
     realign,
     sigma_rank,
     sigma_ratio,
@@ -296,66 +294,6 @@ class TestQr:
             assert np.linalg.norm(np.tril(r, -1)) < 1e-13 * scale
             assert np.all(np.diagonal(r).real >= 0)
             assert np.linalg.norm(np.diagonal(r).imag) < 1e-13 * scale
-
-
-class TestRank1KronFactor:
-    def test_hand_built_product(self):
-        b, c = rank1_kron_factor(KRON_HAND, 2, 2)
-        # Factors are unique only up to a scalar pair; compare direction.
-        b_ref = np.array([[1, 2], [3, 4]], dtype=complex)
-        c_ref = np.array([[0, 1], [1, 0]], dtype=complex)
-        for got, ref in [(b, b_ref), (c, c_ref)]:
-            coeff = np.vdot(ref, got) / np.vdot(ref, ref)
-            assert np.linalg.norm(got - coeff * ref) < 1e-12 * abs(coeff)
-        assert np.linalg.norm(np.kron(b, c) - KRON_HAND) < 1e-12 * np.linalg.norm(
-            KRON_HAND
-        )
-
-    def test_identity(self):
-        b, c = rank1_kron_factor(np.eye(4, dtype=complex), 2, 2)
-        assert np.linalg.norm(b / b[0, 0] - np.eye(2)) < 1e-12
-        assert np.linalg.norm(c / c[0, 0] - np.eye(2)) < 1e-12
-
-    def test_swap_is_not_a_product(self):
-        with pytest.raises(FactorizationError) as err:
-            rank1_kron_factor(SWAP, 2, 2)
-        assert err.value.second_singular_value is not None
-        assert err.value.second_singular_value > 0.1
-
-    def test_random_recovery(self):
-        rng = np.random.default_rng(17)
-        for dl, dr in [(2, 2), (2, 3), (3, 3)]:
-            for _ in range(20):
-                b = random_complex(rng, (dl, dl))
-                c = random_complex(rng, (dr, dr))
-                prod = np.kron(b, c)
-                b2, c2 = rank1_kron_factor(prod, dl, dr)
-                assert (
-                    np.linalg.norm(np.kron(b2, c2) - prod)
-                    < 1e-10 * np.linalg.norm(prod)
-                )
-                # Gauge: equal Frobenius norms, real-positive lead in B.
-                assert abs(np.linalg.norm(b2) - np.linalg.norm(c2)) < 1e-10
-                lead = vectorize(b2)[np.argmax(np.abs(vectorize(b2)))]
-                assert abs(lead.imag) < 1e-12 * abs(lead)
-
-    def test_norm_gauge_splits_scale_evenly(self):
-        b, c = rank1_kron_factor(4.0 * np.eye(4, dtype=complex), 2, 2)
-        assert abs(np.linalg.norm(b) - np.linalg.norm(c)) < 1e-12
-
-    def test_matches_the_gauged_svd_split(self):
-        rng = np.random.default_rng(18)
-        for _ in range(20):
-            prod = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
-            u, sigma, v = svd(realign(prod, 2, 2))
-            b_ref = np.sqrt(sigma[0]) * fold(u[:, 0], 2, 2)
-            c_ref = np.sqrt(sigma[0]) * fold(np.conj(v[:, 0]), 2, 2)
-            lead = vectorize(b_ref)[np.argmax(np.abs(vectorize(b_ref)))]
-            phase = lead / abs(lead)
-            b, c = rank1_kron_factor(prod, 2, 2)
-            scale = np.linalg.norm(prod)
-            assert np.linalg.norm(b - b_ref / phase) < 1e-12 * np.sqrt(scale)
-            assert np.linalg.norm(c - c_ref * phase) < 1e-12 * np.sqrt(scale)
 
 
 def commutation_matrix(d1, d2):
