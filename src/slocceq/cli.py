@@ -103,13 +103,21 @@ def _matrix_from_pairs(rows, field: str) -> np.ndarray:
         mat = np.array(
             [[complex(re, im) for re, im in row] for row in rows], dtype=complex
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"certificate field {field!r} is malformed: {exc}")
     if mat.ndim != 2 or mat.size == 0 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"certificate field {field!r} must hold square matrices")
     if not np.isfinite(mat).all():
         raise ValueError(f"certificate field {field!r} holds nan or inf entries")
     return mat
+
+
+def _finite_number(x) -> bool:
+    """True for a JSON number that converts to a finite float."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def write_certificate_file(path, ops, scalar, cut_label, residual, diagnostics):
@@ -146,11 +154,11 @@ def read_certificate_file(path) -> dict:
     if (
         not isinstance(raw_scalar, list)
         or len(raw_scalar) != 2
-        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in raw_scalar)
+        or not all(_finite_number(x) for x in raw_scalar)
     ):
         raise ValueError("certificate field 'scalar' must be a finite [re, im] pair")
     residual = doc.get("residual")
-    if not isinstance(residual, (int, float)) or not math.isfinite(residual):
+    if not _finite_number(residual):
         raise ValueError("certificate field 'residual' must be a finite number")
     return {
         "version": doc["version"],

@@ -49,7 +49,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, qr, vectorize
+from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, qr, vectorize
 
 __all__ = [
     "EquivalenceStatus",
@@ -169,14 +169,23 @@ def recover_local_operators(
 
 
 def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]:
-    """Least-squares scalar c and relative residual of target - c * image."""
-    denom = np.vdot(image, image).real
-    target_norm = float(np.linalg.norm(target))
-    if denom <= 0.0 or target_norm == 0.0:
+    """Least-squares scalar c and relative residual of target - c * image.
+
+    The fit runs on both vectors scaled by powers of two to a largest entry
+    in [0.5, 1), so no amplitude scale over- or underflows it; c refers to
+    the raw vectors. A zero vector, or a c beyond the float range, fails
+    with residual 1.
+    """
+    if not (np.any(target) and np.any(image)):
         return 0.0 + 0.0j, 1.0
-    c = np.vdot(image, target) / denom
-    resid = float(np.linalg.norm(target - c * image)) / target_norm
-    return complex(c), resid
+    t, e_t = pow2_scaled(target)
+    im, e_i = pow2_scaled(image)
+    c = complex(np.vdot(im, t) / np.vdot(im, im).real)
+    resid = float(np.linalg.norm(t - c * im)) / float(np.linalg.norm(t))
+    try:
+        return complex(math.ldexp(c.real, e_t - e_i), math.ldexp(c.imag, e_t - e_i)), resid
+    except OverflowError:
+        return 0.0 + 0.0j, 1.0
 
 
 def verify_equivalence(
@@ -401,9 +410,10 @@ def check_tripartite_equiv(
                 diagnostics=diagnostics,
             )
 
-    # Column stacks of vectorized slices; t2 is the source, t1 the target.
-    w2 = np.column_stack([vectorize(s) for s in t2.slices])
-    w1 = np.column_stack([vectorize(s) for s in t1.slices])
+    # Column stacks of vectorized slices, each scaled by a power of two so
+    # that the mixing operator carries no amplitude scale; t2 is the
+    # source, t1 the target.
+    w2, w1 = (pow2_scaled(np.column_stack([vectorize(s) for s in t.slices]))[0] for t in (t2, t1))
 
     def verify(candidate):
         a_col, a_row = candidate

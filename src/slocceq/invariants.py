@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import StateProfile, flatten_party
 from .states import STANDARD_CUTS, Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, numerical_rank, pencil_det_form
+from .tensorops import DEFAULT_RTOL, numerical_rank, pencil_det_form, pow2_scaled
 
 
 class TriClassLabel(Enum):
@@ -34,7 +34,11 @@ class TriClassLabel(Enum):
 
 @dataclass(frozen=True)
 class TriClass:
-    """Three-qubit SLOCC class with the witnesses that decided it."""
+    """Three-qubit SLOCC class with the witnesses that decided it.
+
+    ``hyperdet_magnitude`` is ``|Det(psi)| / |psi|^4``, the hyperdeterminant
+    of the state scaled to unit norm: 1/4 for GHZ3, 0 on the W class.
+    """
 
     label: TriClassLabel
     marginal_ranks: tuple[int, int, int]
@@ -84,13 +88,16 @@ def classify_tripartite_qubit(state: PureState, tol: float = DEFAULT_RTOL) -> Tr
     Marginal ranks separate product and biseparable states; among the
     genuinely entangled ones the hyperdeterminant separates the GHZ
     class (nonzero) from the W class. ``tol`` sets both the rank cutoff
-    and the hyperdeterminant zero threshold (the latter scaled by the
-    fourth power of the norm).
+    and the zero threshold of the scale-free ``|Det(psi)| / |psi|^4``,
+    the reported ``hyperdet_magnitude``, which is computed on the
+    amplitudes scaled by a power of two, so no amplitude scale under- or
+    overflows it.
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three-qubit classification needs dims (2,2,2), got {state.dims}")
     ranks = tuple(numerical_rank(flatten_party(state, k), tol) for k in (1, 2, 3))
-    det_mag = abs(hyperdeterminant_222(state.amps))
+    amps = pow2_scaled(state.amps)[0]
+    det_mag = abs(hyperdeterminant_222(amps)) / np.vdot(amps, amps).real ** 2
     if ranks == (1, 1, 1):
         label = TriClassLabel.PRODUCT
     elif ranks[0] == 1:
@@ -99,7 +106,7 @@ def classify_tripartite_qubit(state: PureState, tol: float = DEFAULT_RTOL) -> Tr
         label = TriClassLabel.BISEP_B_AC
     elif ranks[2] == 1:
         label = TriClassLabel.BISEP_C_AB
-    elif det_mag > tol * state.norm() ** 4:
+    elif det_mag > tol:
         label = TriClassLabel.GHZ_CLASS
     else:
         label = TriClassLabel.W_CLASS

@@ -71,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .decomposition import TripleStateSet
-from .tensorops import _lead_phase, fold, pencil_det_form, realign, sigma_rank, vectorize
+from .tensorops import _lead_phase, fold, pencil_det_form, pow2_scaled, realign, sigma_rank, vectorize
 
 # Tolerances of the constructions, one per role. None of them accepts a
 # candidate: verification on the amplitudes is the only acceptance gate.
@@ -553,7 +553,8 @@ def _rank2_square_candidates(frame, frame_prime, rng):
         row = _pencil_normal_form(v[:, 0].reshape(2, 2), v[:, 1].reshape(2, 2))
         if col is None or row is None:
             return
-        g = np.kron(col[0], col[1]) @ f.reconstruct() @ np.kron(row[0], row[1]).T
+        m = pow2_scaled(f.reconstruct(), f.singular_values[0])[0]
+        g = np.kron(col[0], col[1]) @ m @ np.kron(row[0], row[1]).T
         core = np.linalg.pinv(col[2].basis) @ g @ np.linalg.pinv(row[2].basis).T
         forms.append((col, row, core))
     (col, row, k), (col_p, row_p, k_p) = forms
@@ -625,7 +626,9 @@ def _direct_flat_candidates(frame, frame_prime, rng):
         return _rank2_square_candidates(frame, frame_prime, rng)
     if r != 4:
         return []
-    m, mp = frame.flattening, frame_prime.flattening
+    # Scaled to a leading singular value in [0.5, 1), so that no covariant
+    # of an amplitude scale far from 1 over- or underflows.
+    m, mp = (pow2_scaled(f.flattening, f.singular_values[0])[0] for f in (frame, frame_prime))
     if left == (2, 2) and right in ((2, 2), (3, 3)):
         return _qubit_row_pair_candidates(m, mp, rng)
     if left == (3, 3) and right == (2, 2):

@@ -334,5 +334,8 @@ def read_state_file(path: Union[str, os.PathLike]) -> PureState:
             isinstance(x, (int, float)) for x in pair
         ):
             raise ValueError("each amplitude in 'amps' must be a [re, im] pair of numbers")
-        amps.append(complex(pair[0], pair[1]))
+        try:
+            amps.append(complex(pair[0], pair[1]))
+        except OverflowError as exc:
+            raise ValueError(f"amplitude {len(amps)} in 'amps' is out of the float range") from exc
     return PureState(tuple(dims), np.array(amps, dtype=complex))

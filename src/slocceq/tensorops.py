@@ -5,11 +5,15 @@ Conventions fixed here and relied on everywhere else:
 * ``vectorize`` stacks matrix columns (column-major); ``fold`` undoes it.
 * ``realign`` regroups a Kronecker-structured square matrix so that
   ``kron(B, C)`` becomes the rank-one outer product
-  ``vectorize(B) @ vectorize(C).T``.
+  ``vectorize(B) @ vectorize(C).T``; the solver's Kronecker split reads
+  its leading singular pair.
 * Singular vectors and QR columns carry a deterministic phase gauge:
   the largest-magnitude entry (lowest index on ties) is made real
   positive. Degenerate singular blocks are left exactly as the backend
   returns them; no extra rotation is invented.
+* ``pow2_scaled`` scales an array exactly by the power of two that puts
+  a chosen magnitude in [0.5, 1), so no step that multiplies amplitudes
+  over- or underflows at any input scale.
 * Shared rules have one copy each: the rank (``sigma_rank``) and margin
   (``sigma_ratio``) of descending singular values, and the determinant
   form of a 2x2 pencil (``pencil_det_form``).
@@ -150,6 +154,20 @@ def qr(matrix: np.ndarray):
     q[:, : d.size] *= phases
     r[: d.size] *= np.conj(phases)[:, np.newaxis]
     return q, r
+
+
+def pow2_scaled(a: np.ndarray, top: float | None = None):
+    """``(a * 2**-e, e)`` for the exponent e that puts ``top`` in [0.5, 1).
+
+    ``top`` is a positive magnitude of ``a``, such as its largest singular
+    value; by default its largest entry magnitude. Scaling by a power of
+    two is exact, bar entries some 2**1000 below the top, which underflow.
+    So what is computed from the result is ``a``'s up to a known power of
+    two, free of the overflow and underflow that products of huge or tiny
+    entries meet.
+    """
+    e = int(np.frexp(np.abs(a).max() if top is None else top)[1])
+    return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), -e).view(complex), e
 
 
 def pencil_det_form(x0: np.ndarray, x1: np.ndarray):

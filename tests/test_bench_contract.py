@@ -1,8 +1,10 @@
-"""The benchmark's layer trace still finds every name it rebinds.
+"""The benchmark still finds every name it rebinds and every input it builds.
 
-``bench/spans.py`` wraps public functions by module and name. A rename in
-the package would silently drop a layer from the traced run, so this
-checks the contract from the package side without running the benchmark.
+``bench/spans.py`` wraps public functions by module and name, and
+``bench/workloads.py`` builds its pairs through the package's generators
+and configuration. A rename in the package would silently drop a layer
+from the traced run or break a workload, so this checks the contract from
+the package side without running the benchmark.
 """
 
 import importlib
@@ -11,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slocceq import equivalence
 from slocceq.decomposition import triple_state_set
 from slocceq.solver import SolverConfig, solve_ptilde, solve_ptilde_single
-from slocceq.states import Bipartition, make_state
+from slocceq.states import Bipartition, PureState, make_state
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -22,6 +25,26 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     return importlib.import_module("spans")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+def test_every_workload_builds_its_first_round(workloads):
+    # Building a round touches SolverConfig(restarts=...), the catalog
+    # generators and contract_local_ops; the oracle's input view touches
+    # tripartite_as_pure_state. No check runs.
+    for name, workload in workloads.WORKLOADS.items():
+        pairs = workload.make_round(1, 0)
+        assert len(pairs) == len(workload.round), name
+        for pair in pairs:
+            assert callable(getattr(equivalence, pair.entry)), (name, pair.kind)
+            assert isinstance(pair.config, SolverConfig), (name, pair.kind)
+            for s in (pair.s1, pair.s2):
+                assert isinstance(workloads._raw(s), PureState), (name, pair.kind)
 
 
 def test_every_wrapped_name_resolves(spans):

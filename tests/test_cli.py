@@ -132,6 +132,16 @@ class TestCheck:
         assert "INEQUIVALENT" in out
         assert "tripartite-class" in out
 
+    @pytest.mark.parametrize("factor", [1e-200, 1e-38, 1e38, 1e200])
+    def test_scaled_orbit_is_equivalent(self, tmp_path, capsys, factor):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 4)
+        target, source = tmp_path / "target.state", tmp_path / "source.state"
+        write_state_file(target, PureState(image.dims, image.amps * factor))
+        write_state_file(source, state)
+        assert main(["check", str(target), str(source), "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "EQUIVALENT"
+
     def test_json_verdict(self, files, capsys):
         code = main(["check", files["ghz4"], files["w4"], "--json"])
         assert code == EXIT_FAIL
@@ -532,4 +542,27 @@ class TestNonFiniteFiles:
         with open(bad["cert"], "w") as handle:
             json.dump(data, handle)
         assert main(["verify", bad["ghz4"], bad["ghz4"], bad["cert"]]) == EXIT_PARSE
+        assert f"'{field}'" in capsys.readouterr().err
+
+
+class TestHugeJsonIntegers:
+    """A JSON integer beyond the float range is a parse error naming the field."""
+
+    def test_state_file(self, files, capsys):
+        path = files["dir"] / "huge.state"
+        path.write_text(json.dumps({"dims": [2, 2, 2, 2], "amps": [[10**400, 0]] + [[0, 0]] * 15}))
+        assert main(["check", str(path), files["ghz4"]]) == EXIT_PARSE
+        assert "'amps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["operators", "scalar", "residual"])
+    def test_certificate_file(self, files, capsys, field):
+        path = files["dir"] / "huge.cert"
+        write_certificate_file(path, [np.eye(2)] * 4, 1.0, "12-34", 0.0, {})
+        data = json.loads(path.read_text())
+        if field == "operators":
+            data[field][0][0][0] = [10**400, 0]
+        else:
+            data[field] = [10**400, 0] if field == "scalar" else 10**400
+        path.write_text(json.dumps(data))
+        assert main(["verify", files["ghz4"], files["ghz4"], str(path)]) == EXIT_PARSE
         assert f"'{field}'" in capsys.readouterr().err

@@ -792,6 +792,76 @@ class TestNoiseRobustness:
         assert counts[EquivalenceStatus.UNDECIDED] == 20, counts
 
 
+# One side of a pair is scaled by each of these; a verdict must not change.
+SCALES = [10.0**e for e in (-300, -160, -38, -12, -6, 6, 9, 12, 38, 80, 160, 300)]
+
+
+def scaled(x, factor):
+    """``x`` with every amplitude, or every slice entry, times ``factor``."""
+    if isinstance(x, TripartiteState):
+        return TripartiteState(x.r_dim, tuple(s * factor for s in x.slices))
+    return PureState(x.dims, x.amps * factor)
+
+
+def scaled_pairs(target, source):
+    """The pair with the target, then the source, scaled by each of ``SCALES``."""
+    for factor in SCALES:
+        yield scaled(target, factor), source
+        yield target, scaled(source, factor)
+
+
+class TestAmplitudeScale:
+    """SLOCC equivalence ignores scale, so no verdict changes from 1e-300 to 1e300."""
+
+    @pytest.mark.parametrize(
+        "dims, all_cuts",
+        [((2, 2, 2, 2), False), ((2, 2, 3, 3), False), ((3, 3, 2, 2), False), ((2, 3, 2, 3), True)],
+    )
+    def test_four_party_orbit_stays_equivalent(self, dims, all_cuts):
+        def check(a, b):
+            if all_cuts:
+                return check_fourpartite_equiv_all_cuts(a, b, CONFIG)
+            return check_fourpartite_equiv(a, b, CUT_12_34, CONFIG)
+
+        for seed in range(3):
+            state, image, _ = random_orbit_case(dims, seed)
+            assert check(image, state).status is EquivalenceStatus.EQUIVALENT
+            for s1, s2 in scaled_pairs(image, state):
+                verdict = check(s1, s2)
+                assert verdict.status is EquivalenceStatus.EQUIVALENT, (seed, s1.norm(), s2.norm())
+                ok, scalar, _ = verify_equivalence(s1, s2, verdict.certificate.ops)
+                assert ok and scalar == verdict.certificate.scalar
+
+    @pytest.mark.parametrize("name", ["ghz3", "w3"])
+    def test_tripartite_orbit_stays_equivalent(self, name):
+        state = make_state(name)
+        for seed in range(3):
+            image = apply_local_ops(state, random_invertible_ops((2, 2, 2), seed))
+            for s1, s2 in scaled_pairs(slices_of(image), slices_of(state)):
+                verdict = check_tripartite_equiv(s1, s2, CONFIG)
+                assert verdict.status is EquivalenceStatus.EQUIVALENT, seed
+
+    def test_scaled_ghz_is_not_proven_inequivalent_to_ghz(self):
+        ghz = slices_of(make_state("ghz3"))
+        for factor in SCALES:
+            verdict = check_tripartite_equiv(scaled(ghz, factor), ghz, CONFIG)
+            assert verdict.status is EquivalenceStatus.EQUIVALENT, factor
+            assert verdict.diagnostics["class_a"] == "GHZ_CLASS", factor
+
+    def test_exact_operators_verify_with_the_raw_scalar(self):
+        state, image, ops = random_orbit_case((2, 2, 2, 2), 3)
+        for factor in SCALES:
+            for s1, s2, want in ((scaled(image, factor), state, factor), (image, scaled(state, factor), 1 / factor)):
+                ok, scalar, resid = verify_equivalence(s1, s2, ops)
+                assert ok and resid < 1e-14, factor
+                assert abs(scalar / want - 1.0) < 1e-12, factor
+
+    def test_scalar_beyond_the_float_range_fails_cleanly(self):
+        ghz = make_state("ghz4")
+        ok, scalar, resid = verify_equivalence(scaled(ghz, 1e300), scaled(ghz, 1e-300), [np.eye(2)] * 4)
+        assert (ok, scalar, resid) == (False, 0.0, 1.0)
+
+
 class TestClassScreenRtol:
     """The class screens take the caller's ``rtol``, so declared noise gives no class proof."""
 

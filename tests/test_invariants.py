@@ -138,6 +138,14 @@ class TestClassifyTripartite:
         with pytest.raises(ValueError):
             classify_tripartite_qubit(make_state("ghz4"))
 
+    def test_label_and_magnitude_are_scale_free(self):
+        for name, label, magnitude in (("ghz3", TriClassLabel.GHZ_CLASS, 0.25), ("w3", TriClassLabel.W_CLASS, 0.0)):
+            state = make_state(name)
+            for e in (-300, -200, -80, -12, 12, 80, 200, 300):
+                tri = classify_tripartite_qubit(PureState((2, 2, 2), state.amps * 10.0**e))
+                assert tri.label is label, (name, e)
+                assert abs(tri.hyperdet_magnitude - magnitude) < 1e-14, (name, e)
+
     def test_label_is_orbit_invariant(self):
         rng = np.random.default_rng(42)
         for name, label in (("ghz3", TriClassLabel.GHZ_CLASS),

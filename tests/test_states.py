@@ -266,6 +266,12 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="'amps'"):
             read_state_file(path)
 
+    def test_amplitude_beyond_float_range(self, tmp_path):
+        path = tmp_path / "huge.state"
+        path.write_text(json.dumps({"dims": [2, 2], "amps": [[10**400, 0]] + [[0, 0]] * 3}))
+        with pytest.raises(ValueError, match="amplitude 0 in 'amps'"):
+            read_state_file(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.state"
         path.write_text("not a state")
