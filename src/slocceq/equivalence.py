@@ -176,10 +176,11 @@ def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]
     the raw vectors. A zero vector, or a c beyond the float range, fails
     with residual 1.
     """
-    if not (np.any(target) and np.any(image)):
+    top_t, top_i = np.abs(target).max(), np.abs(image).max()
+    if top_t == 0.0 or top_i == 0.0:
         return 0.0 + 0.0j, 1.0
-    t, e_t = pow2_scaled(target)
-    im, e_i = pow2_scaled(image)
+    t, e_t = pow2_scaled(target, top_t)
+    im, e_i = pow2_scaled(image, top_i)
     c = complex(np.vdot(im, t) / np.vdot(im, im).real)
     resid = float(np.linalg.norm(t - c * im)) / float(np.linalg.norm(t))
     try:

@@ -166,7 +166,7 @@ def pow2_scaled(a: np.ndarray, top: float | None = None):
     two, free of the overflow and underflow that products of huge or tiny
     entries meet.
     """
-    e = int(np.frexp(np.abs(a).max() if top is None else top)[1])
+    e = math.frexp(float(np.abs(a).max() if top is None else top))[1]
     return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), -e).view(complex), e
 
 
