@@ -36,6 +36,7 @@ from .states import (
     STANDARD_CUTS,
     LocalOperatorTuple,
     apply_local_ops,
+    json_number,
     read_state_file,
     write_state_file,
 )
@@ -100,24 +101,12 @@ def _jsonable(value):
 
 def _matrix_from_pairs(rows, field: str) -> np.ndarray:
     try:
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        mat = np.array([[json_number(z, "an entry", pair=True) for z in row] for row in rows])
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"certificate field {field!r} is malformed: {exc}")
     if mat.ndim != 2 or mat.size == 0 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"certificate field {field!r} must hold square matrices")
-    if not np.isfinite(mat).all():
-        raise ValueError(f"certificate field {field!r} holds nan or inf entries")
     return mat
-
-
-def _finite_number(x) -> bool:
-    """True for a JSON number that converts to a finite float."""
-    try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 def write_certificate_file(path, ops, scalar, cut_label, residual, diagnostics):
@@ -150,21 +139,11 @@ def read_certificate_file(path) -> dict:
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ValueError("certificate field 'operators' must be a non-empty list")
     ops = tuple(_matrix_from_pairs(rows, "operators") for rows in raw_ops)
-    raw_scalar = doc.get("scalar")
-    if (
-        not isinstance(raw_scalar, list)
-        or len(raw_scalar) != 2
-        or not all(_finite_number(x) for x in raw_scalar)
-    ):
-        raise ValueError("certificate field 'scalar' must be a finite [re, im] pair")
-    residual = doc.get("residual")
-    if not _finite_number(residual):
-        raise ValueError("certificate field 'residual' must be a finite number")
     return {
         "version": doc["version"],
         "cut": doc.get("cut"),
-        "scalar": complex(raw_scalar[0], raw_scalar[1]),
-        "residual": float(residual),
+        "scalar": json_number(doc.get("scalar"), "certificate field 'scalar'", pair=True),
+        "residual": json_number(doc.get("residual"), "certificate field 'residual'"),
         "operators": ops,
         "diagnostics": doc.get("diagnostics", {}),
     }

@@ -49,7 +49,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, qr, vectorize
+from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, qr
 
 __all__ = [
     "EquivalenceStatus",
@@ -168,14 +168,20 @@ def recover_local_operators(
     return _local_operators([by_party[k] for k in (1, 2, 3, 4)])
 
 
-def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]:
+def _best_scalar(target: np.ndarray, source: np.ndarray, dims, mats) -> Tuple[complex, float]:
     """Least-squares scalar c and relative residual of target - c * image.
 
-    The fit runs on both vectors scaled by powers of two to a largest entry
-    in [0.5, 1), so no amplitude scale over- or underflows it; c refers to
-    the raw vectors. A zero vector, or a c beyond the float range, fails
-    with residual 1.
+    ``image`` is ``mats`` contracted onto the ``source`` amplitudes of shape
+    ``dims``. Each operator is first scaled exactly by the power of two
+    that puts its largest entry magnitude in [0.5, 1), and the fit runs on
+    the target and the image scaled likewise, so no operator or amplitude
+    scale over- or underflows it; c refers to the raw operators and
+    vectors. A zero vector, or a c beyond the float range, fails with
+    residual 1.
     """
+    exps = [math.frexp(float(np.abs(m).max()))[1] for m in mats]
+    scaled = [np.multiply(m, math.ldexp(1.0, -e)) for m, e in zip(mats, exps)]
+    image = contract_local_ops(source, dims, scaled)
     top_t, top_i = np.abs(target).max(), np.abs(image).max()
     if top_t == 0.0 or top_i == 0.0:
         return 0.0 + 0.0j, 1.0
@@ -183,8 +189,9 @@ def _best_scalar(target: np.ndarray, image: np.ndarray) -> Tuple[complex, float]
     im, e_i = pow2_scaled(image, top_i)
     c = complex(np.vdot(im, t) / np.vdot(im, im).real)
     resid = float(np.linalg.norm(t - c * im)) / float(np.linalg.norm(t))
+    shift = e_t - e_i - sum(exps)
     try:
-        return complex(math.ldexp(c.real, e_t - e_i), math.ldexp(c.imag, e_t - e_i)), resid
+        return complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)), resid
     except OverflowError:
         return 0.0 + 0.0j, 1.0
 
@@ -209,8 +216,7 @@ def verify_equivalence(
     if s1.dims != s2.dims:
         return False, 0.0 + 0.0j, 1.0
     mats = ops.ops if isinstance(ops, LocalOperatorTuple) else ops
-    image = contract_local_ops(s2.amps, s2.dims, mats)
-    c, resid = _best_scalar(s1.amps, image)
+    c, resid = _best_scalar(s1.amps, s2.amps, s2.dims, mats)
     return resid <= tol, c, resid
 
 
@@ -376,9 +382,9 @@ def check_tripartite_equiv(
     shape. For two-qubit-slice pairs (shape (2, 2), two slices) the
     tripartite entanglement-class screen runs first, at ``rtol``, and can
     prove inequivalence. Otherwise the single-sided construction proposes
-    slice-space operator pairs from the column frames of the vectorized
-    slices; each is completed by a least-squares mixing operator on the
-    slice index, gauged into a :class:`LocalOperatorTuple` (a singular
+    slice-space operator pairs from the column frames of the row-major
+    flattened slices; each is completed by a least-squares mixing operator
+    on the slice index, gauged into a :class:`LocalOperatorTuple` (a singular
     operator drops the candidate) and verified on the stacked slices, and
     the first that verifies decides.
 
@@ -411,24 +417,23 @@ def check_tripartite_equiv(
                 diagnostics=diagnostics,
             )
 
-    # Column stacks of vectorized slices, each scaled by a power of two so
-    # that the mixing operator carries no amplitude scale; t2 is the
-    # source, t1 the target.
-    w2, w1 = (pow2_scaled(np.column_stack([vectorize(s) for s in t.slices]))[0] for t in (t2, t1))
+    # Row-major flattened slices as columns, each stack scaled by a power
+    # of two so that the mixing operator carries no amplitude scale; t2 is
+    # the source, t1 the target.
+    w2, w1 = (pow2_scaled(t.stacked().reshape(r, -1).T)[0] for t in (t2, t1))
 
     def verify(candidate):
-        a_col, a_row = candidate
+        a_row, a_col = candidate
         # Mixing operator on the slice index from the least-squares fit of
         # the mapped source stack onto the target stack.
-        a_first = np.linalg.lstsq(np.kron(a_col, a_row) @ w2, w1, rcond=None)[0].T
+        a_first = np.linalg.lstsq(np.kron(a_row, a_col) @ w2, w1, rcond=None)[0].T
         try:
             ops = _local_operators([a_first, a_row, a_col])
         except RecoveryError:
             return None
-        image = contract_local_ops(t2.stacked(), (r, i1, i2), ops.ops)
-        scalar, resid = _best_scalar(t1.stacked().reshape(-1), image)
+        scalar, resid = _best_scalar(t1.stacked().reshape(-1), t2.stacked(), (r, i1, i2), ops.ops)
         return ops, scalar, resid
 
-    outcome = solve_ptilde_single(qr(w2)[0], qr(w1)[0], r, (i2, i1), config)
+    outcome = solve_ptilde_single(qr(w2)[0], qr(w1)[0], r, (i1, i2), config)
     return _first_verified(outcome, verify, verify_tol, diagnostics)
 

@@ -42,22 +42,21 @@ pulled, and split into qubit factors. On qubit and qutrit pairs alike
 ``B^{-1} M' = M (G (x) H)^T`` is then linear in (G, H^{-T}) and solved
 by one nullspace.
 
-At rank two on qubit pairs the column and row spaces fold into
-two-dimensional spans of 2x2 matrices. Under ``X -> A X B^T`` such a span
-with a nonzero determinant form is equivalent to span{E11, E22} when the
-binary quadratic ``det(x X0 + y X1)`` has two distinct roots and to
-span{E11, E12 + E21} when the root is repeated (the Kronecker canonical
-forms of a 2x2 pencil, Gantmacher, *Theory of Matrices* II, ch. XII).
-The Kronecker pairs preserving a normal span act on its basis through a
-few linear families of 2x2 matrices, so matching the two states' normal
-forms is one small nullspace per family. Rank-one cuts of any shape
-reduce to congruences of the folded singular vectors.
-
-The single-sided variant used for tripartite checks on a 2x2 split
-proposes factors ``(A_1, A_2)`` whose Kronecker product carries the span
-of the slices onto its primed partner: by congruence of the one slice at
-rank one, by the pencil normal forms at rank two, by congruence of the
-annihilating complement at rank three, and by the identity at rank four.
+At ranks one and two the column and row spaces of M fold into spans of
+matrices, and each goes to a named normal form under ``X -> A X B^T``:
+one matrix to ``diag(1, .., 1, 0, ..)`` by its SVD, and a two-dimensional
+span of 2x2 matrices to span{E11, E22} when the binary quadratic
+``det(x X0 + y X1)`` has two distinct roots and to span{E11, E12 + E21}
+when the root is repeated (the Kronecker canonical forms of a 2x2 pencil,
+Gantmacher, *Theory of Matrices* II, ch. XII). Spans with equal names are
+related by one map between their forms. At rank one those maps are the
+factors; at rank two a 2x2 core is left, and as the Kronecker pairs
+preserving a normal span act on its basis through a few linear families,
+matching the two cores is one small nullspace per pair of families. The
+single-sided variant for tripartite checks on a 2x2 split maps the span of
+the slices onto its primed partner the same way, at every rank: a
+three-dimensional span is the annihilator of one matrix, and a
+four-dimensional one is everything.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -88,8 +87,8 @@ _INTERTWINER_RTOL = 1e-9
 _ISOTROPY_CUTOFF = 1e-6
 # Pencil cutoff: a zero determinant form, a repeated root, a rank-one member.
 _PENCIL_RTOL = 1e-6
-# Rank cutoff of the folded matrices matched by a congruence.
-_CONGRUENCE_RTOL = 1e-9
+# Rank cutoff of a folded matrix brought to its rank form.
+_RANK_FORM_RTOL = 1e-9
 # Denman-Beavers square root: distance of M_k from I counted as converged,
 # and the iteration cap.
 _SQRTM_TOL = 1e-10
@@ -413,48 +412,40 @@ def _qubit_row_pair_candidates(m, mp, rng):
 _E11, _E12, _E21, _E22 = (np.eye(4)[k].reshape(2, 2) for k in range(4))
 _SWAP2 = _E12 + _E21
 
-
-class _PencilForm(NamedTuple):
-    """Local normal form of a two-dimensional span of 2x2 matrices.
-
-    ``basis`` holds the normal span's basis matrices, flattened row-major,
-    as columns. A Kronecker pair (A, B) that preserves the span under
-    ``X -> A X B^T`` acts on ``basis`` by a 2x2 matrix rho. Each entry of
-    ``families`` is one linear space rho ranges over, as a list of basis
-    matrices, with a map from an invertible rho back to one such pair.
-    """
-
-    basis: np.ndarray
-    families: tuple
-
-
-# span{E11, E22}: both factors diagonal (rho diagonal) or both
-# anti-diagonal (rho anti-diagonal).
-_GHZ_FORM = _PencilForm(
-    np.column_stack([_E11.ravel(), _E22.ravel()]),
-    (
-        ((_E11, _E22), lambda rho: (rho, np.eye(2))),
-        ((_E12, _E21), lambda rho: (rho, _SWAP2)),
+# Normal spans of 2x2 pencils by name: ``(basis, families)``, the basis
+# matrices flattened row-major as columns, and the linear spaces (as basis
+# lists) of the 2x2 matrices rho by which the Kronecker pairs (A, B)
+# preserving the span act on the basis, each with a map from an
+# invertible rho back to one such pair.
+_PENCIL_FORMS = {
+    # span{E11, E22}: both factors diagonal (rho diagonal) or both
+    # anti-diagonal (rho anti-diagonal).
+    "GHZ": (
+        np.column_stack([_E11.ravel(), _E22.ravel()]),
+        (
+            ((_E11, _E22), lambda rho: (rho, np.eye(2))),
+            ((_E12, _E21), lambda rho: (rho, _SWAP2)),
+        ),
     ),
-)
-
-# span{E11, E12 + E21}: both factors upper triangular, rho upper triangular.
-_W_FORM = _PencilForm(
-    np.column_stack([_E11.ravel(), _SWAP2.ravel()]),
-    (((_E11, _E12, _E22), lambda rho: (rho / rho[0, 0], np.diag(np.diagonal(rho)))),),
-)
+    # span{E11, E12 + E21}: both factors upper triangular, rho upper triangular.
+    "W": (
+        np.column_stack([_E11.ravel(), _SWAP2.ravel()]),
+        (((_E11, _E12, _E22), lambda rho: (rho / rho[0, 0], np.diag(np.diagonal(rho)))),),
+    ),
+}
 
 
 def _pencil_normal_form(x0, x1):
-    """``(N1, N2, form)`` sending span{x0, x1} to the normal span, or None.
+    """``(N1, N2, name)`` sending span{x0, x1} to a normal span, or None.
 
     ``x0`` and ``x1`` must be orthonormal; ``N1 X N2^T`` lies in the span
-    of ``form.basis`` for every X in theirs. With two distinct rank-one
-    members ``a_i b_i^T``, ``N1 = [a0 a1]^-1`` and ``N2 = [b0 b1]^-1`` give
-    span{E11, E22}. With one repeated rank-one member ``a b^T``, N1 and N2
-    send a and b to e1 and are rescaled so that the member orthogonal to
-    it becomes ``x E11 + E12 + E21``. Returns None when every member is
-    singular or a root member is not numerically rank one.
+    of ``_PENCIL_FORMS[name]``'s basis for every X in theirs. With two
+    distinct rank-one members ``a_i b_i^T``, ``N1 = [a0 a1]^-1`` and
+    ``N2 = [b0 b1]^-1`` give span{E11, E22}. With one repeated rank-one
+    member ``a b^T``, N1 and N2 send a and b to e1 and are rescaled so that
+    the member orthogonal to it becomes ``x E11 + E12 + E21``. Returns None
+    when every member is singular or a root member is not numerically rank
+    one.
     """
     det0, cross, det1 = pencil_det_form(x0, x1)
     if max(abs(det0), abs(cross), abs(det1)) < _PENCIL_RTOL:
@@ -473,7 +464,7 @@ def _pencil_normal_form(x0, x1):
         (a0, b0), (a1, b1) = factors
         n1 = np.linalg.inv(np.column_stack([a0, a1]))
         n2 = np.linalg.inv(np.column_stack([b0, b1]))
-        return n1, n2, _GHZ_FORM
+        return n1, n2, "GHZ"
     ((a, b),) = factors
     n1 = np.linalg.inv(np.column_stack([a, [-np.conj(a[1]), np.conj(a[0])]]))
     n2 = np.linalg.inv(np.column_stack([b, [-np.conj(b[1]), np.conj(b[0])]]))
@@ -481,87 +472,93 @@ def _pencil_normal_form(x0, x1):
     other = n1 @ (-np.conj(y) * x0 + np.conj(x) * x1) @ n2.T
     n1 = np.diag([1.0, 1.0 / other[1, 0]]) @ n1
     n2 = np.diag([1.0, 1.0 / other[0, 1]]) @ n2
-    return n1, n2, _W_FORM
+    return n1, n2, "W"
 
 
-def _congruence(x, xp):
-    """Invertible pair (L, R) with L @ x @ R.T == xp, or None.
+def _rank_form(x):
+    """``(N1, N2, "rank k")`` with ``N1 x N2^T = diag(1, .., 1, 0, ..)``, k ones.
 
-    Requires equal numerical rank; both factors are assembled from the
-    singular bases, carrying the deficient directions at unit scale so
-    the factors stay invertible.
+    From the SVD ``x = U diag(s) V^H``: ``N1 = diag(1/s_1..1/s_k, 1, ...) U^H``
+    and ``N2 = conj(V^H)``, with k the numerical rank at ``_RANK_FORM_RTOL``;
+    the deficient directions stay at unit scale, so N1 is invertible.
     """
-    ux, sx, vhx = np.linalg.svd(x)
-    up, sp, vhp = np.linalg.svd(xp)
-    k = sigma_rank(sx, _CONGRUENCE_RTOL)
-    if k != sigma_rank(sp, _CONGRUENCE_RTOL):
+    u, s, vh = np.linalg.svd(x)
+    k = sigma_rank(s, _RANK_FORM_RTOL)
+    scale = np.concatenate([1.0 / s[:k], np.ones(x.shape[0] - k)])
+    return scale[:, None] * u.conj().T, vh.conj(), f"rank {k}"
+
+
+def _span_form(frame, r, shape):
+    """``(N1, N2, name)`` with ``N1 X N2^T`` in the normal span ``name``, or None.
+
+    X ranges over the span of the first ``r`` frame columns, folded
+    row-major to ``shape``; :func:`_between` maps spans of equal r, shape
+    and name onto each other. One matrix has its rank form at any shape;
+    on 2x2 a pencil has its ``_PENCIL_FORMS`` entry, three dimensions are
+    the annihilator of ``Y = conj(frame[:, 3])`` under ``tr(Y^T X)``, with
+    Y's rank form carried through ``(N1^-T, N2^-T)``, and four are all.
+    """
+    if r == 1:
+        return _rank_form(frame[:, 0].reshape(shape))
+    if shape != (2, 2):
         return None
-    t = np.ones(x.shape[0])
-    t[:k] = sp[:k] / sx[:k]
-    left = (up * t) @ ux.conj().T
-    right = vhp.T @ vhx.conj()
-    return left, right
+    if r == 2:
+        return _pencil_normal_form(frame[:, 0].reshape(2, 2), frame[:, 1].reshape(2, 2))
+    if r == 3:
+        n1, n2, name = _rank_form(frame[:, 3].conj().reshape(2, 2))
+        return np.linalg.inv(n1).T, np.linalg.inv(n2).T, name
+    return np.eye(2), np.eye(2), "all"
 
 
-def _rank1_flat_candidates(frame, frame_prime):
-    """Factor candidate for a rank-one flattening at any cut shape.
-
-    Both sides decouple: the row factors carry the folded column
-    direction onto its primed image and the column factors the folded
-    conjugate row direction, each through an exact congruence; a rank
-    mismatch between the folds means the relation has no Kronecker
-    solution and yields no candidate.
-    """
-    left, right = frame.left_dims, frame.right_dims
-    got_u = _congruence(
-        frame.u_full[:, 0].reshape(left), frame_prime.u_full[:, 0].reshape(left)
-    )
-    got_v = _congruence(
-        frame.v_full[:, 0].conj().reshape(right),
-        frame_prime.v_full[:, 0].conj().reshape(right),
-    )
-    if got_u is None or got_v is None:
-        return []
-    return [got_u + got_v]
-
-
-def _between(src, dst, a=np.eye(2), b=np.eye(2)):
+def _between(src, dst, a=None, b=None):
     """Factors ``(N1'^-1 a N1, N2'^-1 b N2)`` of a map between normal forms.
 
-    ``src`` and ``dst`` are ``(N1, N2, form)`` and ``(N1', N2', form)``; when
-    (a, b) preserves the normal span, the Kronecker product of the factors
-    carries the span ``src`` was taken from onto the span of ``dst``.
+    ``src`` and ``dst`` are ``(N1, N2, name)`` and ``(N1', N2', name)``; a
+    and b default to the identity. When (a, b) preserves the normal span,
+    the factors carry the span of ``src`` onto that of ``dst``.
     """
-    return np.linalg.solve(dst[0], a @ src[0]), np.linalg.solve(dst[1], b @ src[1])
+    n1 = src[0] if a is None else a @ src[0]
+    n2 = src[1] if b is None else b @ src[1]
+    return np.linalg.solve(dst[0], n1), np.linalg.solve(dst[1], n2)
 
 
-def _rank2_square_candidates(frame, frame_prime, rng):
-    """Yield factor candidates for a rank-two qubit-pair by qubit-pair cut.
+def _pencil_core(f, col, row):
+    """Core k of ``(N1 (x) N2) M (N3 (x) N4)^T = S_c k S_r^T`` on the normal bases S_c, S_r."""
+    m = pow2_scaled(f.reconstruct(), f.singular_values[0])[0]
+    g = np.kron(col[0], col[1]) @ m @ np.kron(row[0], row[1]).T
+    basis_c, basis_r = _PENCIL_FORMS[col[2]][0], _PENCIL_FORMS[row[2]][0]
+    return np.linalg.pinv(basis_c) @ g @ np.linalg.pinv(basis_r).T
 
-    Each state's column and row spans go to their normal forms, giving
-    ``(N1 (x) N2) M (N3 (x) N4)^T = S_c k S_r^T`` with the normal bases
-    S_c, S_r and an invertible 2x2 core k. Related states have equal
-    forms and ``k' = rho_c k rho_r^T`` for stabiliser actions rho_c and
-    rho_r; with ``sigma = rho_r^-T`` that is ``k' sigma = rho_c k``, linear
-    in (sigma, rho_c) on each pair of stabiliser families. A seeded random
-    point of each nullspace is lifted back to Kronecker factors.
+
+def _low_rank_candidates(frame, frame_prime, rng):
+    """Yield factor candidates for a rank-one or rank-two cut.
+
+    Each state's column span (of U, folded to the row pair) and row span
+    (of conj V, folded to the column pair) go to normal form; a missing
+    form or a differing name yields nothing. At rank one the maps between
+    the forms are the factors. At rank two related states have cores with
+    ``k' = rho_c k rho_r^T`` for stabiliser actions rho_c and rho_r; with
+    ``sigma = rho_r^-T`` that is ``k' sigma = rho_c k``, linear in
+    (sigma, rho_c) on each pair of families. A seeded random point of each
+    nullspace is lifted back to Kronecker factors.
     """
+    r = frame.r
     forms = []
     for f in (frame, frame_prime):
-        u, v = f.u_full, f.v_full.conj()
-        col = _pencil_normal_form(u[:, 0].reshape(2, 2), u[:, 1].reshape(2, 2))
-        row = _pencil_normal_form(v[:, 0].reshape(2, 2), v[:, 1].reshape(2, 2))
+        col = _span_form(f.u_full, r, f.left_dims)
+        row = _span_form(f.v_full.conj(), r, f.right_dims)
         if col is None or row is None:
             return
-        m = pow2_scaled(f.reconstruct(), f.singular_values[0])[0]
-        g = np.kron(col[0], col[1]) @ m @ np.kron(row[0], row[1]).T
-        core = np.linalg.pinv(col[2].basis) @ g @ np.linalg.pinv(row[2].basis).T
-        forms.append((col, row, core))
-    (col, row, k), (col_p, row_p, k_p) = forms
-    if col[2] is not col_p[2] or row[2] is not row_p[2]:
+        forms.append((col, row))
+    (col, row), (col_p, row_p) = forms
+    if col[2] != col_p[2] or row[2] != row_p[2]:
         return
-    for basis_c, lift_c in col[2].families:
-        for basis_r, lift_r in row[2].families:
+    if r == 1:
+        yield _between(col, col_p) + _between(row, row_p)
+        return
+    k, k_p = _pencil_core(frame, col, row), _pencil_core(frame_prime, col_p, row_p)
+    for basis_c, lift_c in _PENCIL_FORMS[col[2]][1]:
+        for basis_r, lift_r in _PENCIL_FORMS[row[2]][1]:
             basis_s = [q.T for q in basis_r]
             system = np.column_stack(
                 [(k_p @ q).ravel() for q in basis_s] + [-(p @ k).ravel() for p in basis_c]
@@ -579,34 +576,11 @@ def _rank2_square_candidates(frame, frame_prime, rng):
 
 
 def _single_kron_candidates(u_full, u_prime_full, r):
-    """Factor pairs carrying one slice span onto the other, on a 2x2 split.
-
-    The spans are those of the first ``r`` frame columns, folded to 2x2
-    matrices. They are matched through the one slice at rank one, the
-    pencil normal forms at rank two and the annihilator, the conjugate
-    of the complement column, at rank three; at rank four the identity
-    will do.
-    """
-    def folded(frame, j):
-        return frame[:, j].reshape(2, 2)
-
-    if r == 4:
-        return [(np.eye(2, dtype=complex), np.eye(2, dtype=complex))]
-    if r == 2:
-        src = _pencil_normal_form(folded(u_full, 0), folded(u_full, 1))
-        dst = _pencil_normal_form(folded(u_prime_full, 0), folded(u_prime_full, 1))
-        if src is None or dst is None or src[2] is not dst[2]:
-            return []
-        return [_between(src, dst)]
-    if r == 1:
-        got = _congruence(folded(u_full, 0), folded(u_prime_full, 0))
-        return [] if got is None else [got]
-    # At rank three the span is the annihilator of Y, the conjugate
-    # complement column; L Y R^T = Y' there is (L^-T, R^-T) on the spans.
-    got = _congruence(folded(u_full, 3).conj(), folded(u_prime_full, 3).conj())
-    if got is None:
+    """Factor pairs mapping the span of ``r`` frame columns, folded to 2x2, onto its partner."""
+    src, dst = (_span_form(u, r, (2, 2)) for u in (u_full, u_prime_full))
+    if src is None or dst is None or src[2] != dst[2]:
         return []
-    return [(np.linalg.inv(got[0]).T, np.linalg.inv(got[1]).T)]
+    return [_between(src, dst)]
 
 
 def _direct_flat_candidates(frame, frame_prime, rng):
@@ -614,16 +588,13 @@ def _direct_flat_candidates(frame, frame_prime, rng):
 
     Dispatches on the cut geometry. A full-row-rank cut with a qubit pair
     on the rows has one construction, which (3,3) x (2,2) cuts run on the
-    transposed relation.
-    Rank-one cuts of any shape reduce to fold congruences, and rank-two
-    qubit-pair cuts to pencil normal forms; these two read the singular
+    transposed relation. Rank-one cuts of any shape and rank-two
+    qubit-pair cuts match span normal forms; they read the singular
     frames, the full-row-rank construction only the flattenings.
     """
     r, left, right = frame.r, frame.left_dims, frame.right_dims
-    if r == 1:
-        return _rank1_flat_candidates(frame, frame_prime)
-    if left == (2, 2) and right == (2, 2) and r == 2:
-        return _rank2_square_candidates(frame, frame_prime, rng)
+    if r == 1 or (r == 2 and left == right == (2, 2)):
+        return _low_rank_candidates(frame, frame_prime, rng)
     if r != 4:
         return []
     # Scaled to a leading singular value in [0.5, 1), so that no covariant

@@ -309,6 +309,28 @@ def write_state_file(path: Union[str, os.PathLike], state: PureState) -> None:
         fh.write("\n")
 
 
+def json_number(value, what: str, pair: bool = False):
+    """A finite float from a JSON number, or with ``pair`` a complex from an ``[re, im]`` pair.
+
+    A bool is no number here, though Python counts it an int. The
+    ValueError names ``what`` for a bool, a non-number, nan, inf or an
+    integer beyond the float range.
+    """
+    if pair:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"{what} must be a [re, im] pair of numbers")
+        return complex(json_number(value[0], what), json_number(value[1], what))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of the float range") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def read_state_file(path: Union[str, os.PathLike]) -> PureState:
     """Read a state document written by :func:`write_state_file`.
 
@@ -326,16 +348,7 @@ def read_state_file(path: Union[str, os.PathLike]) -> PureState:
     raw = doc["amps"]
     if not isinstance(dims, list) or not isinstance(raw, list):
         raise ValueError("'dims' and 'amps' must be lists")
-    if not all(isinstance(d, int) for d in dims):
+    if not all(type(d) is int for d in dims):
         raise ValueError("'dims' must hold integers")
-    amps = []
-    for pair in raw:
-        if not isinstance(pair, list) or len(pair) != 2 or not all(
-            isinstance(x, (int, float)) for x in pair
-        ):
-            raise ValueError("each amplitude in 'amps' must be a [re, im] pair of numbers")
-        try:
-            amps.append(complex(pair[0], pair[1]))
-        except OverflowError as exc:
-            raise ValueError(f"amplitude {len(amps)} in 'amps' is out of the float range") from exc
+    amps = [json_number(z, f"amplitude {i} in 'amps'", pair=True) for i, z in enumerate(raw)]
     return PureState(tuple(dims), np.array(amps, dtype=complex))

@@ -338,6 +338,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "[2, 2, 2, 2]" in err and "[2, 2, 3, 3]" in err
 
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [2.0**-600 * np.eye(2)] * 2 + [2.0**600 * np.eye(2)] * 2,
+            [1e80 * np.eye(2)] * 4,
+        ],
+    )
+    def test_far_scaled_exact_certificate_passes(self, files, tmp_path, capsys, ops):
+        cert = tmp_path / "far.cert"
+        self.write_cert(cert, ops)
+        assert main(["verify", files["ghz4"], files["ghz4"], str(cert)]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        assert main(["verify", files["ghz4"], files["ghz4"], str(cert), "--json"]) == EXIT_OK
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert payload["passed"] is True and payload["residual"] < 1e-14
+
 
 class TestClassify3:
     def test_ghz_label(self, files, capsys):
@@ -542,6 +562,29 @@ class TestNonFiniteFiles:
         with open(bad["cert"], "w") as handle:
             json.dump(data, handle)
         assert main(["verify", bad["ghz4"], bad["ghz4"], bad["cert"]]) == EXIT_PARSE
+        assert f"'{field}'" in capsys.readouterr().err
+
+
+class TestJsonBooleans:
+    """A JSON true or false is no number, though Python counts bool an int."""
+
+    def test_state_file(self, files, capsys):
+        path = files["dir"] / "bool.state"
+        path.write_text(json.dumps({"dims": [2, 2, 2, 2], "amps": [[True, False]] * 16}))
+        assert main(["decompose", str(path)]) == EXIT_PARSE
+        assert "'amps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["operators", "scalar", "residual"])
+    def test_certificate_file(self, files, capsys, field):
+        path = files["dir"] / "bool.cert"
+        write_certificate_file(path, [np.eye(2)] * 4, 1.0, "12-34", 0.0, {})
+        data = json.loads(path.read_text())
+        if field == "operators":
+            data[field][0][0][0] = [True, 0]
+        else:
+            data[field] = [True, False] if field == "scalar" else False
+        path.write_text(json.dumps(data))
+        assert main(["verify", files["ghz4"], files["ghz4"], str(path)]) == EXIT_PARSE
         assert f"'{field}'" in capsys.readouterr().err
 
 

@@ -1,6 +1,7 @@
 """Unit tests for operator recovery, verification, and the full decision."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestOneInvertibilityRule:
         # index, stabilises GHZ3: the thin candidate is a valid certificate.
         thin = np.diag([1.0, 1e-9]).astype(complex)
         eye = np.eye(2, dtype=complex)
-        verdict, fits = self.slice_check(monkeypatch, [(eye, thin)])
+        verdict, fits = self.slice_check(monkeypatch, [(thin, eye)])
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         assert verdict.diagnostics["candidates"] == 1
         assert fits == 1
@@ -509,6 +510,14 @@ def qubit_state(rng, rank):
     return PureState((2, 2, 2, 2), m.reshape(-1))
 
 
+def rank_one_state(dims):
+    """Random state of rank one at cut 12-34: the outer product of two random vectors."""
+    def state(rng):
+        a, b = random_complex(rng, dims[0] * dims[1]), random_complex(rng, dims[2] * dims[3])
+        return PureState(dims, np.outer(a, b).reshape(-1))
+    return state
+
+
 def planted_slices(rng, stack):
     """Slices mixed by a random first-party map and random 2x2 sides."""
     r = stack.shape[0]
@@ -557,6 +566,8 @@ CUT_13_24, CUT_14_23 = STANDARD_CUTS[1:]
 
 DECIDED = {
     "2222-rank1": four_party_orbit(lambda rng: qubit_state(rng, 1), CUT_12_34),
+    "2323-rank1": four_party_orbit(rank_one_state((2, 3, 2, 3)), CUT_12_34),
+    "3333-rank1": four_party_orbit(rank_one_state((3, 3, 3, 3)), CUT_12_34),
     "2222-rank2-ghz": four_party_orbit(lambda rng: make_state("ghz4"), CUT_12_34),
     "2222-rank2-w": four_party_orbit(lambda rng: make_state("w4"), CUT_12_34),
     "2222-rank2-mixed": four_party_orbit(lambda rng: mixed_type_state(), CUT_12_34),
@@ -860,6 +871,28 @@ class TestAmplitudeScale:
         ghz = make_state("ghz4")
         ok, scalar, resid = verify_equivalence(scaled(ghz, 1e300), scaled(ghz, 1e-300), [np.eye(2)] * 4)
         assert (ok, scalar, resid) == (False, 0.0, 1.0)
+
+
+# Exact certificates of GHZ4 onto itself whose operators lie far from unit
+# scale, with the scalar each one needs.
+FAR_SCALED_CERTIFICATES = [
+    ([2.0**-600 * np.eye(2)] * 2 + [2.0**600 * np.eye(2)] * 2, 1.0),
+    ([1e80 * np.eye(2)] * 4, 1e-320),
+]
+
+
+class TestOperatorScale:
+    """Verification is free of the operators' scale, as of the amplitudes'."""
+
+    @pytest.mark.parametrize("ops, scalar", FAR_SCALED_CERTIFICATES)
+    def test_far_scaled_exact_operators_verify(self, ops, scalar):
+        ghz = make_state("ghz4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, got, resid = verify_equivalence(ghz, ghz, ops)
+        assert ok and resid < 1e-14
+        # 1e-320 is subnormal, held to about 3 digits.
+        assert abs(got / scalar - 1.0) < 1e-3
 
 
 class TestClassScreenRtol:

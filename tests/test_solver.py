@@ -460,16 +460,17 @@ class TestSolvePtildeSingle:
         assert out.status is SolveStatus.FOUND
         assert span_misfit(out, frame.u_full, frame.u_full, frame.r) < 1e-12
 
-    def test_planted_product_map(self):
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_planted_product_map(self, r):
         rng = np.random.default_rng(56)
         a1 = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
         a2 = random_complex(rng, (2, 2)) + 1.5 * np.eye(2)
         u_prime, _ = np.linalg.qr(random_complex(rng, (4, 4)))
         u_full, pt_planted = np.linalg.qr(np.kron(a1, a2) @ u_prime)
-        assert abs(np.linalg.norm(pt_planted[2:, :2])) < 1e-14
-        out = solve_ptilde_single(u_full, u_prime, 2, (2, 2), CONFIG)
+        assert abs(np.linalg.norm(pt_planted[r:, :r])) < 1e-14
+        out = solve_ptilde_single(u_full, u_prime, r, (2, 2), CONFIG)
         assert out.status is SolveStatus.FOUND
-        assert span_misfit(out, u_full, u_prime, 2) < 1e-9
+        assert span_misfit(out, u_full, u_prime, r) < 1e-9
 
     def test_mismatched_frames_rejected(self):
         with pytest.raises(ValueError):

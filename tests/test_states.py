@@ -266,6 +266,19 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="'amps'"):
             read_state_file(path)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"dims": [2, 2], "amps": [[True, False]] + [[0, 0]] * 3}, "amplitude 0 in 'amps'"),
+            ({"dims": [2, True], "amps": [[1, 0]] * 2}, "'dims' must hold integers"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, doc, field):
+        path = tmp_path / "bool.state"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
+            read_state_file(path)
+
     def test_amplitude_beyond_float_range(self, tmp_path):
         path = tmp_path / "huge.state"
         path.write_text(json.dumps({"dims": [2, 2], "amps": [[10**400, 0]] + [[0, 0]] * 3}))
