@@ -21,9 +21,9 @@ On a qubit pair the antisymmetric form eps satisfies
 ``J = kron(eps, eps)`` the symmetric matrix ``S = M J M^T`` of an
 invertible flattening obeys ``S' = c B S B^T`` whenever ``M' = B M C^T``
 with Kronecker B and C. When the columns are a pair of qutrits instead
-the same congruence comes from the cubic form det(fold(M^T x)) on the
-row space: its symmetric polarization tensor E, built once from the
-folded rows, gives the Hessian as E x, and the trace square of the
+the same congruence comes from the cubic form det of ``M^T x`` folded to
+3x3 on the row space: its symmetric polarization tensor E, built once
+from the folded rows, gives the Hessian as E x, and the trace square of the
 J-twisted Hessian is a quadratic in x whose symmetric matrix Q obeys
 ``Q' = c B Q B^T``. Both are solved by one construction. In the magic
 basis the Kronecker products of determinant one are exactly SO(4, C)
@@ -70,7 +70,7 @@ from typing import Iterable
 import numpy as np
 
 from .decomposition import TripleStateSet
-from .tensorops import _lead_phase, fold, pencil_det_form, pow2_scaled, realign, sigma_rank, vectorize
+from .tensorops import pencil_det_form, pow2_scaled, sigma_rank
 
 # Tolerances of the constructions, one per role. None of them accepts a
 # candidate: verification on the amplitudes is the only acceptance gate.
@@ -155,27 +155,23 @@ _EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
 def _kron_split(mat: np.ndarray):
     """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None.
 
-    ``realign(kron(X, Y))`` is the rank-one ``vectorize(X) vectorize(Y)^T``,
-    so its leading singular pair gives the factors, each scaled by the
-    root of the leading value, with X's largest entry made real positive.
-    None when the realignment is zero or its Kronecker gap
-    ``sigma_2 / sigma_1`` exceeds ``_DIRECT_PRESCREEN_GAP``.
+    ``kron(X, Y)[(i, k), (j, l)] = X[i, j] Y[k, l]``, so regrouping the
+    indices as ``((i, j), (k, l))`` turns it into the rank-one
+    ``outer(X.ravel(), Y.ravel())``; its leading singular pair gives the
+    factors, X scaled by the leading value. None when the regrouped
+    matrix is zero or its Kronecker gap ``sigma_2 / sigma_1`` exceeds
+    ``_DIRECT_PRESCREEN_GAP``.
     """
-    u, sigma, vh = np.linalg.svd(realign(mat, 2, 2))
+    u, sigma, vh = np.linalg.svd(mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
     if sigma[0] == 0.0 or sigma[1] > _DIRECT_PRESCREEN_GAP * sigma[0]:
         return None
-    scale = np.sqrt(sigma[0])
-    x = scale * fold(u[:, 0], 2, 2)
-    y = scale * fold(vh[0], 2, 2)
-    ph = _lead_phase(vectorize(x))
-    return x * np.conj(ph), y * ph
+    return sigma[0] * u[:, 0].reshape(2, 2), vh[0].reshape(2, 2)
 
 
 def _sylvester_system(right, left):
-    """``kron(right^T, I) - kron(I, left)``: X -> X right - left X on column-stacked X."""
+    """``kron(I, right^T) - kron(left, I)``: X -> X right - left X on flattened X."""
     eye = np.eye(len(right))
-    lhs = np.einsum("ij,ab->iajb", right.T, eye) - np.einsum("ij,ab->iajb", eye, left)
-    return lhs.reshape(eye.size, eye.size)
+    return np.kron(eye, right.T) - np.kron(left, eye)
 
 
 def _intertwiner_family(right: np.ndarray, left: np.ndarray):
@@ -184,7 +180,7 @@ def _intertwiner_family(right: np.ndarray, left: np.ndarray):
     _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
-    return [x.conj().reshape(n, n, order="F") for x in vh[sigma_rank(s, _INTERTWINER_RTOL):]]
+    return [x.conj().reshape(n, n) for x in vh[sigma_rank(s, _INTERTWINER_RTOL):]]
 
 
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:

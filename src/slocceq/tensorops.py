@@ -2,11 +2,9 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* ``vectorize`` stacks matrix columns (column-major); ``fold`` undoes it.
-* ``realign`` regroups a Kronecker-structured square matrix so that
-  ``kron(B, C)`` becomes the rank-one outer product
-  ``vectorize(B) @ vectorize(C).T``; the solver's Kronecker split reads
-  its leading singular pair.
+* One array layout, row-major (last index fastest), as in ``states.py``:
+  a matrix flattens with ``.reshape(-1)`` and a vector folds back with
+  ``.reshape(rows, cols)``.
 * Singular vectors and QR columns carry a deterministic phase gauge:
   the largest-magnitude entry (lowest index on ties) is made real
   positive. Degenerate singular blocks are left exactly as the backend
@@ -26,59 +24,6 @@ import math
 import numpy as np
 
 DEFAULT_RTOL = 1e-9
-
-
-def vectorize(matrix: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into one vector (column-major)."""
-    return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
-
-
-def fold(vector: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Rebuild a ``rows x cols`` matrix from its column stack.
-
-    Inverse of :func:`vectorize` for matching dimensions.
-    """
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(
-            f"cannot fold a length-{v.size} vector into a {rows}x{cols} matrix"
-        )
-    return v.reshape((rows, cols), order="F")
-
-
-def realign(matrix: np.ndarray, dim_left: int, dim_right: int) -> np.ndarray:
-    """Regroup a ``(dl*dr) x (dl*dr)`` matrix by Kronecker factor indices.
-
-    Splitting the matrix into a ``dl x dl`` grid of ``dr x dr`` blocks,
-    row ``k*dl + i`` of the result is ``vectorize(block[i, k])``; the rows
-    enumerate the block grid in column-major order. The defining identity
-    is ``realign(kron(B, C)) == outer(vectorize(B), vectorize(C))``, so a
-    matrix is a Kronecker product for this split exactly when its
-    realignment has rank one.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Square matrix of side ``dim_left * dim_right``.
-    dim_left, dim_right : int
-        Sides of the two would-be Kronecker factors.
-
-    Returns
-    -------
-    ndarray of shape ``(dim_left**2, dim_right**2)``.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    n = dim_left * dim_right
-    if a.shape != (n, n):
-        raise ValueError(
-            f"realign expects a {n}x{n} matrix for split ({dim_left}, {dim_right}), "
-            f"got shape {a.shape}"
-        )
-    return (
-        a.reshape(dim_left, dim_right, dim_left, dim_right)
-        .transpose(2, 0, 3, 1)
-        .reshape(dim_left * dim_left, dim_right * dim_right)
-    )
 
 
 def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:

@@ -31,7 +31,7 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
-from slocceq.tensorops import fold, numerical_rank
+from slocceq.tensorops import numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)
@@ -1026,10 +1026,10 @@ def fold_ranks(phi, i1, i2, seed, samples=64):
     rng = np.random.default_rng(seed)
     for index in range(samples):
         a = sum(
-            np.kron(random_complex(rng, i2), random_complex(rng, i1))
+            np.kron(random_complex(rng, i1), random_complex(rng, i2))
             for _ in range(index % min(i1, i2) + 1)
         )
-        yield a, numerical_rank(fold(a, i1, i2)), numerical_rank(fold(phi @ a, i1, i2))
+        yield a, numerical_rank(a.reshape(i1, i2)), numerical_rank((phi @ a).reshape(i1, i2))
 
 
 class TestRankPreservationProbe:
@@ -1061,17 +1061,13 @@ class TestRankPreservationProbe:
         assert witnesses
         a, r_in, r_out = witnesses[0]
         assert (r_in, r_out) == (1, 2)
-        assert np.linalg.matrix_rank(a.reshape(2, 2, order="F")) == 1
-
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            fold(np.eye(5) @ np.ones(5), 2, 2)
+        assert np.linalg.matrix_rank(a.reshape(2, 2)) == 1
 
     def test_sample_guard(self):
         # The zero vector has fold rank 0, and so has its image.
         zero = np.zeros(4, dtype=complex)
-        assert numerical_rank(fold(zero, 2, 2)) == 0
-        assert numerical_rank(fold(np.kron(np.eye(2), 2 * np.eye(2)) @ zero, 2, 2)) == 0
+        assert numerical_rank(zero.reshape(2, 2)) == 0
+        assert numerical_rank((np.kron(np.eye(2), 2 * np.eye(2)) @ zero).reshape(2, 2)) == 0
         assert numerical_rank(np.zeros((0, 0))) == 0
 
     def test_recovered_coupling_map_consistent(self):

@@ -281,7 +281,7 @@ class TestKroneckerBuilds:
     def test_sylvester_system(self):
         rng = np.random.default_rng(84)
         right, left = random_complex(rng, (4, 4)), random_complex(rng, (4, 4))
-        reference = np.kron(right.T, np.eye(4)) - np.kron(np.eye(4), left)
+        reference = np.kron(np.eye(4), right.T) - np.kron(left, np.eye(4))
         assert np.array_equal(_sylvester_system(right, left), reference)
 
 

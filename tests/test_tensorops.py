@@ -1,143 +1,18 @@
 """Unit tests for the reshaping and factorization primitives."""
 
 import numpy as np
-import pytest
 
 from slocceq.tensorops import (
-    fold,
     numerical_rank,
     pencil_det_form,
     qr,
-    realign,
     sigma_rank,
     sigma_ratio,
     svd,
-    vectorize,
 )
-
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-# Hand expansion of np.kron([[1,2],[3,4]], [[0,1],[1,0]]).
-KRON_HAND = np.array(
-    [[0, 1, 0, 2], [1, 0, 2, 0], [0, 3, 0, 4], [3, 0, 4, 0]], dtype=complex
-)
-
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def realign_blockwise(matrix, dim_left, dim_right):
-    """Independent realignment oracle: explicit block extraction loops.
-
-    Row order runs through the block index column-major (row index
-    fastest), each row being the column-major vectorization of one
-    ``dim_right x dim_right`` block.
-    """
-    out = np.zeros((dim_left * dim_left, dim_right * dim_right), dtype=complex)
-    row = 0
-    for j in range(dim_left):
-        for i in range(dim_left):
-            block = matrix[
-                i * dim_right : (i + 1) * dim_right,
-                j * dim_right : (j + 1) * dim_right,
-            ]
-            out[row] = block.reshape(-1, order="F")
-            row += 1
-    return out
-
-
-class TestVectorizeFold:
-    def test_vectorize_is_column_major(self):
-        m = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert np.array_equal(vectorize(m), np.array([1, 3, 2, 4], dtype=complex))
-
-    def test_vectorize_identity(self):
-        assert np.array_equal(
-            vectorize(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex)
-        )
-
-    def test_vectorize_column_vector_unchanged(self):
-        col = np.array([[5.0], [6.0], [7.0]], dtype=complex)
-        assert np.array_equal(vectorize(col), col.reshape(-1))
-
-    def test_fold_layout(self):
-        v = np.array([1, 3, 2, 4], dtype=complex)
-        assert np.array_equal(fold(v, 2, 2), np.array([[1, 2], [3, 4]]))
-
-    def test_fold_basis_vector(self):
-        v = np.array([0, 0, 0, 1], dtype=complex)
-        assert np.array_equal(fold(v, 2, 2), np.array([[0, 0], [0, 1]]))
-
-    def test_fold_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fold(np.zeros(5), 2, 2)
-
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(11)
-        for rows, cols in [(2, 2), (3, 5), (4, 1), (1, 4), (16, 16)]:
-            m = random_complex(rng, (rows, cols))
-            assert np.array_equal(fold(vectorize(m), rows, cols), m)
-
-
-class TestKron:
-    """The left-coarse block layout of ``np.kron`` is the one ``realign`` reads."""
-
-    def test_identity_pair(self):
-        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
-            eye = np.eye(dl * dr, dtype=complex)
-            expected = np.outer(vectorize(np.eye(dl)), vectorize(np.eye(dr)))
-            assert np.array_equal(realign(eye, dl, dr), expected)
-
-    def test_hand_expansion(self):
-        b = np.array([[1, 2], [3, 4]], dtype=complex)
-        c = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.array_equal(np.kron(b, c), KRON_HAND)
-        expected = np.outer(vectorize(b), vectorize(c))
-        assert np.array_equal(realign(KRON_HAND, 2, 2), expected)
-
-
-class TestRealign:
-    def test_matches_blockwise_oracle(self):
-        rng = np.random.default_rng(7)
-        for dl, dr in [(2, 2), (2, 3), (3, 2), (4, 4)]:
-            m = random_complex(rng, (dl * dr, dl * dr))
-            assert np.array_equal(realign(m, dl, dr), realign_blockwise(m, dl, dr))
-
-    def test_kron_realigns_to_outer_product(self):
-        rng = np.random.default_rng(8)
-        for dl, dr in [(2, 2), (2, 3), (3, 3)]:
-            for _ in range(50):
-                b = random_complex(rng, (dl, dl))
-                c = random_complex(rng, (dr, dr))
-                lhs = realign(np.kron(b, c), dl, dr)
-                rhs = np.outer(vectorize(b), vectorize(c))
-                assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
-
-    def test_identity_realigns_to_rank_one(self):
-        assert numerical_rank(realign(np.eye(4, dtype=complex), 2, 2)) == 1
-
-    def test_swap_realigns_to_rank_four(self):
-        assert numerical_rank(realign(SWAP, 2, 2)) == 4
-
-    def test_unrealign_inverts_realign(self):
-        """Realignment only moves entries, so its index map inverts exactly."""
-        rng = np.random.default_rng(9)
-        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
-            m = random_complex(rng, (dl * dr, dl * dr))
-            back = (
-                realign(m, dl, dr)
-                .reshape(dl, dl, dr, dr)
-                .transpose(1, 3, 0, 2)
-                .reshape(dl * dr, dl * dr)
-            )
-            assert np.array_equal(back, m)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            realign(np.zeros((3, 3)), 2, 2)
 
 
 class TestSigmaRatio:
@@ -294,33 +169,3 @@ class TestQr:
             assert np.linalg.norm(np.tril(r, -1)) < 1e-13 * scale
             assert np.all(np.diagonal(r).real >= 0)
             assert np.linalg.norm(np.diagonal(r).imag) < 1e-13 * scale
-
-
-def commutation_matrix(d1, d2):
-    """Permutation taking entry (r, c) of a d1 x d2 matrix to its slot in X.T."""
-    k = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for r in range(d1):
-        for c in range(d2):
-            k[r * d2 + c, c * d1 + r] = 1.0
-    return k
-
-
-class TestCommutationMatrix:
-    """``vectorize`` and ``fold`` place entry (r, c) of a d1 x d2 matrix at c*d1 + r."""
-
-    def test_maps_vec_to_vec_transpose(self):
-        rng = np.random.default_rng(18)
-        for d1, d2 in [(2, 2), (2, 3), (3, 4)]:
-            m = random_complex(rng, (d1, d2))
-            k = commutation_matrix(d1, d2)
-            assert np.array_equal(k @ vectorize(m), vectorize(m.T))
-            assert np.array_equal(fold(k @ vectorize(m), d2, d1), m.T)
-        # The literal SWAP the tests use is the 2 x 2 case.
-        assert np.array_equal(commutation_matrix(2, 2), SWAP)
-
-    def test_square_case_involutory(self):
-        rng = np.random.default_rng(19)
-        k = commutation_matrix(3, 3)
-        assert np.array_equal(k @ k, np.eye(9, dtype=complex))
-        m = random_complex(rng, (3, 3))
-        assert np.array_equal(fold(k @ (k @ vectorize(m)), 3, 3), m)
