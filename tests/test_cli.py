@@ -118,6 +118,20 @@ class TestDecompose:
         assert main(["decompose", files["ghz3"]]) == EXIT_PARSE
         assert "four" in capsys.readouterr().err
 
+    def test_borderline_rank_warning_line(self, tmp_path, capsys):
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0000], amps[0b0101] = 1.0, 5e-9
+        path = tmp_path / "borderline.state"
+        write_state_file(path, PureState((2, 2, 2, 2), amps))
+        assert main(["decompose", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "warning: singular value 2 of 4 lies within 10x of the rank cutoff" in out
+
+    def test_rank_zero_tolerance_is_a_usage_error(self, files, capsys):
+        # No singular value exceeds twice the largest, so the rank is 0.
+        assert main(["decompose", files["ghz4"], "--tol", "2"]) == EXIT_PARSE
+        assert "rank 0" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_equivalent_pair(self, files, capsys):
@@ -245,6 +259,14 @@ class TestCheck:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["seed"] == 7
 
+    def test_three_party_files_rejected(self, files, capsys):
+        assert main(["check", files["ghz3"], files["w3"]]) == EXIT_PARSE
+        assert "four-party" in capsys.readouterr().err
+
+    def test_unknown_cut_rejected(self, files, capsys):
+        assert main(["check", files["ghz4"], files["w4"], "--cut", "99-99"]) == EXIT_BAD_CUT
+        assert "99-99" in capsys.readouterr().err
+
 
 class TestVerify:
     def write_cert(self, path, ops, residual=0.0):
@@ -358,6 +380,17 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
         assert payload["passed"] is True and payload["residual"] < 1e-14
 
+    def test_scalar_below_the_float_range_fails(self, tmp_path, capsys):
+        # GHZ4 x 1e-300 is 1e-600 times GHZ4 x 1e300: no float scalar maps one onto the other.
+        paths = []
+        for name, factor in (("tiny", 1e-300), ("huge", 1e300)):
+            paths.append(str(tmp_path / f"{name}.state"))
+            write_state_file(paths[-1], PureState((2, 2, 2, 2), factor * make_state("ghz4").amps))
+        cert = tmp_path / "id.cert"
+        self.write_cert(cert, [np.eye(2)] * 4)
+        assert main(["verify", *paths, str(cert)]) == EXIT_FAIL
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestClassify3:
     def test_ghz_label(self, files, capsys):
@@ -373,6 +406,10 @@ class TestClassify3:
 
     def test_four_party_rejected(self, files, capsys):
         assert main(["classify3", files["ghz4"]]) == EXIT_DIMS
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        assert main(["classify3", str(tmp_path / "nope.state")]) == EXIT_PARSE
+        assert "nope.state" in capsys.readouterr().err
 
 
 class TestOrbit:
@@ -406,6 +443,18 @@ class TestOrbit:
         capsys.readouterr()
         assert main(["verify", f"{out}.state", files[name], f"{out}.cert"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_json_payload(self, files, tmp_path, capsys):
+        out = tmp_path / "orb"
+        assert main(["orbit", files["ghz4"], "--seed", "4", "--out", str(out), "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["command"] == "orbit" and payload["seed"] == 4
+        assert payload["condition_cap"] == 20.0
+        assert payload["image_file"] == f"{out}.state"
+        assert payload["certificate_file"] == f"{out}.cert"
+        assert payload["residual"] < 1e-12
+        read_state_file(payload["image_file"])
+        read_certificate_file(payload["certificate_file"])
 
     def test_unwritable_out_is_usage_error(self, files, tmp_path, capsys):
         out = tmp_path / "missing" / "orb"
@@ -467,6 +516,26 @@ class TestCertificateFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="operators"):
             read_certificate_file(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[:-10], "not valid JSON"),
+            (lambda text: json.dumps([json.loads(text)]), "root must be a JSON object"),
+            (
+                lambda text: json.dumps({**json.loads(text), "operators": [[[[1, 0], [0, 0]]]] * 4}),
+                "square matrices",
+            ),
+        ],
+        ids=["not-json", "root-not-object", "non-square-operator"],
+    )
+    def test_malformed_file_is_a_usage_error(self, files, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.cert"
+        write_certificate_file(path, [np.eye(2)] * 4, 1.0, "12-34", 0.0, {})
+        path.write_text(edit(path.read_text()))
+        assert main(["verify", files["ghz4"], files["ghz4"], str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 class TestNumericFlags:

@@ -370,6 +370,17 @@ class TestCheckFourpartite:
                 make_state("ghz3"), make_state("w3"), CUT_12_34, CONFIG
             )
 
+    def test_borderline_rank_is_flagged(self):
+        # sigma_2 / sigma_1 = 5e-9 lies within 10x of the 1e-9 rank cutoff on both sides.
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0000], amps[0b1111] = 1.0, 5e-9
+        state = PureState((2, 2, 2, 2), amps)
+        image = apply_local_ops(state, random_invertible_ops(state.dims, 0, 1.001))
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        flagged = verdict.diagnostics["frame_warnings"]
+        assert len(flagged) == 2 and all("rank 2 is borderline" in w for w in flagged)
+
     def test_dims_guard(self):
         state, _, _ = random_orbit_case((2, 2, 3, 3), 0, 10.0)
         with pytest.raises(ValueError):
@@ -868,9 +879,17 @@ class TestAmplitudeScale:
                 assert abs(scalar / want - 1.0) < 1e-12, factor
 
     def test_scalar_beyond_the_float_range_fails_cleanly(self):
+        # The scalar 1e600 overflows and 1e-600 rounds to zero; both fail alike.
         ghz = make_state("ghz4")
-        ok, scalar, resid = verify_equivalence(scaled(ghz, 1e300), scaled(ghz, 1e-300), [np.eye(2)] * 4)
-        assert (ok, scalar, resid) == (False, 0.0, 1.0)
+        for big, small in ((1e300, 1e-300), (1e-300, 1e300)):
+            ok, scalar, resid = verify_equivalence(scaled(ghz, big), scaled(ghz, small), [np.eye(2)] * 4)
+            assert (ok, scalar, resid) == (False, 0.0, 1.0), big
+
+    def test_scalar_below_the_float_range_is_undecided(self):
+        ghz = make_state("ghz4")
+        verdict = check_fourpartite_equiv(scaled(ghz, 1e-300), scaled(ghz, 1e300), CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "verification"
 
 
 # Exact certificates of GHZ4 onto itself whose operators lie far from unit
