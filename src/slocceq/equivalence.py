@@ -176,9 +176,9 @@ def _best_scalar(target: np.ndarray, source: np.ndarray, dims, mats) -> Tuple[co
     that puts its largest entry magnitude in [0.5, 1), and the fit runs on
     the target and the image scaled likewise, so no operator or amplitude
     scale over- or underflows it; c refers to the raw operators and
-    vectors. A zero vector, or a nonzero c beyond the float range (one
-    that overflows, or that rounds to zero), fails with residual 1; a
-    subnormal c passes.
+    vectors. A zero vector, or a c beyond the float range (one that
+    overflows or rounds to zero), fails with residual 1; a subnormal c
+    passes.
     """
     exps = [math.frexp(float(np.abs(m).max()))[1] for m in mats]
     scaled = [np.multiply(m, math.ldexp(1.0, -e)) for m, e in zip(mats, exps)]
@@ -194,8 +194,8 @@ def _best_scalar(target: np.ndarray, source: np.ndarray, dims, mats) -> Tuple[co
     try:
         raw = complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
     except OverflowError:
-        return 0.0 + 0.0j, 1.0
-    return (raw, resid) if raw or not c else (0.0 + 0.0j, 1.0)
+        raw = 0.0 + 0.0j
+    return (raw, resid) if raw else (0.0 + 0.0j, 1.0)
 
 
 def verify_equivalence(

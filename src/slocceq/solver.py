@@ -171,7 +171,8 @@ def _kron_split(mat: np.ndarray):
 def _sylvester_system(right, left):
     """``kron(I, right^T) - kron(left, I)``: X -> X right - left X on flattened X."""
     eye = np.eye(len(right))
-    return np.kron(eye, right.T) - np.kron(left, eye)
+    lhs = np.einsum("ab,ij->aibj", eye, right.T) - np.einsum("ab,ij->aibj", left, eye)
+    return lhs.reshape(eye.size, eye.size)
 
 
 def _intertwiner_family(right: np.ndarray, left: np.ndarray):
