@@ -1,7 +1,9 @@
 """Unit tests for the reshaping and factorization primitives."""
 
 import numpy as np
+import pytest
 
+from slocceq.solver import _kron_split, _sylvester_system
 from slocceq.tensorops import (
     numerical_rank,
     pencil_det_form,
@@ -11,8 +13,94 @@ from slocceq.tensorops import (
     svd,
 )
 
+SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+# Hand expansion of np.kron([[1,2],[3,4]], [[0,1],[1,0]]).
+KRON_HAND = np.array(
+    [[0, 1, 0, 2], [1, 0, 2, 0], [0, 3, 0, 4], [3, 0, 4, 0]], dtype=complex
+)
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def kron_blockwise(left, right):
+    """Independent Kronecker oracle: block ``(i, j)`` is ``left[i, j] * right``."""
+    n, m = len(left), len(right)
+    out = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = left[i, j] * right
+    return out
+
+
+def assert_splits_to(mat, left, right):
+    """``_kron_split(mat)`` returns factors proportional to ``left`` and ``right``."""
+    got = _kron_split(mat)
+    assert got is not None
+    assert np.linalg.norm(np.kron(*got) - mat) < 1e-12 * np.linalg.norm(mat)
+    for factor, want in zip(got, (left, right)):
+        c = np.vdot(factor, want) / np.vdot(factor, factor)
+        assert np.linalg.norm(want - c * factor) < 1e-12 * np.linalg.norm(want)
+
+
+class TestKron:
+    """``np.kron`` puts ``left[i, j] * right`` in block ``(i, j)``, the layout ``_kron_split`` reads."""
+
+    def test_identity_pair(self):
+        for dl, dr in [(2, 2), (2, 3), (3, 2)]:
+            eye = np.eye(dl * dr, dtype=complex)
+            assert np.array_equal(kron_blockwise(np.eye(dl), np.eye(dr)), eye)
+        assert_splits_to(np.eye(4, dtype=complex), np.eye(2), np.eye(2))
+
+    def test_hand_expansion(self):
+        b = np.array([[1, 2], [3, 4]], dtype=complex)
+        c = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert np.array_equal(np.kron(b, c), KRON_HAND)
+        assert np.array_equal(kron_blockwise(b, c), KRON_HAND)
+        assert_splits_to(KRON_HAND, b, c)
+
+
+class TestRealign:
+    """The row-major regrouping in ``_kron_split`` turns ``kron(X, Y)`` into
+    the rank-one ``outer(X.ravel(), Y.ravel())``."""
+
+    def test_matches_blockwise_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            b, c = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
+            assert_splits_to(kron_blockwise(b, c), b, c)
+
+    def test_kron_realigns_to_outer_product(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            b, c = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
+            x, y = _kron_split(np.kron(b, c))
+            lhs = np.outer(x.ravel(), y.ravel())
+            rhs = np.outer(b.ravel(), c.ravel())
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+    def test_identity_realigns_to_rank_one(self):
+        x, y = _kron_split(np.eye(4, dtype=complex))
+        assert numerical_rank(np.outer(x.ravel(), y.ravel())) == 1
+        assert np.allclose(np.kron(x, y), np.eye(4), rtol=0.0, atol=1e-15)
+
+    def test_swap_realigns_to_rank_four(self):
+        # SWAP = sum_ij E_ij (x) E_ji: one term splits, two or more do not.
+        units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+        terms = [kron_blockwise(e, e.T) for e in units]
+        assert np.array_equal(sum(terms), SWAP)
+        assert_splits_to(terms[1], units[1], units[1].T)
+        for k in range(2, 5):
+            assert _kron_split(sum(terms[:k])) is None
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            _kron_split(np.zeros((3, 3)))
+        assert _kron_split(np.zeros((4, 4))) is None
 
 
 class TestSigmaRatio:
@@ -169,3 +257,34 @@ class TestQr:
             assert np.linalg.norm(np.tril(r, -1)) < 1e-13 * scale
             assert np.all(np.diagonal(r).real >= 0)
             assert np.linalg.norm(np.diagonal(r).imag) < 1e-13 * scale
+
+
+def commutation_matrix(d1, d2):
+    """Permutation taking entry (r, c) of a d1 x d2 matrix to its slot in X.T, row-major."""
+    k = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for r in range(d1):
+        for c in range(d2):
+            k[c * d1 + r, r * d2 + c] = 1.0
+    return k
+
+
+class TestCommutationMatrix:
+    """Row-major, entry (r, c) of a d1 x d2 matrix sits at r*d2 + c of its ravel."""
+
+    def test_maps_vec_to_vec_transpose(self):
+        rng = np.random.default_rng(18)
+        for d1, d2 in [(2, 2), (2, 3), (3, 4)]:
+            m = random_complex(rng, (d1, d2))
+            k = commutation_matrix(d1, d2)
+            assert np.array_equal(k @ m.ravel(), m.T.ravel())
+            assert np.array_equal((k @ m.ravel()).reshape(d2, d1), m.T)
+        # The literal SWAP the tests use is the 2 x 2 case.
+        assert np.array_equal(commutation_matrix(2, 2), SWAP)
+
+    def test_square_case_involutory(self):
+        rng = np.random.default_rng(19)
+        k = commutation_matrix(3, 3)
+        assert np.array_equal(k @ k, np.eye(9, dtype=complex))
+        # Transposing X in X right - left X gives X^T left^T - right^T X^T, negated.
+        right, left = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+        assert np.array_equal(k @ _sylvester_system(right, left) @ k, -_sylvester_system(left.T, right.T))
