@@ -8,18 +8,22 @@ content of the original state at that cut. :class:`TripleStateSet` holds
 M and its singular values from one values-only SVD; the singular frames
 U and V, and the factors folded from them, are computed from M only when
 read. :class:`StateProfile` keeps each cut's spectrum, so the rank the
-screen reads and the rank of the decomposition come from one SVD.
+screen reads and the rank of the decomposition come from one SVD. The
+two states of a check are profiled together: at each cut both
+flattenings are factored by one stacked values-only SVD, and both
+states' frames by one more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .states import Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, numerical_rank, sigma_rank, svd
+from .tensorops import DEFAULT_RTOL, sigma_rank, svd
 
 # Singular values in (rtol, 10*rtol) times the largest are counted as
 # nonzero but flagged: the block structure downstream is discontinuous
@@ -37,9 +41,11 @@ class TripleStateSet:
     ``singular_values`` its ``r`` positive singular values, the diagonal
     bipartite middle. The full left and right singular frames ``u_full``
     and ``v_full`` come from one gauged SVD of M, computed on first read
-    and kept. Columns ``0..r-1`` of ``u_full`` (``v_full``) fold into the
-    tripartite factor ``psi_u`` (``psi_v``); the remaining columns span
-    the orthogonal complement.
+    and kept; ``frame_source`` computes them, and a :class:`StateProfile`
+    passes one that factors every profiled state's M at this cut in one
+    stacked call. Columns ``0..r-1`` of ``u_full`` (``v_full``) fold into
+    the tripartite factor ``psi_u`` (``psi_v``); the remaining columns
+    span the orthogonal complement.
     """
 
     flattening: np.ndarray
@@ -48,6 +54,7 @@ class TripleStateSet:
     bipartition: Bipartition
     dims: tuple[int, ...]
     warnings: tuple[str, ...] = field(default=())
+    frame_source: Optional[Callable[[], tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.array(self.flattening, dtype=complex)
@@ -65,16 +72,14 @@ class TripleStateSet:
         object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "warnings", tuple(self.warnings))
+        if self.frame_source is None:
+            object.__setattr__(
+                self, "frame_source", lambda: tuple(f[0] for f in _gauged_frames(m[np.newaxis]))
+            )
 
     @cached_property
     def _frames(self) -> tuple[np.ndarray, np.ndarray]:
-        u, _, v = svd(self.flattening, full=True)
-        for name, f in (("u_full", u), ("v_full", v)):
-            gap = np.linalg.norm(f.conj().T @ f - np.eye(f.shape[0]))
-            if gap > FRAME_UNITARITY_TOL * f.shape[0]:
-                raise ValueError(f"{name} is not unitary")
-            f.flags.writeable = False
-        return u, v
+        return self.frame_source()
 
     @property
     def u_full(self) -> np.ndarray:
@@ -117,25 +122,43 @@ def _folded(frame: np.ndarray, r: int, dims: tuple[int, int]) -> TripartiteState
     return TripartiteState(r, tuple(frame[:, i].reshape(dims) for i in range(r)))
 
 
+def _gauged_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full gauged singular frames of a stack of flattenings, each checked unitary."""
+    u, _, v = svd(stack, full=True)
+    for name, f in (("u_full", u), ("v_full", v)):
+        gap = np.linalg.norm(f.conj().swapaxes(-1, -2) @ f - np.eye(f.shape[-1]), axis=(-2, -1))
+        if np.any(gap > FRAME_UNITARITY_TOL * f.shape[-1]):
+            raise ValueError(f"{name} is not unitary")
+        f.flags.writeable = False
+    return u, v
+
+
+def _flatten_cut(tensors: np.ndarray, cut: Bipartition) -> np.ndarray:
+    """Stacked flattenings at ``cut`` of stacked four-party tensors ``(g, d1, d2, d3, d4)``."""
+    if tensors.ndim != 5:
+        raise ValueError("bipartition flattening needs a four-partite state")
+    t = tensors.transpose(0, *cut.left, *cut.right)
+    g, da, db, dc, dd = t.shape
+    return t.reshape(g, da * db, dc * dd)
+
+
 def flatten_bipartition(state: PureState, cut: Bipartition) -> np.ndarray:
     """Matrix of a four-partite state with rows (i_a, i_b), columns (i_c, i_d).
 
     The second index of each pair varies fastest, matching the global
     amplitude convention.
     """
-    if state.num_parties != 4:
-        raise ValueError("bipartition flattening needs a four-partite state")
-    a, b = cut.left
-    c, d = cut.right
-    dims = state.dims
-    t = state.tensor().transpose(a - 1, b - 1, c - 1, d - 1)
-    return t.reshape(dims[a - 1] * dims[b - 1], dims[c - 1] * dims[d - 1])
+    return _flatten_cut(state.tensor()[np.newaxis], cut)[0]
 
 
-def flatten_party(state: PureState, party: int) -> np.ndarray:
-    """Matrix of a state with rows indexed by one party (1-based), columns by the rest."""
-    t = np.moveaxis(state.tensor(), party - 1, 0)
-    return t.reshape(t.shape[0], -1)
+def flatten_party(tensors: np.ndarray, party: int) -> np.ndarray:
+    """Matrices of stacked tensors ``(g, d1, ..., dn)``, rows indexed by one party (1-based).
+
+    Each matrix's columns run over the other parties in order.
+    """
+    rest = [k for k in range(1, tensors.ndim) if k != party]
+    t = tensors.transpose(0, party, *rest)
+    return t.reshape(t.shape[0], t.shape[1], -1)
 
 
 def triple_state_set(
@@ -152,6 +175,43 @@ def triple_state_set(
     return StateProfile(state, rtol).decomposition(cut)
 
 
+class _ProfileGroup:
+    """States of equal dims profiled together, so that each SVD covers them all.
+
+    Per cut: the stacked flattenings, their singular values from one
+    values-only SVD, each member's rank, and, once a member's frames are
+    read, every member's frames from one gauged SVD. Per party: each
+    member's marginal rank, from one values-only SVD.
+    """
+
+    def __init__(self, states: tuple[PureState, ...], rtol: float):
+        self.states = states
+        self.rtol = rtol
+        self.tensors = np.stack([s.tensor() for s in states])
+        self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+        self._marginal_ranks: dict[int, list[int]] = {}
+        self._frames: dict[Bipartition, tuple[np.ndarray, np.ndarray]] = {}
+
+    def spectra(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        if cut not in self._spectra:
+            ms = _flatten_cut(self.tensors, cut)
+            sigmas = np.linalg.svd(ms, compute_uv=False)
+            self._spectra[cut] = (ms, sigmas, [sigma_rank(s, self.rtol) for s in sigmas])
+        return self._spectra[cut]
+
+    def marginal_ranks(self, party: int) -> list[int]:
+        if party not in self._marginal_ranks:
+            sigmas = np.linalg.svd(flatten_party(self.tensors, party), compute_uv=False)
+            self._marginal_ranks[party] = [sigma_rank(s, self.rtol) for s in sigmas]
+        return self._marginal_ranks[party]
+
+    def frames(self, cut: Bipartition, member: int) -> tuple[np.ndarray, np.ndarray]:
+        if cut not in self._frames:
+            self._frames[cut] = _gauged_frames(self.spectra(cut)[0])
+        u, v = self._frames[cut]
+        return u[member], v[member]
+
+
 class StateProfile:
     """One four-partite state's ranks and decompositions, each computed once.
 
@@ -160,37 +220,42 @@ class StateProfile:
     values-only SVD, off which both the rank and the
     :class:`TripleStateSet` at that cut are read; per party, the
     marginal rank. A decomposition computes no singular frame until one
-    is read.
+    is read. Profiles made by :meth:`pair` share their SVDs: each one
+    covers both states, and a lone profile is a pair's one-state case.
     """
 
     def __init__(self, state: PureState, rtol: float = DEFAULT_RTOL):
-        self.state = state
-        self.rtol = rtol
-        # Per cut: the flattening, its singular values and the rank they give.
-        self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, int]] = {}
-        self._marginal_ranks: dict[int, int] = {}
+        self._join(_ProfileGroup((state,), rtol), 0)
+
+    @classmethod
+    def pair(
+        cls, s1: PureState, s2: PureState, rtol: float = DEFAULT_RTOL
+    ) -> tuple["StateProfile", "StateProfile"]:
+        """Profiles of two states of equal dims whose every SVD covers both."""
+        group = _ProfileGroup((s1, s2), rtol)
+        return cls.__new__(cls)._join(group, 0), cls.__new__(cls)._join(group, 1)
+
+    def _join(self, group: _ProfileGroup, member: int) -> "StateProfile":
+        self.state = group.states[member]
+        self.rtol = group.rtol
+        self._group = group
+        self._member = member
         self._decompositions: dict[Bipartition, TripleStateSet] = {}
+        return self
 
     def rank(self, cut: Bipartition) -> int:
         """Numerical rank of the state flattened at ``cut``, from its spectrum."""
-        if cut not in self._spectra:
-            m = flatten_bipartition(self.state, cut)
-            sigma = np.linalg.svd(m, compute_uv=False)
-            self._spectra[cut] = (m, sigma, sigma_rank(sigma, self.rtol))
-        return self._spectra[cut][2]
+        return self._group.spectra(cut)[2][self._member]
 
     def marginal_rank(self, party: int) -> int:
         """Numerical rank of one party (1-based) flattened against the rest."""
-        if party not in self._marginal_ranks:
-            m = flatten_party(self.state, party)
-            self._marginal_ranks[party] = numerical_rank(m, self.rtol)
-        return self._marginal_ranks[party]
+        return self._group.marginal_ranks(party)[self._member]
 
     def decomposition(self, cut: Bipartition) -> TripleStateSet:
         """The :class:`TripleStateSet` at ``cut``, read off the cut's spectrum."""
         if cut not in self._decompositions:
-            self.rank(cut)
-            m, sigma, r = self._spectra[cut]
+            ms, sigmas, ranks = self._group.spectra(cut)
+            sigma, r = sigmas[self._member], ranks[self._member]
             top = sigma[0] if sigma.size else 0.0
             if top == 0.0:
                 raise ValueError("cannot decompose the zero state")
@@ -201,11 +266,12 @@ class StateProfile:
                 if sigma[i] <= CONDITIONING_BAND * self.rtol * top
             )
             self._decompositions[cut] = TripleStateSet(
-                flattening=m,
+                flattening=ms[self._member],
                 singular_values=sigma[:r],
                 r=r,
                 bipartition=cut,
                 dims=self.state.dims,
                 warnings=warnings,
+                frame_source=partial(self._group.frames, cut, self._member),
             )
         return self._decompositions[cut]

@@ -7,10 +7,10 @@ common bipartition, and state-level verification of each candidate in
 construction order. Verification is the only acceptance gate: it pulls
 the candidates one at a time, and the first that maps one state onto the
 other within ``verify_tol`` decides, so no later candidate is built.
-However many cuts are screened and searched, each state's flattening
-at a cut is factored by one values-only SVD, and its singular frames by
-at most one more, taken only when the class screen or a rank-one or
-rank-two construction reads them. The single-cut and all-cuts checks run
+However many cuts are screened and searched, the two states'
+flattenings at a cut are factored by one stacked values-only SVD, and
+their singular frames by at most one more, taken only when the class
+screen or a rank-one or rank-two construction reads them. The single-cut and all-cuts checks run
 one loop over their cuts: screen every cut, then search them in order.
 Every candidate, four-party or tripartite, becomes a
 :class:`LocalOperatorTuple` before it is verified; that type's
@@ -33,13 +33,7 @@ import numpy as np
 
 from .decomposition import StateProfile
 from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
-from .invariants import (
-    InequivalenceProof,
-    class_proof,
-    classify_tripartite_qubit,
-    invariant_screen,
-    tripartite_as_pure_state,
-)
+from .invariants import InequivalenceProof, _tri_classes, class_proof, invariant_screen
 from .solver import SolveOutcome, SolverConfig, solve_ptilde, solve_ptilde_single
 from .states import (
     Bipartition,
@@ -127,7 +121,7 @@ def _gauge(mats):
     mats = list(mats)
     carry = 1.0 + 0.0j
     for k in range(len(mats) - 1):
-        z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1))
+        z = np.linalg.norm(mats[k]) * _lead_phase(mats[k].reshape(-1, 1))[0]
         if z:
             mats[k] = mats[k] / z
             carry *= z
@@ -293,7 +287,7 @@ def check_fourpartite_equiv(
 def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol):
     """The one check loop: screen every cut, then search the cuts in order.
 
-    Both states are profiled once for all cuts. One cut's UNDECIDED
+    Both states are profiled together, once for all cuts. One cut's UNDECIDED
     verdict is returned as it is; several cuts' diagnostics are merged
     under ``per_cut``.
     """
@@ -301,7 +295,7 @@ def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol)
         raise ValueError("four-partite check requires four-party states")
     if s1.dims != s2.dims:
         raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-    p1, p2 = StateProfile(s1, rtol), StateProfile(s2, rtol)
+    p1, p2 = StateProfile.pair(s1, s2, rtol)
     for cut in cuts:
         proof = invariant_screen(p1, p2, cut)
         if proof is not None:
@@ -407,8 +401,7 @@ def check_tripartite_equiv(
     diagnostics: Dict[str, object] = {"rtol": rtol, "verify_tol": verify_tol}
 
     if r == 2 and (i1, i2) == (2, 2):
-        class1 = classify_tripartite_qubit(tripartite_as_pure_state(t1), rtol)
-        class2 = classify_tripartite_qubit(tripartite_as_pure_state(t2), rtol)
+        class1, class2 = _tri_classes(np.stack([t1.stacked(), t2.stacked()]), rtol)
         diagnostics["class_a"] = class1.label.name
         diagnostics["class_b"] = class2.label.name
         proof = class_proof(class1, class2, "three-qubit states")

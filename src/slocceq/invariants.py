@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import StateProfile, flatten_party
 from .states import STANDARD_CUTS, Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, numerical_rank, pencil_det_form, pow2_scaled
+from .tensorops import DEFAULT_RTOL, pencil_det_form, pow2_scaled, sigma_rank
 
 
 class TriClassLabel(Enum):
@@ -95,22 +95,31 @@ def classify_tripartite_qubit(state: PureState, tol: float = DEFAULT_RTOL) -> Tr
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three-qubit classification needs dims (2,2,2), got {state.dims}")
-    ranks = tuple(numerical_rank(flatten_party(state, k), tol) for k in (1, 2, 3))
-    amps = pow2_scaled(state.amps)[0]
-    det_mag = abs(hyperdeterminant_222(amps)) / np.vdot(amps, amps).real ** 2
-    if ranks == (1, 1, 1):
-        label = TriClassLabel.PRODUCT
-    elif ranks[0] == 1:
-        label = TriClassLabel.BISEP_A_BC
-    elif ranks[1] == 1:
-        label = TriClassLabel.BISEP_B_AC
-    elif ranks[2] == 1:
-        label = TriClassLabel.BISEP_C_AB
-    elif det_mag > tol:
-        label = TriClassLabel.GHZ_CLASS
-    else:
-        label = TriClassLabel.W_CLASS
-    return TriClass(label=label, marginal_ranks=ranks, hyperdet_magnitude=float(det_mag))
+    return _tri_classes(state.tensor()[np.newaxis], tol)[0]
+
+
+def _tri_classes(tensors: np.ndarray, tol: float) -> list[TriClass]:
+    """:func:`classify_tripartite_qubit` of each tensor of a stack ``(k, 2, 2, 2)``; one SVD."""
+    flats = np.stack([flatten_party(tensors, p) for p in (1, 2, 3)], axis=1)
+    classes = []
+    for t, sigmas in zip(tensors, np.linalg.svd(flats, compute_uv=False)):
+        ranks = tuple(sigma_rank(s, tol) for s in sigmas)
+        amps = pow2_scaled(t.reshape(-1))[0]
+        det_mag = abs(hyperdeterminant_222(amps)) / np.vdot(amps, amps).real ** 2
+        if ranks == (1, 1, 1):
+            label = TriClassLabel.PRODUCT
+        elif ranks[0] == 1:
+            label = TriClassLabel.BISEP_A_BC
+        elif ranks[1] == 1:
+            label = TriClassLabel.BISEP_B_AC
+        elif ranks[2] == 1:
+            label = TriClassLabel.BISEP_C_AB
+        elif det_mag > tol:
+            label = TriClassLabel.GHZ_CLASS
+        else:
+            label = TriClassLabel.W_CLASS
+        classes.append(TriClass(label, ranks, float(det_mag)))
+    return classes
 
 
 def class_proof(a: TriClass, b: TriClass, location: str) -> Optional[InequivalenceProof]:
@@ -132,6 +141,22 @@ def tripartite_as_pure_state(t: TripartiteState) -> PureState:
     return PureState((t.r_dim, rows, cols), t.stacked().reshape(-1))
 
 
+def _rank_proof(
+    p1: StateProfile, p2: StateProfile, cut: Bipartition
+) -> Optional[InequivalenceProof]:
+    """The ``bipartition-rank`` proof at ``cut`` when the two ranks differ, else None."""
+    ra, rb = p1.rank(cut), p2.rank(cut)
+    if ra == rb:
+        return None
+    return InequivalenceProof(
+        invariant="bipartition-rank",
+        location=cut.label,
+        value_a=ra,
+        value_b=rb,
+        description=f"bipartition rank at cut {cut.label} differs: {ra} vs {rb}",
+    )
+
+
 def invariant_screen(
     p1: StateProfile,
     p2: StateProfile,
@@ -139,11 +164,15 @@ def invariant_screen(
 ) -> Optional[InequivalenceProof]:
     """Look for a cheap invariant separating two profiled four-partite states.
 
-    Checks, in order: bipartition ranks at all three cuts, single-party
-    marginal ranks, and (for qubit states of rank 2 at ``cut``) the SLOCC
-    classes of the triple-state factors at ``cut``, all at the profiles'
-    ``rtol``. Only the class test decomposes the states, so a rank proof
-    costs no singular vectors.
+    Checks, in order: bipartition ranks at all three standard cuts,
+    single-party marginal ranks, the bipartition rank at ``cut`` itself,
+    and (for qubit states of rank 2 at ``cut``) the SLOCC classes of the
+    triple-state factors at ``cut``, all at the profiles' ``rtol``. A cut
+    that reorders a standard one, such as 21-34, has the same rank in
+    exact arithmetic but can round to another. Only the class test
+    decomposes the states, so a rank proof costs no singular vectors; it
+    classifies both states' ``u`` factors in one call, then their ``v``
+    factors.
     Returns the first violation found, or None. None means no obstruction
     was found, never that the states are equivalent.
     """
@@ -154,17 +183,9 @@ def invariant_screen(
         raise ValueError(f"profiles use different rtol: {p1.rtol} vs {p2.rtol}")
 
     for c in STANDARD_CUTS:
-        ra, rb = p1.rank(c), p2.rank(c)
-        if ra != rb:
-            return InequivalenceProof(
-                invariant="bipartition-rank",
-                location=c.label,
-                value_a=ra,
-                value_b=rb,
-                description=(
-                    f"bipartition rank at cut {c.label} differs: {ra} vs {rb}"
-                ),
-            )
+        proof = _rank_proof(p1, p2, c)
+        if proof is not None:
+            return proof
 
     for party in (1, 2, 3, 4):
         ra, rb = p1.marginal_rank(party), p2.marginal_rank(party)
@@ -177,18 +198,17 @@ def invariant_screen(
                 description=f"marginal rank of party {party} differs: {ra} vs {rb}",
             )
 
+    proof = _rank_proof(p1, p2, cut)
+    if proof is not None:
+        return proof
+
     if all(d == 2 for d in dims) and p1.rank(cut) == 2:
-        triple1 = p1.decomposition(cut)
-        triple2 = p2.decomposition(cut)
-        for side, f1, f2 in (
-            ("u", triple1.psi_u, triple2.psi_u),
-            ("v", triple1.psi_v, triple2.psi_v),
-        ):
-            proof = class_proof(
-                classify_tripartite_qubit(tripartite_as_pure_state(f1), p1.rtol),
-                classify_tripartite_qubit(tripartite_as_pure_state(f2), p2.rtol),
-                f"factor {side} at cut {cut.label}",
-            )
+        t1, t2 = p1.decomposition(cut), p2.decomposition(cut)
+        for side, f1, f2 in (("u", t1.u_full, t2.u_full), ("v", t1.v_full, t2.v_full)):
+            # The first two frame columns, folded: the factor's amplitudes.
+            factors = np.stack([f1[:, :2].T, f2[:, :2].T]).reshape(2, 2, 2, 2)
+            a, b = _tri_classes(factors, p1.rtol)
+            proof = class_proof(a, b, f"factor {side} at cut {cut.label}")
             if proof is not None:
                 return proof
     return None

@@ -13,8 +13,9 @@ Conventions fixed here and relied on everywhere else:
   a chosen magnitude in [0.5, 1), so no step that multiplies amplitudes
   over- or underflows at any input scale.
 * Shared rules have one copy each: the rank (``sigma_rank``) and margin
-  (``sigma_ratio``) of descending singular values, and the determinant
-  form of a 2x2 pencil (``pencil_det_form``).
+  (``sigma_ratio``) of descending singular values, the determinant form
+  of a 2x2 pencil (``pencil_det_form``), and the lead phase of a column
+  (``_lead_phase``), which gauges singular vectors and local operators.
 """
 
 from __future__ import annotations
@@ -49,39 +50,46 @@ def sigma_ratio(s) -> float:
     return float(s[-1] / s[0]) if s[0] != 0.0 else 0.0
 
 
-def _lead_phase(column: np.ndarray) -> complex:
-    """Unit phase of the largest-magnitude entry (lowest index on ties)."""
-    idx = int(np.argmax(np.abs(column)))
-    entry = column[idx]
-    mag = abs(entry)
-    if mag == 0.0:
-        return 1.0 + 0.0j
+def _lead_phase(a: np.ndarray) -> np.ndarray:
+    """Unit phase of each column's largest-magnitude entry (lowest index on ties).
+
+    ``a`` has shape ``(..., m, n)`` and the result ``(..., n)``; a zero
+    column has phase 1. The index is chosen on ``np.abs`` and the phase
+    divided by ``np.hypot``, which equals the scalar ``abs`` bit for bit.
+    """
+    idx = np.abs(a).argmax(axis=-2)
+    cols = np.swapaxes(a, -1, -2).reshape(-1, a.shape[-2])
+    entry = cols[np.arange(cols.shape[0]), idx.reshape(-1)].reshape(idx.shape)
+    mag = np.hypot(entry.real, entry.imag)
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    entry[zero] = 1.0
     return entry / mag
 
 
 def svd(matrix: np.ndarray, full: bool = False):
     """Singular value decomposition with a deterministic phase gauge.
 
-    Returns ``(u, sigma, v)`` such that
-    ``matrix == u[:, :k] @ diag(sigma) @ v[:, :k].conj().T`` with
-    ``k = len(sigma)`` and ``sigma`` descending. Every column of ``u`` is
+    ``matrix`` is one matrix or a stack of them (leading axes), and so is
+    each result. Returns ``(u, sigma, v)`` such that
+    ``matrix == u[..., :k] @ diag(sigma) @ v[..., :k].conj().T`` with
+    ``k = sigma.shape[-1]`` and ``sigma`` descending. Every column of ``u`` is
     rotated so its largest-magnitude entry is real positive; the paired
     column of ``v`` absorbs the conjugate phase, leaving the product
     unchanged. Surplus columns (null-space completions when ``full`` is
-    set) are phase-fixed from their own entries.
+    set) are phase-fixed from their own entries. A stack is factored by one
+    LAPACK call, each matrix exactly as it would be alone.
     """
     m = np.asarray(matrix, dtype=complex)
     u, sigma, vh = np.linalg.svd(m, full_matrices=full)
-    v = vh.conj().T.copy()
-    u = u.copy()
-    k = sigma.size
-    for i in range(u.shape[1]):
-        ph = np.conj(_lead_phase(u[:, i]))
-        u[:, i] *= ph
-        if i < k:
-            v[:, i] *= ph
-    for j in range(k, v.shape[1]):
-        v[:, j] *= np.conj(_lead_phase(v[:, j]))
+    # Row-major like every other array, so products of the frames round alike.
+    v = np.ascontiguousarray(np.swapaxes(vh, -1, -2)).conj()
+    k = sigma.shape[-1]
+    ph = np.conj(_lead_phase(u))
+    u = u * ph[..., np.newaxis, :]
+    v[..., :k] *= ph[..., np.newaxis, :k]
+    if v.shape[-1] > k:
+        v[..., k:] *= np.conj(_lead_phase(v[..., k:]))[..., np.newaxis, :]
     return u, sigma, v
 
 

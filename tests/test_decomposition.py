@@ -259,11 +259,45 @@ class TestOneSpectrum:
                 for cut in STANDARD_CUTS:
                     spectra.clear()
                     r = profile.rank(cut)
-                    (sigma,) = spectra
+                    (stack,) = spectra
                     triple = profile.decomposition(cut)
                     assert len(spectra) == 1
                     assert triple.r == r
+                    # A lone profile's values-only SVD is a stack of one spectrum.
+                    (sigma,) = stack
                     assert np.array_equal(triple.singular_values, sigma[:r])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3)])
+    def test_paired_profiles_equal_lone_profiles(self, dims):
+        cuts = STANDARD_CUTS + (Bipartition((2, 1), (3, 4)),)
+        for seed in range(3):
+            s1, s2, _ = random_orbit_case(dims, seed)
+            paired = StateProfile.pair(s1, s2)
+            for state, p in zip((s1, s2), paired):
+                lone = StateProfile(state)
+                assert p.state is state
+                for party in (1, 2, 3, 4):
+                    assert p.marginal_rank(party) == lone.marginal_rank(party)
+                for cut in cuts:
+                    assert p.rank(cut) == lone.rank(cut)
+                    got, want = p.decomposition(cut), lone.decomposition(cut)
+                    assert got.r == want.r
+                    assert got.warnings == want.warnings
+                    for name in ("flattening", "singular_values", "u_full", "v_full"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_pair_takes_one_svd_for_both_states(self, monkeypatch):
+        s1, s2, _ = random_orbit_case((2, 2, 3, 3), 0)
+        calls = []
+        lapack_svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape) or lapack_svd(a, *args, **kw)
+        )
+        p1, p2 = StateProfile.pair(s1, s2)
+        assert (p1.rank(CUT_12_34), p2.rank(CUT_12_34)) == (4, 4)
+        assert (p1.marginal_rank(3), p2.marginal_rank(3)) == (3, 3)
+        assert calls == [(2, 4, 9), (2, 3, 12)]
 
     def test_frames_are_computed_once(self):
         triple = triple_state_set(random_orbit_case((2, 2, 3, 3), 0)[0], CUT_12_34)

@@ -1,5 +1,6 @@
 """Unit tests for operator recovery, verification, and the full decision."""
 
+import math
 import time
 import warnings
 
@@ -432,10 +433,18 @@ def count_calls(monkeypatch, module, name):
 def count_decompositions(monkeypatch):
     """Count boxes for the triple-state sets built and the singular frames computed.
 
-    A frame computation is one call of the gauged SVD the frames come from.
+    A frame computation is one matrix factored by the gauged SVD the frames
+    come from; one call of it factors a whole stack.
     """
     sets = count_calls(monkeypatch, decomposition.TripleStateSet, "__post_init__")
-    frames = count_calls(monkeypatch, decomposition, "svd")
+    frames = [0]
+    gauged = decomposition.svd
+
+    def counted(stack, *args, **kwargs):
+        frames[0] += math.prod(np.shape(stack)[:-2])
+        return gauged(stack, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "svd", counted)
     return sets, frames
 
 
@@ -459,14 +468,17 @@ class TestOneDecompositionPerState:
         assert frames[0] == 0
 
     def test_rank_two_orbit_check_computes_each_frame_once(self, monkeypatch):
-        # The class screen and the construction read the same frames.
+        # The class screen and the construction read the same frames, and
+        # both states' frames come from one stacked SVD.
         w4 = make_state("w4")
         image = apply_local_ops(w4, random_invertible_ops((2, 2, 2, 2), 7, 10.0))
         sets, frames = count_decompositions(monkeypatch)
+        calls = count_calls(monkeypatch, decomposition, "svd")
         verdict = check_fourpartite_equiv(image, w4, CUT_12_34, CONFIG)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         assert sets[0] == 2
         assert frames[0] == 2
+        assert calls[0] == 1
 
     def test_rank_four_screen_decomposes_nothing(self, monkeypatch):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 8, 10.0)
@@ -486,12 +498,14 @@ class TestOneDecompositionPerState:
 
     def test_all_cuts_class_proof_decomposes_each_state_once(self, monkeypatch):
         sets, frames = count_decompositions(monkeypatch)
+        calls = count_calls(monkeypatch, decomposition, "svd")
         verdict = check_fourpartite_equiv_all_cuts(
             make_state("ghz4"), make_state("w4"), CONFIG
         )
         assert verdict.proof.invariant == "tripartite-class"
         assert sets[0] == 2
         assert frames[0] == 2
+        assert calls[0] == 1
 
     def test_all_cuts_undecided_screens_once_per_cut(self, monkeypatch):
         s1 = random_orbit_case((2, 2, 2, 3), 1)[0]
@@ -506,6 +520,71 @@ class TestOneDecompositionPerState:
             assert diagnostics["cut"] == label
             assert diagnostics["stage"] in ("coupling_search", "verification")
         assert screens[0] == 3
+
+
+def product_on(party, core):
+    """|0> on ``party`` (1-based) times the three-qubit ``core`` on the other parties."""
+    t = np.multiply.outer(np.array([1.0, 0.0]), core.tensor())
+    return PureState((2, 2, 2, 2), np.moveaxis(t, 0, party - 1).reshape(-1))
+
+
+class TestPairedSvdCalls:
+    """Each LAPACK call the screen makes covers both states of the check."""
+
+    @pytest.mark.parametrize(
+        "check, most",
+        [
+            # Three cuts, four parties, the frames at 12-34, the u factors.
+            (lambda: check_fourpartite_equiv_all_cuts(make_state("ghz4"), make_state("w4"), CONFIG), 9),
+            # Three cuts, then party 1's marginal rank decides.
+            (
+                lambda: check_fourpartite_equiv_all_cuts(
+                    product_on(1, make_state("ghz3")), product_on(2, make_state("ghz3")), CONFIG
+                ),
+                4,
+            ),
+        ],
+        ids=["ghz4-vs-w4", "product1-vs-product2"],
+    )
+    def test_screen_proofs(self, monkeypatch, check, most):
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        assert check().status is EquivalenceStatus.INEQUIVALENT
+        assert svds[0] <= most
+
+    def test_planted_orbit(self, monkeypatch):
+        state, image, _ = random_orbit_case((2, 2, 2, 2), 5, 10.0)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        assert svds[0] <= 11
+
+
+class TestReorderedCut:
+    def test_rank_that_rounds_differently_is_a_proof(self):
+        # M = U diag(1, 0.5, s3, 0) V^H with s3 at the rank cutoff: about one
+        # draw in two hundred has rank 3 at 12-34 but rank 2 at 21-34, the
+        # same cut with its rows permuted.
+        cut = Bipartition((2, 1), (3, 4))
+        rng = np.random.default_rng(0)
+
+        def state(s3):
+            u, v = (np.linalg.qr(random_complex(rng, (4, 4)))[0] for _ in range(2))
+            return PureState((2, 2, 2, 2), (u @ np.diag([1.0, 0.5, s3, 0.0]) @ v.conj().T).reshape(-1))
+
+        for _ in range(5000):
+            bad = state(1e-9 * (1 + rng.uniform(-1e-6, 1e-6)))
+            p = StateProfile(bad)
+            if p.rank(CUT_12_34) == 3 and p.rank(cut) == 2:
+                break
+        else:
+            pytest.fail("no draw rounds to different ranks")
+        good = state(1e-3)
+        for s1, s2, ranks in ((bad, good, ("2", "3")), (good, bad, ("3", "2"))):
+            verdict = check_fourpartite_equiv(s1, s2, cut, CONFIG)
+            assert verdict.status is EquivalenceStatus.INEQUIVALENT
+            proof = verdict.proof.to_dict()
+            assert (proof["invariant"], proof["location"]) == ("bipartition-rank", "21-34")
+            assert (proof["value_a"], proof["value_b"]) == ranks
 
 
 def planted(state, seed, cap=10.0):

@@ -6,6 +6,7 @@ import pytest
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
 from slocceq.invariants import (
     TriClassLabel,
+    _tri_classes,
     class_proof,
     classify_tripartite_qubit,
     hyperdeterminant_222,
@@ -13,6 +14,7 @@ from slocceq.invariants import (
 )
 from slocceq.catalog import random_orbit_case
 from slocceq.decomposition import StateProfile
+from slocceq.tensorops import numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 
@@ -158,6 +160,38 @@ class TestClassifyTripartite:
                 ]
                 image = apply_local_ops(state, ops)
                 assert classify_tripartite_qubit(image).label is label
+
+
+class TestStackedClasses:
+    def test_stack_matches_one_state_at_a_time(self):
+        rng = np.random.default_rng(43)
+        basis = [make_state("ghz3"), make_state("w3")]
+        for bits in ((0b000,), (0b000, 0b011), (0b000, 0b101), (0b000, 0b110)):
+            amps = np.zeros(8, dtype=complex)
+            amps[list(bits)] = 1.0
+            basis.append(PureState((2, 2, 2), amps))
+        states = [
+            PureState((2, 2, 2), s.amps * scale)
+            for s in basis
+            for scale in (1.0, 1e-300, 1e300)
+        ]
+        states += [
+            apply_local_ops(s, [random_complex(rng, (2, 2)) for _ in range(3)])
+            for s in basis
+            for _ in range(5)
+        ]
+        stacked = _tri_classes(np.stack([s.tensor() for s in states]), 1e-9)
+        for state, got in zip(states, stacked):
+            alone = classify_tripartite_qubit(state)
+            assert got.label is alone.label
+            assert got.marginal_ranks == alone.marginal_ranks
+            assert np.float64(got.hyperdet_magnitude).tobytes() == np.float64(
+                alone.hyperdet_magnitude
+            ).tobytes()
+            t = state.tensor()
+            assert got.marginal_ranks == tuple(
+                numerical_rank(np.moveaxis(t, k, 0).reshape(2, 4)) for k in range(3)
+            )
 
 
 class TestClassProof:

@@ -407,13 +407,13 @@ class TestSolvePtilde:
         w, _ = np.linalg.qr(random_complex(rng, (2, 2)))
         gauged = decomposition.svd
 
-        def rotated_svd(matrix, full=False):
-            u, sigma, v = gauged(matrix, full=full)
-            u[:, :2] = u[:, :2] @ w
-            v[:, :2] = v[:, :2] @ w
+        def rotated_svd(stack, full=False):
+            u, sigma, v = gauged(stack, full=full)
+            u[..., :2] = u[..., :2] @ w
+            v[..., :2] = v[..., :2] @ w
             return u, sigma, v
 
-        # Frames come from one place; the rotated ones go in through it.
+        # Frames come from one place, a stacked SVD; the rotated ones go in through it.
         monkeypatch.setattr(decomposition, "svd", rotated_svd)
         rotated = triple_state_set(make_state("ghz4"), CUT_12_34)
         assert not np.allclose(rotated.u_full[:, :2], gauged_u[:, :2])

@@ -5,6 +5,7 @@ import pytest
 
 from slocceq.solver import _kron_split, _sylvester_system
 from slocceq.tensorops import (
+    _lead_phase,
     numerical_rank,
     pencil_det_form,
     qr,
@@ -215,6 +216,67 @@ class TestSvd:
             lead = col[np.argmax(np.abs(col))]
             assert abs(lead.imag) < 1e-14
             assert lead.real > 0
+
+
+def scalar_lead_phase(column):
+    """The per-column gauge rule, one entry at a time: the reference for ``_lead_phase``."""
+    idx = int(np.argmax(np.abs(column)))
+    entry = column[idx]
+    mag = abs(entry)
+    return 1.0 + 0.0j if mag == 0.0 else entry / mag
+
+
+def looped_svd(matrix, full=False):
+    """One matrix's gauged SVD, phase-fixed column by column with ``scalar_lead_phase``."""
+    u, sigma, vh = np.linalg.svd(np.asarray(matrix, dtype=complex), full_matrices=full)
+    u, v, k = u.copy(), vh.conj().T.copy(), sigma.size
+    for i in range(u.shape[1]):
+        ph = np.conj(scalar_lead_phase(u[:, i]))
+        u[:, i] *= ph
+        if i < k:
+            v[:, i] *= ph
+    for j in range(k, v.shape[1]):
+        v[:, j] *= np.conj(scalar_lead_phase(v[:, j]))
+    return u, sigma, v
+
+
+def gauge_inputs(rng):
+    """Matrices with ties, zero columns and magnitudes from 1e-300 to 1e300."""
+    for shape in [(4, 4), (4, 9), (9, 4), (6, 6), (2, 4)]:
+        m = random_complex(rng, shape)
+        yield m
+        yield np.round(2 * m)  # integer entries: many exact magnitude ties
+        low = m[:, :2] @ random_complex(rng, (2, shape[1]))
+        yield low
+        zeroed = m.copy()
+        zeroed[:, 1] = 0.0
+        yield zeroed
+        for scale in (1e-300, 1e-150, 1e150, 1e300):
+            yield m * scale
+    yield np.array([[1, 1j, 0], [-1, 0, 0], [1j, -1j, 0]], dtype=complex)
+
+
+class TestStackedGauge:
+    """The stacked gauge is the per-column rule bit for bit, and a stack is per-matrix calls."""
+
+    def test_lead_phase_matches_the_scalar_rule(self):
+        rng = np.random.default_rng(15)
+        for m in gauge_inputs(rng):
+            want = np.array([scalar_lead_phase(col) for col in m.T], dtype=complex)
+            assert _lead_phase(m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_stack_matches_per_matrix_calls(self, full):
+        rng = np.random.default_rng(16)
+        for m in gauge_inputs(rng):
+            stack = np.stack([m, np.round(m * 3), m[::-1], 0 * m])
+            got = svd(stack, full=full)
+            nested = svd(stack.reshape(2, 2, *m.shape), full=full)
+            for i, matrix in enumerate(stack):
+                for want, part, deep in zip(looped_svd(matrix, full), got, nested):
+                    assert part[i].tobytes() == want.tobytes()
+                    assert deep[i // 2, i % 2].tobytes() == want.tobytes()
+            assert got[0].flags.c_contiguous and got[2].flags.c_contiguous
 
 
 class TestQr:
