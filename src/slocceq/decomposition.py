@@ -4,21 +4,21 @@ A four-partite state, flattened at a two-versus-two cut into M, factors
 as ``U @ diag(sv) @ V.conj().T``. Folding the first ``r`` columns of
 ``U`` and ``V`` back into matrices yields two tripartite states that,
 together with the diagonal of singular values, carry the full SLOCC
-content of the original state at that cut. :class:`TripleStateSet` holds
-M and its singular values from one values-only SVD; the singular frames
-U and V, and the factors folded from them, are computed from M only when
-read. :class:`StateProfile` keeps each cut's spectrum, so the rank the
-screen reads and the rank of the decomposition come from one SVD. The
-two states of a check are profiled together: at each cut both
-flattenings are factored by one stacked values-only SVD, and both
-states' frames by one more.
+content of the original state at that cut. Only a :class:`StateProfile`
+builds a :class:`TripleStateSet`, as a read-only view of the stacked
+values-only SVD it keeps per cut: M and its singular values are not
+copied, and the rank the screen reads and the rank of the decomposition
+come from that one SVD. The singular frames U and V, and the factors
+folded from them, are computed only when read. The two states of a
+check are profiled together: at each cut both flattenings are factored
+by one stacked values-only SVD, and both states' frames by one more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,17 +35,18 @@ FRAME_UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TripleStateSet:
-    """One state's triple-state set at one cut, read off one flattening.
+    """One state's triple-state set at one cut, a read-only view of its profile.
 
-    ``flattening`` is the state's matrix M at the cut and
-    ``singular_values`` its ``r`` positive singular values, the diagonal
-    bipartite middle. The full left and right singular frames ``u_full``
-    and ``v_full`` come from one gauged SVD of M, computed on first read
-    and kept; ``frame_source`` computes them, and a :class:`StateProfile`
-    passes one that factors every profiled state's M at this cut in one
-    stacked call. Columns ``0..r-1`` of ``u_full`` (``v_full``) fold into
-    the tripartite factor ``psi_u`` (``psi_v``); the remaining columns
-    span the orthogonal complement.
+    Only a :class:`StateProfile` builds one, straight from the stacked
+    values-only SVD it keeps per cut: ``flattening`` is the state's
+    matrix M at the cut and ``singular_values`` its ``r`` positive
+    singular values, the diagonal bipartite middle, both read-only views
+    of the profile's arrays, not copies. ``frame_source`` returns the full
+    left and right singular frames ``u_full`` and ``v_full`` of M, which
+    the profile computes for every profiled state at this cut in one
+    gauged, stacked SVD on first read and keeps. Columns ``0..r-1`` of
+    ``u_full`` (``v_full``) fold into the tripartite factor ``psi_u``
+    (``psi_v``); the remaining columns span the orthogonal complement.
     """
 
     flattening: np.ndarray
@@ -53,43 +54,18 @@ class TripleStateSet:
     r: int
     bipartition: Bipartition
     dims: tuple[int, ...]
-    warnings: tuple[str, ...] = field(default=())
-    frame_source: Optional[Callable[[], tuple]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.flattening, dtype=complex)
-        sv = np.array(self.singular_values, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("flattening must be a matrix")
-        if not (0 < self.r <= min(m.shape)):
-            raise ValueError(f"rank {self.r} out of range")
-        if sv.size != self.r or np.any(sv <= 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be positive and descending")
-        for a in (m, sv):
-            a.flags.writeable = False
-        object.__setattr__(self, "flattening", m)
-        object.__setattr__(self, "singular_values", sv)
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        if self.frame_source is None:
-            object.__setattr__(
-                self, "frame_source", lambda: tuple(f[0] for f in _gauged_frames(m[np.newaxis]))
-            )
-
-    @cached_property
-    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.frame_source()
+    warnings: tuple[str, ...]
+    frame_source: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
     def u_full(self) -> np.ndarray:
         """The full left singular frame of the flattening."""
-        return self._frames[0]
+        return self.frame_source()[0]
 
     @property
     def v_full(self) -> np.ndarray:
         """The full right singular frame of the flattening."""
-        return self._frames[1]
+        return self.frame_source()[1]
 
     @property
     def left_dims(self) -> tuple[int, int]:
@@ -179,9 +155,9 @@ class _ProfileGroup:
     """States of equal dims profiled together, so that each SVD covers them all.
 
     Per cut: the stacked flattenings, their singular values from one
-    values-only SVD, each member's rank, and, once a member's frames are
-    read, every member's frames from one gauged SVD. Per party: each
-    member's marginal rank, from one values-only SVD.
+    values-only SVD (both read-only), each member's rank, and, once a
+    member's frames are read, every member's frames from one gauged SVD.
+    Per party: each member's marginal rank, from one values-only SVD.
     """
 
     def __init__(self, states: tuple[PureState, ...], rtol: float):
@@ -190,12 +166,13 @@ class _ProfileGroup:
         self.tensors = np.stack([s.tensor() for s in states])
         self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, list[int]]] = {}
         self._marginal_ranks: dict[int, list[int]] = {}
-        self._frames: dict[Bipartition, tuple[np.ndarray, np.ndarray]] = {}
+        self._frames: dict[Bipartition, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def spectra(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, list[int]]:
         if cut not in self._spectra:
             ms = _flatten_cut(self.tensors, cut)
             sigmas = np.linalg.svd(ms, compute_uv=False)
+            ms.flags.writeable = sigmas.flags.writeable = False
             self._spectra[cut] = (ms, sigmas, [sigma_rank(s, self.rtol) for s in sigmas])
         return self._spectra[cut]
 
@@ -207,9 +184,8 @@ class _ProfileGroup:
 
     def frames(self, cut: Bipartition, member: int) -> tuple[np.ndarray, np.ndarray]:
         if cut not in self._frames:
-            self._frames[cut] = _gauged_frames(self.spectra(cut)[0])
-        u, v = self._frames[cut]
-        return u[member], v[member]
+            self._frames[cut] = list(zip(*_gauged_frames(self.spectra(cut)[0])))
+        return self._frames[cut][member]
 
 
 class StateProfile:
@@ -256,14 +232,15 @@ class StateProfile:
         if cut not in self._decompositions:
             ms, sigmas, ranks = self._group.spectra(cut)
             sigma, r = sigmas[self._member], ranks[self._member]
-            top = sigma[0] if sigma.size else 0.0
-            if top == 0.0:
-                raise ValueError("cannot decompose the zero state")
+            if r == 0:
+                raise ValueError(
+                    f"rank 0 at cut {cut.label}: no singular value exceeds {self.rtol:g} times the largest"
+                )
             warnings = tuple(
                 f"singular value {i + 1} of {sigma.size} lies within "
                 f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"
                 for i in range(r)
-                if sigma[i] <= CONDITIONING_BAND * self.rtol * top
+                if sigma[i] <= CONDITIONING_BAND * self.rtol * sigma[0]
             )
             self._decompositions[cut] = TripleStateSet(
                 flattening=ms[self._member],

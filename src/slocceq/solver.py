@@ -89,10 +89,10 @@ _ISOTROPY_CUTOFF = 1e-6
 _PENCIL_RTOL = 1e-6
 # Rank cutoff of a folded matrix brought to its rank form.
 _RANK_FORM_RTOL = 1e-9
-# Denman-Beavers square root: distance of M_k from I counted as converged,
-# and the iteration cap.
-_SQRTM_TOL = 1e-10
-_SQRTM_STEPS = 30
+# Newton polar iteration: distance of X_k^T X_k from I counted as
+# converged, and the iteration cap.
+_POLAR_TOL = 1e-10
+_POLAR_STEPS = 30
 
 
 class SolveStatus(Enum):
@@ -227,41 +227,30 @@ def _binary_quadratic_roots(a, b, c, rtol):
     ]
 
 
-def _sqrtm(z: np.ndarray):
-    """Principal square root of ``z``, or None if the iteration stalls.
-
-    Product form of the Denman-Beavers iteration (Higham, *Functions of
-    Matrices*, 2008, eq. 6.17): ``Y_k^2 = z M_k`` throughout and M_k
-    tends to the identity, so Y_k tends to a primary function of z that
-    commutes with everything z commutes with. One step is taken past
-    ``|M_k - I| <= _SQRTM_TOL``, where convergence is quadratic.
-    """
-    eye = np.eye(len(z))
-    m, y = z, z
-    for _ in range(_SQRTM_STEPS):
-        done = np.linalg.norm(m - eye) <= _SQRTM_TOL
-        try:
-            m_inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return None
-        y = 0.5 * y @ (eye + m_inv)
-        m = 0.5 * eye + 0.25 * (m + m_inv)
-        if done:
-            return y
-    return None
-
-
 def _polar_orthogonal(w: np.ndarray):
-    """Complex-orthogonal factor ``W sqrt(W^T W)^-1`` of W, or None.
+    """Complex-orthogonal factor ``W (W^T W)^-1/2`` of W, or None.
 
     W is first rotated in phase so that ``tr(W^T W)`` is real positive,
     which keeps the spectrum of ``W^T W`` off the negative real axis in
-    the usual case; None when the square root does not converge.
+    the usual case. Newton's iteration ``X <- (X + X^-T) / 2`` from that
+    W tends to the factor with the principal square root (Higham, Mackey,
+    Mackey & Tisseur, *SIAM J. Matrix Anal. Appl.* 25(4), 2004). One step
+    is taken past ``|X^T X - I| <= _POLAR_TOL``, where convergence is
+    quadratic; None when an iterate is singular or the iteration has not
+    converged in ``_POLAR_STEPS`` steps.
     """
     trace = np.trace(w.T @ w)
-    w = w * np.sqrt(abs(trace) / trace)
-    root = _sqrtm(w.T @ w)
-    return None if root is None else np.linalg.solve(root.T, w.T).T
+    x = w * np.sqrt(abs(trace) / trace)
+    eye = np.eye(len(x))
+    for _ in range(_POLAR_STEPS):
+        done = np.linalg.norm(x.T @ x - eye) <= _POLAR_TOL
+        try:
+            x = 0.5 * (x + np.linalg.inv(x).T)
+        except np.linalg.LinAlgError:
+            return None
+        if done:
+            return x
+    return None
 
 
 def _eigen_reflections(a: np.ndarray):
@@ -592,17 +581,15 @@ def _direct_flat_candidates(frame, frame_prime, rng):
     r, left, right = frame.r, frame.left_dims, frame.right_dims
     if r == 1 or (r == 2 and left == right == (2, 2)):
         return _low_rank_candidates(frame, frame_prime, rng)
-    if r != 4:
+    swapped = left == (3, 3) and right == (2, 2)
+    if r != 4 or not (swapped or (left == (2, 2) and right in ((2, 2), (3, 3)))):
         return []
     # Scaled to a leading singular value in [0.5, 1), so that no covariant
     # of an amplitude scale far from 1 over- or underflows.
     m, mp = (pow2_scaled(f.flattening, f.singular_values[0])[0] for f in (frame, frame_prime))
-    if left == (2, 2) and right in ((2, 2), (3, 3)):
+    if not swapped:
         return _qubit_row_pair_candidates(m, mp, rng)
-    if left == (3, 3) and right == (2, 2):
-        swapped = _qubit_row_pair_candidates(m.T, mp.T, rng)
-        return (cand[2:] + cand[:2] for cand in swapped)
-    return []
+    return (cand[2:] + cand[:2] for cand in _qubit_row_pair_candidates(m.T, mp.T, rng))
 
 
 def _peeked(candidates) -> SolveOutcome:

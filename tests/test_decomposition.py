@@ -92,6 +92,11 @@ class TestTripleStateSet:
         ]
         assert span_gap(triple.psi_u.slices, corners) < 1e-10
 
+    def test_rank_zero_cutoff_raises(self):
+        # No singular value exceeds twice the largest, so the rank is 0.
+        with pytest.raises(ValueError, match="rank 0"):
+            triple_state_set(make_state("ghz4"), CUT_12_34, rtol=2)
+
     def test_cluster1d_rank_and_spectrum(self):
         triple = triple_state_set(make_state("cluster1d"), CUT_12_34)
         assert triple.r == 4
@@ -331,3 +336,13 @@ class TestOneSpectrum:
             triple.flattening[0, 0] = 1.0
         with pytest.raises(ValueError):
             triple.u_full[0, 0] = 1.0
+
+    def test_set_is_a_read_only_view_of_the_stacked_svd(self):
+        paired = StateProfile.pair(*random_orbit_case((2, 2, 3, 3), 0)[:2])
+        ms, sigmas, _ = paired[0]._group.spectra(CUT_12_34)
+        for member, profile in enumerate(paired):
+            triple = profile.decomposition(CUT_12_34)
+            assert np.shares_memory(triple.flattening, ms[member])
+            assert np.shares_memory(triple.singular_values, sigmas[member])
+            assert not triple.flattening.flags.writeable
+            assert not triple.singular_values.flags.writeable

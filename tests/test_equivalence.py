@@ -436,7 +436,7 @@ def count_decompositions(monkeypatch):
     A frame computation is one matrix factored by the gauged SVD the frames
     come from; one call of it factors a whole stack.
     """
-    sets = count_calls(monkeypatch, decomposition.TripleStateSet, "__post_init__")
+    sets = count_calls(monkeypatch, decomposition.TripleStateSet, "__init__")
     frames = [0]
     gauged = decomposition.svd
 

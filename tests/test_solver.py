@@ -17,8 +17,8 @@ from slocceq.solver import (
     _kron_split,
     _right_tuple_solve,
     _right_tuple_system,
+    _polar_orthogonal,
     _row_pair_covariant,
-    _sqrtm,
     _sylvester_system,
     solve_ptilde,
     solve_ptilde_single,
@@ -255,14 +255,22 @@ class TestKronCongruences:
         assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
 
 
-class TestSqrtm:
+class TestPolarOrthogonal:
     def test_jordan_block(self):
-        z = (1.5 - 0.5j) * np.eye(4) + np.eye(4, k=1)
-        y = _sqrtm(z)
-        assert y is not None
-        assert np.linalg.norm(y @ y - z) < 1e-12 * np.linalg.norm(z)
-        assert np.linalg.norm(y @ z - z @ y) < 1e-12 * np.linalg.norm(z)
-        assert np.all(np.linalg.eigvals(y).real > 0.0)
+        # W = Q S with Q complex orthogonal (a Cayley transform) and S
+        # symmetric, similar to a 4x4 Jordan block whose eigenvalue has
+        # positive real part, so that S is the principal root of W^T W.
+        rng = np.random.default_rng(5)
+        swap = np.fliplr(np.eye(4))
+        t = (np.eye(4) + 1j * swap) / np.sqrt(2.0)
+        s = t @ ((1.5 - 0.5j) * np.eye(4) + np.eye(4, k=1)) @ t.conj()
+        assert np.linalg.norm(s - s.T) < 1e-14
+        k = random_complex(rng, (4, 4))
+        q = np.linalg.solve(np.eye(4) - (k - k.T), np.eye(4) + (k - k.T))
+        assert np.linalg.norm(q.T @ q - np.eye(4)) < 1e-13
+        o = _polar_orthogonal(q @ s)
+        assert o is not None
+        assert np.linalg.norm(o - q) < 1e-12 * np.linalg.norm(q)
 
 
 class TestKroneckerBuilds:
