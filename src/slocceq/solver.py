@@ -10,11 +10,12 @@ from covariants of the flattenings themselves, so a rank-four cut
 computes no singular frame. The caller re-applies each candidate to the
 raw amplitudes and accepts only what verifies, so spurious candidates are
 harmless, and each is built only when the caller pulls it. No candidate
-is screened for invertibility here: a construction that would invert an
-exactly singular matrix yields nothing, and every other candidate goes to
-the caller, whose :class:`~slocceq.states.LocalOperatorTuple` rejects a
-singular operator before verification. A geometry without a construction
-is reported EXHAUSTED at once.
+is screened here, by misfit, gap or invertibility: a construction that
+would invert an exactly singular matrix yields nothing, and every other
+candidate goes to the caller, whose
+:class:`~slocceq.states.LocalOperatorTuple` rejects a singular operator
+before verification. A geometry without a construction is reported
+EXHAUSTED at once.
 
 On a qubit pair the antisymmetric form eps satisfies
 ``A^T eps A = det(A) eps`` for every 2x2 operator A, so with
@@ -34,13 +35,13 @@ orthogonal factor ``W (W^T W)^{-1/2}`` of any intertwiner W (Gantmacher,
 basis P, the four determinant roots c are tried in the order in which
 ``c^p tr(A^p)`` matches ``tr(A'^p)`` for p = 1, 2, 3, so the root that
 has intertwiners usually comes first. For each root, when it is
-reached, one Sylvester nullspace gives W, a Denman-Beavers square root
-gives the orthogonal factor, and reflections along eigenvectors supply
-the rest of the orthogonal centralizer; each B is built only when it is
-pulled, and split into qubit factors. On qubit and qutrit pairs alike
-``G S_i = S'_i H^{-T}`` on the folded rows of M and
-``B^{-1} M' = M (G (x) H)^T`` is then linear in (G, H^{-T}) and solved
-by one nullspace.
+reached, one Sylvester nullspace gives W, Newton's polar iteration gives
+the orthogonal factor, and reflections along eigenvectors supply the
+rest of the orthogonal centralizer; each B is split into qubit factors.
+On qubit and qutrit pairs alike ``G S_i = S'_i H^{-T}`` on the folded
+rows of M and ``B^{-1} M' = M (G (x) H)^T`` is then linear in
+(G, H^{-T}) and solved by one nullspace; on qutrit pairs first for the
+B whose ``B^{-1} M'`` has slice determinants closest in angle to M's.
 
 At ranks one and two the column and row spaces of M fold into spans of
 matrices, and each goes to a named normal form under ``X -> A X B^T``:
@@ -61,6 +62,7 @@ four-dimensional one is everything.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,19 +74,13 @@ import numpy as np
 from .decomposition import TripleStateSet
 from .tensorops import pencil_det_form, pow2_scaled, sigma_rank
 
-# Tolerances of the constructions, one per role. None of them accepts a
-# candidate: verification on the amplitudes is the only acceptance gate.
+# Tolerances of the constructions, one per role. None of them accepts or
+# drops a candidate: verification on the amplitudes is the only gate.
 #
-# Relative misfit up to which a construction still proposes a candidate:
-# the Kronecker gap of a whole 4x4 matrix, or the misfit of a nullspace
-# point (a right tuple or a rank-two core).
-_DIRECT_PRESCREEN_GAP = 1e-6
 # Singular value cutoff of the numerical nullspace a seeded point is drawn from.
 _NULLSPACE_RTOL = 1e-8
 # Singular value cutoff of the Sylvester nullspace of intertwiners.
 _INTERTWINER_RTOL = 1e-9
-# Smallest |v^T v| of a unit eigenvector that still gives a reflection.
-_ISOTROPY_CUTOFF = 1e-6
 # Pencil cutoff: a zero determinant form, a repeated root, a rank-one member.
 _PENCIL_RTOL = 1e-6
 # Rank cutoff of a folded matrix brought to its rank form.
@@ -153,18 +149,14 @@ _EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
 
 
 def _kron_split(mat: np.ndarray):
-    """Qubit-pair factors ``(X, Y)`` with ``mat ≈ kron(X, Y)``, or None.
+    """Qubit-pair factors ``(X, Y)`` of the nearest ``kron(X, Y)`` to a 4x4 ``mat``.
 
     ``kron(X, Y)[(i, k), (j, l)] = X[i, j] Y[k, l]``, so regrouping the
     indices as ``((i, j), (k, l))`` turns it into the rank-one
     ``outer(X.ravel(), Y.ravel())``; its leading singular pair gives the
-    factors, X scaled by the leading value. None when the regrouped
-    matrix is zero or its Kronecker gap ``sigma_2 / sigma_1`` exceeds
-    ``_DIRECT_PRESCREEN_GAP``.
+    factors, X scaled by the leading value. Verification judges any gap.
     """
     u, sigma, vh = np.linalg.svd(mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
-    if sigma[0] == 0.0 or sigma[1] > _DIRECT_PRESCREEN_GAP * sigma[0]:
-        return None
     return sigma[0] * u[:, 0].reshape(2, 2), vh[0].reshape(2, 2)
 
 
@@ -258,18 +250,15 @@ def _eigen_reflections(a: np.ndarray):
 
     An eigenvector v with ``v^T v != 0`` has an ``a``-invariant
     complement, so ``I - 2 v v^T / v^T v`` is complex orthogonal and
-    commutes with ``a``. Vectors are ordered from the least isotropic;
-    those with ``|v^T v| <= _ISOTROPY_CUTOFF`` (eig returns unit vectors)
-    are dropped.
+    commutes with ``a``. Vectors are ordered from the least isotropic
+    (eig returns unit vectors); only an exactly isotropic one, which has
+    no reflection, is dropped.
     """
     vecs = np.linalg.eig(a)[1].T
     norms = np.einsum("ij,ij->i", vecs, vecs)
     order = np.argsort(-np.abs(norms))
-    return [
-        np.eye(len(a)) - 2.0 * np.outer(vecs[i], vecs[i]) / norms[i]
-        for i in order
-        if abs(norms[i]) > _ISOTROPY_CUTOFF
-    ]
+    eye = np.eye(len(a))
+    return [eye - 2.0 * np.outer(vecs[i], vecs[i]) / norms[i] for i in order if norms[i] != 0.0]
 
 
 def _power_traces(a: np.ndarray) -> np.ndarray:
@@ -279,10 +268,10 @@ def _power_traces(a: np.ndarray) -> np.ndarray:
 
 
 def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
-    """Yield 4x4 matrices B with ``s_p ∝ B s B^T``, for symmetric s and s_p.
+    """Yield per determinant root an iterator over 4x4 B with ``s_p ∝ B s B^T``.
 
-    With ``A = P s P^T`` in the magic basis P the relation reads
-    ``A' = c O A O^T`` with O in SO(4, C). For each determinant root c the
+    For symmetric s, with ``A = P s P^T`` in the magic basis P, the relation
+    reads ``A' = c O A O^T`` with O in SO(4, C). For each determinant root c the
     orthogonal factor of a seeded intertwiner of ``W A = (A'/c) W`` is such
     an O, because the principal square root of ``W^T W`` commutes with A.
     Its determinant-one products with reflections along A's eigenvectors
@@ -308,7 +297,19 @@ def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
         (c0 * 1j**k for k in range(4)),
         key=lambda c: np.abs(traces_p / c**powers - traces).sum(),
     )
-    reflections = None
+    reflections = functools.cache(lambda: _eigen_reflections(a))
+
+    def congruences(o):
+        positive = np.linalg.det(o).real > 0.0
+        if positive:
+            yield _MAGIC.conj().T @ o @ _MAGIC
+        # O R must have determinant one: an even number of reflections R
+        # when det O = 1, an odd number when it is -1.
+        refl = reflections()
+        rs = (refl[0] @ r for r in refl[1:]) if positive else refl
+        for r in rs:
+            yield _MAGIC.conj().T @ o @ r @ _MAGIC
+
     for c in roots:
         family = _intertwiner_family(a, a_p / c)
         if not family:
@@ -318,27 +319,16 @@ def _kron_congruences(s: np.ndarray, s_p: np.ndarray, rng):
         # A first orthogonal factor projected back onto the family is a
         # near-orthogonal W, whose polar step is well conditioned.
         o = None if o is None else _polar_orthogonal(sum(np.vdot(x, o) * x for x in family))
-        if o is None:
-            continue
-        positive = np.linalg.det(o).real > 0.0
-        if positive:
-            yield _MAGIC.conj().T @ o @ _MAGIC
-        if reflections is None:
-            reflections = _eigen_reflections(a)
-        # O R must have determinant one: an even number of reflections R
-        # when det O = 1, an odd number when it is -1.
-        rs = (reflections[0] @ r for r in reflections[1:]) if positive else reflections
-        for r in rs:
-            yield _MAGIC.conj().T @ o @ r @ _MAGIC
+        if o is not None:
+            yield congruences(o)
 
 
 def _nullspace_point(system: np.ndarray, rng):
-    """Seeded random point of the numerical nullspace of ``system``, or None.
+    """Seeded random point of the numerical nullspace of ``system``.
 
     The nullspace keeps at least the smallest right singular vector, so a
-    noisy system still proposes its best point for verification. The
-    point is dropped when its relative misfit
-    ``|system x| / (sigma_max |x|)`` exceeds ``_DIRECT_PRESCREEN_GAP``.
+    noisy or unrelated system still proposes its best point, however
+    large its misfit; verification judges it.
     """
     # U is never read; V stays square when the system is wide, so that
     # its nullspace rows are kept.
@@ -346,9 +336,7 @@ def _nullspace_point(system: np.ndarray, rng):
     rank = min(sigma_rank(s, _NULLSPACE_RTOL), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
-    point = mix @ null
-    misfit = np.linalg.norm(system @ point) / (s[0] * np.linalg.norm(point))
-    return None if misfit > _DIRECT_PRESCREEN_GAP else point
+    return mix @ null
 
 
 def _right_tuple_system(rs, ts):
@@ -364,16 +352,30 @@ def _right_tuple_solve(rs, ts, rng):
 
     With ``K = H^-T`` the relation reads ``G rs[i] = ts[i] K``, linear in
     (G, K), so one nullspace over the stacked slices gives both factors.
-    Returns None when the point misfits or K is exactly singular.
+    Returns None only when K is exactly singular.
     """
-    point = _nullspace_point(_right_tuple_system(rs, ts), rng)
-    if point is None:
-        return None
-    g, k = point.reshape(2, *rs[0].shape)
+    g, k = _nullspace_point(_right_tuple_system(rs, ts), rng).reshape(2, *rs[0].shape)
     try:
         return g, np.linalg.inv(k).T
     except np.linalg.LinAlgError:
         return None
+
+
+def _by_slice_determinants(pairs, rs):
+    """``pairs`` of ``(B, T)`` stable-sorted by the angle of ``det(T_i)`` to ``det(rs_i)``.
+
+    ``M' ∝ B M (G (x) H)^T`` makes ``det(T_i)`` proportional to
+    ``det(rs_i)`` for the right B, an angle of zero. A zero determinant
+    vector on either side has no angle, and then the pairs keep their order.
+    """
+    if len(pairs) < 2:
+        return pairs
+    u = np.linalg.det(rs)
+    vs = np.linalg.det(np.array([ts for _, ts in pairs]))
+    norms = np.linalg.norm(vs, axis=1) * np.linalg.norm(u)
+    if not norms.all():
+        return pairs
+    return [pairs[i] for i in np.argsort(-np.abs(vs @ u.conj()) / norms, kind="stable")]
 
 
 def _qubit_row_pair_candidates(m, mp, rng):
@@ -381,18 +383,20 @@ def _qubit_row_pair_candidates(m, mp, rng):
 
     B comes from the congruence of ``M J M^T`` on qubit-pair columns or of
     the det-form covariant on qutrit-pair columns, and the column factors
-    from one linear solve on the folded rows of M and ``B^-1 M'``.
+    from one linear solve on the folded rows of M and ``B^-1 M'``, on
+    qutrit-pair columns in :func:`_by_slice_determinants` order per root.
     """
     d = math.isqrt(m.shape[1])
     covariant = _row_pair_covariant if d == 3 else lambda x: x @ _QUBIT_PAIR_FORM @ x.T
     rs = m.reshape(4, d, d)
-    for b in _kron_congruences(covariant(m), covariant(mp), rng):
-        left = _kron_split(b)
-        if left is None:
-            continue
-        right = _right_tuple_solve(rs, np.linalg.solve(b, mp).reshape(4, d, d), rng)
-        if right is not None:
-            yield left + right
+    for bs in _kron_congruences(covariant(m), covariant(mp), rng):
+        pairs = ((b, np.linalg.solve(b, mp).reshape(4, d, d)) for b in bs)
+        if d == 3:
+            pairs = _by_slice_determinants(list(pairs), rs)
+        for b, ts in pairs:
+            right = _right_tuple_solve(rs, ts, rng)
+            if right is not None:
+                yield _kron_split(b) + right
 
 
 _E11, _E12, _E21, _E22 = (np.eye(4)[k].reshape(2, 2) for k in range(4))
@@ -550,8 +554,6 @@ def _low_rank_candidates(frame, frame_prime, rng):
                 [(k_p @ q).ravel() for q in basis_s] + [-(p @ k).ravel() for p in basis_c]
             )
             coeff = _nullspace_point(system, rng)
-            if coeff is None:
-                continue
             sigma = sum(ci * q for ci, q in zip(coeff, basis_s))
             rho_c = sum(ci * p for ci, p in zip(coeff[len(basis_s):], basis_c))
             try:

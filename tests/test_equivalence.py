@@ -276,6 +276,40 @@ class TestVerificationDecides:
         assert solves[0] == 1
         assert verifies[0] == 1
 
+    @pytest.mark.parametrize(
+        "dims, seeds", [((2, 2, 3, 3), (0, 6)), ((3, 3, 2, 2), (7, 8)), ((2, 3, 2, 3), (5, 9))]
+    )
+    def test_planted_qutrit_pair_orbit_solves_one_right_tuple(self, monkeypatch, dims, seeds):
+        # Only one B of the root is right on qutrit-pair columns; solved in
+        # root order these seeds took 3 or 4 right-tuple solves each.
+        solves = count_calls(monkeypatch, solver, "_right_tuple_solve")
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
+        for seed in seeds:
+            state, image, _ = random_orbit_case(dims, seed)
+            solves[0] = verifies[0] = 0
+            verdict = check_fourpartite_equiv_all_cuts(image, state, CONFIG)
+            assert verdict.status is EquivalenceStatus.EQUIVALENT, seed
+            assert (solves[0], verifies[0]) == (1, 1), seed
+
+    def test_unrelated_slices_are_undecided_at_verification(self, monkeypatch):
+        # Every B's column factors are fitted to unrelated slices. Each fit
+        # is a candidate that verification rejects; none is dropped before.
+        state, image, _ = random_orbit_case((2, 2, 3, 3), 0)
+        rng = np.random.default_rng(78)
+        solves = [0]
+        original = solver._right_tuple_solve
+
+        def unrelated(rs, ts, seeded):
+            solves[0] += 1
+            return original(rs, random_complex(rng, ts.shape), seeded)
+
+        monkeypatch.setattr(solver, "_right_tuple_solve", unrelated)
+        verdict = check_fourpartite_equiv(image, state, CUT_12_34, CONFIG)
+        assert verdict.status is EquivalenceStatus.UNDECIDED
+        assert verdict.diagnostics["stage"] == "verification"
+        assert verdict.diagnostics["candidates"] == solves[0] >= 4
+        assert verdict.diagnostics["verify_residual"] > DEFAULT_VERIFY_TOL
+
     def test_planted_orbit_solves_one_sylvester_system(self, monkeypatch):
         # Only the root matching the trace powers has intertwiners, and it
         # is tried first; the first B verifies, so no other root is reached.

@@ -12,6 +12,7 @@ from slocceq.solver import (
     _MAGIC,
     _QUBIT_PAIR_FORM,
     _binary_quadratic_roots,
+    _by_slice_determinants,
     _intertwiner_family,
     _kron_congruences,
     _kron_split,
@@ -68,8 +69,14 @@ class TestSolverConfig:
             SolverConfig(rng_seed=-1)
 
 
+def kron_gap(mat):
+    """``sigma_2 / sigma_1`` of the 4x4 ``mat`` regrouped as ``((i, j), (k, l))``: 0 for a product."""
+    s = np.linalg.svd(mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4), compute_uv=False)
+    return s[1] / s[0]
+
+
 class TestKronSplit:
-    """Whole 4x4 matrices are split into qubit factors or dropped."""
+    """Whole 4x4 matrices are split into the qubit factors of their nearest product."""
 
     def test_product_splits_up_to_scale(self):
         rng = np.random.default_rng(73)
@@ -81,19 +88,28 @@ class TestKronSplit:
         c = np.vdot(product, target) / np.vdot(product, product)
         assert np.linalg.norm(target - c * product) < 1e-12 * np.linalg.norm(target)
 
-    def test_swap_gives_none(self):
+    def test_swap_splits_with_its_whole_gap(self):
+        # SWAP regroups to a permutation matrix, four equal singular values:
+        # its nearest product misses three quarters of its squared norm, and
+        # that miss is left for verification to reject.
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        assert _kron_split(swap) is None
+        assert kron_gap(swap) == pytest.approx(1.0)
+        miss = np.linalg.norm(swap - np.kron(*_kron_split(swap)))
+        assert miss == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
-    def test_prescreen_gap_bounds_the_split(self):
+    def test_split_is_the_nearest_product(self):
+        # Regrouping is an isometry, so the leading singular pair gives the
+        # product nearest to the matrix, at any distance from the planted one.
         rng = np.random.default_rng(74)
         product = np.kron(random_complex(rng, (2, 2)), random_complex(rng, (2, 2)))
         direction = random_complex(rng, (4, 4))
         direction *= np.linalg.norm(product) / np.linalg.norm(direction)
-        assert _kron_split(product + 1e-9 * direction) is not None
-        assert _kron_split(product + 1e-3 * direction) is None
+        for step in (1e-9, 1e-3, 1.0):
+            mat = product + step * direction
+            miss = np.linalg.norm(mat - np.kron(*_kron_split(mat)))
+            assert miss <= (1.0 + 1e-9) * step * np.linalg.norm(product), step
 
 
 def scale_fit_misfit(got, target):
@@ -164,11 +180,14 @@ def planted_congruence(rng, s):
     return b, random_complex(rng, ()) * b @ s @ b.T
 
 
+def congruences(s, s_p, rng):
+    """Every B of every root that ``_kron_congruences`` reaches, in stream order."""
+    return [b for bs in _kron_congruences(s, s_p, rng) for b in bs]
+
+
 def congruence_misfits(cands, s, s_p):
-    """Relative misfit of ``s_p ≈ c b s b^T`` for each Kronecker candidate b."""
-    return [
-        scale_fit_misfit([b @ s @ b.T], [s_p]) for b in cands if _kron_split(b) is not None
-    ]
+    """Relative misfit of ``s_p ≈ c b s b^T`` for each candidate b."""
+    return [scale_fit_misfit([b @ s @ b.T], [s_p]) for b in cands]
 
 
 def symmetric_of(m):
@@ -184,7 +203,7 @@ class TestKronCongruences:
             s = random_complex(rng, (4, 4))
             s = s + s.T
             b, s_p = planted_congruence(rng, s)
-            cands = list(_kron_congruences(s, s_p, rng))
+            cands = congruences(s, s_p, rng)
             assert min(congruence_misfits(cands, s, s_p)) < 1e-8
             assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
 
@@ -196,7 +215,7 @@ class TestKronCongruences:
         assert np.linalg.norm(square @ square - mu2 * np.eye(4)) < 1e-12
         for _ in range(5):
             _, s_p = planted_congruence(rng, s)
-            assert min(congruence_misfits(_kron_congruences(s, s_p, rng), s, s_p)) < 1e-8
+            assert min(congruence_misfits(congruences(s, s_p, rng), s, s_p)) < 1e-8
 
     def test_stream_yields_every_nonempty_root(self):
         # cluster1d's twisted square has tr(A) = tr(A^3) = 0, so the roots c
@@ -206,7 +225,7 @@ class TestKronCongruences:
         a = _MAGIC @ s @ _MAGIC.T
         for _ in range(5):
             _, s_p = planted_congruence(rng, s)
-            cands = list(_kron_congruences(s, s_p, rng))
+            cands = congruences(s, s_p, rng)
             a_p = _MAGIC @ s_p @ _MAGIC.T
             c0 = (np.linalg.det(a_p) / np.linalg.det(a)) ** 0.25
             roots = [c0 * 1j**k for k in range(4) if _intertwiner_family(a, a_p / (c0 * 1j**k))]
@@ -218,6 +237,19 @@ class TestKronCongruences:
             for root in roots:
                 assert sum(abs(c / root - 1.0) < 1e-8 for c in scalars) == 4
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 3, 3)])
+    def test_planted_orbits_yield_only_products(self, dims):
+        # Every B of a planted pair is a Kronecker product up to roundoff, so
+        # its split loses nothing.
+        covariant = _row_pair_covariant if dims[2] == 3 else symmetric_of
+        for seed in range(10):
+            state, image, _ = random_orbit_case(dims, seed)
+            m, mp = (x.amps.reshape(4, -1) for x in (state, image))
+            rng = np.random.default_rng(seed)
+            cands = congruences(covariant(m), covariant(mp), rng)
+            assert len(cands) >= 4, seed
+            assert max(kron_gap(b) for b in cands) < 1e-9, seed
+
     def test_single_jordan_block(self):
         rng = np.random.default_rng(81)
         s = symmetric_of(l_a4_flattening(0.7 - 0.4j))
@@ -226,7 +258,7 @@ class TestKronCongruences:
         assert np.linalg.matrix_rank(a - lam * np.eye(4), tol=1e-10 * np.linalg.norm(a)) == 3
         for _ in range(5):
             b, s_p = planted_congruence(rng, s)
-            cands = list(_kron_congruences(s, s_p, rng))
+            cands = congruences(s, s_p, rng)
             assert min(congruence_misfits(cands, s, s_p)) < 1e-8
             assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
 
@@ -249,7 +281,7 @@ class TestKronCongruences:
 
         monkeypatch.setattr(solver, "_polar_orthogonal", flipped)
         b, s_p = planted_congruence(rng, s)
-        cands = list(_kron_congruences(s, s_p, rng))
+        cands = congruences(s, s_p, rng)
         assert dets and all(abs(d + 1.0) < 1e-10 for d in dets)
         assert min(congruence_misfits(cands, s, s_p)) < 1e-8
         assert min(scale_fit_misfit([c], [b]) for c in cands) < 1e-8
@@ -307,12 +339,39 @@ class TestRightTupleSolve:
             g_got, h_got = got
             assert scale_fit_misfit([g_got @ r @ h_got.T for r in rs], ts) < 1e-10
 
-    def test_unrelated_slices_give_none(self):
+    def test_unrelated_slices_give_their_best_fit(self):
+        # Unrelated slices still give factors, which fit too badly to verify.
         rng = np.random.default_rng(78)
         for _ in range(5):
             rs = [random_complex(rng, (3, 3)) for _ in range(4)]
             ts = [random_complex(rng, (3, 3)) for _ in range(4)]
-            assert _right_tuple_solve(rs, ts, rng) is None
+            g, h = _right_tuple_solve(rs, ts, rng)
+            assert scale_fit_misfit([g @ r @ h.T for r in rs], ts) > 1e-2
+
+
+class TestBySliceDeterminants:
+    """A root's congruences are solved in order of slice-determinant fit."""
+
+    def test_right_congruence_comes_first(self):
+        rng = np.random.default_rng(85)
+        rs = random_complex(rng, (4, 3, 3))
+        g, h = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+        right = 0.3j * g @ rs @ h.T
+        pairs = [("wrong", random_complex(rng, (4, 3, 3))) for _ in range(3)] + [("right", right)]
+        ordered = _by_slice_determinants(pairs, rs)
+        assert ordered[0][0] == "right"
+        assert sorted(id(p) for p in ordered) == sorted(id(p) for p in pairs)
+
+    def test_zero_determinant_vector_keeps_generation_order(self):
+        rng = np.random.default_rng(86)
+        # Slices with a zero row have determinant exactly zero.
+        rs = random_complex(rng, (4, 3, 3))
+        singular = rs.copy()
+        singular[:, 2] = 0.0
+        pairs = [(k, random_complex(rng, (4, 3, 3))) for k in range(3)] + [(3, rs)]
+        assert [b for b, _ in _by_slice_determinants(pairs, singular)] == [0, 1, 2, 3]
+        pairs[1] = (1, singular)
+        assert [b for b, _ in _by_slice_determinants(pairs, rs)] == [0, 1, 2, 3]
 
 
 class TestFlatteningRelation:

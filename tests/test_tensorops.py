@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slocceq.solver import _kron_split, _sylvester_system
+from slocceq.states import LocalOperatorTuple
 from slocceq.tensorops import (
     _lead_phase,
     numerical_rank,
@@ -90,18 +91,26 @@ class TestRealign:
         assert np.allclose(np.kron(x, y), np.eye(4), rtol=0.0, atol=1e-15)
 
     def test_swap_realigns_to_rank_four(self):
-        # SWAP = sum_ij E_ij (x) E_ji: one term splits, two or more do not.
+        # SWAP = sum_ij E_ij (x) E_ji: one term splits; k terms realign to k
+        # equal singular values, so the nearest product misses k - 1 of the
+        # k units of squared norm.
         units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
         terms = [kron_blockwise(e, e.T) for e in units]
         assert np.array_equal(sum(terms), SWAP)
         assert_splits_to(terms[1], units[1], units[1].T)
         for k in range(2, 5):
-            assert _kron_split(sum(terms[:k])) is None
+            mat = sum(terms[:k])
+            miss = np.linalg.norm(mat - np.kron(*_kron_split(mat)))
+            assert abs(miss**2 - (k - 1)) < 1e-12, k
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             _kron_split(np.zeros((3, 3)))
-        assert _kron_split(np.zeros((4, 4))) is None
+        # A zero matrix splits into a zero factor, which the operator type rejects.
+        zero = _kron_split(np.zeros((4, 4)))
+        assert not np.kron(*zero).any()
+        with pytest.raises(ValueError, match="singular"):
+            LocalOperatorTuple(zero)
 
 
 class TestSigmaRatio:
