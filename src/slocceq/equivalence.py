@@ -33,7 +33,7 @@ import numpy as np
 
 from .decomposition import StateProfile
 from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
-from .invariants import InequivalenceProof, _tri_classes, class_proof, invariant_screen
+from .invariants import InequivalenceProof, _tri_classes, first_violation, invariant_screen
 from .solver import SolveOutcome, SolverConfig, solve_ptilde, solve_ptilde_single
 from .states import (
     Bipartition,
@@ -43,7 +43,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, qr
+from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, sigma_rank, svd
 
 __all__ = [
     "EquivalenceStatus",
@@ -174,8 +174,7 @@ def _best_scalar(target: np.ndarray, source: np.ndarray, dims, mats) -> Tuple[co
     overflows or rounds to zero), fails with residual 1; a subnormal c
     passes.
     """
-    exps = [math.frexp(float(np.abs(m).max()))[1] for m in mats]
-    scaled = [np.multiply(m, math.ldexp(1.0, -e)) for m, e in zip(mats, exps)]
+    scaled, exps = zip(*(pow2_scaled(m) for m in mats))
     image = contract_local_ops(source, dims, scaled)
     top_t, top_i = np.abs(target).max(), np.abs(image).max()
     if top_t == 0.0 or top_i == 0.0:
@@ -375,12 +374,13 @@ def check_tripartite_equiv(
     """Decide SLOCC equivalence of two tripartite states in slice form.
 
     Both states must have linearly independent slices of equal count and
-    shape. For two-qubit-slice pairs (shape (2, 2), two slices) the
-    tripartite entanglement-class screen runs first, at ``rtol``, and can
-    prove inequivalence. Otherwise the single-sided construction proposes
-    slice-space operator pairs from the column frames of the row-major
-    flattened slices; each is completed by a least-squares mixing operator
-    on the slice index, gauged into a :class:`LocalOperatorTuple` (a singular
+    shape; one stacked SVD of both states' flattened slices gives their
+    slice ranks and column frames. For two-qubit-slice pairs (shape (2, 2),
+    two slices) the tripartite entanglement-class screen runs first, at
+    ``rtol``, and can prove inequivalence. Otherwise the single-sided
+    construction proposes slice-space operator pairs from the column
+    frames; each is completed by a least-squares mixing operator on the
+    slice index, gauged into a :class:`LocalOperatorTuple` (a singular
     operator drops the candidate) and verified on the stacked slices, and
     the first that verifies decides.
 
@@ -393,29 +393,27 @@ def check_tripartite_equiv(
             f"dimension mismatch: {t1.r_dim} slices of {t1.slice_shape} vs "
             f"{t2.r_dim} slices of {t2.slice_shape}"
         )
-    if t1.slice_rank(rtol) < t1.r_dim or t2.slice_rank(rtol) < t2.r_dim:
-        raise ValueError("slices must be linearly independent for the check")
-
     i1, i2 = t1.slice_shape
     r = t1.r_dim
-    diagnostics: Dict[str, object] = {"rtol": rtol, "verify_tol": verify_tol}
+    # Row-major flattened slices as columns, each stack scaled by a power
+    # of two so that the mixing operator carries no amplitude scale; t2 is
+    # the source, t1 the target. One SVD gives both slice ranks and frames.
+    w2, w1 = (pow2_scaled(t.stacked().reshape(r, -1).T)[0] for t in (t2, t1))
+    frames, sigmas, _ = svd(np.stack([w2, w1]), full=True)
+    if any(sigma_rank(s, rtol) < r for s in sigmas):
+        raise ValueError("slices must be linearly independent for the check")
 
+    diagnostics: Dict[str, object] = {"rtol": rtol, "verify_tol": verify_tol}
     if r == 2 and (i1, i2) == (2, 2):
-        class1, class2 = _tri_classes(np.stack([t1.stacked(), t2.stacked()]), rtol)
-        diagnostics["class_a"] = class1.label.name
-        diagnostics["class_b"] = class2.label.name
-        proof = class_proof(class1, class2, "three-qubit states")
+        a, b = (c.label.value for c in _tri_classes(np.stack([t1.stacked(), t2.stacked()]), rtol))
+        diagnostics.update(class_a=a, class_b=b)
+        proof = first_violation([("tripartite-class", "three-qubit states", a, b)])
         if proof is not None:
             return EquivalenceVerdict(
                 status=EquivalenceStatus.INEQUIVALENT,
                 proof=proof,
                 diagnostics=diagnostics,
             )
-
-    # Row-major flattened slices as columns, each stack scaled by a power
-    # of two so that the mixing operator carries no amplitude scale; t2 is
-    # the source, t1 the target.
-    w2, w1 = (pow2_scaled(t.stacked().reshape(r, -1).T)[0] for t in (t2, t1))
 
     def verify(candidate):
         a_row, a_col = candidate
@@ -429,6 +427,6 @@ def check_tripartite_equiv(
         scalar, resid = _best_scalar(t1.stacked().reshape(-1), t2.stacked(), (r, i1, i2), ops.ops)
         return ops, scalar, resid
 
-    outcome = solve_ptilde_single(qr(w2)[0], qr(w1)[0], r, (i1, i2), config)
+    outcome = solve_ptilde_single(frames[0], frames[1], r, (i1, i2), config)
     return _first_verified(outcome, verify, verify_tol, diagnostics)
 

@@ -5,16 +5,19 @@ two-party cut (and every single-party marginal), and, for qubit systems
 whose triple-state factors are three-qubit states, the exact
 SLOCC class of those factors (product / biseparable / W / GHZ), where
 the hyperdeterminant, the discriminant of the slice pencil
-``det(x T0 + y T1)``, tells GHZ from W. A proof from this module never
-depends on search convergence; an empty result means nothing, only that
-no cheap obstruction was found.
+``det(x T0 + y T1)``, tells GHZ from W. A screen is an ordered sequence
+of rows ``(invariant, location, value_a, value_b)``; :func:`first_violation`
+builds every proof, from the first row whose values differ, and a proof's
+description is derived from its kind and values. A proof never depends
+on search convergence; an empty result means nothing, only that no cheap
+obstruction was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -45,20 +48,32 @@ class TriClass:
     hyperdet_magnitude: float
 
 
+# One sentence per invariant kind, filled from the proof's own fields.
+_DESCRIPTIONS = {
+    "bipartition-rank": "bipartition rank at cut {location} differs: {value_a} vs {value_b}",
+    "marginal-rank": "marginal rank of {location} differs: {value_a} vs {value_b}",
+    "tripartite-class": "triple-state {location} classifies {value_a} vs {value_b}",
+}
+
+
 @dataclass(frozen=True)
 class InequivalenceProof:
     """A violated SLOCC invariant, with the two differing values.
 
     ``invariant`` is one of ``bipartition-rank``, ``marginal-rank`` or
     ``tripartite-class``; ``location`` names the cut, party or factor
-    side it was found at.
+    side it was found at. Only :func:`first_violation` builds one.
     """
 
     invariant: str
     location: str
     value_a: object
     value_b: object
-    description: str
+
+    @property
+    def description(self) -> str:
+        """One sentence stating the violation, derived from the fields."""
+        return _DESCRIPTIONS[self.invariant].format_map(vars(self))
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +83,18 @@ class InequivalenceProof:
             "value_b": str(self.value_b),
             "description": self.description,
         }
+
+
+def first_violation(rows: Iterable[tuple[str, str, object, object]]) -> Optional[InequivalenceProof]:
+    """The proof for the first row ``(invariant, location, value_a, value_b)`` whose values differ.
+
+    ``rows`` is read only up to that row, so a lazy sequence computes no
+    later value. None when every row agrees.
+    """
+    for invariant, location, a, b in rows:
+        if a != b:
+            return InequivalenceProof(invariant, location, a, b)
+    return None
 
 
 def hyperdeterminant_222(amps: np.ndarray) -> complex:
@@ -122,39 +149,26 @@ def _tri_classes(tensors: np.ndarray, tol: float) -> list[TriClass]:
     return classes
 
 
-def class_proof(a: TriClass, b: TriClass, location: str) -> Optional[InequivalenceProof]:
-    """The ``tripartite-class`` proof at ``location`` when two classes differ, else None."""
-    if a.label is b.label:
-        return None
-    return InequivalenceProof(
-        invariant="tripartite-class",
-        location=location,
-        value_a=a.label.value,
-        value_b=b.label.value,
-        description=f"triple-state {location} classifies {a.label.value} vs {b.label.value}",
-    )
-
-
 def tripartite_as_pure_state(t: TripartiteState) -> PureState:
     """View a slice tuple as an ordinary pure state (first party = slice index)."""
     rows, cols = t.slice_shape
     return PureState((t.r_dim, rows, cols), t.stacked().reshape(-1))
 
 
-def _rank_proof(
-    p1: StateProfile, p2: StateProfile, cut: Bipartition
-) -> Optional[InequivalenceProof]:
-    """The ``bipartition-rank`` proof at ``cut`` when the two ranks differ, else None."""
-    ra, rb = p1.rank(cut), p2.rank(cut)
-    if ra == rb:
-        return None
-    return InequivalenceProof(
-        invariant="bipartition-rank",
-        location=cut.label,
-        value_a=ra,
-        value_b=rb,
-        description=f"bipartition rank at cut {cut.label} differs: {ra} vs {rb}",
-    )
+def _screen_rows(p1: StateProfile, p2: StateProfile, cut: Bipartition):
+    """The screen's rows ``(invariant, location, value_a, value_b)``, in order, each computed when reached."""
+    for c in STANDARD_CUTS:
+        yield "bipartition-rank", c.label, p1.rank(c), p2.rank(c)
+    for party in (1, 2, 3, 4):
+        yield "marginal-rank", f"party {party}", p1.marginal_rank(party), p2.marginal_rank(party)
+    yield "bipartition-rank", cut.label, p1.rank(cut), p2.rank(cut)
+    if all(d == 2 for d in p1.state.dims) and p1.rank(cut) == 2:
+        t1, t2 = p1.decomposition(cut), p2.decomposition(cut)
+        for side, f1, f2 in (("u", t1.u_full, t2.u_full), ("v", t1.v_full, t2.v_full)):
+            # The first two frame columns, folded: the factor's amplitudes.
+            factors = np.stack([f1[:, :2].T, f2[:, :2].T]).reshape(2, 2, 2, 2)
+            a, b = _tri_classes(factors, p1.rtol)
+            yield "tripartite-class", f"factor {side} at cut {cut.label}", a.label.value, b.label.value
 
 
 def invariant_screen(
@@ -164,51 +178,20 @@ def invariant_screen(
 ) -> Optional[InequivalenceProof]:
     """Look for a cheap invariant separating two profiled four-partite states.
 
-    Checks, in order: bipartition ranks at all three standard cuts,
-    single-party marginal ranks, the bipartition rank at ``cut`` itself,
-    and (for qubit states of rank 2 at ``cut``) the SLOCC classes of the
-    triple-state factors at ``cut``, all at the profiles' ``rtol``. A cut
-    that reorders a standard one, such as 21-34, has the same rank in
-    exact arithmetic but can round to another. Only the class test
-    decomposes the states, so a rank proof costs no singular vectors; it
-    classifies both states' ``u`` factors in one call, then their ``v``
-    factors.
-    Returns the first violation found, or None. None means no obstruction
-    was found, never that the states are equivalent.
+    Reads rows, each an invariant's value on both states at the profiles'
+    ``rtol``, in order: the ranks at the three standard cuts, the marginal
+    ranks of parties 1-4, the rank at ``cut`` itself (a reordered cut such
+    as 21-34 can round to another rank), and, for qubit states of rank 2
+    at ``cut``, the classes of the ``u`` and then the ``v`` triple-state
+    factors, both states per call. A row is computed only when reached,
+    so a rank proof at a standard cut costs no marginal or frame SVD.
+    Returns the proof for the first row whose values differ, or None,
+    which means no obstruction was found, never that the states are
+    equivalent.
     """
     dims = p1.state.dims
     if dims != p2.state.dims:
         raise ValueError(f"states have different dims: {dims} vs {p2.state.dims}")
     if p1.rtol != p2.rtol:
         raise ValueError(f"profiles use different rtol: {p1.rtol} vs {p2.rtol}")
-
-    for c in STANDARD_CUTS:
-        proof = _rank_proof(p1, p2, c)
-        if proof is not None:
-            return proof
-
-    for party in (1, 2, 3, 4):
-        ra, rb = p1.marginal_rank(party), p2.marginal_rank(party)
-        if ra != rb:
-            return InequivalenceProof(
-                invariant="marginal-rank",
-                location=f"party {party}",
-                value_a=ra,
-                value_b=rb,
-                description=f"marginal rank of party {party} differs: {ra} vs {rb}",
-            )
-
-    proof = _rank_proof(p1, p2, cut)
-    if proof is not None:
-        return proof
-
-    if all(d == 2 for d in dims) and p1.rank(cut) == 2:
-        t1, t2 = p1.decomposition(cut), p2.decomposition(cut)
-        for side, f1, f2 in (("u", t1.u_full, t2.u_full), ("v", t1.v_full, t2.v_full)):
-            # The first two frame columns, folded: the factor's amplitudes.
-            factors = np.stack([f1[:, :2].T, f2[:, :2].T]).reshape(2, 2, 2, 2)
-            a, b = _tri_classes(factors, p1.rtol)
-            proof = class_proof(a, b, f"factor {side} at cut {cut.label}")
-            if proof is not None:
-                return proof
-    return None
+    return first_violation(_screen_rows(p1, p2, cut))

@@ -81,7 +81,7 @@ from .tensorops import pencil_det_form, pow2_scaled, sigma_rank
 _NULLSPACE_RTOL = 1e-8
 # Singular value cutoff of the Sylvester nullspace of intertwiners.
 _INTERTWINER_RTOL = 1e-9
-# Pencil cutoff: a zero determinant form, a repeated root, a rank-one member.
+# Pencil cutoff: a zero determinant form, a repeated root.
 _PENCIL_RTOL = 1e-6
 # Rank cutoff of a folded matrix brought to its rank form.
 _RANK_FORM_RTOL = 1e-9
@@ -433,9 +433,9 @@ def _pencil_normal_form(x0, x1):
     distinct rank-one members ``a_i b_i^T``, ``N1 = [a0 a1]^-1`` and
     ``N2 = [b0 b1]^-1`` give span{E11, E22}. With one repeated rank-one
     member ``a b^T``, N1 and N2 send a and b to e1 and are rescaled so that
-    the member orthogonal to it becomes ``x E11 + E12 + E21``. Returns None
-    when every member is singular or a root member is not numerically rank
-    one.
+    the member orthogonal to it becomes ``x E11 + E12 + E21``; each root
+    member is taken as the rank-one part of its SVD, unchecked. Returns
+    None when every member is singular.
     """
     det0, cross, det1 = pencil_det_form(x0, x1)
     if max(abs(det0), abs(cross), abs(det1)) < _PENCIL_RTOL:
@@ -447,8 +447,6 @@ def _pencil_normal_form(x0, x1):
     factors = []
     for x, y in roots:
         w, s, vh = np.linalg.svd(x * x0 + y * x1)
-        if s[1] > _PENCIL_RTOL * s[0]:
-            return None
         factors.append((w[:, 0] * s[0], vh[0]))
     if len(factors) == 2:
         (a0, b0), (a1, b1) = factors

@@ -1,4 +1,4 @@
-"""Seeded verdict sweep: a fixed set of 2070 checks, hashed row by row.
+"""Seeded verdict sweep: a fixed set of 2301 checks and 18 classifications, hashed row by row.
 
     python3 -W error::RuntimeWarning tests/sweep.py [--digests PATH]
 
@@ -14,11 +14,25 @@ The checks, in this order:
   cuts and through all cuts (120);
 - four-qubit orbits at 12-34 with relative amplitude noise 1e-10, 1e-9
   and 3e-9, seeds 0-19 (60);
-- GHZ3 and W3 tripartite orbit pairs, seeds 0-14 (30).
+- GHZ3 and W3 tripartite orbit pairs, seeds 0-14 (30);
+- states of rank one at 12-34, ``np.outer`` of seeded vectors on parties
+  1-2 and 3-4, seeds 0-3 of (2,2,2,2), (2,2,3,3), (2,3,2,3) and
+  (3,3,3,3), as orbit and cross pairs at the five cuts and through all
+  cuts (192);
+- tripartite orbit pairs of seeded states with 1, 3 and 4 slices of 2x2,
+  seeds 0-4 (15);
+- tripartite cross pairs between orbit images of GHZ3, W3 and the
+  biseparable B|AC and C|AB states, every ordered pair, seeds 0-1 (24);
+- then ``classify_tripartite_qubit`` of orbit images of the product state,
+  the three biseparable states, W3 and GHZ3, seeds 0-2 (18). No check can
+  reach the product and A|BC labels: a check's three-qubit states have
+  independent slices, so the slice party has rank 2.
 
 Each check gives one row: status, stage, the per-cut stages of an
-all-cuts UNDECIDED verdict, proof kind and proof location. The script
-prints the verdict counts and the SHA-256 of the rows, and re-verifies
+all-cuts UNDECIDED verdict, proof kind, proof location, both proof
+values and the proof's description; each classification gives its
+label and marginal ranks. The script prints the verdict counts and the
+SHA-256 of the rows, and re-verifies
 every EQUIVALENT certificate on the raw inputs. It exits 1 when a
 certificate fails; a check that raises stops it, and so does a check
 that warns under ``-W error::RuntimeWarning``. Two builds that print the
@@ -34,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -53,8 +68,13 @@ from slocceq.equivalence import (  # noqa: E402
     check_tripartite_equiv,
     verify_equivalence,
 )
+from slocceq.invariants import (  # noqa: E402
+    TriClassLabel,
+    classify_tripartite_qubit,
+    tripartite_as_pure_state,
+)
 from slocceq.solver import SolverConfig  # noqa: E402
-from slocceq.states import Bipartition, PureState, make_state  # noqa: E402
+from slocceq.states import Bipartition, PureState, TripartiteState, make_state  # noqa: E402
 from workloads import _orbit, _product_on, _raw, _slices  # noqa: E402
 
 CONFIG = SolverConfig(rng_seed=0)
@@ -79,6 +99,43 @@ def noisy(state, rel, seed):
     direction = rng.standard_normal(state.amps.shape) + 1j * rng.standard_normal(state.amps.shape)
     step = rel * np.linalg.norm(state.amps) / np.linalg.norm(direction)
     return PureState(state.dims, state.amps + step * direction)
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rank_one(dims, seed):
+    """A state of rank one at 12-34: seeded vectors on parties 1-2 and 3-4, outer product."""
+    rng = np.random.default_rng(seed)
+    x, y = gaussian(rng, dims[0] * dims[1]), gaussian(rng, dims[2] * dims[3])
+    return PureState(dims, np.outer(x, y).reshape(-1))
+
+
+def slice_orbit(stack, seed):
+    """Slices ``stack`` under seeded Gaussian operators on the slice index, the rows and the columns."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (gaussian(rng, (n, n)) for n in (len(stack), 2, 2))
+    image = np.einsum("ij,ab,jbc,dc->iad", a, b, stack, c)
+    return TripartiteState(len(stack), tuple(image))
+
+
+def three_qubit(kind):
+    """The (2, 2, 2) tensor of a named three-qubit state: ghz3, w3, product or bisep_a/b/c."""
+    if kind in ("ghz3", "w3"):
+        return make_state(kind).tensor()
+    bell = np.eye(2) / np.sqrt(2.0)
+    zero = np.array([1.0, 0.0])
+    return {
+        "product": np.einsum("a,b,c->abc", zero, zero, zero),
+        "bisep_a": np.einsum("a,bc->abc", zero, bell),
+        "bisep_b": np.einsum("b,ac->abc", zero, bell),
+        "bisep_c": np.einsum("c,ab->abc", zero, bell),
+    }[kind]
+
+
+def tripartite(t1, t2):
+    return lambda: check_tripartite_equiv(t1, t2, CONFIG)
 
 
 def cases():
@@ -113,7 +170,44 @@ def cases():
         for seed in range(15):
             state = make_state(name)
             t1, t2 = _slices(_orbit(state, (seed, 1))), _slices(_orbit(state, (seed, 2)))
-            yield t1, t2, lambda t1=t1, t2=t2: check_tripartite_equiv(t1, t2, CONFIG)
+            yield t1, t2, tripartite(t1, t2)
+    for dims in ((2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3)):
+        for seed in range(4):
+            state = rank_one(dims, seed)
+            image = _orbit(state, (seed, 1))
+            for s2 in (state, rank_one(dims, seed + 1)):
+                for cut in CUTS + (ALL_CUTS,):
+                    yield image, s2, four_party(image, s2, cut)
+    for r in (1, 3, 4):
+        for seed in range(5):
+            stack = gaussian(np.random.default_rng((r, seed)), (r, 2, 2))
+            t1, t2 = slice_orbit(stack, (seed, 1)), slice_orbit(stack, (seed, 2))
+            yield t1, t2, tripartite(t1, t2)
+    kinds = ("ghz3", "w3", "bisep_b", "bisep_c")
+    for k1, k2 in itertools.permutations(kinds, 2):
+        for seed in range(2):
+            t1 = slice_orbit(three_qubit(k1), (seed, 1))
+            t2 = slice_orbit(three_qubit(k2), (seed, 2))
+            yield t1, t2, tripartite(t1, t2)
+
+
+def classifications():
+    """Three-qubit states in sweep order, one of each label per seed."""
+    for kind in ("product", "bisep_a", "bisep_b", "bisep_c", "w3", "ghz3"):
+        for seed in range(3):
+            yield tripartite_as_pure_state(slice_orbit(three_qubit(kind), (seed, 3)))
+
+
+def reverify(s1, s2, ops):
+    """``verify_equivalence`` of a certificate on the raw inputs of its check.
+
+    A one-slice state is a two-party state, and its 1x1 slice operator a
+    scalar that the fit absorbs.
+    """
+    if isinstance(s1, TripartiteState) and s1.r_dim == 1:
+        s1, s2 = (PureState((2, 2), t.slices[0].reshape(-1)) for t in (s1, s2))
+        return verify_equivalence(s1, s2, ops[1:])
+    return verify_equivalence(_raw(s1), _raw(s2), ops)
 
 
 def row(verdict):
@@ -124,9 +218,9 @@ def row(verdict):
         verdict.status.name,
         d.get("stage"),
         per_cut,
-        None if proof is None else proof.invariant,
-        None if proof is None else proof.location,
-    ]
+    ] + ([None] * 5 if proof is None else [
+        proof.invariant, proof.location, str(proof.value_a), str(proof.value_b), proof.description,
+    ])
 
 
 def main(argv=None):
@@ -146,15 +240,22 @@ def main(argv=None):
             continue
         ops = b"".join(np.ascontiguousarray(op).tobytes() for op in cert.ops.ops)
         digests.append(hashlib.sha256(ops).hexdigest())
-        passed, _, resid = verify_equivalence(_raw(s1), _raw(s2), cert.ops)
+        passed, _, resid = reverify(s1, s2, cert.ops.ops)
         if not passed:
             failed += 1
             print(f"check {len(rows) - 1}: certificate fails re-verification ({resid:.3e})")
+    for state in classifications():
+        cls = classify_tripartite_qubit(state)
+        rows.append([cls.label.name, list(cls.marginal_ranks)])
+        counts[cls.label.name] += 1
     if args.digests is not None:
         args.digests.write_text("\n".join(digests) + "\n")
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    print(f"{len(rows)} checks in {time.perf_counter() - t0:.1f} s: " + ", ".join(
+    print(f"{len(digests)} checks in {time.perf_counter() - t0:.1f} s: " + ", ".join(
         f"{counts[s]} {s}" for s in ("EQUIVALENT", "INEQUIVALENT", "UNDECIDED")
+    ))
+    print(f"{len(rows) - len(digests)} classifications: " + ", ".join(
+        f"{counts[label.name]} {label.name}" for label in TriClassLabel
     ))
     print(f"re-verified {counts['EQUIVALENT'] - failed} of {counts['EQUIVALENT']} certificates")
     print(f"rows sha256 {digest}")

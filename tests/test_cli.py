@@ -365,6 +365,8 @@ class TestVerify:
         [
             [2.0**-600 * np.eye(2)] * 2 + [2.0**600 * np.eye(2)] * 2,
             [1e80 * np.eye(2)] * 4,
+            [1e-310 * np.eye(2), 1e300 * np.eye(2), 1e10 * np.eye(2), np.eye(2)],
+            [2.0**-1030 * np.eye(2), 2.0**1000 * np.eye(2), 2.0**30 * np.eye(2), np.eye(2)],
         ],
     )
     def test_far_scaled_exact_certificate_passes(self, files, tmp_path, capsys, ops):

@@ -568,6 +568,13 @@ class TestPairedSvdCalls:
     @pytest.mark.parametrize(
         "check, most",
         [
+            # The rank at 12-34 decides: no other cut, marginal or frame.
+            (
+                lambda: check_fourpartite_equiv_all_cuts(
+                    make_state("ghz4"), PureState((2, 2, 2, 2), np.eye(16)[0]), CONFIG
+                ),
+                1,
+            ),
             # Three cuts, four parties, the frames at 12-34, the u factors.
             (lambda: check_fourpartite_equiv_all_cuts(make_state("ghz4"), make_state("w4"), CONFIG), 9),
             # Three cuts, then party 1's marginal rank decides.
@@ -578,7 +585,7 @@ class TestPairedSvdCalls:
                 4,
             ),
         ],
-        ids=["ghz4-vs-w4", "product1-vs-product2"],
+        ids=["ghz4-vs-product", "ghz4-vs-w4", "product1-vs-product2"],
     )
     def test_screen_proofs(self, monkeypatch, check, most):
         svds = count_calls(monkeypatch, np.linalg, "svd")
@@ -1010,6 +1017,9 @@ class TestAmplitudeScale:
 FAR_SCALED_CERTIFICATES = [
     ([2.0**-600 * np.eye(2)] * 2 + [2.0**600 * np.eye(2)] * 2, 1.0),
     ([1e80 * np.eye(2)] * 4, 1e-320),
+    # A subnormal operator, whose scaling power of two alone overflows.
+    ([1e-310 * np.eye(2), 1e300 * np.eye(2), 1e10 * np.eye(2), np.eye(2)], 1.0),
+    ([2.0**-1030 * np.eye(2), 2.0**1000 * np.eye(2), 2.0**30 * np.eye(2), np.eye(2)], 1.0),
 ]
 
 

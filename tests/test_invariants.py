@@ -3,20 +3,27 @@
 import numpy as np
 import pytest
 
-from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
+from slocceq.states import Bipartition, PureState, TripartiteState, apply_local_ops, make_state
 from slocceq.invariants import (
     TriClassLabel,
     _tri_classes,
-    class_proof,
     classify_tripartite_qubit,
+    first_violation,
     hyperdeterminant_222,
     invariant_screen,
 )
 from slocceq.catalog import random_orbit_case
 from slocceq.decomposition import StateProfile
+from slocceq.equivalence import check_tripartite_equiv
+from slocceq.solver import SolverConfig
 from slocceq.tensorops import numerical_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
+
+
+def slices_of(state):
+    t = state.tensor()
+    return TripartiteState(t.shape[0], tuple(t[i] for i in range(t.shape[0])))
 
 
 def random_complex(rng, shape):
@@ -196,24 +203,79 @@ class TestStackedClasses:
 
 class TestClassProof:
     def test_same_class_gives_none(self):
-        ghz = classify_tripartite_qubit(make_state("ghz3"))
-        assert class_proof(ghz, ghz, "anywhere") is None
+        ghz = classify_tripartite_qubit(make_state("ghz3")).label.value
+        assert first_violation([("tripartite-class", "anywhere", ghz, ghz)]) is None
+        t = slices_of(make_state("ghz3"))
+        assert check_tripartite_equiv(t, t, SolverConfig(rng_seed=0)).proof is None
 
     def test_screen_and_tripartite_check_share_the_form(self):
-        ghz = classify_tripartite_qubit(make_state("ghz3"))
-        w = classify_tripartite_qubit(make_state("w3"))
-        proof = class_proof(ghz, w, "factor u at cut 12-34")
-        assert proof.to_dict() == {
+        screen = invariant_screen(
+            StateProfile(make_state("ghz4")), StateProfile(make_state("w4")), CUT_12_34
+        )
+        assert screen.to_dict() == {
             "invariant": "tripartite-class",
             "location": "factor u at cut 12-34",
             "value_a": "GHZ_CLASS",
             "value_b": "W_CLASS",
             "description": "triple-state factor u at cut 12-34 classifies GHZ_CLASS vs W_CLASS",
         }
-        screen = invariant_screen(
-            StateProfile(make_state("ghz4")), StateProfile(make_state("w4")), CUT_12_34
+        assert screen == first_violation(
+            [("tripartite-class", "factor u at cut 12-34", "GHZ_CLASS", "W_CLASS")]
         )
-        assert screen == proof
+        tri = check_tripartite_equiv(
+            slices_of(make_state("ghz3")), slices_of(make_state("w3")), SolverConfig(rng_seed=0)
+        ).proof
+        assert tri == first_violation(
+            [("tripartite-class", "three-qubit states", "GHZ_CLASS", "W_CLASS")]
+        )
+
+
+def product_on(party, core):
+    """|0> on ``party`` (1-based) times the three-qubit ``core`` on the other parties."""
+    t = np.multiply.outer(np.array([1.0, 0.0]), core.tensor())
+    return PureState((2, 2, 2, 2), np.moveaxis(t, 0, party - 1).reshape(-1))
+
+
+class TestProofRule:
+    """One builder makes every proof, and each proof's sentence comes from its values."""
+
+    @pytest.mark.parametrize(
+        "s1, s2, description",
+        [
+            (
+                make_state("ghz4"),
+                PureState((2, 2, 2, 2), np.eye(16)[0]),
+                "bipartition rank at cut 12-34 differs: 2 vs 1",
+            ),
+            (
+                product_on(1, make_state("ghz3")),
+                product_on(2, make_state("ghz3")),
+                "marginal rank of party 1 differs: 1 vs 2",
+            ),
+            (
+                make_state("ghz4"),
+                make_state("w4"),
+                "triple-state factor u at cut 12-34 classifies GHZ_CLASS vs W_CLASS",
+            ),
+        ],
+        ids=["bipartition-rank", "marginal-rank", "tripartite-class"],
+    )
+    def test_each_kind_reads_as_before(self, s1, s2, description):
+        proof = invariant_screen(StateProfile(s1), StateProfile(s2), CUT_12_34)
+        assert proof.description == description
+        assert proof.to_dict()["description"] == description
+
+    def test_rows_are_read_up_to_the_first_difference(self):
+        def rows():
+            yield "bipartition-rank", "12-34", 2, 2
+            yield "marginal-rank", "party 3", 2, 1
+            raise AssertionError("read past the first difference")
+
+        proof = first_violation(rows())
+        assert (proof.invariant, proof.location, proof.value_a, proof.value_b) == (
+            "marginal-rank", "party 3", 2, 1,
+        )
+        assert proof.description == "marginal rank of party 3 differs: 2 vs 1"
 
 
 class TestInvariantScreen:
