@@ -60,23 +60,41 @@ _STATUS_EXIT = {
 }
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """A usage or input error: the exit code and the message :func:`main` prints."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _unwritable(exc: OSError) -> int:
-    """Fail with ``EXIT_PARSE`` for an output file that could not be written.
+def _read_state(path):
+    try:
+        return read_state_file(path)
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_PARSE, str(exc))
 
-    A failed write is a usage error, never a verdict.
-    """
-    return _fail(EXIT_PARSE, f"cannot write output file: {exc}")
 
-
-def _dims_differ(target, source):
-    """Fail with ``EXIT_DIMS``, naming both, when the states' dims differ; else None."""
+def _read_pair(args):
+    """The target and source states of ``args``, whose party dimensions must agree."""
+    target, source = _read_state(args.state_a), _read_state(args.state_b)
     if target.dims != source.dims:
-        return _fail(EXIT_DIMS, f"party dimensions differ: {list(target.dims)} vs {list(source.dims)}")
+        raise _Exit(EXIT_DIMS, f"party dimensions differ: {list(target.dims)} vs {list(source.dims)}")
+    return target, source
+
+
+def _cut(label: str):
+    if label not in _CUTS:
+        raise _Exit(EXIT_BAD_CUT, f"invalid cut {label!r}; expected one of {', '.join(_CUTS)}")
+    return _CUTS[label]
+
+
+def _write(write, path, *args) -> None:
+    """``write(path, *args)``; a failed write is a usage error, never a verdict."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise _Exit(EXIT_PARSE, f"cannot write output file: {exc}")
 
 
 def _jsonable(value):
@@ -153,36 +171,29 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
-def _print_matrix(matrix, indent: str = "    ") -> None:
-    for row in np.asarray(matrix, dtype=complex):
-        print(indent + "  ".join(_fmt_complex(z) for z in row))
+def _matrix_lines(matrix) -> list[str]:
+    return ["    " + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(matrix, dtype=complex)]
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), indent=2))
-
-
-def _bad_cut(label: str) -> int:
-    return _fail(EXIT_BAD_CUT, f"invalid cut {label!r}; expected one of {', '.join(_CUTS)}")
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Print ``payload`` as JSON under ``--json``, else the text ``lines``."""
+    if args.json:
+        print(json.dumps(_jsonable(payload), indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def cmd_decompose(args) -> int:
-    try:
-        state = read_state_file(args.state)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    cut = _CUTS.get(args.cut)
-    if cut is None:
-        return _bad_cut(args.cut)
+    state = _read_state(args.state)
+    cut = _cut(args.cut)
     if state.num_parties != 4:
-        return _fail(
-            EXIT_PARSE,
-            f"decompose needs a four-party state, file has {state.num_parties} parties",
+        raise _Exit(
+            EXIT_PARSE, f"decompose needs a four-party state, file has {state.num_parties} parties"
         )
     try:
         triple = triple_state_set(state, cut, rtol=args.tol)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise _Exit(EXIT_PARSE, str(exc))
     psi_u, psi_v = triple.psi_u, triple.psi_v
 
     payload = {
@@ -195,45 +206,32 @@ def cmd_decompose(args) -> int:
         "psi_v": [s.tolist() for s in psi_v.slices],
         "warnings": list(triple.warnings),
     }
-    if args.json:
-        _emit_json(payload)
-        return EXIT_OK
-    print(f"cut: {cut.label}")
-    print(f"dims: {list(state.dims)}")
-    print(f"rank: {triple.r}")
-    print("singular values: " + "  ".join(f"{s:.12g}" for s in triple.singular_values))
+    lines = [
+        f"cut: {cut.label}",
+        f"dims: {list(state.dims)}",
+        f"rank: {triple.r}",
+        "singular values: " + "  ".join(f"{s:.12g}" for s in triple.singular_values),
+    ]
     for name, tri in (("psi_u", psi_u), ("psi_v", psi_v)):
         for j, piece in enumerate(tri.slices):
-            print(f"{name} slice {j + 1}:")
-            _print_matrix(piece)
-    for warning in triple.warnings:
-        print(f"warning: {warning}")
+            lines += [f"{name} slice {j + 1}:", *_matrix_lines(piece)]
+    lines += [f"warning: {warning}" for warning in triple.warnings]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        target = read_state_file(args.state_a)
-        source = read_state_file(args.state_b)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    if (code := _dims_differ(target, source)) is not None:
-        return code
+    target, source = _read_pair(args)
     if target.num_parties != 4:
-        return _fail(EXIT_PARSE, "check needs four-party states")
+        raise _Exit(EXIT_PARSE, "check needs four-party states")
 
     config = SolverConfig(rng_seed=args.seed)
     if args.all_cuts:
         cut_label = "all"
-        verdict = check_fourpartite_equiv_all_cuts(
-            target, source, config, verify_tol=args.tol
-        )
+        verdict = check_fourpartite_equiv_all_cuts(target, source, config, verify_tol=args.tol)
     else:
         cut_label = args.cut if args.cut is not None else "12-34"
-        cut = _CUTS.get(cut_label)
-        if cut is None:
-            return _bad_cut(cut_label)
-        verdict = check_fourpartite_equiv(target, source, cut, config, verify_tol=args.tol)
+        verdict = check_fourpartite_equiv(target, source, _cut(cut_label), config, verify_tol=args.tol)
 
     payload = {
         "command": "check",
@@ -245,7 +243,8 @@ def cmd_check(args) -> int:
         "proof": None,
         "diagnostics": _jsonable(verdict.diagnostics),
     }
-    cert = verdict.certificate
+    lines = [f"seed: {args.seed}", f"verdict: {verdict.status.name}"]
+    cert, proof = verdict.certificate, verdict.proof
     if cert is not None:
         cert_cut = cert.cut.label if cert.cut is not None else None
         payload["certificate"] = {
@@ -254,71 +253,57 @@ def cmd_check(args) -> int:
             "residual": cert.residual,
             "operators": [op.tolist() for op in cert.ops.ops],
         }
-        if args.cert_out:
-            try:
-                write_certificate_file(
-                    args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics
-                )
-            except OSError as exc:
-                return _unwritable(exc)
-            payload["certificate_file"] = args.cert_out
-    if verdict.proof is not None:
-        payload["proof"] = _jsonable(verdict.proof.to_dict())
-
-    if args.json:
-        _emit_json(payload)
-        return _STATUS_EXIT[verdict.status.name]
-
-    print(f"seed: {args.seed}")
-    print(f"verdict: {verdict.status.name}")
-    if cert is not None:
-        print(f"cut: {cert.cut.label}")
-        print(f"scalar: {_fmt_complex(cert.scalar)}")
-        print(f"residual: {cert.residual:.6g}")
+        lines += [
+            f"cut: {cert_cut}",
+            f"scalar: {_fmt_complex(cert.scalar)}",
+            f"residual: {cert.residual:.6g}",
+        ]
         for k, op in enumerate(cert.ops.ops):
-            print(f"operator {k + 1}:")
-            _print_matrix(op)
+            lines += [f"operator {k + 1}:", *_matrix_lines(op)]
         if args.cert_out:
-            print(f"wrote certificate: {args.cert_out}")
-    elif verdict.proof is not None:
-        proof = verdict.proof
-        print(f"invariant: {proof.invariant}")
-        print(f"location: {proof.location}")
-        print(f"value a: {proof.value_a}")
-        print(f"value b: {proof.value_b}")
-        print(f"reason: {proof.description}")
+            _write(
+                write_certificate_file,
+                args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics,
+            )
+            payload["certificate_file"] = args.cert_out
+            lines.append(f"wrote certificate: {args.cert_out}")
+    elif proof is not None:
+        payload["proof"] = _jsonable(proof.to_dict())
+        lines += [
+            f"invariant: {proof.invariant}",
+            f"location: {proof.location}",
+            f"value a: {proof.value_a}",
+            f"value b: {proof.value_b}",
+            f"reason: {proof.description}",
+        ]
     else:
         diagnostics = verdict.diagnostics
-        print(f"stage: {diagnostics.get('stage', 'unknown')}")
+        lines.append(f"stage: {diagnostics.get('stage', 'unknown')}")
         if "candidates" in diagnostics:
-            print(f"candidates: {diagnostics['candidates']}")
+            lines.append(f"candidates: {diagnostics['candidates']}")
         if "verify_residual" in diagnostics:
-            print(f"best verify residual: {diagnostics['verify_residual']:.6g}")
+            lines.append(f"best verify residual: {diagnostics['verify_residual']:.6g}")
+    _emit(args, payload, lines)
     return _STATUS_EXIT[verdict.status.name]
 
 
 def cmd_verify(args) -> int:
     try:
-        target = read_state_file(args.state_a)
-        source = read_state_file(args.state_b)
         cert = read_certificate_file(args.cert)
     except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    if (code := _dims_differ(target, source)) is not None:
-        return code
+        raise _Exit(EXIT_PARSE, str(exc))
+    target, source = _read_pair(args)
     ops = cert["operators"]
     if len(ops) != source.num_parties:
-        return _fail(
-            EXIT_PARSE,
-            f"certificate holds {len(ops)} operators for a "
-            f"{source.num_parties}-party state",
+        raise _Exit(
+            EXIT_PARSE, f"certificate holds {len(ops)} operators for a {source.num_parties}-party state"
         )
     if tuple(op.shape[0] for op in ops) != source.dims:
-        return _fail(EXIT_PARSE, "operator shapes do not match the state dimensions")
+        raise _Exit(EXIT_PARSE, "operator shapes do not match the state dimensions")
     try:
         ops = LocalOperatorTuple(ops)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"certificate rejected: {exc}")
+        raise _Exit(EXIT_PARSE, f"certificate rejected: {exc}")
 
     passed, scalar, residual = verify_equivalence(target, source, ops, tol=args.tol)
     payload = {
@@ -329,25 +314,20 @@ def cmd_verify(args) -> int:
         "tolerance": args.tol,
         "certificate_residual": cert["residual"],
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"verification: {'PASS' if passed else 'FAIL'}")
-        print(f"scalar: {_fmt_complex(scalar)}")
-        print(f"residual: {residual:.6g}")
-        print(f"tolerance: {args.tol:.6g}")
+    lines = [
+        f"verification: {'PASS' if passed else 'FAIL'}",
+        f"scalar: {_fmt_complex(scalar)}",
+        f"residual: {residual:.6g}",
+        f"tolerance: {args.tol:.6g}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_classify3(args) -> int:
-    try:
-        state = read_state_file(args.state)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    state = _read_state(args.state)
     if state.dims != (2, 2, 2):
-        return _fail(
-            EXIT_DIMS, f"classify3 needs dims [2, 2, 2], got {list(state.dims)}"
-        )
+        raise _Exit(EXIT_DIMS, f"classify3 needs dims [2, 2, 2], got {list(state.dims)}")
     tri = classify_tripartite_qubit(state)
     payload = {
         "command": "classify3",
@@ -355,40 +335,28 @@ def cmd_classify3(args) -> int:
         "marginal_ranks": list(tri.marginal_ranks),
         "hyperdeterminant_magnitude": tri.hyperdet_magnitude,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"label: {tri.label.name}")
-        print(f"marginal ranks: {list(tri.marginal_ranks)}")
-        print(f"hyperdeterminant magnitude: {tri.hyperdet_magnitude:.6g}")
+    lines = [
+        f"label: {tri.label.name}",
+        f"marginal ranks: {list(tri.marginal_ranks)}",
+        f"hyperdeterminant magnitude: {tri.hyperdet_magnitude:.6g}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
-    try:
-        state = read_state_file(args.state)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    state = _read_state(args.state)
     ops = random_invertible_ops(state.dims, args.seed, condition_cap=args.cond_cap)
     image = apply_local_ops(state, ops)
     passed, scalar, residual = verify_equivalence(image, state, ops)
     if not passed:
-        return _fail(EXIT_FAIL, "planted operators failed self-verification")
+        raise _Exit(EXIT_FAIL, "planted operators failed self-verification")
 
     image_path = f"{args.out}.state"
     cert_path = f"{args.out}.cert"
-    try:
-        write_state_file(image_path, image)
-        write_certificate_file(
-            cert_path,
-            ops.ops,
-            scalar,
-            None,
-            residual,
-            {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap},
-        )
-    except OSError as exc:
-        return _unwritable(exc)
+    planted = {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap}
+    _write(write_state_file, image_path, image)
+    _write(write_certificate_file, cert_path, ops.ops, scalar, None, residual, planted)
     payload = {
         "command": "orbit",
         "seed": args.seed,
@@ -397,14 +365,14 @@ def cmd_orbit(args) -> int:
         "certificate_file": cert_path,
         "residual": residual,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"seed: {args.seed}")
-        print(f"condition cap: {args.cond_cap:g}")
-        print(f"wrote image: {image_path}")
-        print(f"wrote certificate: {cert_path}")
-        print(f"residual: {residual:.6g}")
+    lines = [
+        f"seed: {args.seed}",
+        f"condition cap: {args.cond_cap:g}",
+        f"wrote image: {image_path}",
+        f"wrote certificate: {cert_path}",
+        f"residual: {residual:.6g}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -534,7 +502,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_PARSE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

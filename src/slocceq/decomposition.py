@@ -4,14 +4,15 @@ A four-partite state, flattened at a two-versus-two cut into M, factors
 as ``U @ diag(sv) @ V.conj().T``. Folding the first ``r`` columns of
 ``U`` and ``V`` back into matrices yields two tripartite states that,
 together with the diagonal of singular values, carry the full SLOCC
-content of the original state at that cut. Only a :class:`StateProfile`
-builds a :class:`TripleStateSet`, as a read-only view of the stacked
-values-only SVD it keeps per cut: M and its singular values are not
-copied, and the rank the screen reads and the rank of the decomposition
-come from that one SVD. The singular frames U and V, and the factors
-folded from them, are computed only when read. The two states of a
-check are profiled together: at each cut both flattenings are factored
-by one stacked values-only SVD, and both states' frames by one more.
+content of the original state at that cut. One :class:`StateProfile`
+holds the states a check compares, of equal dims, and factors them
+together: at each cut every state's flattening is factored by one
+stacked values-only SVD, and every state's frames by one more. Only the
+profile builds a :class:`TripleStateSet`, as a read-only view of that
+values-only SVD: M and its singular values are not copied, and the rank
+the screen reads and the rank of the decomposition come from that one
+SVD. The singular frames U and V, and the factors folded from them, are
+computed only when read.
 """
 
 from __future__ import annotations
@@ -148,107 +149,81 @@ def triple_state_set(
     largest; those within ``CONDITIONING_BAND`` of that cutoff are named
     in the set's warnings.
     """
-    return StateProfile(state, rtol).decomposition(cut)
+    return StateProfile((state,), rtol).decompositions(cut)[0]
 
 
-class _ProfileGroup:
-    """States of equal dims profiled together, so that each SVD covers them all.
+class StateProfile:
+    """Ranks and decompositions of states of equal dims, each SVD covering them all.
 
-    Per cut: the stacked flattenings, their singular values from one
-    values-only SVD (both read-only), each member's rank, and, once a
-    member's frames are read, every member's frames from one gauged SVD.
-    Per party: each member's marginal rank, from one values-only SVD.
+    Each value is computed on first use, at the profile's ``rtol``, and
+    kept. Per cut: the stacked flattenings and their singular values
+    from one values-only SVD (both read-only), off which every state's
+    rank and :class:`TripleStateSet` at that cut are read, and, once a
+    set's frames are read, every state's frames from one gauged SVD.
+    Per party: every state's marginal rank, from one values-only SVD.
+    Each method returns one entry per state, in the order of ``states``.
     """
 
-    def __init__(self, states: tuple[PureState, ...], rtol: float):
-        self.states = states
+    def __init__(self, states: tuple[PureState, ...], rtol: float = DEFAULT_RTOL):
+        self.states = tuple(states)
+        self.dims = self.states[0].dims
+        for s in self.states[1:]:
+            if s.dims != self.dims:
+                raise ValueError(f"dimension mismatch: {self.dims} vs {s.dims}")
         self.rtol = rtol
-        self.tensors = np.stack([s.tensor() for s in states])
-        self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-        self._marginal_ranks: dict[int, list[int]] = {}
+        self.tensors = np.stack([s.tensor() for s in self.states])
+        self._spectra: dict[Bipartition, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
+        self._marginal_ranks: dict[int, tuple[int, ...]] = {}
         self._frames: dict[Bipartition, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._decompositions: dict[Bipartition, tuple[TripleStateSet, ...]] = {}
 
-    def spectra(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def _spectrum(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         if cut not in self._spectra:
             ms = _flatten_cut(self.tensors, cut)
             sigmas = np.linalg.svd(ms, compute_uv=False)
             ms.flags.writeable = sigmas.flags.writeable = False
-            self._spectra[cut] = (ms, sigmas, [sigma_rank(s, self.rtol) for s in sigmas])
+            self._spectra[cut] = (ms, sigmas, tuple(sigma_rank(s, self.rtol) for s in sigmas))
         return self._spectra[cut]
 
-    def marginal_ranks(self, party: int) -> list[int]:
+    def _frame(self, cut: Bipartition, i: int) -> tuple[np.ndarray, np.ndarray]:
+        if cut not in self._frames:
+            self._frames[cut] = list(zip(*_gauged_frames(self._spectrum(cut)[0])))
+        return self._frames[cut][i]
+
+    def ranks(self, cut: Bipartition) -> tuple[int, ...]:
+        """Numerical rank of each state flattened at ``cut``, from its spectrum."""
+        return self._spectrum(cut)[2]
+
+    def marginal_ranks(self, party: int) -> tuple[int, ...]:
+        """Numerical rank of each state with one party (1-based) flattened against the rest."""
         if party not in self._marginal_ranks:
             sigmas = np.linalg.svd(flatten_party(self.tensors, party), compute_uv=False)
-            self._marginal_ranks[party] = [sigma_rank(s, self.rtol) for s in sigmas]
+            self._marginal_ranks[party] = tuple(sigma_rank(s, self.rtol) for s in sigmas)
         return self._marginal_ranks[party]
 
-    def frames(self, cut: Bipartition, member: int) -> tuple[np.ndarray, np.ndarray]:
-        if cut not in self._frames:
-            self._frames[cut] = list(zip(*_gauged_frames(self.spectra(cut)[0])))
-        return self._frames[cut][member]
-
-
-class StateProfile:
-    """One four-partite state's ranks and decompositions, each computed once.
-
-    Each value is computed on first use, at the profile's ``rtol``, and
-    kept: per cut, the flattening and its singular values from one
-    values-only SVD, off which both the rank and the
-    :class:`TripleStateSet` at that cut are read; per party, the
-    marginal rank. A decomposition computes no singular frame until one
-    is read. Profiles made by :meth:`pair` share their SVDs: each one
-    covers both states, and a lone profile is a pair's one-state case.
-    """
-
-    def __init__(self, state: PureState, rtol: float = DEFAULT_RTOL):
-        self._join(_ProfileGroup((state,), rtol), 0)
-
-    @classmethod
-    def pair(
-        cls, s1: PureState, s2: PureState, rtol: float = DEFAULT_RTOL
-    ) -> tuple["StateProfile", "StateProfile"]:
-        """Profiles of two states of equal dims whose every SVD covers both."""
-        group = _ProfileGroup((s1, s2), rtol)
-        return cls.__new__(cls)._join(group, 0), cls.__new__(cls)._join(group, 1)
-
-    def _join(self, group: _ProfileGroup, member: int) -> "StateProfile":
-        self.state = group.states[member]
-        self.rtol = group.rtol
-        self._group = group
-        self._member = member
-        self._decompositions: dict[Bipartition, TripleStateSet] = {}
-        return self
-
-    def rank(self, cut: Bipartition) -> int:
-        """Numerical rank of the state flattened at ``cut``, from its spectrum."""
-        return self._group.spectra(cut)[2][self._member]
-
-    def marginal_rank(self, party: int) -> int:
-        """Numerical rank of one party (1-based) flattened against the rest."""
-        return self._group.marginal_ranks(party)[self._member]
-
-    def decomposition(self, cut: Bipartition) -> TripleStateSet:
-        """The :class:`TripleStateSet` at ``cut``, read off the cut's spectrum."""
+    def decompositions(self, cut: Bipartition) -> tuple[TripleStateSet, ...]:
+        """Each state's :class:`TripleStateSet` at ``cut``, read off the cut's spectrum."""
         if cut not in self._decompositions:
-            ms, sigmas, ranks = self._group.spectra(cut)
-            sigma, r = sigmas[self._member], ranks[self._member]
-            if r == 0:
+            ms, sigmas, ranks = self._spectrum(cut)
+            if 0 in ranks:
                 raise ValueError(
                     f"rank 0 at cut {cut.label}: no singular value exceeds {self.rtol:g} times the largest"
                 )
-            warnings = tuple(
-                f"singular value {i + 1} of {sigma.size} lies within "
-                f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"
-                for i in range(r)
-                if sigma[i] <= CONDITIONING_BAND * self.rtol * sigma[0]
-            )
-            self._decompositions[cut] = TripleStateSet(
-                flattening=ms[self._member],
-                singular_values=sigma[:r],
-                r=r,
-                bipartition=cut,
-                dims=self.state.dims,
-                warnings=warnings,
-                frame_source=partial(self._group.frames, cut, self._member),
+            self._decompositions[cut] = tuple(
+                TripleStateSet(
+                    flattening=m,
+                    singular_values=sigma[:r],
+                    r=r,
+                    bipartition=cut,
+                    dims=self.dims,
+                    warnings=tuple(
+                        f"singular value {k + 1} of {sigma.size} lies within "
+                        f"{CONDITIONING_BAND:g}x of the rank cutoff; rank {r} is borderline"
+                        for k in range(r)
+                        if sigma[k] <= CONDITIONING_BAND * self.rtol * sigma[0]
+                    ),
+                    frame_source=partial(self._frame, cut, i),
+                )
+                for i, (m, sigma, r) in enumerate(zip(ms, sigmas, ranks))
             )
         return self._decompositions[cut]

@@ -1,8 +1,8 @@
 """Equivalence decisions for four-partite and tripartite pure states.
 
-Pipeline for the four-partite check: one :class:`StateProfile` per state,
-the invariant screen on the two profiles, closed-form construction of
-candidate per-party operators from the profiles' decompositions at a
+Pipeline for the four-partite check: one :class:`StateProfile` of both
+states, the invariant screen on it, closed-form construction of
+candidate per-party operators from its two decompositions at a
 common bipartition, and state-level verification of each candidate in
 construction order. Verification is the only acceptance gate: it pulls
 the candidates one at a time, and the first that maps one state onto the
@@ -286,17 +286,15 @@ def check_fourpartite_equiv(
 def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol):
     """The one check loop: screen every cut, then search the cuts in order.
 
-    Both states are profiled together, once for all cuts. One cut's UNDECIDED
-    verdict is returned as it is; several cuts' diagnostics are merged
-    under ``per_cut``.
+    One :class:`StateProfile` holds both states, for all cuts. One cut's
+    UNDECIDED verdict is returned as it is; several cuts' diagnostics are
+    merged under ``per_cut``.
     """
     if s1.num_parties != 4 or s2.num_parties != 4:
         raise ValueError("four-partite check requires four-party states")
-    if s1.dims != s2.dims:
-        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-    p1, p2 = StateProfile.pair(s1, s2, rtol)
+    profile = StateProfile((s1, s2), rtol)
     for cut in cuts:
-        proof = invariant_screen(p1, p2, cut)
+        proof = invariant_screen(profile, cut)
         if proof is not None:
             diagnostics = _cut_diagnostics(cut, rtol, verify_tol)
             diagnostics["stage"] = "invariant_screen"
@@ -308,7 +306,7 @@ def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol)
 
     per_cut: Dict[str, object] = {}
     for cut in cuts:
-        verdict = _search_cut(p1, p2, cut, config, verify_tol)
+        verdict = _search_cut(profile, cut, config, verify_tol)
         if verdict.status is EquivalenceStatus.EQUIVALENT or len(cuts) == 1:
             return verdict
         per_cut[cut.label] = verdict.diagnostics
@@ -316,29 +314,30 @@ def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol)
 
 
 def _search_cut(
-    p1: StateProfile,
-    p2: StateProfile,
+    profile: StateProfile,
     cut: Bipartition,
     config: SolverConfig,
     verify_tol: float,
 ) -> EquivalenceVerdict:
     """Construct and verify candidates at a cut; EQUIVALENT or UNDECIDED.
 
-    The screen has passed, so both decompositions have the same rank at ``cut``.
+    The screen has passed, so both decompositions have the same rank at
+    ``cut``. Each frame warning names its state, ``a`` (the target) or
+    ``b`` (the source).
     """
-    diagnostics = _cut_diagnostics(cut, p1.rtol, verify_tol)
-    triple1 = p1.decomposition(cut)
-    triple2 = p2.decomposition(cut)
-    warnings = list(triple1.warnings) + list(triple2.warnings)
+    diagnostics = _cut_diagnostics(cut, profile.rtol, verify_tol)
+    triple1, triple2 = triples = profile.decompositions(cut)
+    warnings = [f"state {name}: {w}" for name, t in zip("ab", triples) for w in t.warnings]
     if warnings:
         diagnostics["frame_warnings"] = warnings
+    s1, s2 = profile.states
 
     def verify(candidate):
         try:
             ops = recover_local_operators(cut, candidate)
         except RecoveryError:
             return None
-        _, scalar, resid = verify_equivalence(p1.state, p2.state, ops, verify_tol)
+        _, scalar, resid = verify_equivalence(s1, s2, ops, verify_tol)
         return ops, scalar, resid
 
     # s2 is the source (operators act on it), s1 is the target.

@@ -155,30 +155,26 @@ def tripartite_as_pure_state(t: TripartiteState) -> PureState:
     return PureState((t.r_dim, rows, cols), t.stacked().reshape(-1))
 
 
-def _screen_rows(p1: StateProfile, p2: StateProfile, cut: Bipartition):
+def _screen_rows(profile: StateProfile, cut: Bipartition):
     """The screen's rows ``(invariant, location, value_a, value_b)``, in order, each computed when reached."""
     for c in STANDARD_CUTS:
-        yield "bipartition-rank", c.label, p1.rank(c), p2.rank(c)
+        yield "bipartition-rank", c.label, *profile.ranks(c)
     for party in (1, 2, 3, 4):
-        yield "marginal-rank", f"party {party}", p1.marginal_rank(party), p2.marginal_rank(party)
-    yield "bipartition-rank", cut.label, p1.rank(cut), p2.rank(cut)
-    if all(d == 2 for d in p1.state.dims) and p1.rank(cut) == 2:
-        t1, t2 = p1.decomposition(cut), p2.decomposition(cut)
+        yield "marginal-rank", f"party {party}", *profile.marginal_ranks(party)
+    yield "bipartition-rank", cut.label, *profile.ranks(cut)
+    if all(d == 2 for d in profile.dims) and profile.ranks(cut)[0] == 2:
+        t1, t2 = profile.decompositions(cut)
         for side, f1, f2 in (("u", t1.u_full, t2.u_full), ("v", t1.v_full, t2.v_full)):
             # The first two frame columns, folded: the factor's amplitudes.
             factors = np.stack([f1[:, :2].T, f2[:, :2].T]).reshape(2, 2, 2, 2)
-            a, b = _tri_classes(factors, p1.rtol)
+            a, b = _tri_classes(factors, profile.rtol)
             yield "tripartite-class", f"factor {side} at cut {cut.label}", a.label.value, b.label.value
 
 
-def invariant_screen(
-    p1: StateProfile,
-    p2: StateProfile,
-    cut: Bipartition,
-) -> Optional[InequivalenceProof]:
-    """Look for a cheap invariant separating two profiled four-partite states.
+def invariant_screen(profile: StateProfile, cut: Bipartition) -> Optional[InequivalenceProof]:
+    """Look for a cheap invariant separating the two four-partite states of a profile.
 
-    Reads rows, each an invariant's value on both states at the profiles'
+    Reads rows, each an invariant's value on both states at the profile's
     ``rtol``, in order: the ranks at the three standard cuts, the marginal
     ranks of parties 1-4, the rank at ``cut`` itself (a reordered cut such
     as 21-34 can round to another rank), and, for qubit states of rank 2
@@ -189,9 +185,6 @@ def invariant_screen(
     which means no obstruction was found, never that the states are
     equivalent.
     """
-    dims = p1.state.dims
-    if dims != p2.state.dims:
-        raise ValueError(f"states have different dims: {dims} vs {p2.state.dims}")
-    if p1.rtol != p2.rtol:
-        raise ValueError(f"profiles use different rtol: {p1.rtol} vs {p2.rtol}")
-    return first_violation(_screen_rows(p1, p2, cut))
+    if len(profile.states) != 2:
+        raise ValueError(f"the screen compares two states, the profile holds {len(profile.states)}")
+    return first_violation(_screen_rows(profile, cut))

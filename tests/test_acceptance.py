@@ -146,7 +146,7 @@ def test_criterion_6_invariant_screen_soundness():
     proofs = 0
     for seed in range(10_000):
         state, image, _ = random_orbit_case((2, 2, 2, 2), seed, 20.0)
-        if invariant_screen(StateProfile(image), StateProfile(state), CUT_12_34) is not None:
+        if invariant_screen(StateProfile((image, state)), CUT_12_34) is not None:
             proofs += 1
     elapsed = time.perf_counter() - start
     assert proofs == 0

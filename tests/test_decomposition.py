@@ -260,12 +260,12 @@ class TestOneSpectrum:
         monkeypatch.setattr(np.linalg, "svd", recorded)
         for seed in range(5):
             for state in random_orbit_case(dims, seed)[:2]:
-                profile = StateProfile(state)
+                profile = StateProfile((state,))
                 for cut in STANDARD_CUTS:
                     spectra.clear()
-                    r = profile.rank(cut)
+                    (r,) = profile.ranks(cut)
                     (stack,) = spectra
-                    triple = profile.decomposition(cut)
+                    (triple,) = profile.decompositions(cut)
                     assert len(spectra) == 1
                     assert triple.r == r
                     # A lone profile's values-only SVD is a stack of one spectrum.
@@ -277,20 +277,22 @@ class TestOneSpectrum:
         cuts = STANDARD_CUTS + (Bipartition((2, 1), (3, 4)),)
         for seed in range(3):
             s1, s2, _ = random_orbit_case(dims, seed)
-            paired = StateProfile.pair(s1, s2)
-            for state, p in zip((s1, s2), paired):
-                lone = StateProfile(state)
-                assert p.state is state
-                for party in (1, 2, 3, 4):
-                    assert p.marginal_rank(party) == lone.marginal_rank(party)
-                for cut in cuts:
-                    assert p.rank(cut) == lone.rank(cut)
-                    got, want = p.decomposition(cut), lone.decomposition(cut)
-                    assert got.r == want.r
-                    assert got.warnings == want.warnings
-                    for name in ("flattening", "singular_values", "u_full", "v_full"):
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            s3 = random_orbit_case(dims, seed + 3)[0]
+            for states in ((s1, s2), (s1, s2, s3)):
+                profile = StateProfile(states)
+                assert profile.states == states
+                for i, state in enumerate(states):
+                    lone = StateProfile((state,))
+                    for party in (1, 2, 3, 4):
+                        assert profile.marginal_ranks(party)[i] == lone.marginal_ranks(party)[0]
+                    for cut in cuts:
+                        assert profile.ranks(cut)[i] == lone.ranks(cut)[0]
+                        got, want = profile.decompositions(cut)[i], lone.decompositions(cut)[0]
+                        assert got.r == want.r
+                        assert got.warnings == want.warnings
+                        for name in ("flattening", "singular_values", "u_full", "v_full"):
+                            a, b = getattr(got, name), getattr(want, name)
+                            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_pair_takes_one_svd_for_both_states(self, monkeypatch):
         s1, s2, _ = random_orbit_case((2, 2, 3, 3), 0)
@@ -299,9 +301,9 @@ class TestOneSpectrum:
         monkeypatch.setattr(
             np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape) or lapack_svd(a, *args, **kw)
         )
-        p1, p2 = StateProfile.pair(s1, s2)
-        assert (p1.rank(CUT_12_34), p2.rank(CUT_12_34)) == (4, 4)
-        assert (p1.marginal_rank(3), p2.marginal_rank(3)) == (3, 3)
+        profile = StateProfile((s1, s2))
+        assert profile.ranks(CUT_12_34) == (4, 4)
+        assert profile.marginal_ranks(3) == (3, 3)
         assert calls == [(2, 4, 9), (2, 3, 12)]
 
     def test_frames_are_computed_once(self):
@@ -338,10 +340,9 @@ class TestOneSpectrum:
             triple.u_full[0, 0] = 1.0
 
     def test_set_is_a_read_only_view_of_the_stacked_svd(self):
-        paired = StateProfile.pair(*random_orbit_case((2, 2, 3, 3), 0)[:2])
-        ms, sigmas, _ = paired[0]._group.spectra(CUT_12_34)
-        for member, profile in enumerate(paired):
-            triple = profile.decomposition(CUT_12_34)
+        profile = StateProfile(random_orbit_case((2, 2, 3, 3), 0)[:2])
+        ms, sigmas, _ = profile._spectrum(CUT_12_34)
+        for member, triple in enumerate(profile.decompositions(CUT_12_34)):
             assert np.shares_memory(triple.flattening, ms[member])
             assert np.shares_memory(triple.singular_values, sigmas[member])
             assert not triple.flattening.flags.writeable

@@ -415,6 +415,7 @@ class TestCheckFourpartite:
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         flagged = verdict.diagnostics["frame_warnings"]
         assert len(flagged) == 2 and all("rank 2 is borderline" in w for w in flagged)
+        assert [w.split(": ")[0] for w in flagged] == ["state a", "state b"]
 
     def test_dims_guard(self):
         state, _, _ = random_orbit_case((2, 2, 3, 3), 0, 10.0)
@@ -517,9 +518,9 @@ class TestOneDecompositionPerState:
     def test_rank_four_screen_decomposes_nothing(self, monkeypatch):
         state, image, _ = random_orbit_case((2, 2, 2, 2), 8, 10.0)
         sets, frames = count_decompositions(monkeypatch)
-        p1, p2 = StateProfile(image), StateProfile(state)
-        assert p1.rank(CUT_12_34) == 4
-        assert invariant_screen(p1, p2, CUT_12_34) is None
+        profile = StateProfile((image, state))
+        assert profile.ranks(CUT_12_34) == (4, 4)
+        assert invariant_screen(profile, CUT_12_34) is None
         assert sets[0] == 0
         assert frames[0] == 0
 
@@ -614,8 +615,8 @@ class TestReorderedCut:
 
         for _ in range(5000):
             bad = state(1e-9 * (1 + rng.uniform(-1e-6, 1e-6)))
-            p = StateProfile(bad)
-            if p.rank(CUT_12_34) == 3 and p.rank(cut) == 2:
+            p = StateProfile((bad,))
+            if p.ranks(CUT_12_34) == (3,) and p.ranks(cut) == (2,):
                 break
         else:
             pytest.fail("no draw rounds to different ranks")
@@ -718,6 +719,9 @@ UNDECIDED = {
     "2223-orbit": catalog_orbit((2, 2, 2, 3)),
     "3333-orbit": catalog_orbit((3, 3, 3, 3)),
     "2222-rank3-orbit": four_party_orbit(lambda rng: qubit_state(rng, 3), CUT_12_34),
+    # A product across 12|34 has rank 4 at 13-24, but the rank-4 qubit-pair
+    # construction proposes nothing there; 12-34 and all-cuts decide it.
+    "2222-product-12|34-at-13-24": four_party_orbit(rank_one_state((2, 2, 2, 2)), CUT_13_24),
     "2222-generic-pair": lambda seed, rng: check_fourpartite_equiv(
         random_orbit_case((2, 2, 2, 2), 2 * seed)[0],
         random_orbit_case((2, 2, 2, 2), 2 * seed + 1)[0],

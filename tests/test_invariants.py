@@ -209,9 +209,7 @@ class TestClassProof:
         assert check_tripartite_equiv(t, t, SolverConfig(rng_seed=0)).proof is None
 
     def test_screen_and_tripartite_check_share_the_form(self):
-        screen = invariant_screen(
-            StateProfile(make_state("ghz4")), StateProfile(make_state("w4")), CUT_12_34
-        )
+        screen = invariant_screen(StateProfile((make_state("ghz4"), make_state("w4"))), CUT_12_34)
         assert screen.to_dict() == {
             "invariant": "tripartite-class",
             "location": "factor u at cut 12-34",
@@ -261,7 +259,7 @@ class TestProofRule:
         ids=["bipartition-rank", "marginal-rank", "tripartite-class"],
     )
     def test_each_kind_reads_as_before(self, s1, s2, description):
-        proof = invariant_screen(StateProfile(s1), StateProfile(s2), CUT_12_34)
+        proof = invariant_screen(StateProfile((s1, s2)), CUT_12_34)
         assert proof.description == description
         assert proof.to_dict()["description"] == description
 
@@ -280,11 +278,7 @@ class TestProofRule:
 
 class TestInvariantScreen:
     def test_ghz4_vs_w4_tripartite_class_proof(self):
-        proof = invariant_screen(
-            StateProfile(make_state("ghz4")),
-            StateProfile(make_state("w4")),
-            CUT_12_34,
-        )
+        proof = invariant_screen(StateProfile((make_state("ghz4"), make_state("w4"))), CUT_12_34)
         assert proof is not None
         assert proof.invariant == "tripartite-class"
         assert "GHZ_CLASS" in str(proof.value_a)
@@ -292,30 +286,18 @@ class TestInvariantScreen:
 
     def test_identical_states_pass(self):
         state = make_state("ghz4")
-        assert invariant_screen(
-            StateProfile(state),
-            StateProfile(state),
-            CUT_12_34,
-        ) is None
+        assert invariant_screen(StateProfile((state, state)), CUT_12_34) is None
 
     def test_equivalent_pair_passes(self):
         cluster = make_state("cluster1d")
         psi2 = make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3))
-        assert invariant_screen(
-            StateProfile(cluster),
-            StateProfile(psi2),
-            CUT_12_34,
-        ) is None
+        assert invariant_screen(StateProfile((cluster, psi2)), CUT_12_34) is None
 
     def test_rank_proof_against_product_state(self):
         amps = np.zeros(16, dtype=complex)
         amps[0b0000] = 1.0
         product = PureState((2, 2, 2, 2), amps)
-        proof = invariant_screen(
-            StateProfile(make_state("ghz4")),
-            StateProfile(product),
-            CUT_12_34,
-        )
+        proof = invariant_screen(StateProfile((make_state("ghz4"), product)), CUT_12_34)
         assert proof is not None
         assert proof.invariant == "bipartition-rank"
         assert proof.value_a == 2
@@ -326,46 +308,25 @@ class TestInvariantScreen:
         amps[0b0000] = np.sqrt(0.5)
         amps[0b0111] = np.sqrt(0.5)
         embedded = PureState((2, 2, 2, 2), amps)
-        proof = invariant_screen(
-            StateProfile(make_state("ghz4")),
-            StateProfile(embedded),
-            CUT_12_34,
-        )
+        proof = invariant_screen(StateProfile((make_state("ghz4"), embedded)), CUT_12_34)
         assert proof is not None
         assert proof.invariant in ("bipartition-rank", "marginal-rank")
 
     def test_dims_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            invariant_screen(
-                StateProfile(make_state("ghz4")),
-                StateProfile(make_state("ghz3")),
-                CUT_12_34,
-            )
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            StateProfile((make_state("ghz4"), make_state("ghz3")))
 
-    def test_rtol_mismatch_raises(self):
-        state = make_state("ghz4")
-        with pytest.raises(ValueError):
-            invariant_screen(
-                StateProfile(state, 1e-9),
-                StateProfile(state, 1e-6),
-                CUT_12_34,
-            )
+    def test_profile_of_one_state_raises(self):
+        with pytest.raises(ValueError, match="two states"):
+            invariant_screen(StateProfile((make_state("ghz4"),)), CUT_12_34)
 
     def test_soundness_on_orbit_sample(self):
         for seed in range(100):
             state, image, _ = random_orbit_case((2, 2, 2, 2), seed, 20.0)
-            assert invariant_screen(
-                StateProfile(state),
-                StateProfile(image),
-                CUT_12_34,
-            ) is None
+            assert invariant_screen(StateProfile((state, image)), CUT_12_34) is None
 
     def test_proof_serializes(self):
-        proof = invariant_screen(
-            StateProfile(make_state("ghz4")),
-            StateProfile(make_state("w4")),
-            CUT_12_34,
-        )
+        proof = invariant_screen(StateProfile((make_state("ghz4"), make_state("w4"))), CUT_12_34)
         doc = proof.to_dict()
         assert doc["invariant"] == "tripartite-class"
         assert "location" in doc and "description" in doc
