@@ -36,6 +36,7 @@ from .states import (
     STANDARD_CUTS,
     LocalOperatorTuple,
     apply_local_ops,
+    json_default,
     json_number,
     read_state_file,
     write_state_file,
@@ -97,26 +98,6 @@ def _write(write, path, *args) -> None:
         raise _Exit(EXIT_PARSE, f"cannot write output file: {exc}")
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars and containers to JSON types.
-
-    Complex numbers become ``[re, im]`` pairs, so does each entry of ``ndarray.tolist()``.
-    """
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    return value
-
-
 def _matrix_from_pairs(rows, field: str) -> np.ndarray:
     try:
         mat = np.array([[json_number(z, "an entry", pair=True) for z in row] for row in rows])
@@ -127,18 +108,25 @@ def _matrix_from_pairs(rows, field: str) -> np.ndarray:
     return mat
 
 
+def _certificate_fields(cut_label, scalar, residual, ops) -> dict:
+    """What a certificate states, in file order; ``check --json`` prints the same fields."""
+    return {
+        "cut": cut_label,
+        "scalar": complex(scalar),
+        "residual": float(residual),
+        "operators": [np.asarray(op, dtype=complex) for op in ops],
+    }
+
+
 def write_certificate_file(path, ops, scalar, cut_label, residual, diagnostics):
     """Serialize an operator certificate; round-trips doubles bit-exactly."""
     payload = {
         "version": CERTIFICATE_VERSION,
-        "cut": cut_label,
-        "scalar": complex(scalar),
-        "residual": float(residual),
-        "operators": [np.asarray(op, dtype=complex).tolist() for op in ops],
+        **_certificate_fields(cut_label, scalar, residual, ops),
         "diagnostics": diagnostics,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(payload), handle, indent=2)
+        json.dump(payload, handle, indent=2, default=json_default)
         handle.write("\n")
 
 
@@ -178,7 +166,7 @@ def _matrix_lines(matrix) -> list[str]:
 def _emit(args, payload: dict, lines: list[str]) -> None:
     """Print ``payload`` as JSON under ``--json``, else the text ``lines``."""
     if args.json:
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(json.dumps(payload, indent=2, default=json_default))
     else:
         print("\n".join(lines))
 
@@ -201,9 +189,9 @@ def cmd_decompose(args) -> int:
         "cut": cut.label,
         "dims": list(state.dims),
         "rank": triple.r,
-        "singular_values": [float(s) for s in triple.singular_values],
-        "psi_u": [s.tolist() for s in psi_u.slices],
-        "psi_v": [s.tolist() for s in psi_v.slices],
+        "singular_values": triple.singular_values,
+        "psi_u": psi_u.slices,
+        "psi_v": psi_v.slices,
         "warnings": list(triple.warnings),
     }
     lines = [
@@ -241,18 +229,13 @@ def cmd_check(args) -> int:
         "tolerance": args.tol,
         "certificate": None,
         "proof": None,
-        "diagnostics": _jsonable(verdict.diagnostics),
+        "diagnostics": verdict.diagnostics,
     }
     lines = [f"seed: {args.seed}", f"verdict: {verdict.status.name}"]
     cert, proof = verdict.certificate, verdict.proof
     if cert is not None:
         cert_cut = cert.cut.label if cert.cut is not None else None
-        payload["certificate"] = {
-            "cut": cert_cut,
-            "scalar": cert.scalar,
-            "residual": cert.residual,
-            "operators": [op.tolist() for op in cert.ops.ops],
-        }
+        payload["certificate"] = _certificate_fields(cert_cut, cert.scalar, cert.residual, cert.ops.ops)
         lines += [
             f"cut: {cert_cut}",
             f"scalar: {_fmt_complex(cert.scalar)}",
@@ -268,7 +251,7 @@ def cmd_check(args) -> int:
             payload["certificate_file"] = args.cert_out
             lines.append(f"wrote certificate: {args.cert_out}")
     elif proof is not None:
-        payload["proof"] = _jsonable(proof.to_dict())
+        payload["proof"] = proof.to_dict()
         lines += [
             f"invariant: {proof.invariant}",
             f"location: {proof.location}",

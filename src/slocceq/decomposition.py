@@ -101,7 +101,7 @@ def _folded(frame: np.ndarray, r: int, dims: tuple[int, int]) -> TripartiteState
 
 def _gauged_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full gauged singular frames of a stack of flattenings, each checked unitary."""
-    u, _, v = svd(stack, full=True)
+    u, _, v = svd(stack)
     for name, f in (("u_full", u), ("v_full", v)):
         gap = np.linalg.norm(f.conj().swapaxes(-1, -2) @ f - np.eye(f.shape[-1]), axis=(-2, -1))
         if np.any(gap > FRAME_UNITARITY_TOL * f.shape[-1]):

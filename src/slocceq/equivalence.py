@@ -398,7 +398,7 @@ def check_tripartite_equiv(
     # of two so that the mixing operator carries no amplitude scale; t2 is
     # the source, t1 the target. One SVD gives both slice ranks and frames.
     w2, w1 = (pow2_scaled(t.stacked().reshape(r, -1).T)[0] for t in (t2, t1))
-    frames, sigmas, _ = svd(np.stack([w2, w1]), full=True)
+    frames, sigmas, _ = svd(np.stack([w2, w1]))
     if any(sigma_rank(s, rtol) < r for s in sigmas):
         raise ValueError("slices must be linearly independent for the check")
 

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tensorops import DEFAULT_RTOL, numerical_rank, sigma_ratio
+from .tensorops import sigma_ratio
 
 # Reject only clearly singular operators at construction time; quality
 # control for recovered operators happens at verification.
@@ -111,11 +111,6 @@ class TripartiteState:
     def stacked(self) -> np.ndarray:
         """All slices as one ``(r_dim, rows, cols)`` array."""
         return np.stack(self.slices)
-
-    def slice_rank(self, rtol: float = DEFAULT_RTOL) -> int:
-        """Rank of the vectorized-slice family (genuine first-party rank)."""
-        flat = np.stack([s.reshape(-1) for s in self.slices])
-        return numerical_rank(flat, rtol)
 
 
 @dataclass(frozen=True)
@@ -248,65 +243,65 @@ def _require_params(name: str, params, count: int):
     return vals
 
 
+def _psi_abcd(a, b, c, d) -> PureState:
+    return _qubit_state(
+        4,
+        {
+            0b0000: (a + d) / 2,
+            0b0011: (a - d) / 2,
+            0b0101: (b + c) / 2,
+            0b0110: (b - c) / 2,
+            0b1001: (b - c) / 2,
+            0b1010: (b + c) / 2,
+            0b1100: (a - d) / 2,
+            0b1111: (a + d) / 2,
+        },
+    )
+
+
+# Each catalog name's parameter count and builder, which takes that many complex numbers.
+_CATALOG = {
+    "ghz4": (0, lambda: _qubit_state(4, {0b0000: _INV_SQRT2, 0b1111: _INV_SQRT2})),
+    "w4": (0, lambda: _qubit_state(4, {0b0001: 0.5, 0b0010: 0.5, 0b0100: 0.5, 0b1000: 0.5})),
+    "ghz3": (0, lambda: _qubit_state(3, {0b000: _INV_SQRT2, 0b111: _INV_SQRT2})),
+    "w3": (0, lambda: _qubit_state(3, {0b001: _INV_SQRT3, 0b010: _INV_SQRT3, 0b100: _INV_SQRT3})),
+    "cluster1d": (0, lambda: _qubit_state(4, {0b0000: 0.5, 0b0101: 0.5, 0b1010: 0.5, 0b1111: -0.5})),
+    "psi_abcd": (4, _psi_abcd),
+    "psi2_abcd": (4, lambda a, b, c, d: _qubit_state(4, {0b0000: a, 0b0111: -b, 0b1010: -c, 0b1101: d})),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def make_state(name: str, params: Sequence[complex] = ()) -> PureState:
-    """Build a named catalog state.
+    """Build the catalog state ``name``, one of :data:`CATALOG_NAMES`.
 
-    Known names: ghz4, w4, ghz3, w3, cluster1d (all parameter-free) and
-    psi_abcd, psi2_abcd (4 complex parameters each, kept literally: the
-    parameterized families are not renormalized).
+    The parameterized families take their parameters literally: they are
+    not renormalized.
     """
-    if name == "ghz4":
-        _require_params(name, params, 0)
-        return _qubit_state(4, {0b0000: _INV_SQRT2, 0b1111: _INV_SQRT2})
-    if name == "w4":
-        _require_params(name, params, 0)
-        return _qubit_state(
-            4, {0b0001: 0.5, 0b0010: 0.5, 0b0100: 0.5, 0b1000: 0.5}
-        )
-    if name == "ghz3":
-        _require_params(name, params, 0)
-        return _qubit_state(3, {0b000: _INV_SQRT2, 0b111: _INV_SQRT2})
-    if name == "w3":
-        _require_params(name, params, 0)
-        return _qubit_state(3, {0b001: _INV_SQRT3, 0b010: _INV_SQRT3, 0b100: _INV_SQRT3})
-    if name == "cluster1d":
-        _require_params(name, params, 0)
-        return _qubit_state(
-            4, {0b0000: 0.5, 0b0101: 0.5, 0b1010: 0.5, 0b1111: -0.5}
-        )
-    if name == "psi_abcd":
-        a, b, c, d = _require_params(name, params, 4)
-        return _qubit_state(
-            4,
-            {
-                0b0000: (a + d) / 2,
-                0b0011: (a - d) / 2,
-                0b0101: (b + c) / 2,
-                0b0110: (b - c) / 2,
-                0b1001: (b - c) / 2,
-                0b1010: (b + c) / 2,
-                0b1100: (a - d) / 2,
-                0b1111: (a + d) / 2,
-            },
-        )
-    if name == "psi2_abcd":
-        a, b, c, d = _require_params(name, params, 4)
-        return _qubit_state(4, {0b0000: a, 0b0111: -b, 0b1010: -c, 0b1101: d})
-    raise ValueError(f"unknown state name '{name}'")
-
-
-CATALOG_NAMES = ("ghz4", "w4", "ghz3", "w3", "cluster1d", "psi_abcd", "psi2_abcd")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown state name '{name}'")
+    count, build = _CATALOG[name]
+    return build(*_require_params(name, params, count))
 
 
 def write_state_file(path: Union[str, os.PathLike], state: PureState) -> None:
     """Write a state as a JSON document with dims and [re, im] amplitude pairs."""
-    doc = {
-        "dims": list(state.dims),
-        "amps": [[float(a.real), float(a.imag)] for a in state.amps],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump({"dims": list(state.dims), "amps": state.amps}, fh, default=json_default)
         fh.write("\n")
+
+
+def json_default(value):
+    """``default`` hook for ``json``: a complex number as ``[re, im]``, a numpy value by ``tolist()``.
+
+    The writing side of :func:`json_number`: every file and payload the package writes uses it.
+    """
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def json_number(value, what: str, pair: bool = False):

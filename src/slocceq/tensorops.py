@@ -67,21 +67,21 @@ def _lead_phase(a: np.ndarray) -> np.ndarray:
     return entry / mag
 
 
-def svd(matrix: np.ndarray, full: bool = False):
-    """Singular value decomposition with a deterministic phase gauge.
+def svd(matrix: np.ndarray):
+    """Full singular value decomposition with a deterministic phase gauge.
 
     ``matrix`` is one matrix or a stack of them (leading axes), and so is
-    each result. Returns ``(u, sigma, v)`` such that
-    ``matrix == u[..., :k] @ diag(sigma) @ v[..., :k].conj().T`` with
-    ``k = sigma.shape[-1]`` and ``sigma`` descending. Every column of ``u`` is
+    each result. Returns ``(u, sigma, v)`` with square unitary frames ``u``
+    and ``v`` such that ``matrix == u[..., :k] @ diag(sigma) @ v[..., :k].conj().T``
+    with ``k = sigma.shape[-1]`` and ``sigma`` descending. Every column of ``u`` is
     rotated so its largest-magnitude entry is real positive; the paired
     column of ``v`` absorbs the conjugate phase, leaving the product
-    unchanged. Surplus columns (null-space completions when ``full`` is
-    set) are phase-fixed from their own entries. A stack is factored by one
+    unchanged. Surplus columns of either frame (null-space completions)
+    are phase-fixed from their own entries. A stack is factored by one
     LAPACK call, each matrix exactly as it would be alone.
     """
     m = np.asarray(matrix, dtype=complex)
-    u, sigma, vh = np.linalg.svd(m, full_matrices=full)
+    u, sigma, vh = np.linalg.svd(m)
     # Row-major like every other array, so products of the frames round alike.
     v = np.ascontiguousarray(np.swapaxes(vh, -1, -2)).conj()
     k = sigma.shape[-1]

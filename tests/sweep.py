@@ -17,8 +17,10 @@ The checks, in this order:
 - GHZ3 and W3 tripartite orbit pairs, seeds 0-14 (30);
 - states of rank one at 12-34, ``np.outer`` of seeded vectors on parties
   1-2 and 3-4, seeds 0-3 of (2,2,2,2), (2,2,3,3), (2,3,2,3) and
-  (3,3,3,3), as orbit and cross pairs at the five cuts and through all
-  cuts (192);
+  (3,3,3,3), an orbit image against its source and against the next
+  seed's state, at the five cuts and through all cuts (192). Both are
+  orbit pairs: each state is a product of two bipartite states of full
+  Schmidt rank, and two such products of equal dims are SLOCC-equivalent;
 - tripartite orbit pairs of seeded states with 1, 3 and 4 slices of 2x2,
   seeds 0-4 (15);
 - tripartite cross pairs between orbit images of GHZ3, W3 and the
@@ -28,15 +30,24 @@ The checks, in this order:
   reach the product and A|BC labels: a check's three-qubit states have
   independent slices, so the slice party has rank 2.
 
+Each check carries its ground truth as the set of verdicts it allows.
+An orbit pair (``workloads.ORBIT``) is never INEQUIVALENT and a cross
+pair (``workloads.NON_ORBIT``) never EQUIVALENT; a benchmark pair keeps
+its own ``allowed``. The cross pairs are those against the next seed's
+``random_orbit_case`` state and the three-qubit class pairs; every other
+pair of the list above is an orbit pair.
+
 Each check gives one row: status, stage, the per-cut stages of an
 all-cuts UNDECIDED verdict, proof kind, proof location, both proof
 values and the proof's description; each classification gives its
 label and marginal ranks. The script prints the verdict counts and the
-SHA-256 of the rows, and re-verifies
-every EQUIVALENT certificate on the raw inputs. It exits 1 when a
-certificate fails; a check that raises stops it, and so does a check
-that warns under ``-W error::RuntimeWarning``. Two builds that print the
-same hash gave the same verdicts, stages and proofs on every check.
+SHA-256 of the rows, and re-verifies every EQUIVALENT certificate on the
+raw inputs. It exits 1 when a certificate fails, when a verdict is one
+its pair does not allow, or when the row hash is not
+``EXPECTED_ROWS_SHA256``; a check that raises stops it, and so does a
+check that warns under ``-W error::RuntimeWarning``. Two builds that
+print the same hash gave the same verdicts, stages and proofs on every
+check, so a change that moves a verdict updates the expected hash.
 ``--digests PATH`` writes the SHA-256 of each check's certificate
 operators, one line per check (``-`` for no certificate), so that two
 builds can be compared certificate by certificate.
@@ -77,7 +88,11 @@ from slocceq.solver import SolverConfig  # noqa: E402
 from slocceq.states import Bipartition, PureState, TripartiteState, make_state  # noqa: E402
 from workloads import _orbit, _product_on, _raw, _slices  # noqa: E402
 
+EXPECTED_ROWS_SHA256 = "644b5002ddb752da9fdd5354e4e10a5656b5009ceef5333185d3945afbe6acbd"
+
 CONFIG = SolverConfig(rng_seed=0)
+ORBIT, CROSS = workloads.ORBIT, workloads.NON_ORBIT
+LABELS = {ORBIT: "orbit", CROSS: "cross", workloads.SCREENED: "screened"}
 CUTS = tuple(
     Bipartition(left, right)
     for left, right in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)),
@@ -139,12 +154,12 @@ def tripartite(t1, t2):
 
 
 def cases():
-    """Yield ``(s1, s2, check)`` in sweep order; ``check()`` returns the verdict."""
+    """Yield ``(s1, s2, check, allowed)`` in sweep order; ``check()`` returns the verdict."""
     for name in ("orbit-spectral", "screen-reject", "engine-search"):
         for seed in (1, 21):
             for r in range(6):
                 for pair in workloads.WORKLOADS[name].make_round(seed, r):
-                    yield pair.s1, pair.s2, pair.run
+                    yield pair.s1, pair.s2, pair.run, pair.allowed
     for dims, seeds in (
         ((2, 2, 2, 2), 40), ((2, 2, 3, 3), 40), ((3, 3, 2, 2), 40),
         ((2, 3, 2, 3), 8), ((2, 2, 2, 3), 8),
@@ -152,43 +167,43 @@ def cases():
         for seed in range(seeds):
             state, image, _ = random_orbit_case(dims, seed)
             other = random_orbit_case(dims, seed + 1)[0]
-            for s2 in (state, other):
+            for s2, allowed in ((state, ORBIT), (other, CROSS)):
                 for cut in CUTS + (ALL_CUTS,):
-                    yield image, s2, four_party(image, s2, cut)
+                    yield image, s2, four_party(image, s2, cut), allowed
     named = [make_state(name) for name in ("ghz4", "w4", "cluster1d")]
     for state in named + [_product_on(0, make_state("ghz3"))]:
         for seed in range(5):
             s1, s2 = _orbit(state, (seed, 1)), _orbit(state, (seed, 2))
             for cut in CUTS + (ALL_CUTS,):
-                yield s1, s2, four_party(s1, s2, cut)
+                yield s1, s2, four_party(s1, s2, cut), ORBIT
     for rel in (1e-10, 1e-9, 3e-9):
         for seed in range(20):
             state, image, _ = random_orbit_case((2, 2, 2, 2), seed)
             s1 = noisy(image, rel, seed)
-            yield s1, state, four_party(s1, state, CUTS[0])
+            yield s1, state, four_party(s1, state, CUTS[0]), ORBIT
     for name in ("ghz3", "w3"):
         for seed in range(15):
             state = make_state(name)
             t1, t2 = _slices(_orbit(state, (seed, 1))), _slices(_orbit(state, (seed, 2)))
-            yield t1, t2, tripartite(t1, t2)
+            yield t1, t2, tripartite(t1, t2), ORBIT
     for dims in ((2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3)):
         for seed in range(4):
             state = rank_one(dims, seed)
             image = _orbit(state, (seed, 1))
             for s2 in (state, rank_one(dims, seed + 1)):
                 for cut in CUTS + (ALL_CUTS,):
-                    yield image, s2, four_party(image, s2, cut)
+                    yield image, s2, four_party(image, s2, cut), ORBIT
     for r in (1, 3, 4):
         for seed in range(5):
             stack = gaussian(np.random.default_rng((r, seed)), (r, 2, 2))
             t1, t2 = slice_orbit(stack, (seed, 1)), slice_orbit(stack, (seed, 2))
-            yield t1, t2, tripartite(t1, t2)
+            yield t1, t2, tripartite(t1, t2), ORBIT
     kinds = ("ghz3", "w3", "bisep_b", "bisep_c")
     for k1, k2 in itertools.permutations(kinds, 2):
         for seed in range(2):
             t1 = slice_orbit(three_qubit(k1), (seed, 1))
             t2 = slice_orbit(three_qubit(k2), (seed, 2))
-            yield t1, t2, tripartite(t1, t2)
+            yield t1, t2, tripartite(t1, t2), CROSS
 
 
 def classifications():
@@ -229,11 +244,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
-    rows, digests, counts, failed = [], [], Counter(), 0
-    for s1, s2, check in cases():
+    rows, digests, counts, labels, failed, missed = [], [], Counter(), Counter(), 0, 0
+    for s1, s2, check, allowed in cases():
         verdict = check()
         rows.append(row(verdict))
         counts[verdict.status.name] += 1
+        labels[LABELS[allowed]] += 1
+        if verdict.status not in allowed:
+            missed += 1
+            print(f"check {len(rows) - 1}: {verdict.status.name} on a {LABELS[allowed]} pair")
         cert = verdict.certificate
         if cert is None:
             digests.append("-")
@@ -258,8 +277,14 @@ def main(argv=None):
         f"{counts[label.name]} {label.name}" for label in TriClassLabel
     ))
     print(f"re-verified {counts['EQUIVALENT'] - failed} of {counts['EQUIVALENT']} certificates")
+    print(f"{missed} verdicts not allowed on " + ", ".join(
+        f"{n} {label}" for label, n in labels.items()
+    ) + " pairs")
     print(f"rows sha256 {digest}")
-    return 1 if failed else 0
+    moved = digest != EXPECTED_ROWS_SHA256
+    if moved:
+        print(f"expected    {EXPECTED_ROWS_SHA256}: the rows moved")
+    return 1 if failed or missed or moved else 0
 
 
 if __name__ == "__main__":

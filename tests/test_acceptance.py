@@ -169,7 +169,7 @@ def test_criterion_7_structural_identities():
     worst_recon = 0.0
     for dim in range(2, 17):
         m = random_complex(rng, (dim, dim))
-        u, s, v = svd(m, full=True)
+        u, s, v = svd(m)
         worst_recon = max(
             worst_recon,
             float(np.linalg.norm((u[:, : len(s)] * s) @ v[:, : len(s)].conj().T - m)),

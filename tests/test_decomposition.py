@@ -315,7 +315,7 @@ class TestOneSpectrum:
         state = random_orbit_case((2, 2, 3, 3), 1)[1]
         for cut in STANDARD_CUTS:
             triple = triple_state_set(state, cut)
-            u, _, v = svd(flatten_bipartition(state, cut), full=True)
+            u, _, v = svd(flatten_bipartition(state, cut))
             assert np.array_equal(triple.u_full, u)
             assert np.array_equal(triple.v_full, v)
 
@@ -326,7 +326,7 @@ class TestOneSpectrum:
                 state = random_orbit_case(dims, seed)[1]
                 for cut in STANDARD_CUTS:
                     triple = triple_state_set(state, cut)
-                    full = svd(flatten_bipartition(state, cut), full=True)[1]
+                    full = svd(flatten_bipartition(state, cut))[1]
                     assert triple.r == sigma_rank(full)
                     gap = np.max(np.abs(triple.singular_values - full[: triple.r]))
                     assert gap <= 1e-14 * full[0]

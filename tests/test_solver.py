@@ -474,8 +474,8 @@ class TestSolvePtilde:
         w, _ = np.linalg.qr(random_complex(rng, (2, 2)))
         gauged = decomposition.svd
 
-        def rotated_svd(stack, full=False):
-            u, sigma, v = gauged(stack, full=full)
+        def rotated_svd(stack):
+            u, sigma, v = gauged(stack)
             u[..., :2] = u[..., :2] @ w
             v[..., :2] = v[..., :2] @ w
             return u, sigma, v

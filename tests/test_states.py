@@ -216,14 +216,6 @@ class TestTripartiteState:
         with pytest.raises(ValueError):
             TripartiteState(2, slices)
 
-    def test_slice_rank(self):
-        slices = (
-            np.array([[1, 0], [0, 0]], dtype=complex),
-            np.array([[0, 0], [0, 1]], dtype=complex),
-        )
-        t = TripartiteState(2, slices)
-        assert t.slice_rank() == 2
-
 
 class TestStateFiles:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -235,9 +235,9 @@ def scalar_lead_phase(column):
     return 1.0 + 0.0j if mag == 0.0 else entry / mag
 
 
-def looped_svd(matrix, full=False):
+def looped_svd(matrix):
     """One matrix's gauged SVD, phase-fixed column by column with ``scalar_lead_phase``."""
-    u, sigma, vh = np.linalg.svd(np.asarray(matrix, dtype=complex), full_matrices=full)
+    u, sigma, vh = np.linalg.svd(np.asarray(matrix, dtype=complex))
     u, v, k = u.copy(), vh.conj().T.copy(), sigma.size
     for i in range(u.shape[1]):
         ph = np.conj(scalar_lead_phase(u[:, i]))
@@ -274,15 +274,14 @@ class TestStackedGauge:
             want = np.array([scalar_lead_phase(col) for col in m.T], dtype=complex)
             assert _lead_phase(m).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("full", [True, False])
-    def test_stack_matches_per_matrix_calls(self, full):
+    def test_stack_matches_per_matrix_calls(self):
         rng = np.random.default_rng(16)
         for m in gauge_inputs(rng):
             stack = np.stack([m, np.round(m * 3), m[::-1], 0 * m])
-            got = svd(stack, full=full)
-            nested = svd(stack.reshape(2, 2, *m.shape), full=full)
+            got = svd(stack)
+            nested = svd(stack.reshape(2, 2, *m.shape))
             for i, matrix in enumerate(stack):
-                for want, part, deep in zip(looped_svd(matrix, full), got, nested):
+                for want, part, deep in zip(looped_svd(matrix), got, nested):
                     assert part[i].tobytes() == want.tobytes()
                     assert deep[i // 2, i % 2].tobytes() == want.tobytes()
             assert got[0].flags.c_contiguous and got[2].flags.c_contiguous
