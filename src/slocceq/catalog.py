@@ -15,12 +15,6 @@ import numpy as np
 from .states import LocalOperatorTuple, PureState, contract_local_ops
 from .tensorops import qr
 
-__all__ = [
-    "cluster_pair_operators",
-    "random_invertible_ops",
-    "random_orbit_case",
-]
-
 DEFAULT_CONDITION_CAP = 20.0
 
 

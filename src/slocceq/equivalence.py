@@ -45,18 +45,6 @@ from .states import (
 )
 from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, sigma_rank, svd
 
-__all__ = [
-    "EquivalenceStatus",
-    "Certificate",
-    "EquivalenceVerdict",
-    "RecoveryError",
-    "recover_local_operators",
-    "verify_equivalence",
-    "check_fourpartite_equiv",
-    "check_fourpartite_equiv_all_cuts",
-    "check_tripartite_equiv",
-]
-
 DEFAULT_VERIFY_TOL = 1e-8
 
 
@@ -234,22 +222,22 @@ def _first_verified(
 ) -> EquivalenceVerdict:
     """EQUIVALENT at the first candidate that verifies, else UNDECIDED.
 
-    ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or to
-    None when :class:`LocalOperatorTuple` rejects its operators as
-    singular. Candidates are pulled one at a time and none is built past
-    the first that verifies. Records the
-    number pulled, the accepted (else the best) residual and, when nothing
-    verifies, the UNDECIDED stage: ``coupling_search`` when no candidate
-    was built, ``verification`` otherwise.
+    ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or
+    raises :class:`RecoveryError` when :class:`LocalOperatorTuple` rejects
+    its operators as singular; such a candidate is skipped. Candidates are
+    pulled one at a time and none is built past the first that verifies.
+    Records the number pulled, the accepted (else the best) residual and,
+    when nothing verifies, the UNDECIDED stage: ``coupling_search`` when no
+    candidate was built, ``verification`` otherwise.
     """
     diagnostics["candidates"] = 0
     best = math.inf
     for candidate in outcome.candidates:
         diagnostics["candidates"] += 1
-        got = verify(candidate)
-        if got is None:
+        try:
+            ops, scalar, resid = verify(candidate)
+        except RecoveryError:
             continue
-        ops, scalar, resid = got
         best = min(best, resid)
         if resid <= verify_tol:
             diagnostics["verify_residual"] = resid
@@ -333,10 +321,7 @@ def _search_cut(
     s1, s2 = profile.states
 
     def verify(candidate):
-        try:
-            ops = recover_local_operators(cut, candidate)
-        except RecoveryError:
-            return None
+        ops = recover_local_operators(cut, candidate)
         _, scalar, resid = verify_equivalence(s1, s2, ops, verify_tol)
         return ops, scalar, resid
 
@@ -419,10 +404,7 @@ def check_tripartite_equiv(
         # Mixing operator on the slice index from the least-squares fit of
         # the mapped source stack onto the target stack.
         a_first = np.linalg.lstsq(np.kron(a_row, a_col) @ w2, w1, rcond=None)[0].T
-        try:
-            ops = _local_operators([a_first, a_row, a_col])
-        except RecoveryError:
-            return None
+        ops = _local_operators([a_first, a_row, a_col])
         scalar, resid = _best_scalar(t1.stacked().reshape(-1), t2.stacked(), (r, i1, i2), ops.ops)
         return ops, scalar, resid
 

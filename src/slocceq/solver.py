@@ -518,12 +518,24 @@ def _pencil_core(f, col, row):
     return np.linalg.pinv(basis_c) @ g @ np.linalg.pinv(basis_r).T
 
 
+def _matched_forms(frame, frame_prime, r, shape):
+    """``(src, dst)``: both frames' :func:`_span_form` at ``r`` and ``shape``.
+
+    None when either form is missing or the two names differ; otherwise
+    :func:`_between` maps ``src`` onto ``dst``.
+    """
+    src, dst = _span_form(frame, r, shape), _span_form(frame_prime, r, shape)
+    if src is None or dst is None or src[2] != dst[2]:
+        return None
+    return src, dst
+
+
 def _low_rank_candidates(frame, frame_prime, rng):
     """Yield factor candidates for a rank-one or rank-two cut.
 
-    Each state's column span (of U, folded to the row pair) and row span
-    (of conj V, folded to the column pair) go to normal form; a missing
-    form or a differing name yields nothing. At rank one the maps between
+    The two states' column spans (of U, folded to the row pair) and row
+    spans (of conj V, folded to the column pair) are matched in normal
+    form; no match yields nothing. At rank one the maps between
     the forms are the factors. At rank two related states have cores with
     ``k' = rho_c k rho_r^T`` for stabiliser actions rho_c and rho_r; with
     ``sigma = rho_r^-T`` that is ``k' sigma = rho_c k``, linear in
@@ -531,16 +543,13 @@ def _low_rank_candidates(frame, frame_prime, rng):
     nullspace is lifted back to Kronecker factors.
     """
     r = frame.r
-    forms = []
-    for f in (frame, frame_prime):
-        col = _span_form(f.u_full, r, f.left_dims)
-        row = _span_form(f.v_full.conj(), r, f.right_dims)
-        if col is None or row is None:
-            return
-        forms.append((col, row))
-    (col, row), (col_p, row_p) = forms
-    if col[2] != col_p[2] or row[2] != row_p[2]:
+    cols = _matched_forms(frame.u_full, frame_prime.u_full, r, frame.left_dims)
+    if cols is None:
         return
+    rows = _matched_forms(frame.v_full.conj(), frame_prime.v_full.conj(), r, frame.right_dims)
+    if rows is None:
+        return
+    (col, col_p), (row, row_p) = cols, rows
     if r == 1:
         yield _between(col, col_p) + _between(row, row_p)
         return
@@ -559,14 +568,6 @@ def _low_rank_candidates(frame, frame_prime, rng):
             except np.linalg.LinAlgError:
                 continue
             yield _between(col, col_p, *lift_c(rho_c)) + _between(row, row_p, *lift_r(rho_r))
-
-
-def _single_kron_candidates(u_full, u_prime_full, r):
-    """Factor pairs mapping the span of ``r`` frame columns, folded to 2x2, onto its partner."""
-    src, dst = (_span_form(u, r, (2, 2)) for u in (u_full, u_prime_full))
-    if src is None or dst is None or src[2] != dst[2]:
-        return []
-    return [_between(src, dst)]
 
 
 def _direct_flat_candidates(frame, frame_prime, rng):
@@ -652,6 +653,5 @@ def solve_ptilde_single(
     """
     if u_full.shape != u_prime_full.shape:
         raise ValueError("frames live on different spaces")
-    if split != (2, 2):
-        return _peeked([])
-    return _peeked(_single_kron_candidates(u_full, u_prime_full, r))
+    forms = _matched_forms(u_full, u_prime_full, r, split) if split == (2, 2) else None
+    return _peeked([] if forms is None else [_between(*forms)])

@@ -270,11 +270,9 @@ _CATALOG = {
     "psi2_abcd": (4, lambda a, b, c, d: _qubit_state(4, {0b0000: a, 0b0111: -b, 0b1010: -c, 0b1101: d})),
 }
 
-CATALOG_NAMES = tuple(_CATALOG)
-
 
 def make_state(name: str, params: Sequence[complex] = ()) -> PureState:
-    """Build the catalog state ``name``, one of :data:`CATALOG_NAMES`.
+    """Build the catalog state ``name``, one of the keys of ``_CATALOG``.
 
     The parameterized families take their parameters literally: they are
     not renormalized.

@@ -194,7 +194,11 @@ class TestOneInvertibilityRule:
         return verdict, verifies[0]
 
     def slice_check(self, monkeypatch, candidates):
-        monkeypatch.setattr(solver, "_single_kron_candidates", lambda *a: candidates)
+        monkeypatch.setattr(
+            equivalence,
+            "solve_ptilde_single",
+            lambda *a: solver.SolveOutcome(solver.SolveStatus.FOUND, candidates, restarts_used=0),
+        )
         fits = count_calls(monkeypatch, equivalence, "_best_scalar")
         t = slices_of(make_state("ghz3"))
         return check_tripartite_equiv(t, t, CONFIG), fits[0]
