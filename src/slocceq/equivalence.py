@@ -4,9 +4,10 @@ Pipeline for the four-partite check: one :class:`StateProfile` of both
 states, the invariant screen on it, closed-form construction of
 candidate per-party operators from its two decompositions at a
 common bipartition, and state-level verification of each candidate in
-construction order. Verification is the only acceptance gate: it pulls
-the candidates one at a time, and the first that maps one state onto the
-other within ``verify_tol`` decides, so no later candidate is built.
+construction order. :func:`verify_equivalence` is the one acceptance
+gate, four-party and tripartite alike: it pulls the candidates one at a
+time, and the first that maps one state onto the other within
+``verify_tol`` decides, so no later candidate is built.
 However many cuts are screened and searched, the two states'
 flattenings at a cut are factored by one stacked values-only SVD, and
 their singular frames by at most one more, taken only when the class
@@ -150,47 +151,24 @@ def recover_local_operators(
     return _local_operators([by_party[k] for k in (1, 2, 3, 4)])
 
 
-def _best_scalar(target: np.ndarray, source: np.ndarray, dims, mats) -> Tuple[complex, float]:
-    """Least-squares scalar c and relative residual of target - c * image.
-
-    ``image`` is ``mats`` contracted onto the ``source`` amplitudes of shape
-    ``dims``. Each operator is first scaled exactly by the power of two
-    that puts its largest entry magnitude in [0.5, 1), and the fit runs on
-    the target and the image scaled likewise, so no operator or amplitude
-    scale over- or underflows it; c refers to the raw operators and
-    vectors. A zero vector, or a c beyond the float range (one that
-    overflows or rounds to zero), fails with residual 1; a subnormal c
-    passes.
-    """
-    scaled, exps = zip(*(pow2_scaled(m) for m in mats))
-    image = contract_local_ops(source, dims, scaled)
-    top_t, top_i = np.abs(target).max(), np.abs(image).max()
-    if top_t == 0.0 or top_i == 0.0:
-        return 0.0 + 0.0j, 1.0
-    t, e_t = pow2_scaled(target, top_t)
-    im, e_i = pow2_scaled(image, top_i)
-    c = complex(np.vdot(im, t) / np.vdot(im, im).real)
-    resid = float(np.linalg.norm(t - c * im)) / float(np.linalg.norm(t))
-    shift = e_t - e_i - sum(exps)
-    try:
-        raw = complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
-    except OverflowError:
-        raw = 0.0 + 0.0j
-    return (raw, resid) if raw else (0.0 + 0.0j, 1.0)
-
-
 def verify_equivalence(
-    s1: PureState,
-    s2: PureState,
+    s1: Union[PureState, TripartiteState],
+    s2: Union[PureState, TripartiteState],
     ops: Union[LocalOperatorTuple, Sequence[np.ndarray]],
     tol: float = DEFAULT_VERIFY_TOL,
 ) -> Tuple[bool, complex, float]:
     """Check whether ``ops`` maps ``s2`` onto ``s1`` up to a scalar.
 
-    Applies one operator per party to ``s2``, fits the best complex scalar
-    ``c`` in the least-squares sense, and accepts when the relative
-    residual ``|c * image - s1| / |s1|`` is at most ``tol``. Degenerate
-    operators that annihilate ``s2`` fail cleanly with residual 1.
+    The package's one acceptance test, for :class:`PureState` and
+    :class:`TripartiteState` (one-slice too) pairs. Applies one operator
+    per party to ``s2``, fits the best complex scalar ``c`` in the
+    least-squares sense, and accepts when the relative residual
+    ``|c * image - s1| / |s1|`` is at most ``tol``. Each operator, ``s1``
+    and the image are scaled exactly by powers of two first, so no scale
+    over- or underflows the fit; ``c`` refers to the raw inputs. Dims
+    that differ, an image of zero, or a ``c`` beyond the float range
+    (overflowing or rounding to zero) fail with residual 1; a subnormal
+    ``c`` passes.
 
     Returns
     -------
@@ -199,8 +177,21 @@ def verify_equivalence(
     if s1.dims != s2.dims:
         return False, 0.0 + 0.0j, 1.0
     mats = ops.ops if isinstance(ops, LocalOperatorTuple) else ops
-    c, resid = _best_scalar(s1.amps, s2.amps, s2.dims, mats)
-    return resid <= tol, c, resid
+    scaled, exps = zip(*(pow2_scaled(m) for m in mats))
+    target, image = s1.amps, contract_local_ops(s2.amps, s2.dims, scaled)
+    top_t, top_i = np.abs(target).max(), np.abs(image).max()
+    if top_t == 0.0 or top_i == 0.0:
+        return False, 0.0 + 0.0j, 1.0
+    t, e_t = pow2_scaled(target, top_t)
+    im, e_i = pow2_scaled(image, top_i)
+    c = complex(np.vdot(im, t) / np.vdot(im, im).real)
+    resid = float(np.linalg.norm(t - c * im)) / float(np.linalg.norm(t))
+    shift = e_t - e_i - sum(exps)
+    try:
+        c = complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
+    except OverflowError:
+        c = 0.0 + 0.0j
+    return (resid <= tol, c, resid) if c else (False, 0.0 + 0.0j, 1.0)
 
 
 def _undecided(diagnostics: Dict[str, object]) -> EquivalenceVerdict:
@@ -215,31 +206,35 @@ def _cut_diagnostics(cut: Bipartition, rtol: float, verify_tol: float) -> Dict[s
 
 def _first_verified(
     outcome: SolveOutcome,
-    verify,
+    recover,
+    target,
+    source,
     verify_tol: float,
     diagnostics: Dict[str, object],
     cut: Optional[Bipartition] = None,
 ) -> EquivalenceVerdict:
     """EQUIVALENT at the first candidate that verifies, else UNDECIDED.
 
-    ``verify`` maps a candidate to its ``(ops, scalar, residual)``, or
-    raises :class:`RecoveryError` when :class:`LocalOperatorTuple` rejects
-    its operators as singular; such a candidate is skipped. Candidates are
-    pulled one at a time and none is built past the first that verifies.
-    Records the number pulled, the accepted (else the best) residual and,
-    when nothing verifies, the UNDECIDED stage: ``coupling_search`` when no
-    candidate was built, ``verification`` otherwise.
+    ``recover`` maps a candidate to its :class:`LocalOperatorTuple`, or
+    raises :class:`RecoveryError` (singular operator: skipped). Only
+    :func:`verify_equivalence` of ``target`` against ``source`` accepts.
+    Candidates are pulled one at a time and none is built past the first
+    that verifies. Records the number pulled, the accepted (else the
+    best) residual and, when nothing verifies, the UNDECIDED stage:
+    ``coupling_search`` when no candidate was built, ``verification``
+    otherwise.
     """
     diagnostics["candidates"] = 0
     best = math.inf
     for candidate in outcome.candidates:
         diagnostics["candidates"] += 1
         try:
-            ops, scalar, resid = verify(candidate)
+            ops = recover(candidate)
         except RecoveryError:
             continue
+        passed, scalar, resid = verify_equivalence(target, source, ops, verify_tol)
         best = min(best, resid)
-        if resid <= verify_tol:
+        if passed:
             diagnostics["verify_residual"] = resid
             return EquivalenceVerdict(
                 status=EquivalenceStatus.EQUIVALENT,
@@ -318,16 +313,13 @@ def _search_cut(
     warnings = [f"state {name}: {w}" for name, t in zip("ab", triples) for w in t.warnings]
     if warnings:
         diagnostics["frame_warnings"] = warnings
-    s1, s2 = profile.states
 
-    def verify(candidate):
-        ops = recover_local_operators(cut, candidate)
-        _, scalar, resid = verify_equivalence(s1, s2, ops, verify_tol)
-        return ops, scalar, resid
+    def recover(candidate):  # looked up per call, as bench/spans.py rebinds it
+        return recover_local_operators(cut, candidate)
 
     # s2 is the source (operators act on it), s1 is the target.
     outcome = solve_ptilde(triple2, triple1, config)
-    return _first_verified(outcome, verify, verify_tol, diagnostics, cut)
+    return _first_verified(outcome, recover, *profile.states, verify_tol, diagnostics, cut)
 
 
 def check_fourpartite_equiv_all_cuts(
@@ -365,20 +357,19 @@ def check_tripartite_equiv(
     construction proposes slice-space operator pairs from the column
     frames; each is completed by a least-squares mixing operator on the
     slice index, gauged into a :class:`LocalOperatorTuple` (a singular
-    operator drops the candidate) and verified on the stacked slices, and
-    the first that verifies decides.
+    operator drops the candidate) and verified on the two states by
+    :func:`verify_equivalence`, and the first that verifies decides.
 
     The certificate operators ``(A_first, A_row, A_col)`` act per party:
     ``t1`` slices match ``scalar * sum_j A_first[i, j] * A_row @ t2_j @
-    A_col.T`` within the verification tolerance.
+    A_col.T`` within the verification tolerance. ``config`` is unused.
     """
-    if t1.slice_shape != t2.slice_shape or t1.r_dim != t2.r_dim:
+    if t1.dims != t2.dims:
         raise ValueError(
             f"dimension mismatch: {t1.r_dim} slices of {t1.slice_shape} vs "
             f"{t2.r_dim} slices of {t2.slice_shape}"
         )
-    i1, i2 = t1.slice_shape
-    r = t1.r_dim
+    r, i1, i2 = t1.dims
     # Row-major flattened slices as columns, each stack scaled by a power
     # of two so that the mixing operator carries no amplitude scale; t2 is
     # the source, t1 the target. One SVD gives both slice ranks and frames.
@@ -399,15 +390,13 @@ def check_tripartite_equiv(
                 diagnostics=diagnostics,
             )
 
-    def verify(candidate):
+    def recover(candidate):
         a_row, a_col = candidate
         # Mixing operator on the slice index from the least-squares fit of
         # the mapped source stack onto the target stack.
         a_first = np.linalg.lstsq(np.kron(a_row, a_col) @ w2, w1, rcond=None)[0].T
-        ops = _local_operators([a_first, a_row, a_col])
-        scalar, resid = _best_scalar(t1.stacked().reshape(-1), t2.stacked(), (r, i1, i2), ops.ops)
-        return ops, scalar, resid
+        return _local_operators([a_first, a_row, a_col])
 
-    outcome = solve_ptilde_single(frames[0], frames[1], r, (i1, i2), config)
-    return _first_verified(outcome, verify, verify_tol, diagnostics)
+    outcome = solve_ptilde_single(frames[0], frames[1], r, (i1, i2))
+    return _first_verified(outcome, recover, t1, t2, verify_tol, diagnostics)
 

@@ -109,20 +109,20 @@ def hyperdeterminant_222(amps: np.ndarray) -> complex:
     return b * b - 4 * a * c
 
 
-def classify_tripartite_qubit(state: PureState, tol: float = DEFAULT_RTOL) -> TriClass:
+def classify_tripartite_qubit(state: PureState) -> TriClass:
     """SLOCC class of a three-qubit pure state.
 
     Marginal ranks separate product and biseparable states; among the
     genuinely entangled ones the hyperdeterminant separates the GHZ
-    class (nonzero) from the W class. ``tol`` sets both the rank cutoff
-    and the zero threshold of the scale-free ``|Det(psi)| / |psi|^4``,
-    the reported ``hyperdet_magnitude``, which is computed on the
-    amplitudes scaled by a power of two, so no amplitude scale under- or
-    overflows it.
+    class (nonzero) from the W class. ``DEFAULT_RTOL`` sets both the rank
+    cutoff and the zero threshold of the scale-free
+    ``|Det(psi)| / |psi|^4``, the reported ``hyperdet_magnitude``, which
+    is computed on the amplitudes scaled by a power of two, so no
+    amplitude scale under- or overflows it.
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three-qubit classification needs dims (2,2,2), got {state.dims}")
-    return _tri_classes(state.tensor()[np.newaxis], tol)[0]
+    return _tri_classes(state.tensor()[np.newaxis], DEFAULT_RTOL)[0]
 
 
 def _tri_classes(tensors: np.ndarray, tol: float) -> list[TriClass]:
@@ -151,8 +151,7 @@ def _tri_classes(tensors: np.ndarray, tol: float) -> list[TriClass]:
 
 def tripartite_as_pure_state(t: TripartiteState) -> PureState:
     """View a slice tuple as an ordinary pure state (first party = slice index)."""
-    rows, cols = t.slice_shape
-    return PureState((t.r_dim, rows, cols), t.stacked().reshape(-1))
+    return PureState(t.dims, t.amps)
 
 
 def _screen_rows(profile: StateProfile, cut: Bipartition):

@@ -641,7 +641,6 @@ def solve_ptilde_single(
     u_prime_full: np.ndarray,
     r: int,
     split: tuple[int, int],
-    config: SolverConfig,
 ) -> SolveOutcome:
     """Single-sided variant for tripartite checking.
 
@@ -649,7 +648,8 @@ def solve_ptilde_single(
     carrying the span of the first ``r`` columns of ``u_full`` onto that
     of ``u_prime_full``, with the columns folded by ``split``. Only the
     2x2 split has a construction, at every rank; other splits are
-    EXHAUSTED at once.
+    EXHAUSTED at once. The construction draws no random number, so it
+    takes no :class:`SolverConfig`.
     """
     if u_full.shape != u_prime_full.shape:
         raise ValueError("frames live on different spaces")

@@ -108,6 +108,16 @@ class TripartiteState:
     def slice_shape(self) -> tuple[int, int]:
         return self.slices[0].shape
 
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """Party dimensions ``(r_dim, rows, cols)``, the slice index first."""
+        return (self.r_dim, *self.slice_shape)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The stacked slices flattened, last index fastest, as for a :class:`PureState`."""
+        return self.stacked().reshape(-1)
+
     def stacked(self) -> np.ndarray:
         """All slices as one ``(r_dim, rows, cols)`` array."""
         return np.stack(self.slices)

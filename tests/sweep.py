@@ -1,6 +1,7 @@
 """Seeded verdict sweep: a fixed set of 2522 checks and 18 classifications, hashed row by row.
 
     python3 -W error::RuntimeWarning tests/sweep.py [--digests PATH]
+    PYTHONPATH=<tree>/src python3 -W error::RuntimeWarning tests/sweep.py
 
 The checks, in this order:
 
@@ -47,15 +48,18 @@ pair of the list above is an orbit pair.
 Each check gives one row: status, stage, the per-cut stages of an
 all-cuts UNDECIDED verdict, proof kind, proof location, both proof
 values and the proof's description; each classification gives its
-label and marginal ranks. The script prints the verdict counts and the
-SHA-256 of the rows, and re-verifies every EQUIVALENT certificate on the
-raw inputs. It exits 1 when a certificate fails, when a verdict is one
-its pair does not allow and ``sweep_known.json`` does not list, when a
-listed check does not give its listed verdict, or when the row hash is
-not ``EXPECTED_ROWS_SHA256``; a check that raises stops it, and so does a
-check that warns under ``-W error::RuntimeWarning``. Two builds that
-print the same hash gave the same verdicts, stages and proofs on every
-check, so a change that moves a verdict updates the expected hash.
+label and marginal ranks. The script sweeps the ``slocceq`` of the tree
+that ``PYTHONPATH`` names, else that of its own checkout's ``src``, and
+prints which. It prints the verdict counts and the SHA-256 of the rows,
+and re-verifies every EQUIVALENT certificate on the inputs of its check
+with ``verify_equivalence``. It exits 1 when a certificate fails, when a
+verdict is one its pair does not allow and ``sweep_known.json`` does not
+list, when a listed check does not give its listed verdict, or when the
+row hash is not ``EXPECTED_ROWS_SHA256``; a check that raises stops it,
+and so does a check that warns under ``-W error::RuntimeWarning``. Two
+builds that print the same hash gave the same verdicts, stages and
+proofs on every check, so a change that moves a verdict updates the
+expected hash.
 ``--digests PATH`` writes the SHA-256 of each check's certificate
 operators, one line per check (``-`` for no certificate), so that two
 builds can be compared certificate by certificate.
@@ -76,15 +80,22 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+# The workloads come from this checkout's bench; slocceq from the tree that
+# PYTHONPATH names, else from this checkout's src.
+sys.path.insert(0, str(ROOT / "bench"))
+if not os.environ.get("PYTHONPATH"):
+    sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
+
+import slocceq  # noqa: E402
 
 import workloads  # noqa: E402
 from slocceq.catalog import _haar_unitary, random_invertible_ops, random_orbit_case  # noqa: E402
@@ -107,7 +118,7 @@ from slocceq.states import (  # noqa: E402
     apply_local_ops,
     make_state,
 )
-from workloads import _orbit, _product_on, _raw, _slices  # noqa: E402
+from workloads import _orbit, _product_on, _slices  # noqa: E402
 
 EXPECTED_ROWS_SHA256 = "68b85c19f3bcd627fc4b87c49d878acf8038f8af8b0295450ba87658e40f256c"
 KNOWN_MISSES = Path(__file__).with_name("sweep_known.json")
@@ -284,18 +295,6 @@ def classifications():
             yield tripartite_as_pure_state(slice_orbit(three_qubit(kind), (seed, 3)))
 
 
-def reverify(s1, s2, ops):
-    """``verify_equivalence`` of a certificate on the raw inputs of its check.
-
-    A one-slice state is a two-party state, and its 1x1 slice operator a
-    scalar that the fit absorbs.
-    """
-    if isinstance(s1, TripartiteState) and s1.r_dim == 1:
-        s1, s2 = (PureState((2, 2), t.slices[0].reshape(-1)) for t in (s1, s2))
-        return verify_equivalence(s1, s2, ops[1:])
-    return verify_equivalence(_raw(s1), _raw(s2), ops)
-
-
 def row(verdict):
     d = verdict.diagnostics
     per_cut = [[label, cut_d.get("stage")] for label, cut_d in d.get("per_cut", {}).items()]
@@ -316,6 +315,7 @@ def main(argv=None):
 
     known = {entry["row"]: entry["verdict"] for entry in json.loads(KNOWN_MISSES.read_text())}
     unmet = set(known)
+    print(f"slocceq from {slocceq.__file__}")
     t0 = time.perf_counter()
     rows, digests, counts, labels, failed, missed = [], [], Counter(), Counter(), 0, 0
     for index, (s1, s2, check, allowed) in enumerate(cases()):
@@ -335,7 +335,7 @@ def main(argv=None):
             continue
         ops = b"".join(np.ascontiguousarray(op).tobytes() for op in cert.ops.ops)
         digests.append(hashlib.sha256(ops).hexdigest())
-        passed, _, resid = reverify(s1, s2, cert.ops.ops)
+        passed, _, resid = verify_equivalence(s1, s2, cert.ops)
         if not passed:
             failed += 1
             print(f"check {index}: certificate fails re-verification ({resid:.3e})")

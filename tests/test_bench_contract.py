@@ -71,7 +71,7 @@ def test_outcome_labels_real_solver_outcomes(spans):
     w = triple_state_set(make_state("w4"), cut)
     assert spans._outcome("solver", solve_ptilde(ghz, ghz, config)) == ("spectral", 0)
     assert spans._outcome("solver", solve_ptilde(w, ghz, config)) == ("exhausted", 0)
-    found = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 2), config)
-    exhausted = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 3), config)
+    found = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 2))
+    exhausted = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 3))
     assert spans._outcome("solver", found) == ("spectral", 0)
     assert spans._outcome("solver", exhausted) == ("exhausted", 0)

@@ -199,9 +199,9 @@ class TestOneInvertibilityRule:
             "solve_ptilde_single",
             lambda *a: solver.SolveOutcome(solver.SolveStatus.FOUND, candidates, restarts_used=0),
         )
-        fits = count_calls(monkeypatch, equivalence, "_best_scalar")
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
         t = slices_of(make_state("ghz3"))
-        return check_tripartite_equiv(t, t, CONFIG), fits[0]
+        return check_tripartite_equiv(t, t, CONFIG), verifies[0]
 
     def test_thin_factor_reaches_verification(self, monkeypatch):
         thin = np.diag([1.0, 1e-9]).astype(complex)
@@ -227,21 +227,21 @@ class TestOneInvertibilityRule:
         # index, stabilises GHZ3: the thin candidate is a valid certificate.
         thin = np.diag([1.0, 1e-9]).astype(complex)
         eye = np.eye(2, dtype=complex)
-        verdict, fits = self.slice_check(monkeypatch, [(thin, eye)])
+        verdict, verifies = self.slice_check(monkeypatch, [(thin, eye)])
         assert verdict.status is EquivalenceStatus.EQUIVALENT
         assert verdict.diagnostics["candidates"] == 1
-        assert fits == 1
+        assert verifies == 1
 
     @pytest.mark.parametrize("singular", SINGULAR_FACTORS)
     def test_singular_single_sided_factor_is_rejected_before_verification(
         self, monkeypatch, singular
     ):
         eye = np.eye(2, dtype=complex)
-        verdict, fits = self.slice_check(monkeypatch, [(eye, singular), (singular, eye)])
+        verdict, verifies = self.slice_check(monkeypatch, [(eye, singular), (singular, eye)])
         assert verdict.status is EquivalenceStatus.UNDECIDED
         assert verdict.diagnostics["candidates"] == 2
         assert "verify_residual" not in verdict.diagnostics
-        assert fits == 0
+        assert verifies == 0
 
 
 class TestVerificationDecides:
@@ -1165,6 +1165,40 @@ class TestCheckTripartite:
                 tripartite_as_pure_state(t1), tripartite_as_pure_state(t2), ops
             )
             assert passed, (seed, resid)
+
+
+class TestOneAcceptancePath:
+    """``verify_equivalence`` accepts every candidate, for tripartite pairs too."""
+
+    @pytest.mark.parametrize("name", ["w3", "ghz3"])
+    def test_every_recovered_candidate_is_verified(self, monkeypatch, name):
+        recovered = [0]
+        local_operators = equivalence._local_operators
+
+        def counted(mats):
+            ops = local_operators(mats)
+            recovered[0] += 1
+            return ops
+
+        monkeypatch.setattr(equivalence, "_local_operators", counted)
+        verifies = count_calls(monkeypatch, equivalence, "verify_equivalence")
+        rng = np.random.default_rng(69)
+        base = make_state(name).tensor()
+        for seed in range(5):
+            verdict = check_tripartite_equiv(planted_slices(rng, base), planted_slices(rng, base), CONFIG)
+            assert verdict.status is EquivalenceStatus.EQUIVALENT, seed
+        assert verifies[0] == recovered[0] >= 5
+
+    def test_one_slice_pair_verifies_its_certificate(self):
+        rng = np.random.default_rng(70)
+        base = random_complex(rng, (1, 2, 2))
+        t1, t2 = planted_slices(rng, base), planted_slices(rng, base)
+        verdict = check_tripartite_equiv(t1, t2, CONFIG)
+        assert verdict.status is EquivalenceStatus.EQUIVALENT
+        cert = verdict.certificate
+        assert verify_equivalence(t1, t2, cert.ops) == (True, cert.scalar, cert.residual)
+        other = planted_slices(rng, random_complex(rng, (2, 2, 2)))
+        assert verify_equivalence(t1, other, cert.ops) == (False, 0.0, 1.0)
 
 
 def fold_ranks(phi, i1, i2, seed, samples=64):

@@ -522,7 +522,7 @@ class TestSolvePtildeSingle:
     def test_identity_frames(self):
         frame = triple_state_set(make_state("ghz4"), CUT_12_34)
         out = solve_ptilde_single(
-            frame.u_full, frame.u_full, frame.r, frame.left_dims, CONFIG
+            frame.u_full, frame.u_full, frame.r, frame.left_dims
         )
         assert out.status is SolveStatus.FOUND
         assert span_misfit(out, frame.u_full, frame.u_full, frame.r) < 1e-12
@@ -535,13 +535,13 @@ class TestSolvePtildeSingle:
         u_prime, _ = np.linalg.qr(random_complex(rng, (4, 4)))
         u_full, pt_planted = np.linalg.qr(np.kron(a1, a2) @ u_prime)
         assert abs(np.linalg.norm(pt_planted[r:, :r])) < 1e-14
-        out = solve_ptilde_single(u_full, u_prime, r, (2, 2), CONFIG)
+        out = solve_ptilde_single(u_full, u_prime, r, (2, 2))
         assert out.status is SolveStatus.FOUND
         assert span_misfit(out, u_full, u_prime, r) < 1e-9
 
     def test_mismatched_frames_rejected(self):
         with pytest.raises(ValueError):
-            solve_ptilde_single(np.eye(4), np.eye(6), 2, (2, 2), CONFIG)
+            solve_ptilde_single(np.eye(4), np.eye(6), 2, (2, 2))
 
 
 class TestBinaryQuadraticRoots:

@@ -216,6 +216,13 @@ class TestTripartiteState:
         with pytest.raises(ValueError):
             TripartiteState(2, slices)
 
+    def test_dims_and_amps_read_like_a_pure_state(self):
+        stack = np.arange(18, dtype=complex).reshape(3, 2, 3) + 1
+        t = TripartiteState(3, tuple(stack))
+        assert t.dims == (3, 2, 3)
+        assert np.array_equal(t.amps, PureState((3, 2, 3), stack.reshape(-1)).amps)
+        assert TripartiteState(1, (np.eye(2),)).dims == (1, 2, 2)
+
 
 class TestStateFiles:
     def test_round_trip_bit_exact(self, tmp_path):
