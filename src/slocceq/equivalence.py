@@ -353,12 +353,13 @@ def check_tripartite_equiv(
     shape; one stacked SVD of both states' flattened slices gives their
     slice ranks and column frames. For two-qubit-slice pairs (shape (2, 2),
     two slices) the tripartite entanglement-class screen runs first, at
-    ``rtol``, and can prove inequivalence. Otherwise the single-sided
+    ``rtol``, and can prove inequivalence. Then the single-sided
     construction proposes slice-space operator pairs from the column
-    frames; each is completed by a least-squares mixing operator on the
-    slice index, gauged into a :class:`LocalOperatorTuple` (a singular
-    operator drops the candidate) and verified on the two states by
-    :func:`verify_equivalence`, and the first that verifies decides.
+    frames, for the geometries of the README's Limitations table, others
+    UNDECIDED at once. Each gets a least-squares mixing operator on the
+    slice index, is gauged into a :class:`LocalOperatorTuple` (a singular
+    operator drops it) and verified on the two states by
+    :func:`verify_equivalence`; the first that verifies decides.
 
     The certificate operators ``(A_first, A_row, A_col)`` act per party:
     ``t1`` slices match ``scalar * sum_j A_first[i, j] * A_row @ t2_j @

@@ -54,10 +54,9 @@ related by one map between their forms. At rank one those maps are the
 factors; at rank two a 2x2 core is left, and as the Kronecker pairs
 preserving a normal span act on its basis through a few linear families,
 matching the two cores is one small nullspace per pair of families. The
-single-sided variant for tripartite checks on a 2x2 split maps the span of
-the slices onto its primed partner the same way, at every rank: a
-three-dimensional span is the annihilator of one matrix, and a
-four-dimensional one is everything.
+single-sided variant for tripartite checks maps the span of the slices
+onto its primed partner the same way. :func:`_span_form` alone decides
+which spans have a form, as the README's Limitations table states.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ from .tensorops import pencil_det_form, pow2_scaled, sigma_rank
 # Tolerances of the constructions, one per role. None of them accepts or
 # drops a candidate: verification on the amplitudes is the only gate.
 #
-# Singular value cutoff of the numerical nullspace a seeded point is drawn from.
-_NULLSPACE_RTOL = 1e-8
-# Singular value cutoff of the Sylvester nullspace of intertwiners.
-_INTERTWINER_RTOL = 1e-9
+# Singular value cutoff of every construction's nullspaces and rank forms.
+# Kept apart from tensorops.DEFAULT_RTOL, the screen's rank cutoff, though
+# equal: this one can only withhold candidates, the screen's decides proofs.
+_CONSTRUCTION_RTOL = 1e-9
 # Pencil cutoff: a zero determinant form, a repeated root.
 _PENCIL_RTOL = 1e-6
-# Rank cutoff of a folded matrix brought to its rank form.
-_RANK_FORM_RTOL = 1e-9
 # Newton polar iteration: distance of X_k^T X_k from I counted as
 # converged, and the iteration cap.
 _POLAR_TOL = 1e-10
@@ -173,7 +170,7 @@ def _intertwiner_family(right: np.ndarray, left: np.ndarray):
     _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
-    return [x.conj().reshape(n, n) for x in vh[sigma_rank(s, _INTERTWINER_RTOL):]]
+    return [x.conj().reshape(n, n) for x in vh[sigma_rank(s, _CONSTRUCTION_RTOL):]]
 
 
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
@@ -333,7 +330,7 @@ def _nullspace_point(system: np.ndarray, rng):
     # U is never read; V stays square when the system is wide, so that
     # its nullspace rows are kept.
     _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
-    rank = min(sigma_rank(s, _NULLSPACE_RTOL), len(vh) - 1)
+    rank = min(sigma_rank(s, _CONSTRUCTION_RTOL), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     return mix @ null
@@ -467,11 +464,11 @@ def _rank_form(x):
     """``(N1, N2, "rank k")`` with ``N1 x N2^T = diag(1, .., 1, 0, ..)``, k ones.
 
     From the SVD ``x = U diag(s) V^H``: ``N1 = diag(1/s_1..1/s_k, 1, ...) U^H``
-    and ``N2 = conj(V^H)``, with k the numerical rank at ``_RANK_FORM_RTOL``;
+    and ``N2 = conj(V^H)``, with k the numerical rank at ``_CONSTRUCTION_RTOL``;
     the deficient directions stay at unit scale, so N1 is invertible.
     """
     u, s, vh = np.linalg.svd(x)
-    k = sigma_rank(s, _RANK_FORM_RTOL)
+    k = sigma_rank(s, _CONSTRUCTION_RTOL)
     scale = np.concatenate([1.0 / s[:k], np.ones(x.shape[0] - k)])
     return scale[:, None] * u.conj().T, vh.conj(), f"rank {k}"
 
@@ -480,22 +477,24 @@ def _span_form(frame, r, shape):
     """``(N1, N2, name)`` with ``N1 X N2^T`` in the normal span ``name``, or None.
 
     X ranges over the span of the first ``r`` frame columns, folded
-    row-major to ``shape``; :func:`_between` maps spans of equal r, shape
-    and name onto each other. One matrix has its rank form at any shape;
-    on 2x2 a pencil has its ``_PENCIL_FORMS`` entry, three dimensions are
-    the annihilator of ``Y = conj(frame[:, 3])`` under ``tr(Y^T X)``, with
-    Y's rank form carried through ``(N1^-T, N2^-T)``, and four are all.
+    row-major to ``shape = (p, q)``; :func:`_between` maps spans of equal
+    r, shape and name onto each other. Only this decides which spans have
+    a form, by r: one matrix its rank form; all p*q dimensions ``"all"``;
+    p*q - 1 the annihilator of ``Y = conj(frame[:, r])`` under ``tr(Y^T X)``,
+    Y's rank form carried through ``(N1^-T, N2^-T)``; a pencil of 2x2
+    matrices its ``_PENCIL_FORMS`` entry. Any other span has none.
     """
+    p, q = shape
     if r == 1:
         return _rank_form(frame[:, 0].reshape(shape))
-    if shape != (2, 2):
-        return None
-    if r == 2:
-        return _pencil_normal_form(frame[:, 0].reshape(2, 2), frame[:, 1].reshape(2, 2))
-    if r == 3:
-        n1, n2, name = _rank_form(frame[:, 3].conj().reshape(2, 2))
+    if r == p * q:
+        return np.eye(p), np.eye(q), "all"
+    if r == p * q - 1:
+        n1, n2, name = _rank_form(frame[:, r].conj().reshape(shape))
         return np.linalg.inv(n1).T, np.linalg.inv(n2).T, name
-    return np.eye(2), np.eye(2), "all"
+    if r == 2 and shape == (2, 2):
+        return _pencil_normal_form(frame[:, 0].reshape(2, 2), frame[:, 1].reshape(2, 2))
+    return None
 
 
 def _between(src, dst, a=None, b=None):
@@ -573,14 +572,13 @@ def _low_rank_candidates(frame, frame_prime, rng):
 def _direct_flat_candidates(frame, frame_prime, rng):
     """Iterable of factor candidates ``(A_l1, A_l2, A_r1, A_r2)`` for the flattenings.
 
-    Dispatches on the cut geometry. A full-row-rank cut with a qubit pair
-    on the rows has one construction, which (3,3) x (2,2) cuts run on the
-    transposed relation. Rank-one cuts of any shape and rank-two
-    qubit-pair cuts match span normal forms; they read the singular
-    frames, the full-row-rank construction only the flattenings.
+    Cuts of rank one and two match :func:`_span_form` normal forms, read
+    from the singular frames. A full-row-rank cut with a qubit pair on the
+    rows has one construction, on the flattenings only, which (3,3) x
+    (2,2) cuts run on the transposed relation.
     """
     r, left, right = frame.r, frame.left_dims, frame.right_dims
-    if r == 1 or (r == 2 and left == right == (2, 2)):
+    if r <= 2:
         return _low_rank_candidates(frame, frame_prime, rng)
     swapped = left == (3, 3) and right == (2, 2)
     if r != 4 or not (swapped or (left == (2, 2) and right in ((2, 2), (3, 3)))):
@@ -619,10 +617,10 @@ def solve_ptilde(
     ``M' ∝ (A_l1 (x) A_l2) M (A_r1 (x) A_r2)^T`` for the two flattenings;
     none is checked for invertibility or verified here.
 
-    Candidates come from closed-form constructions for rank-one
-    flattenings of any shape, rank-two and invertible flattenings with
-    qubit pairs on both sides, and invertible qubit-pair-by-qutrit-pair
-    flattenings. Any other geometry is EXHAUSTED at once; that is never
+    Candidates come from closed-form constructions for flattenings of
+    rank one and two whose spans have a :func:`_span_form`, and invertible
+    flattenings with a qubit pair on one side and a qubit or qutrit pair
+    on the other. Any other geometry is EXHAUSTED at once; that is never
     evidence of inequivalence. ``restarts_used`` is always 0.
     """
     if frame.r != frame_prime.r:
@@ -646,12 +644,12 @@ def solve_ptilde_single(
 
     Each candidate ``(A_1, A_2)`` proposes a map ``kron(A_1, A_2)``
     carrying the span of the first ``r`` columns of ``u_full`` onto that
-    of ``u_prime_full``, with the columns folded by ``split``. Only the
-    2x2 split has a construction, at every rank; other splits are
-    EXHAUSTED at once. The construction draws no random number, so it
-    takes no :class:`SolverConfig`.
+    of ``u_prime_full``, with the columns folded by ``split``. The spans
+    with a construction are those :func:`_span_form` gives a form; the
+    rest are EXHAUSTED at once. The construction draws no random number,
+    so it takes no :class:`SolverConfig`.
     """
     if u_full.shape != u_prime_full.shape:
         raise ValueError("frames live on different spaces")
-    forms = _matched_forms(u_full, u_prime_full, r, split) if split == (2, 2) else None
+    forms = _matched_forms(u_full, u_prime_full, r, split)
     return _peeked([] if forms is None else [_between(*forms)])

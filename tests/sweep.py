@@ -1,4 +1,4 @@
-"""Seeded verdict sweep: a fixed set of 2522 checks and 18 classifications, hashed row by row.
+"""Seeded verdict sweep: a fixed set of 2567 checks and 18 classifications, hashed row by row.
 
     python3 -W error::RuntimeWarning tests/sweep.py [--digests PATH]
     PYTHONPATH=<tree>/src python3 -W error::RuntimeWarning tests/sweep.py
@@ -33,6 +33,11 @@ The checks, in this order:
   V^H`` on each party (200); ``|0000> + 5e-9|0101>`` under four Haar
   unitaries, seeds 0-19 (20); and ``L_a4(0.01+0.01j)`` under
   ``random_invertible_ops((2,2,2,2), (11, 7))`` (1);
+- tripartite orbit pairs of seeded states with 1 slice of 2x3 and of
+  3x3, 5 of 2x3, 6 of 3x2, 8 of 3x3, 2 of 2x3 and 3 of 3x3, seeds 0-4
+  (35); the last two geometries have no construction;
+- tripartite cross pairs of one 2x3 slice of rank 1 against one of rank
+  2, in both orders, seeds 0-4 (10);
 - then ``classify_tripartite_qubit`` of orbit images of the product state,
   the three biseparable states, W3 and GHZ3, seeds 0-2 (18). No check can
   reach the product and A|BC labels: a check's three-qubit states have
@@ -42,8 +47,8 @@ Each check carries its ground truth as the set of verdicts it allows.
 An orbit pair (``workloads.ORBIT``) is never INEQUIVALENT and a cross
 pair (``workloads.NON_ORBIT``) never EQUIVALENT; a benchmark pair keeps
 its own ``allowed``. The cross pairs are those against the next seed's
-``random_orbit_case`` state and the three-qubit class pairs; every other
-pair of the list above is an orbit pair.
+``random_orbit_case`` state, the three-qubit class pairs and the 2x3
+slice-rank pairs; every other pair of the list above is an orbit pair.
 
 Each check gives one row: status, stage, the per-cut stages of an
 all-cuts UNDECIDED verdict, proof kind, proof location, both proof
@@ -62,7 +67,9 @@ proofs on every check, so a change that moves a verdict updates the
 expected hash.
 ``--digests PATH`` writes the SHA-256 of each check's certificate
 operators, one line per check (``-`` for no certificate), so that two
-builds can be compared certificate by certificate.
+builds can be compared certificate by certificate; the script prints
+the SHA-256 of that file's bytes, ungated, as certificate bits vary
+with the BLAS build.
 
 ``sweep_known.json`` lists the checks whose verdict is known to be false
 today, as a strict xfail does: each entry is the check's index in the
@@ -120,7 +127,7 @@ from slocceq.states import (  # noqa: E402
 )
 from workloads import _orbit, _product_on, _slices  # noqa: E402
 
-EXPECTED_ROWS_SHA256 = "68b85c19f3bcd627fc4b87c49d878acf8038f8af8b0295450ba87658e40f256c"
+EXPECTED_ROWS_SHA256 = "a6fdcb2dc0ee2b5e4002c4021a5a2502b8a74ecf67700f72cc8a1308f88d6541"
 KNOWN_MISSES = Path(__file__).with_name("sweep_known.json")
 
 CONFIG = SolverConfig(rng_seed=0)
@@ -132,6 +139,10 @@ CUTS = tuple(
                         ((2, 1), (3, 4)), ((3, 4), (1, 2)))
 )
 ALL_CUTS = None
+# Tripartite orbits past the 2x2 slices: (slice count, slice shape).
+SLICE_GEOMETRIES = (
+    (1, (2, 3)), (1, (3, 3)), (5, (2, 3)), (6, (3, 2)), (8, (3, 3)), (2, (2, 3)), (3, (3, 3)),
+)
 
 
 def four_party(s1, s2, cut):
@@ -198,7 +209,7 @@ def l_a4(a):
 def slice_orbit(stack, seed):
     """Slices ``stack`` under seeded Gaussian operators on the slice index, the rows and the columns."""
     rng = np.random.default_rng(seed)
-    a, b, c = (gaussian(rng, (n, n)) for n in (len(stack), 2, 2))
+    a, b, c = (gaussian(rng, (n, n)) for n in stack.shape)
     image = np.einsum("ij,ab,jbc,dc->iad", a, b, stack, c)
     return TripartiteState(len(stack), tuple(image))
 
@@ -286,6 +297,17 @@ def cases():
     state = l_a4(0.01 + 0.01j)
     image = apply_local_ops(state, random_invertible_ops((2, 2, 2, 2), (11, 7)))
     yield image, state, four_party(image, state, CUTS[0]), ORBIT
+    for r, shape in SLICE_GEOMETRIES:
+        for seed in range(5):
+            stack = gaussian(np.random.default_rng((r, *shape, seed)), (r, *shape))
+            t1, t2 = slice_orbit(stack, (seed, 1)), slice_orbit(stack, (seed, 2))
+            yield t1, t2, tripartite(t1, t2), ORBIT
+    for seed in range(5):
+        rng = np.random.default_rng((23, seed))
+        lone, pair = (gaussian(rng, (1, 2, k)) @ gaussian(rng, (1, k, 3)) for k in (1, 2))
+        for k1, k2 in ((lone, pair), (pair, lone)):
+            t1, t2 = slice_orbit(k1, (seed, 1)), slice_orbit(k2, (seed, 2))
+            yield t1, t2, tripartite(t1, t2), CROSS
 
 
 def classifications():
@@ -343,8 +365,9 @@ def main(argv=None):
         cls = classify_tripartite_qubit(state)
         rows.append([cls.label.name, list(cls.marginal_ranks)])
         counts[cls.label.name] += 1
+    digest_file = "\n".join(digests) + "\n"
     if args.digests is not None:
-        args.digests.write_text("\n".join(digests) + "\n")
+        args.digests.write_text(digest_file)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     print(f"{len(digests)} checks in {time.perf_counter() - t0:.1f} s: " + ", ".join(
         f"{counts[s]} {s}" for s in ("EQUIVALENT", "INEQUIVALENT", "UNDECIDED")
@@ -359,6 +382,8 @@ def main(argv=None):
     for index in sorted(unmet):
         print(f"check {index}: listed in {KNOWN_MISSES.name} as {known[index]}, but does not give it")
     print(f"rows sha256 {digest}")
+    # Not gated: certificate bits vary with the BLAS build.
+    print(f"certificates sha256 {hashlib.sha256(digest_file.encode()).hexdigest()}")
     moved = digest != EXPECTED_ROWS_SHA256
     if moved:
         print(f"expected    {EXPECTED_ROWS_SHA256}: the rows moved")

@@ -655,11 +655,11 @@ def rank_one_state(dims):
 
 
 def planted_slices(rng, stack):
-    """Slices mixed by a random first-party map and random 2x2 sides."""
-    r = stack.shape[0]
+    """Slices mixed by a random first-party map and random maps on the rows and columns."""
+    r, rows, cols = stack.shape
     mix = random_complex(rng, (r, r))
-    a_row = random_complex(rng, (2, 2))
-    a_col = random_complex(rng, (2, 2))
+    a_row = random_complex(rng, (rows, rows))
+    a_col = random_complex(rng, (cols, cols))
     image = np.tensordot(mix, a_row @ stack @ a_col.T, axes=([1], [0]))
     return TripartiteState(r_dim=r, slices=tuple(image))
 
@@ -717,6 +717,11 @@ DECIDED = {
     "slices-rank2-w3": slice_orbit(named_stack("w3")),
     "slices-rank3": slice_orbit(lambda rng: random_complex(rng, (3, 2, 2))),
     "slices-rank4": slice_orbit(lambda rng: random_complex(rng, (4, 2, 2))),
+    "slices-1-of-2x3": slice_orbit(lambda rng: random_complex(rng, (1, 2, 3))),
+    "slices-1-of-3x3": slice_orbit(lambda rng: random_complex(rng, (1, 3, 3))),
+    "slices-5-of-2x3": slice_orbit(lambda rng: random_complex(rng, (5, 2, 3))),
+    "slices-6-of-3x2": slice_orbit(lambda rng: random_complex(rng, (6, 3, 2))),
+    "slices-8-of-3x3": slice_orbit(lambda rng: random_complex(rng, (8, 3, 3))),
 }
 
 UNDECIDED = {
@@ -732,6 +737,7 @@ UNDECIDED = {
         CUT_12_34,
         CONFIG,
     ),
+    "slices-2-of-2x3": slice_orbit(lambda rng: random_complex(rng, (2, 2, 3))),
 }
 
 
