@@ -1,5 +1,9 @@
 """Command line surface: decompose, check, verify, classify, orbit generation.
 
+Each command returns its exit code and one payload dict. :func:`main`
+prints the payload as JSON under ``--json``, else as the text lines of
+:func:`_render`, so the two forms state the same facts.
+
 Exit codes are a stable contract:
 
 ====  =========================================-
@@ -155,23 +159,41 @@ def read_certificate_file(path) -> dict:
     }
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}j"
+def _fmt(value) -> str:
+    if isinstance(value, complex):
+        return f"{value.real:.12g}{value.imag:+.12g}j"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
-def _matrix_lines(matrix) -> list[str]:
-    return ["    " + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(matrix, dtype=complex)]
+def _render(payload: dict, indent: str = "") -> list[str]:
+    """The text form of a payload: its entries in order, ``command`` and None values skipped.
+
+    An entry is a ``key name: value`` line, ``_`` in the key read as a
+    space. A dict prints as ``name:`` over its entries, two spaces deeper;
+    a sequence of matrices as ``name k:`` over the rows of the k-th; any
+    other sequence on one line, its items two spaces apart.
+    """
+    lines = []
+    for key, value in payload.items():
+        if key == "command" or value is None:
+            continue
+        name = indent + key.replace("_", " ")
+        if isinstance(value, dict):
+            lines += [f"{name}:", *_render(value, indent + "  ")]
+        elif not isinstance(value, (list, tuple, np.ndarray)):
+            lines.append(f"{name}: {_fmt(value)}")
+        elif len(value) and all(np.ndim(item) == 2 for item in value):
+            for k, matrix in enumerate(value, 1):
+                rows = np.asarray(matrix, dtype=complex)
+                lines += [f"{name} {k}:", *(f"{indent}    {'  '.join(map(_fmt, row))}" for row in rows)]
+        else:
+            lines.append(f"{name}: {'  '.join(map(_fmt, value))}".rstrip())
+    return lines
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    """Print ``payload`` as JSON under ``--json``, else the text ``lines``."""
-    if args.json:
-        print(json.dumps(payload, indent=2, default=json_default))
-    else:
-        print("\n".join(lines))
-
-
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict]:
     state = _read_state(args.state)
     cut = _cut(args.cut)
     if state.num_parties != 4:
@@ -182,33 +204,19 @@ def cmd_decompose(args) -> int:
         triple = triple_state_set(state, cut, rtol=args.tol)
     except ValueError as exc:
         raise _Exit(EXIT_PARSE, str(exc))
-    psi_u, psi_v = triple.psi_u, triple.psi_v
-
-    payload = {
+    return EXIT_OK, {
         "command": "decompose",
         "cut": cut.label,
         "dims": list(state.dims),
         "rank": triple.r,
         "singular_values": triple.singular_values,
-        "psi_u": psi_u.slices,
-        "psi_v": psi_v.slices,
+        "psi_u": triple.psi_u.slices,
+        "psi_v": triple.psi_v.slices,
         "warnings": list(triple.warnings),
     }
-    lines = [
-        f"cut: {cut.label}",
-        f"dims: {list(state.dims)}",
-        f"rank: {triple.r}",
-        "singular values: " + "  ".join(f"{s:.12g}" for s in triple.singular_values),
-    ]
-    for name, tri in (("psi_u", psi_u), ("psi_v", psi_v)):
-        for j, piece in enumerate(tri.slices):
-            lines += [f"{name} slice {j + 1}:", *_matrix_lines(piece)]
-    lines += [f"warning: {warning}" for warning in triple.warnings]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict]:
     target, source = _read_pair(args)
     if target.num_parties != 4:
         raise _Exit(EXIT_PARSE, "check needs four-party states")
@@ -218,9 +226,10 @@ def cmd_check(args) -> int:
         cut_label = "all"
         verdict = check_fourpartite_equiv_all_cuts(target, source, config, verify_tol=args.tol)
     else:
-        cut_label = args.cut if args.cut is not None else "12-34"
+        cut_label = args.cut
         verdict = check_fourpartite_equiv(target, source, _cut(cut_label), config, verify_tol=args.tol)
 
+    cert, proof = verdict.certificate, verdict.proof
     payload = {
         "command": "check",
         "verdict": verdict.status.name,
@@ -228,49 +237,22 @@ def cmd_check(args) -> int:
         "seed": args.seed,
         "tolerance": args.tol,
         "certificate": None,
-        "proof": None,
+        "proof": proof.to_dict() if proof is not None else None,
         "diagnostics": verdict.diagnostics,
     }
-    lines = [f"seed: {args.seed}", f"verdict: {verdict.status.name}"]
-    cert, proof = verdict.certificate, verdict.proof
     if cert is not None:
         cert_cut = cert.cut.label if cert.cut is not None else None
         payload["certificate"] = _certificate_fields(cert_cut, cert.scalar, cert.residual, cert.ops.ops)
-        lines += [
-            f"cut: {cert_cut}",
-            f"scalar: {_fmt_complex(cert.scalar)}",
-            f"residual: {cert.residual:.6g}",
-        ]
-        for k, op in enumerate(cert.ops.ops):
-            lines += [f"operator {k + 1}:", *_matrix_lines(op)]
         if args.cert_out:
             _write(
                 write_certificate_file,
                 args.cert_out, cert.ops.ops, cert.scalar, cert_cut, cert.residual, verdict.diagnostics,
             )
             payload["certificate_file"] = args.cert_out
-            lines.append(f"wrote certificate: {args.cert_out}")
-    elif proof is not None:
-        payload["proof"] = proof.to_dict()
-        lines += [
-            f"invariant: {proof.invariant}",
-            f"location: {proof.location}",
-            f"value a: {proof.value_a}",
-            f"value b: {proof.value_b}",
-            f"reason: {proof.description}",
-        ]
-    else:
-        diagnostics = verdict.diagnostics
-        lines.append(f"stage: {diagnostics.get('stage', 'unknown')}")
-        if "candidates" in diagnostics:
-            lines.append(f"candidates: {diagnostics['candidates']}")
-        if "verify_residual" in diagnostics:
-            lines.append(f"best verify residual: {diagnostics['verify_residual']:.6g}")
-    _emit(args, payload, lines)
-    return _STATUS_EXIT[verdict.status.name]
+    return _STATUS_EXIT[verdict.status.name], payload
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     try:
         cert = read_certificate_file(args.cert)
     except (OSError, ValueError) as exc:
@@ -289,7 +271,7 @@ def cmd_verify(args) -> int:
         raise _Exit(EXIT_PARSE, f"certificate rejected: {exc}")
 
     passed, scalar, residual = verify_equivalence(target, source, ops, tol=args.tol)
-    payload = {
+    return EXIT_OK if passed else EXIT_FAIL, {
         "command": "verify",
         "passed": passed,
         "scalar": scalar,
@@ -297,37 +279,22 @@ def cmd_verify(args) -> int:
         "tolerance": args.tol,
         "certificate_residual": cert["residual"],
     }
-    lines = [
-        f"verification: {'PASS' if passed else 'FAIL'}",
-        f"scalar: {_fmt_complex(scalar)}",
-        f"residual: {residual:.6g}",
-        f"tolerance: {args.tol:.6g}",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK if passed else EXIT_FAIL
 
 
-def cmd_classify3(args) -> int:
+def cmd_classify3(args) -> tuple[int, dict]:
     state = _read_state(args.state)
     if state.dims != (2, 2, 2):
         raise _Exit(EXIT_DIMS, f"classify3 needs dims [2, 2, 2], got {list(state.dims)}")
     tri = classify_tripartite_qubit(state)
-    payload = {
+    return EXIT_OK, {
         "command": "classify3",
         "label": tri.label.name,
         "marginal_ranks": list(tri.marginal_ranks),
         "hyperdeterminant_magnitude": tri.hyperdet_magnitude,
     }
-    lines = [
-        f"label: {tri.label.name}",
-        f"marginal ranks: {list(tri.marginal_ranks)}",
-        f"hyperdeterminant magnitude: {tri.hyperdet_magnitude:.6g}",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[int, dict]:
     state = _read_state(args.state)
     ops = random_invertible_ops(state.dims, args.seed, condition_cap=args.cond_cap)
     image = apply_local_ops(state, ops)
@@ -340,7 +307,7 @@ def cmd_orbit(args) -> int:
     planted = {"planted": True, "seed": args.seed, "condition_cap": args.cond_cap}
     _write(write_state_file, image_path, image)
     _write(write_certificate_file, cert_path, ops.ops, scalar, None, residual, planted)
-    payload = {
+    return EXIT_OK, {
         "command": "orbit",
         "seed": args.seed,
         "condition_cap": args.cond_cap,
@@ -348,47 +315,26 @@ def cmd_orbit(args) -> int:
         "certificate_file": cert_path,
         "residual": residual,
     }
-    lines = [
-        f"seed: {args.seed}",
-        f"condition cap: {args.cond_cap:g}",
-        f"wrote image: {image_path}",
-        f"wrote certificate: {cert_path}",
-        f"residual: {residual:.6g}",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def _finite_above(bound: float):
-    """argparse type: a finite float strictly greater than ``bound``.
+def _interval(low: float, high: float = math.inf, kind=float):
+    """argparse type: a ``kind`` value strictly between ``low`` and ``high``.
 
-    A rejected value makes argparse name the flag and exit with the parse
-    error code.
+    The open interval shuts out nan and both infinities. A rejected value
+    makes argparse name the flag and exit with the parse error code.
     """
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value) or value <= bound:
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number > {bound:g}, got {text!r}"
-            )
+        if not low < value < high:
+            what = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {what} in ({low:g}, {high:g}), got {text!r}")
         return value
 
     return parse
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0, as numpy's seed sequences require."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", default="12-34", help="cut label: 12-34, 13-24 or 14-23")
     p.add_argument(
         "--tol",
-        type=_finite_above(0.0),
+        type=_interval(0.0),
         default=DEFAULT_RTOL,
         help="relative rank tolerance",
     )
@@ -426,17 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_a", help="target state file")
     p.add_argument("state_b", help="source state file (operators map b onto a)")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--cut", default=None, help="cut label (default 12-34)")
+    group.add_argument("--cut", default="12-34", help="cut label (default 12-34)")
     group.add_argument(
         "--all-cuts", action="store_true", help="merge verdicts over the three cuts"
     )
     p.add_argument(
         "--tol",
-        type=_finite_above(0.0),
+        type=_interval(0.0, 1.0),
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
     )
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="solver seed (default 0)")
+    p.add_argument("--seed", type=_interval(-1, kind=int), default=0, help="solver seed (default 0)")
     p.add_argument(
         "--cert-out", default=None, help="write the certificate here when equivalent"
     )
@@ -450,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert", help="certificate file")
     p.add_argument(
         "--tol",
-        type=_finite_above(0.0),
+        type=_interval(0.0, 1.0),
         default=DEFAULT_VERIFY_TOL,
         help="acceptance tolerance on the relative residual",
     )
@@ -466,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
         "orbit", parents=[common], help="generate a random local orbit image"
     )
     p.add_argument("state", help="state file")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="operator seed (default 0)")
+    p.add_argument("--seed", type=_interval(-1, kind=int), default=0, help="operator seed (default 0)")
     p.add_argument(
         "--cond-cap",
-        type=_finite_above(1.0),
+        type=_interval(1.0),
         default=DEFAULT_CONDITION_CAP,
         help="condition number cap for the drawn operators",
     )
@@ -486,10 +432,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_PARSE
     try:
-        return args.func(args)
+        code, payload = args.func(args)
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    print(json.dumps(payload, indent=2, default=json_default) if args.json else "\n".join(_render(payload)))
+    return code
 
 
 if __name__ == "__main__":

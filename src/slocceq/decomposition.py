@@ -119,15 +119,6 @@ def _flatten_cut(tensors: np.ndarray, cut: Bipartition) -> np.ndarray:
     return t.reshape(g, da * db, dc * dd)
 
 
-def flatten_bipartition(state: PureState, cut: Bipartition) -> np.ndarray:
-    """Matrix of a four-partite state with rows (i_a, i_b), columns (i_c, i_d).
-
-    The second index of each pair varies fastest, matching the global
-    amplitude convention.
-    """
-    return _flatten_cut(state.tensor()[np.newaxis], cut)[0]
-
-
 def flatten_party(tensors: np.ndarray, party: int) -> np.ndarray:
     """Matrices of stacked tensors ``(g, d1, ..., dn)``, rows indexed by one party (1-based).
 

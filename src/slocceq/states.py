@@ -65,9 +65,6 @@ class PureState:
     def num_parties(self) -> int:
         return len(self.dims)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party."""
         return self.amps.reshape(self.dims)

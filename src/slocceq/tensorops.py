@@ -27,11 +27,6 @@ import numpy as np
 DEFAULT_RTOL = 1e-9
 
 
-def numerical_rank(matrix: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
-    """Count singular values above ``rtol`` times the largest one."""
-    return sigma_rank(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False), rtol)
-
-
 def sigma_rank(s, rtol: float = DEFAULT_RTOL) -> int:
     """Count of descending singular values ``s`` above ``rtol * s[0]``; 0 if empty or zero."""
     s = np.asarray(s)

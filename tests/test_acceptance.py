@@ -122,7 +122,7 @@ def test_criterion_4_cluster_pair(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "PASS" in out
+    assert "passed: True" in out.splitlines()
     report(4, f"verify residual {resid:.1e} in {elapsed:.2f}s; closed-form operators verify, exit 0")
 
 

@@ -80,4 +80,4 @@ class TestRandomOrbitCase:
 
     def test_state_normalized(self):
         state, _, _ = random_orbit_case((2, 2, 2, 2), 8, 20.0)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12

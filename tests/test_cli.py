@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from slocceq import solver
+from slocceq import cli, solver
 from slocceq.catalog import random_orbit_case
 from slocceq.cli import (
     CERTIFICATE_VERSION,
@@ -23,10 +23,11 @@ from slocceq.cli import (
     read_certificate_file,
     write_certificate_file,
 )
-from slocceq.decomposition import flatten_bipartition
+from slocceq.decomposition import triple_state_set
 from slocceq.states import (
     STANDARD_CUTS,
     PureState,
+    json_default,
     make_state,
     read_state_file,
     write_state_file,
@@ -87,7 +88,7 @@ class TestDecompose:
             for cut in STANDARD_CUTS:
                 assert main(["decompose", str(path), "--cut", cut.label, "--json"]) == EXIT_OK
                 payload = json.loads(capsys.readouterr().out)
-                u, sigma, v = svd(flatten_bipartition(state, cut))
+                u, sigma, v = svd(triple_state_set(state, cut).flattening)
                 r = sigma_rank(sigma)
                 assert payload["rank"] == r
                 got = np.array(payload["singular_values"])
@@ -125,7 +126,9 @@ class TestDecompose:
         write_state_file(path, PureState((2, 2, 2, 2), amps))
         assert main(["decompose", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "warning: singular value 2 of 4 lies within 10x of the rank cutoff" in out
+        warnings = [ln for ln in out.splitlines() if ln.startswith("warnings: ")]
+        assert len(warnings) == 1
+        assert "singular value 2 of 4 lies within 10x of the rank cutoff" in warnings[0]
 
     def test_rank_zero_tolerance_is_a_usage_error(self, files, capsys):
         # No singular value exceeds twice the largest, so the rank is 0.
@@ -204,9 +207,9 @@ class TestCheck:
         code = main(["check", str(tmp_path / "a.state"), str(tmp_path / "b.state")])
         assert code == EXIT_UNDECIDED
         lines = capsys.readouterr().out.splitlines()
-        assert "stage: verification" in lines
-        assert "candidates: 1" in lines
-        best = [ln for ln in lines if ln.startswith("best verify residual: ")]
+        assert "  stage: verification" in lines
+        assert "  candidates: 1" in lines
+        best = [ln for ln in lines if ln.startswith("  verify residual: ")]
         assert len(best) == 1 and float(best[0].split()[-1]) > 1e-3
 
     def test_restarts_option_removed(self, files, capsys):
@@ -242,7 +245,7 @@ class TestCheck:
             ["verify", files["abcd"], files["abcd2"], str(cert_path)]
         )
         assert code == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        assert "passed: True" in capsys.readouterr().out.splitlines()
 
     def test_unwritable_cert_out_is_usage_error(self, files, tmp_path, capsys):
         cert_path = tmp_path / "missing" / "pair.cert"
@@ -283,14 +286,14 @@ class TestVerify:
         self.write_cert(cert, ops)
         code = main(["verify", files["ghz4"], files["ghz4"], str(cert)])
         assert code == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        assert "passed: True" in capsys.readouterr().out.splitlines()
 
     def test_wrong_certificate_fails(self, files, tmp_path, capsys):
         cert = tmp_path / "id.cert"
         self.write_cert(cert, [np.eye(2)] * 4)
         code = main(["verify", files["ghz4"], files["w4"], str(cert)])
         assert code == EXIT_FAIL
-        assert "FAIL" in capsys.readouterr().out
+        assert "passed: False" in capsys.readouterr().out.splitlines()
 
     def test_zeroed_operator_fails(self, files, tmp_path, capsys):
         cert = tmp_path / "zero.cert"
@@ -373,7 +376,7 @@ class TestVerify:
         cert = tmp_path / "far.cert"
         self.write_cert(cert, ops)
         assert main(["verify", files["ghz4"], files["ghz4"], str(cert)]) == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        assert "passed: True" in capsys.readouterr().out.splitlines()
         assert main(["verify", files["ghz4"], files["ghz4"], str(cert), "--json"]) == EXIT_OK
 
         def no_constant(name):
@@ -391,7 +394,7 @@ class TestVerify:
         cert = tmp_path / "id.cert"
         self.write_cert(cert, [np.eye(2)] * 4)
         assert main(["verify", *paths, str(cert)]) == EXIT_FAIL
-        assert "FAIL" in capsys.readouterr().out
+        assert "passed: False" in capsys.readouterr().out.splitlines()
 
 
 class TestClassify3:
@@ -433,7 +436,7 @@ class TestOrbit:
             ["verify", f"{out}.state", files["cluster"], f"{out}.cert"]
         )
         assert code == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        assert "passed: True" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("name", ["ghz3", "bell"])
     def test_fewer_parties_orbit_and_verify(self, files, tmp_path, capsys, name):
@@ -444,7 +447,7 @@ class TestOrbit:
         assert main(["orbit", files[name], "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert main(["verify", f"{out}.state", files[name], f"{out}.cert"]) == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        assert "passed: True" in capsys.readouterr().out.splitlines()
 
     def test_json_payload(self, files, tmp_path, capsys):
         out = tmp_path / "orb"
@@ -550,7 +553,10 @@ class TestNumericFlags:
             (["check", "{ghz4}", "{ghz4}", "--tol", "-1"], "--tol"),
             (["check", "{ghz4}", "{ghz4}", "--tol", "0"], "--tol"),
             (["check", "{ghz4}", "{ghz4}", "--tol", "inf"], "--tol"),
+            (["check", "{ghz4}", "{ghz4}", "--tol", "1"], "--tol"),
             (["verify", "{ghz4}", "{ghz4}", "{ghz4}", "--tol", "-1"], "--tol"),
+            (["verify", "{ghz4}", "{ghz4}", "{ghz4}", "--tol", "1"], "--tol"),
+            (["verify", "{ghz4}", "{ghz4}", "{ghz4}", "--tol", "inf"], "--tol"),
             (["decompose", "{ghz4}", "--tol", "nan"], "--tol"),
             (["orbit", "{ghz4}", "--cond-cap", "0.5", "--out", "{dir}/o"], "--cond-cap"),
             (["orbit", "{ghz4}", "--cond-cap", "1", "--out", "{dir}/o"], "--cond-cap"),
@@ -574,6 +580,77 @@ class TestNumericFlags:
         out = tmp_path / "orb"
         assert main(["orbit", files["ghz4"], "--cond-cap", "1.5", "--out", str(out)]) == EXIT_OK
         assert main(["check", files["ghz4"], files["ghz4"], "--seed", "0"]) == EXIT_OK
+
+
+class TestTextMirrorsJson:
+    """The text output renders the payload that ``--json`` prints, entry by entry."""
+
+    @pytest.fixture
+    def runs(self, files, tmp_path, capsys):
+        # A (2,2,2,3) orbit pair, UNDECIDED at every cut, and a certificate to verify.
+        source = tmp_path / "s2223.state"
+        write_state_file(source, random_orbit_case((2, 2, 2, 3), 3)[0])
+        assert main(["orbit", str(source), "--out", str(tmp_path / "orb")]) == EXIT_OK
+        assert main(["orbit", files["cluster"], "--seed", "3", "--out", str(tmp_path / "cl")]) == EXIT_OK
+        capsys.readouterr()
+        return {**files, "s2223": str(source), "out": str(tmp_path)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "{ghz4}"],
+            ["check", "{abcd}", "{abcd2}", "--cert-out", "{out}/pair.cert"],
+            ["check", "{ghz4}", "{w4}"],
+            ["check", "{out}/orb.state", "{s2223}"],
+            ["check", "{out}/orb.state", "{s2223}", "--all-cuts"],
+            ["verify", "{out}/cl.state", "{cluster}", "{out}/cl.cert"],
+            ["classify3", "{w3}"],
+            ["orbit", "{ghz4}", "--out", "{out}/image"],
+        ],
+        ids=[
+            "decompose", "equivalent", "inequivalent", "undecided", "all-cuts", "verify", "classify3", "orbit",
+        ],
+    )
+    def test_text_is_the_rendered_payload(self, runs, capsys, argv):
+        argv = [arg.format(**runs) for arg in argv]
+        args = cli.build_parser().parse_args(argv)
+        code, payload = args.func(args)
+        assert main([*argv, "--json"]) == code
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, default=json_default) + "\n"
+        assert main(argv) == code
+        text = capsys.readouterr().out
+        assert text == "\n".join(cli._render(payload)) + "\n"
+        lines = text.splitlines()
+        for key, value in payload.items():
+            if key != "command" and value is not None:
+                name = key.replace("_", " ")
+                heads = (f"{name}:", f"{name} 1:")
+                assert any(ln in heads or ln.startswith(f"{name}: ") for ln in lines), key
+
+    def test_rendering_rules(self):
+        payload = {
+            "command": "x",
+            "none_value": None,
+            "a_float": 0.1 + 0.2,
+            "a_complex": 1 - 2j,
+            "items": ["p", 3, 0.5],
+            "empty": [],
+            "nested": {"inner_dict": {"flag": True}, "mats": [np.eye(2), np.zeros((1, 1))]},
+        }
+        assert cli._render(payload) == [
+            "a float: 0.3",
+            "a complex: 1-2j",
+            "items: p  3  0.5",
+            "empty:",
+            "nested:",
+            "  inner dict:",
+            "    flag: True",
+            "  mats 1:",
+            "      1+0j  0+0j",
+            "      0+0j  1+0j",
+            "  mats 2:",
+            "      0+0j",
+        ]
 
 
 class TestTopLevel:

@@ -11,7 +11,7 @@ from slocceq.states import (
     make_state,
 )
 from slocceq.catalog import random_orbit_case
-from slocceq.decomposition import StateProfile, flatten_bipartition, triple_state_set
+from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.tensorops import sigma_rank, svd
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
@@ -40,21 +40,21 @@ def span_gap(slices_a, slices_b):
 
 class TestFlattenBipartition:
     def test_ghz4_placement(self):
-        m = flatten_bipartition(make_state("ghz4"), CUT_12_34)
+        m = triple_state_set(make_state("ghz4"), CUT_12_34).flattening
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = INV_SQRT2
         expected[3, 3] = INV_SQRT2
         assert np.array_equal(m, expected)
 
     def test_w4_placement(self):
-        m = flatten_bipartition(make_state("w4"), CUT_12_34)
+        m = triple_state_set(make_state("w4"), CUT_12_34).flattening
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1] = expected[0, 2] = expected[1, 0] = expected[2, 0] = 0.5
         assert np.array_equal(m, expected)
 
     def test_psi_abcd_displayed_matrix(self):
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
-        m = flatten_bipartition(make_state("psi_abcd", (a, b, c, d)), CUT_12_34)
+        m = triple_state_set(make_state("psi_abcd", (a, b, c, d)), CUT_12_34).flattening
         expected = 0.5 * np.array(
             [
                 [a + d, 0, 0, a - d],
@@ -69,13 +69,13 @@ class TestFlattenBipartition:
     def test_cut_reorders_parties(self):
         rng = np.random.default_rng(30)
         state = PureState((2, 2, 2, 2), random_complex(rng, (16,)))
-        m = flatten_bipartition(state, Bipartition((1, 3), (2, 4)))
+        m = triple_state_set(state, Bipartition((1, 3), (2, 4))).flattening
         t = state.tensor()
         assert m[0b10, 0b01] == t[1, 0, 0, 1]
 
     def test_rejects_three_party_state(self):
         with pytest.raises(ValueError):
-            flatten_bipartition(make_state("ghz3"), CUT_12_34)
+            triple_state_set(make_state("ghz3"), CUT_12_34)
 
 
 class TestTripleStateSet:
@@ -117,7 +117,7 @@ class TestTripleStateSet:
         for state in FOUR_PARTY_CATALOG:
             for cut in STANDARD_CUTS:
                 triple = triple_state_set(state, cut)
-                m = flatten_bipartition(state, cut)
+                m = triple.flattening
                 assert (
                     np.linalg.norm(triple.reconstruct() - m)
                     < 1e-10 * np.linalg.norm(m)
@@ -127,7 +127,8 @@ class TestTripleStateSet:
         for state in FOUR_PARTY_CATALOG:
             triple = triple_state_set(state, CUT_12_34)
             energy = float(np.sum(triple.singular_values**2))
-            assert abs(energy - state.norm() ** 2) < 1e-12 * state.norm() ** 2
+            norm2 = np.linalg.norm(state.amps) ** 2
+            assert abs(energy - norm2) < 1e-12 * norm2
 
     def test_slice_counts_match_rank(self):
         for state in FOUR_PARTY_CATALOG:
@@ -165,7 +166,7 @@ class TestTripleStateSet:
         assert triple.r == 4
         assert triple.psi_u.slice_shape == (2, 2)
         assert triple.psi_v.slice_shape == (3, 3)
-        m = flatten_bipartition(state, CUT_12_34)
+        m = triple.flattening
         assert np.linalg.norm(triple.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
 
     def test_factors_fold_the_frame_columns(self):
@@ -239,7 +240,7 @@ class TestComplementaryState:
         overlap = triple.u_full[:, : triple.r].conj().T @ vecs
         assert np.linalg.norm(overlap) < 1e-12
         # The complement annihilates the flattening from the left.
-        m = flatten_bipartition(state, CUT_12_34)
+        m = triple.flattening
         assert np.linalg.norm(vecs.conj().T @ m) < 1e-12 * np.linalg.norm(m)
 
 
@@ -315,7 +316,7 @@ class TestOneSpectrum:
         state = random_orbit_case((2, 2, 3, 3), 1)[1]
         for cut in STANDARD_CUTS:
             triple = triple_state_set(state, cut)
-            u, _, v = svd(flatten_bipartition(state, cut))
+            u, _, v = svd(triple.flattening)
             assert np.array_equal(triple.u_full, u)
             assert np.array_equal(triple.v_full, v)
 
@@ -326,14 +327,14 @@ class TestOneSpectrum:
                 state = random_orbit_case(dims, seed)[1]
                 for cut in STANDARD_CUTS:
                     triple = triple_state_set(state, cut)
-                    full = svd(flatten_bipartition(state, cut))[1]
+                    full = svd(triple.flattening)[1]
                     assert triple.r == sigma_rank(full)
                     gap = np.max(np.abs(triple.singular_values - full[: triple.r]))
                     assert gap <= 1e-14 * full[0]
 
     def test_flattening_is_read_only(self):
         triple = triple_state_set(make_state("cluster1d"), CUT_12_34)
-        assert np.array_equal(triple.flattening, flatten_bipartition(make_state("cluster1d"), CUT_12_34))
+        assert np.array_equal(triple.flattening, make_state("cluster1d").tensor().reshape(4, 4))
         with pytest.raises(ValueError):
             triple.flattening[0, 0] = 1.0
         with pytest.raises(ValueError):

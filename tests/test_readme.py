@@ -1,14 +1,21 @@
-"""The README's library example prints what its comments say."""
+"""The README's examples run: the library example prints what its comments say, and every
+command line example parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+from slocceq.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
-    section = README.read_text().split("\n## Library\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section("Library"), re.S).group(1)
 
 
 def test_library_example_prints_its_comments(capsys):
@@ -21,3 +28,15 @@ def test_library_example_prints_its_comments(capsys):
     assert expected
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_command_line_examples_parse(capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", section("Command line"), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("slocceq ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            raise AssertionError(f"README example does not parse: {line}\n{capsys.readouterr().err}")
