@@ -29,7 +29,6 @@ import numpy as np
 from .catalog import DEFAULT_CONDITION_CAP, random_invertible_ops
 from .decomposition import triple_state_set
 from .equivalence import (
-    DEFAULT_VERIFY_TOL,
     check_fourpartite_equiv,
     check_fourpartite_equiv_all_cuts,
     verify_equivalence,
@@ -45,7 +44,7 @@ from .states import (
     read_state_file,
     write_state_file,
 )
-from .tensorops import DEFAULT_RTOL
+from .tensorops import DEFAULT_RTOL, DEFAULT_VERIFY_TOL
 
 EXIT_OK = 0
 EXIT_FAIL = 1

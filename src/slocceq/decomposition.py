@@ -24,14 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .states import Bipartition, PureState, TripartiteState
-from .tensorops import DEFAULT_RTOL, sigma_rank, svd
-
-# Singular values in (rtol, 10*rtol) times the largest are counted as
-# nonzero but flagged: the block structure downstream is discontinuous
-# in the rank, so a borderline cut deserves a warning.
-CONDITIONING_BAND = 10.0
-# Largest |F^H F - I| per unit of side accepted from a singular frame F.
-FRAME_UNITARITY_TOL = 1e-12
+from .tensorops import CONDITIONING_BAND, DEFAULT_RTOL, FRAME_UNITARITY_TOL, sigma_rank, svd
 
 
 @dataclass(frozen=True, eq=False)

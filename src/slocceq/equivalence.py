@@ -44,9 +44,7 @@ from .states import (
     TripartiteState,
     contract_local_ops,
 )
-from .tensorops import DEFAULT_RTOL, _lead_phase, pow2_scaled, sigma_rank, svd
-
-DEFAULT_VERIFY_TOL = 1e-8
+from .tensorops import DEFAULT_RTOL, DEFAULT_VERIFY_TOL, _lead_phase, pow2_scaled, sigma_rank, svd
 
 
 class EquivalenceStatus(Enum):

@@ -71,21 +71,8 @@ from typing import Iterable
 import numpy as np
 
 from .decomposition import TripleStateSet
+from .tensorops import CONSTRUCTION_RTOL, PENCIL_RTOL, POLAR_STEPS, POLAR_TOL
 from .tensorops import pencil_det_form, pow2_scaled, sigma_rank
-
-# Tolerances of the constructions, one per role. None of them accepts or
-# drops a candidate: verification on the amplitudes is the only gate.
-#
-# Singular value cutoff of every construction's nullspaces and rank forms.
-# Kept apart from tensorops.DEFAULT_RTOL, the screen's rank cutoff, though
-# equal: this one can only withhold candidates, the screen's decides proofs.
-_CONSTRUCTION_RTOL = 1e-9
-# Pencil cutoff: a zero determinant form, a repeated root.
-_PENCIL_RTOL = 1e-6
-# Newton polar iteration: distance of X_k^T X_k from I counted as
-# converged, and the iteration cap.
-_POLAR_TOL = 1e-10
-_POLAR_STEPS = 30
 
 
 class SolveStatus(Enum):
@@ -170,7 +157,7 @@ def _intertwiner_family(right: np.ndarray, left: np.ndarray):
     _, s, vh = np.linalg.svd(_sylvester_system(right, left))
     if s[0] == 0.0:
         return []
-    return [x.conj().reshape(n, n) for x in vh[sigma_rank(s, _CONSTRUCTION_RTOL):]]
+    return [x.conj().reshape(n, n) for x in vh[sigma_rank(s, CONSTRUCTION_RTOL):]]
 
 
 def _row_pair_covariant(m: np.ndarray) -> np.ndarray:
@@ -224,15 +211,15 @@ def _polar_orthogonal(w: np.ndarray):
     the usual case. Newton's iteration ``X <- (X + X^-T) / 2`` from that
     W tends to the factor with the principal square root (Higham, Mackey,
     Mackey & Tisseur, *SIAM J. Matrix Anal. Appl.* 25(4), 2004). One step
-    is taken past ``|X^T X - I| <= _POLAR_TOL``, where convergence is
+    is taken past ``|X^T X - I| <= POLAR_TOL``, where convergence is
     quadratic; None when an iterate is singular or the iteration has not
-    converged in ``_POLAR_STEPS`` steps.
+    converged in ``POLAR_STEPS`` steps.
     """
     trace = np.trace(w.T @ w)
     x = w * np.sqrt(abs(trace) / trace)
     eye = np.eye(len(x))
-    for _ in range(_POLAR_STEPS):
-        done = np.linalg.norm(x.T @ x - eye) <= _POLAR_TOL
+    for _ in range(POLAR_STEPS):
+        done = np.linalg.norm(x.T @ x - eye) <= POLAR_TOL
         try:
             x = 0.5 * (x + np.linalg.inv(x).T)
         except np.linalg.LinAlgError:
@@ -330,7 +317,7 @@ def _nullspace_point(system: np.ndarray, rng):
     # U is never read; V stays square when the system is wide, so that
     # its nullspace rows are kept.
     _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
-    rank = min(sigma_rank(s, _CONSTRUCTION_RTOL), len(vh) - 1)
+    rank = min(sigma_rank(s, CONSTRUCTION_RTOL), len(vh) - 1)
     null = vh[rank:].conj()
     mix = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     return mix @ null
@@ -399,16 +386,16 @@ def _qubit_row_pair_candidates(m, mp, rng):
 _E11, _E12, _E21, _E22 = (np.eye(4)[k].reshape(2, 2) for k in range(4))
 _SWAP2 = _E12 + _E21
 
-# Normal spans of 2x2 pencils by name: ``(basis, families)``, the basis
-# matrices flattened row-major as columns, and the linear spaces (as basis
-# lists) of the 2x2 matrices rho by which the Kronecker pairs (A, B)
-# preserving the span act on the basis, each with a map from an
-# invertible rho back to one such pair.
+# Normal spans of 2x2 pencils by name: ``(pinv, families)``, the
+# pseudo-inverse of the basis matrices flattened row-major as columns, and
+# the linear spaces (as basis lists) of the 2x2 matrices rho by which the
+# Kronecker pairs (A, B) preserving the span act on the basis, each with a
+# map from an invertible rho back to one such pair.
 _PENCIL_FORMS = {
     # span{E11, E22}: both factors diagonal (rho diagonal) or both
     # anti-diagonal (rho anti-diagonal).
     "GHZ": (
-        np.column_stack([_E11.ravel(), _E22.ravel()]),
+        np.linalg.pinv(np.column_stack([_E11.ravel(), _E22.ravel()])),
         (
             ((_E11, _E22), lambda rho: (rho, np.eye(2))),
             ((_E12, _E21), lambda rho: (rho, _SWAP2)),
@@ -416,7 +403,7 @@ _PENCIL_FORMS = {
     ),
     # span{E11, E12 + E21}: both factors upper triangular, rho upper triangular.
     "W": (
-        np.column_stack([_E11.ravel(), _SWAP2.ravel()]),
+        np.linalg.pinv(np.column_stack([_E11.ravel(), _SWAP2.ravel()])),
         (((_E11, _E12, _E22), lambda rho: (rho / rho[0, 0], np.diag(np.diagonal(rho)))),),
     ),
 }
@@ -425,8 +412,8 @@ _PENCIL_FORMS = {
 def _pencil_normal_form(x0, x1):
     """``(N1, N2, name)`` sending span{x0, x1} to a normal span, or None.
 
-    ``x0`` and ``x1`` must be orthonormal; ``N1 X N2^T`` lies in the span
-    of ``_PENCIL_FORMS[name]``'s basis for every X in theirs. With two
+    ``x0`` and ``x1`` must be orthonormal; ``N1 X N2^T`` lies in the
+    normal span ``name`` for every X in theirs. With two
     distinct rank-one members ``a_i b_i^T``, ``N1 = [a0 a1]^-1`` and
     ``N2 = [b0 b1]^-1`` give span{E11, E22}. With one repeated rank-one
     member ``a b^T``, N1 and N2 send a and b to e1 and are rescaled so that
@@ -435,9 +422,9 @@ def _pencil_normal_form(x0, x1):
     None when every member is singular.
     """
     det0, cross, det1 = pencil_det_form(x0, x1)
-    if max(abs(det0), abs(cross), abs(det1)) < _PENCIL_RTOL:
+    if max(abs(det0), abs(cross), abs(det1)) < PENCIL_RTOL:
         return None
-    roots = _binary_quadratic_roots(det0, cross, det1, _PENCIL_RTOL)
+    roots = _binary_quadratic_roots(det0, cross, det1, PENCIL_RTOL)
     if roots is None:
         # The repeated root -b/2a = -2c/b, in its better-scaled form.
         roots = [(-cross, 2.0 * det0) if abs(det0) >= abs(det1) else (2.0 * det1, -cross)]
@@ -464,11 +451,11 @@ def _rank_form(x):
     """``(N1, N2, "rank k")`` with ``N1 x N2^T = diag(1, .., 1, 0, ..)``, k ones.
 
     From the SVD ``x = U diag(s) V^H``: ``N1 = diag(1/s_1..1/s_k, 1, ...) U^H``
-    and ``N2 = conj(V^H)``, with k the numerical rank at ``_CONSTRUCTION_RTOL``;
+    and ``N2 = conj(V^H)``, with k the numerical rank at ``CONSTRUCTION_RTOL``;
     the deficient directions stay at unit scale, so N1 is invertible.
     """
     u, s, vh = np.linalg.svd(x)
-    k = sigma_rank(s, _CONSTRUCTION_RTOL)
+    k = sigma_rank(s, CONSTRUCTION_RTOL)
     scale = np.concatenate([1.0 / s[:k], np.ones(x.shape[0] - k)])
     return scale[:, None] * u.conj().T, vh.conj(), f"rank {k}"
 
@@ -513,8 +500,7 @@ def _pencil_core(f, col, row):
     """Core k of ``(N1 (x) N2) M (N3 (x) N4)^T = S_c k S_r^T`` on the normal bases S_c, S_r."""
     m = pow2_scaled(f.reconstruct(), f.singular_values[0])[0]
     g = np.kron(col[0], col[1]) @ m @ np.kron(row[0], row[1]).T
-    basis_c, basis_r = _PENCIL_FORMS[col[2]][0], _PENCIL_FORMS[row[2]][0]
-    return np.linalg.pinv(basis_c) @ g @ np.linalg.pinv(basis_r).T
+    return _PENCIL_FORMS[col[2]][0] @ g @ _PENCIL_FORMS[row[2]][0].T
 
 
 def _matched_forms(frame, frame_prime, r, shape):

@@ -17,11 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tensorops import sigma_ratio
-
-# Reject only clearly singular operators at construction time; quality
-# control for recovered operators happens at verification.
-OPERATOR_INVERTIBILITY_RTOL = 1e-12
+from .tensorops import OPERATOR_INVERTIBILITY_RTOL, sigma_ratio
 
 _INV_SQRT2 = math.sqrt(0.5)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)

@@ -16,6 +16,22 @@ Conventions fixed here and relied on everywhere else:
   (``sigma_ratio``) of descending singular values, the determinant form
   of a 2x2 pencil (``pencil_det_form``), and the lead phase of a column
   (``_lead_phase``), which gauges singular vectors and local operators.
+
+Every threshold the package compares a computed number with is bound
+here, once, and each can change one outcome only: only ``DEFAULT_RTOL``
+can yield an INEQUIVALENT proof, and only ``DEFAULT_VERIFY_TOL`` accepts.
+
+| constant | value | compares | only outcome it can change |
+|---|---|---|---|
+| ``DEFAULT_RTOL`` | 1e-9 | singular values with the largest, every rank; ``hyperdet_magnitude`` with 0 | ranks and classes, so INEQUIVALENT proofs |
+| ``DEFAULT_VERIFY_TOL`` | 1e-8 | a candidate's relative residual on the amplitudes after the scalar fit | acceptance |
+| ``OPERATOR_INVERTIBILITY_RTOL`` | 1e-12 | ``sigma_min / sigma_max`` of each local operator | rejection of a candidate or certificate |
+| ``CONSTRUCTION_RTOL`` | 1e-9 | singular values of the constructions' nullspaces and rank forms | which candidates exist |
+| ``PENCIL_RTOL`` | 1e-6 | a 2x2 pencil's determinant form with 0, its discriminant for a repeated root | which candidates exist |
+| ``POLAR_TOL`` | 1e-10 | ``norm(X^T X - I)`` of a Newton polar iterate, for convergence | which candidates exist |
+| ``POLAR_STEPS`` | 30 | Newton polar iterations, as their cap | which candidates exist |
+| ``CONDITIONING_BAND`` | 10.0 | a counted singular value with this multiple of the rank cutoff | a borderline-rank warning |
+| ``FRAME_UNITARITY_TOL`` | 1e-12 | ``norm(F^H F - I)`` of a singular frame F, per unit of side | an internal assertion |
 """
 
 from __future__ import annotations
@@ -25,6 +41,14 @@ import math
 import numpy as np
 
 DEFAULT_RTOL = 1e-9
+DEFAULT_VERIFY_TOL = 1e-8
+OPERATOR_INVERTIBILITY_RTOL = 1e-12
+CONSTRUCTION_RTOL = 1e-9
+PENCIL_RTOL = 1e-6
+POLAR_TOL = 1e-10
+POLAR_STEPS = 30
+CONDITIONING_BAND = 10.0
+FRAME_UNITARITY_TOL = 1e-12
 
 
 def sigma_rank(s, rtol: float = DEFAULT_RTOL) -> int:

@@ -55,9 +55,11 @@ all-cuts UNDECIDED verdict, proof kind, proof location, both proof
 values and the proof's description; each classification gives its
 label and marginal ranks. The script sweeps the ``slocceq`` of the tree
 that ``PYTHONPATH`` names, else that of its own checkout's ``src``, and
-prints which. It prints the verdict counts and the SHA-256 of the rows,
-and re-verifies every EQUIVALENT certificate on the inputs of its check
-with ``verify_equivalence``. It exits 1 when a certificate fails, when a
+prints which, and under it that tree's thresholds: every UPPER_CASE
+number in its ``tensorops``, outside the hashed rows. It prints the
+verdict counts and the SHA-256 of the rows, and re-verifies every
+EQUIVALENT certificate on the inputs of its check with
+``verify_equivalence``. It exits 1 when a certificate fails, when a
 verdict is one its pair does not allow and ``sweep_known.json`` does not
 list, when a listed check does not give its listed verdict, or when the
 row hash is not ``EXPECTED_ROWS_SHA256``; a check that raises stops it,
@@ -103,6 +105,7 @@ if not os.environ.get("PYTHONPATH"):
 import numpy as np  # noqa: E402
 
 import slocceq  # noqa: E402
+from slocceq import tensorops  # noqa: E402
 
 import workloads  # noqa: E402
 from slocceq.catalog import _haar_unitary, random_invertible_ops, random_orbit_case  # noqa: E402
@@ -338,6 +341,11 @@ def main(argv=None):
     known = {entry["row"]: entry["verdict"] for entry in json.loads(KNOWN_MISSES.read_text())}
     unmet = set(known)
     print(f"slocceq from {slocceq.__file__}")
+    print("thresholds " + " ".join(
+        f"{name}={value!r}"
+        for name, value in vars(tensorops).items()
+        if name.isupper() and isinstance(value, (int, float)) and not isinstance(value, bool)
+    ))
     t0 = time.perf_counter()
     rows, digests, counts, labels, failed, missed = [], [], Counter(), Counter(), 0, 0
     for index, (s1, s2, check, allowed) in enumerate(cases()):

@@ -11,7 +11,6 @@ from slocceq import decomposition, equivalence
 from slocceq.catalog import random_invertible_ops, random_orbit_case
 from slocceq.decomposition import StateProfile, triple_state_set
 from slocceq.equivalence import (
-    DEFAULT_VERIFY_TOL,
     EquivalenceStatus,
     RecoveryError,
     check_fourpartite_equiv,
@@ -32,7 +31,7 @@ from slocceq.states import (
     apply_local_ops,
     make_state,
 )
-from slocceq.tensorops import sigma_rank
+from slocceq.tensorops import DEFAULT_VERIFY_TOL, sigma_rank
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
 CONFIG = SolverConfig(rng_seed=0)

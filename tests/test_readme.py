@@ -1,10 +1,11 @@
-"""The README's examples run: the library example prints what its comments say, and every
-command line example parses."""
+"""The README's examples run: the library example prints what its comments say, every
+command line example parses, and its tolerance table is the one in ``tensorops``."""
 
 import re
 import shlex
 from pathlib import Path
 
+from slocceq import tensorops
 from slocceq.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,19 @@ def test_command_line_examples_parse(capsys):
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             raise AssertionError(f"README example does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def table_lines(text: str) -> list:
+    """The lines of a threshold table, with ``code`` marks read as single backticks."""
+    return [line.replace("``", "`") for line in text.splitlines() if line.startswith("|")]
+
+
+def test_tolerance_table_is_the_tensorops_table():
+    text = section("Tolerances")
+    rows = [(name, float(value)) for name, value in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", text, re.M)]
+    assert rows == [
+        (name, value)
+        for name, value in vars(tensorops).items()
+        if name.isupper() and isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
+    assert table_lines(text) == table_lines(tensorops.__doc__)
