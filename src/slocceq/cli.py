@@ -34,7 +34,6 @@ from .equivalence import (
     verify_equivalence,
 )
 from .invariants import classify_tripartite_qubit
-from .solver import SolverConfig
 from .states import (
     STANDARD_CUTS,
     LocalOperatorTuple,
@@ -220,20 +219,18 @@ def cmd_check(args) -> tuple[int, dict]:
     if target.num_parties != 4:
         raise _Exit(EXIT_PARSE, "check needs four-party states")
 
-    config = SolverConfig(rng_seed=args.seed)
     if args.all_cuts:
         cut_label = "all"
-        verdict = check_fourpartite_equiv_all_cuts(target, source, config, verify_tol=args.tol)
+        verdict = check_fourpartite_equiv_all_cuts(target, source, verify_tol=args.tol)
     else:
         cut_label = args.cut
-        verdict = check_fourpartite_equiv(target, source, _cut(cut_label), config, verify_tol=args.tol)
+        verdict = check_fourpartite_equiv(target, source, _cut(cut_label), verify_tol=args.tol)
 
     cert, proof = verdict.certificate, verdict.proof
     payload = {
         "command": "check",
         "verdict": verdict.status.name,
         "cut": cut_label,
-        "seed": args.seed,
         "tolerance": args.tol,
         "certificate": None,
         "proof": proof.to_dict() if proof is not None else None,
@@ -381,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_VERIFY_TOL,
         help="certificate verification tolerance",
     )
-    p.add_argument("--seed", type=_interval(-1, kind=int), default=0, help="solver seed (default 0)")
     p.add_argument(
         "--cert-out", default=None, help="write the certificate here when equivalent"
     )

@@ -35,7 +35,7 @@ import numpy as np
 from .decomposition import StateProfile
 from .decomposition import triple_state_set  # noqa: F401 (bench/spans.py rebinds it here)
 from .invariants import InequivalenceProof, _tri_classes, first_violation, invariant_screen
-from .solver import SolveOutcome, SolverConfig, solve_ptilde, solve_ptilde_single
+from .solver import SolveOutcome, solve_ptilde, solve_ptilde_single
 from .states import (
     Bipartition,
     LocalOperatorTuple,
@@ -249,7 +249,7 @@ def check_fourpartite_equiv(
     s1: PureState,
     s2: PureState,
     cut: Bipartition,
-    config: SolverConfig,
+    config=None,
     rtol: float = DEFAULT_RTOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
 ) -> EquivalenceVerdict:
@@ -260,11 +260,12 @@ def check_fourpartite_equiv(
     invariant proof recomputable from the states alone, EQUIVALENT
     verdicts carry operators re-verified on the input amplitudes at
     ``verify_tol``. Search failure yields UNDECIDED, never INEQUIVALENT.
+    ``config`` is ignored; the verdict depends on the two states alone.
     """
-    return _check_cuts(s1, s2, (cut,), config, rtol, verify_tol)
+    return _check_cuts(s1, s2, (cut,), rtol, verify_tol)
 
 
-def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol):
+def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], rtol, verify_tol):
     """The one check loop: screen every cut, then search the cuts in order.
 
     One :class:`StateProfile` holds both states, for all cuts. One cut's
@@ -287,19 +288,14 @@ def _check_cuts(s1, s2, cuts: Tuple[Bipartition, ...], config, rtol, verify_tol)
 
     per_cut: Dict[str, object] = {}
     for cut in cuts:
-        verdict = _search_cut(profile, cut, config, verify_tol)
+        verdict = _search_cut(profile, cut, verify_tol)
         if verdict.status is EquivalenceStatus.EQUIVALENT or len(cuts) == 1:
             return verdict
         per_cut[cut.label] = verdict.diagnostics
     return _undecided({"stage": "all_cuts", "per_cut": per_cut})
 
 
-def _search_cut(
-    profile: StateProfile,
-    cut: Bipartition,
-    config: SolverConfig,
-    verify_tol: float,
-) -> EquivalenceVerdict:
+def _search_cut(profile: StateProfile, cut: Bipartition, verify_tol: float) -> EquivalenceVerdict:
     """Construct and verify candidates at a cut; EQUIVALENT or UNDECIDED.
 
     The screen has passed, so both decompositions have the same rank at
@@ -316,14 +312,14 @@ def _search_cut(
         return recover_local_operators(cut, candidate)
 
     # s2 is the source (operators act on it), s1 is the target.
-    outcome = solve_ptilde(triple2, triple1, config)
+    outcome = solve_ptilde(triple2, triple1)
     return _first_verified(outcome, recover, *profile.states, verify_tol, diagnostics, cut)
 
 
 def check_fourpartite_equiv_all_cuts(
     s1: PureState,
     s2: PureState,
-    config: SolverConfig,
+    config=None,
     rtol: float = DEFAULT_RTOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
 ) -> EquivalenceVerdict:
@@ -333,15 +329,15 @@ def check_fourpartite_equiv_all_cuts(
     INEQUIVALENT before any search runs. The cuts are then searched in
     order on the same profiles; the first cut whose certificate verifies
     decides EQUIVALENT. Otherwise the UNDECIDED verdict holds each cut's
-    diagnostics under ``per_cut``.
+    diagnostics under ``per_cut``. ``config`` is ignored.
     """
-    return _check_cuts(s1, s2, STANDARD_CUTS, config, rtol, verify_tol)
+    return _check_cuts(s1, s2, STANDARD_CUTS, rtol, verify_tol)
 
 
 def check_tripartite_equiv(
     t1: TripartiteState,
     t2: TripartiteState,
-    config: SolverConfig,
+    config=None,
     rtol: float = DEFAULT_RTOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
 ) -> EquivalenceVerdict:
@@ -361,7 +357,7 @@ def check_tripartite_equiv(
 
     The certificate operators ``(A_first, A_row, A_col)`` act per party:
     ``t1`` slices match ``scalar * sum_j A_first[i, j] * A_row @ t2_j @
-    A_col.T`` within the verification tolerance. ``config`` is unused.
+    A_col.T`` within the verification tolerance. ``config`` is ignored.
     """
     if t1.dims != t2.dims:
         raise ValueError(

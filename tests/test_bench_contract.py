@@ -8,6 +8,7 @@ the package side without running the benchmark.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +65,24 @@ def test_installed_wraps_and_restores(spans):
     assert np.linalg.svd is svd
 
 
+@pytest.mark.parametrize(
+    "entry", ["check_fourpartite_equiv", "check_fourpartite_equiv_all_cuts", "check_tripartite_equiv"]
+)
+def test_check_entry_takes_a_positional_config(entry):
+    # Pair.run passes its SolverConfig positionally, after the states and
+    # the cut; the check ignores it. No check runs.
+    sig = inspect.signature(getattr(equivalence, entry))
+    at = 3 if entry == "check_fourpartite_equiv" else 2
+    assert list(sig.bind(*[None] * at, SolverConfig()).arguments)[at] == "config", entry
+    assert sig.parameters["config"].default is None, entry
+
+
 def test_outcome_labels_real_solver_outcomes(spans):
     cut = Bipartition((1, 2), (3, 4))
-    config = SolverConfig(rng_seed=0)
     ghz = triple_state_set(make_state("ghz4"), cut)
     w = triple_state_set(make_state("w4"), cut)
-    assert spans._outcome("solver", solve_ptilde(ghz, ghz, config)) == ("spectral", 0)
-    assert spans._outcome("solver", solve_ptilde(w, ghz, config)) == ("exhausted", 0)
+    assert spans._outcome("solver", solve_ptilde(ghz, ghz)) == ("spectral", 0)
+    assert spans._outcome("solver", solve_ptilde(w, ghz)) == ("exhausted", 0)
     found = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 2))
     exhausted = solve_ptilde_single(ghz.u_full, ghz.u_full, ghz.r, (2, 3))
     assert spans._outcome("solver", found) == ("spectral", 0)

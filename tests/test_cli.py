@@ -141,7 +141,7 @@ class TestCheck:
         assert main(["check", files["abcd"], files["abcd2"]]) == EXIT_OK
         out = capsys.readouterr().out
         assert "EQUIVALENT" in out
-        assert "seed" in out
+        assert "seed" not in out
 
     def test_inequivalent_pair(self, files, capsys):
         assert main(["check", files["ghz4"], files["w4"]]) == EXIT_FAIL
@@ -172,7 +172,7 @@ class TestCheck:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "EQUIVALENT"
-        assert payload["seed"] == 0
+        assert "seed" not in payload
         cert = payload["certificate"]
         assert cert["residual"] < 1e-8
         assert len(cert["operators"]) == 4
@@ -255,12 +255,9 @@ class TestCheck:
         assert code == EXIT_PARSE
         assert str(cert_path) in capsys.readouterr().err
 
-    def test_seed_flag_reported(self, files, capsys):
-        code = main(
-            ["check", files["abcd"], files["abcd2"], "--seed", "7", "--json"]
-        )
-        assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["seed"] == 7
+    def test_seed_option_removed(self, files, capsys):
+        code = main(["check", files["abcd"], files["abcd2"], "--seed", "3"])
+        assert code == EXIT_PARSE
 
     def test_three_party_files_rejected(self, files, capsys):
         assert main(["check", files["ghz3"], files["w3"]]) == EXIT_PARSE
@@ -562,8 +559,6 @@ class TestNumericFlags:
             (["orbit", "{ghz4}", "--cond-cap", "1", "--out", "{dir}/o"], "--cond-cap"),
             (["orbit", "{ghz4}", "--cond-cap", "inf", "--out", "{dir}/o"], "--cond-cap"),
             (["orbit", "{ghz4}", "--cond-cap", "many", "--out", "{dir}/o"], "--cond-cap"),
-            (["check", "{ghz4}", "{ghz4}", "--seed", "-1"], "--seed"),
-            (["check", "{ghz4}", "{ghz4}", "--seed", "1.5", "--json"], "--seed"),
             (["orbit", "{ghz4}", "--seed", "-1", "--out", "{dir}/o"], "--seed"),
         ],
     )
@@ -579,7 +574,6 @@ class TestNumericFlags:
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
         out = tmp_path / "orb"
         assert main(["orbit", files["ghz4"], "--cond-cap", "1.5", "--out", str(out)]) == EXIT_OK
-        assert main(["check", files["ghz4"], files["ghz4"], "--seed", "0"]) == EXIT_OK
 
 
 class TestTextMirrorsJson:

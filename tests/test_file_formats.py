@@ -117,7 +117,6 @@ CHECK_PAYLOAD_TEXT = """\
   "command": "check",
   "verdict": "INEQUIVALENT",
   "cut": "12-34",
-  "seed": 0,
   "tolerance": 1e-08,
   "certificate": null,
   "proof": {

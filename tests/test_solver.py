@@ -8,7 +8,6 @@ from slocceq import decomposition, solver
 from slocceq.decomposition import triple_state_set
 from slocceq.solver import (
     SolveStatus,
-    SolverConfig,
     _MAGIC,
     _QUBIT_PAIR_FORM,
     _binary_quadratic_roots,
@@ -27,7 +26,6 @@ from slocceq.solver import (
 from slocceq.states import Bipartition, PureState, apply_local_ops, make_state
 
 CUT_12_34 = Bipartition((1, 2), (3, 4))
-CONFIG = SolverConfig(rng_seed=0)
 
 
 def random_complex(rng, shape):
@@ -57,16 +55,6 @@ def span_misfit(out, u_full, u_prime_full, r):
         outside = u_prime_full[:, r:].conj().T @ mapped
         best = min(best, np.linalg.norm(outside) / np.linalg.norm(mapped))
     return best
-
-
-class TestSolverConfig:
-    def test_restarts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(rng_seed=0, restarts=0)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="rng_seed"):
-            SolverConfig(rng_seed=-1)
 
 
 def kron_gap(mat):
@@ -378,7 +366,7 @@ class TestFlatteningRelation:
     def test_cluster_pair_construction_fits_the_flattening(self):
         frame = triple_state_set(make_state("psi2_abcd", (0.6, 0.5, 0.4, 0.3)), CUT_12_34)
         frame_p = triple_state_set(make_state("cluster1d"), CUT_12_34)
-        out = solve_ptilde(frame, frame_p, CONFIG)
+        out = solve_ptilde(frame, frame_p)
         assert out.status is SolveStatus.FOUND
         assert flat_misfit(out, frame, frame_p) < 1e-10
 
@@ -394,7 +382,7 @@ class TestSolvePtilde:
         ]
         for name, params in cases:
             frame = triple_state_set(make_state(name, params), CUT_12_34)
-            out = solve_ptilde(frame, frame, CONFIG)
+            out = solve_ptilde(frame, frame)
             assert out.status is SolveStatus.FOUND, name
             assert flat_misfit(out, frame, frame) < 1e-12, name
 
@@ -403,7 +391,7 @@ class TestSolvePtilde:
             state, image, _ = random_orbit_case((2, 2, 2, 2), seed, 20.0)
             frame = triple_state_set(state, CUT_12_34)
             frame_image = triple_state_set(image, CUT_12_34)
-            out = solve_ptilde(frame, frame_image, CONFIG)
+            out = solve_ptilde(frame, frame_image)
             assert out.status is SolveStatus.FOUND, seed
             assert out.restarts_used == 0, seed
             assert flat_misfit(out, frame, frame_image) < 1e-9, seed
@@ -414,7 +402,7 @@ class TestSolvePtilde:
                 state, image, _ = random_orbit_case(dims, seed, 20.0)
                 frame = triple_state_set(state, CUT_12_34)
                 frame_image = triple_state_set(image, CUT_12_34)
-                out = solve_ptilde(frame, frame_image, CONFIG)
+                out = solve_ptilde(frame, frame_image)
                 assert out.status is SolveStatus.FOUND, (dims, seed)
                 assert out.restarts_used == 0, (dims, seed)
                 assert flat_misfit(out, frame, frame_image) < 1e-9, (dims, seed)
@@ -429,7 +417,7 @@ class TestSolvePtilde:
             image = apply_local_ops(state, ops)
             frame = triple_state_set(state, CUT_12_34)
             frame_image = triple_state_set(image, CUT_12_34)
-            out = solve_ptilde(frame, frame_image, CONFIG)
+            out = solve_ptilde(frame, frame_image)
             assert out.status is SolveStatus.FOUND, seed
             assert out.restarts_used == 0, seed
             assert flat_misfit(out, frame, frame_image) < 1e-9, seed
@@ -445,7 +433,7 @@ class TestSolvePtilde:
             image = apply_local_ops(state, ops)
             frame = triple_state_set(state, CUT_12_34)
             frame_image = triple_state_set(image, CUT_12_34)
-            out = solve_ptilde(frame, frame_image, CONFIG)
+            out = solve_ptilde(frame, frame_image)
             assert out.status is SolveStatus.FOUND
             assert out.restarts_used == 0
             assert flat_misfit(out, frame, frame_image) < 1e-9
@@ -462,7 +450,7 @@ class TestSolvePtilde:
                 image = apply_local_ops(state, ops)
                 frame = triple_state_set(state, CUT_12_34)
                 frame_image = triple_state_set(image, CUT_12_34)
-                out = solve_ptilde(frame, frame_image, CONFIG)
+                out = solve_ptilde(frame, frame_image)
                 assert out.status is SolveStatus.FOUND, name
                 assert out.restarts_used == 0, name
                 assert flat_misfit(out, frame, frame_image) < 1e-9, name
@@ -487,7 +475,7 @@ class TestSolvePtilde:
         assert np.allclose(
             rotated.reconstruct(), frame.reconstruct(), atol=1e-12
         )
-        out = solve_ptilde(rotated, frame, CONFIG)
+        out = solve_ptilde(rotated, frame)
         assert out.status is SolveStatus.FOUND
         assert out.restarts_used == 0
         assert flat_misfit(out, rotated, frame) < 1e-9
@@ -495,7 +483,7 @@ class TestSolvePtilde:
     def test_ghz_vs_w_exhausts(self):
         f_w = triple_state_set(make_state("w4"), CUT_12_34)
         f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
-        out = solve_ptilde(f_w, f_ghz, CONFIG)
+        out = solve_ptilde(f_w, f_ghz)
         assert out.status is SolveStatus.EXHAUSTED
         assert out.restarts_used == 0
         assert flat_misfit(out, f_w, f_ghz) > 1e-3
@@ -504,15 +492,15 @@ class TestSolvePtilde:
         f_ghz = triple_state_set(make_state("ghz4"), CUT_12_34)
         f_cluster = triple_state_set(make_state("cluster1d"), CUT_12_34)
         with pytest.raises(ValueError):
-            solve_ptilde(f_ghz, f_cluster, CONFIG)
+            solve_ptilde(f_ghz, f_cluster)
 
     def test_deterministic_given_seed(self):
         for dims in [(2, 2, 2, 2), (2, 2, 3, 3)]:
             state, image, _ = random_orbit_case(dims, 9, 20.0)
             frame = triple_state_set(state, CUT_12_34)
             frame_image = triple_state_set(image, CUT_12_34)
-            cands1 = list(solve_ptilde(frame, frame_image, CONFIG).candidates)
-            cands2 = list(solve_ptilde(frame, frame_image, CONFIG).candidates)
+            cands1 = list(solve_ptilde(frame, frame_image).candidates)
+            cands2 = list(solve_ptilde(frame, frame_image).candidates)
             assert len(cands1) == len(cands2) > 0, dims
             for cand1, cand2 in zip(cands1, cands2):
                 assert all(np.array_equal(a, b) for a, b in zip(cand1, cand2)), dims
